@@ -94,6 +94,12 @@ let due s ~now =
       end)
     s.unacked
 
+let next_due s =
+  match s.unacked with
+  | [] -> None
+  | e :: rest ->
+      Some (List.fold_left (fun d e -> min d e.next_due) e.next_due rest)
+
 let on_ack s ~ack =
   let keep = List.filter (fun e -> e.seq > ack) s.unacked in
   let freed = s.unacked_len - List.length keep in

@@ -30,6 +30,10 @@ val due : sender -> now:int -> (int * Bytes.t) list
     to put on the wire now. Each harvested entry's timer is re-armed
     with backoff. *)
 
+val next_due : sender -> int option
+(** The earliest tick at which {!due} will harvest an entry, [None] when
+    nothing is unacked. *)
+
 val on_ack : sender -> ack:int -> int
 (** Cumulative: retires every entry with [seq <= ack], cancelling its
     timer. Returns the number retired (freed window slots). *)

@@ -29,8 +29,11 @@
    replay their unacked backlog ([Link.mark_replay]) — cumulative ACKs
    make the replay idempotent.
 
-   Wire time is a tick counter advanced once per pump iteration; link
-   RTOs, chaos holds and reconnect backoffs are denominated in it.
+   Wire time is a tick counter advanced once per pump iteration, and
+   jumped to the next scheduled wire event when an I/O round finds the
+   sockets idle; link RTOs, chaos holds and reconnect backoffs are
+   denominated in it. Sockets run with TCP_NODELAY: the pump waits on
+   every small frame, so Nagle's coalescing would only stall it.
    Wall-clock nondeterminism (how many retransmissions a given kernel
    scheduling produces) perturbs wire statistics only, never logical
    results. A wall-clock budget per pump call turns a wedged wire into
@@ -174,8 +177,10 @@ let endp_for t ~src ~dst =
   if src = c.a then c.ea else c.eb
 
 (* send a DATA frame for directed link (src, dst), piggybacking src's
-   cumulative ack for the reverse direction *)
+   cumulative ack for the reverse direction, which settles an owed ACK
+   (if lost, the peer retransmits and the duplicate is re-ACKed) *)
 let send_data t ~src ~dst ~seq payload =
+  t.links.(dst).(src).ack_pending <- false;
   let frame =
     {
       Wire.ftype = Wire.Data;
@@ -225,6 +230,7 @@ let dial t c =
   with
   | () ->
       Unix.set_nonblock fd;
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
       c.ea.fd <- Some fd;
       c.ea.dec <- fresh_decoder t;
       send_hello t c
@@ -350,6 +356,21 @@ let live_pairs t f =
     done
   done
 
+(* The earliest tick of a scheduled wire event — a (re)transmission, a
+   chaos hold release, a re-dial or a flap — or [max_int] if none. *)
+let next_event t =
+  let next = ref max_int in
+  let consider tick = if tick < !next then next := tick in
+  live_pairs t (fun src dst ->
+      Option.iter consider (Link.next_due t.links.(src).(dst).snd));
+  List.iter (fun (release, _, _) -> consider release) t.holds;
+  iter_conns t (fun c ->
+      if c.ea.fd = None && c.eb.fd = None then consider c.down_until);
+  Option.iter
+    (fun ch -> Option.iter consider (Wire_chaos.next_flap ch ~after:t.tick))
+    t.chaos;
+  !next
+
 let pump_once t =
   t.tick <- t.tick + 1;
   (* chaos link flaps *)
@@ -396,6 +417,10 @@ let pump_once t =
         dl.ack_pending <- false;
         send_ack t ~src:dst ~dst:src
       end);
+  (* write-through, so the select below can see the peers' answers *)
+  iter_conns t (fun c ->
+      write_endp t c c.ea;
+      write_endp t c c.eb);
   (* I/O round *)
   let reads = ref [] and writes = ref [] in
   Array.iter (fun fd -> reads := fd :: !reads) t.listeners;
@@ -413,6 +438,11 @@ let pump_once t =
     try Unix.select !reads !writes [] 0.001
     with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
   in
+  (* idle wire: land on the next event, not one select timeout per tick *)
+  if readable = [] && writable = [] && t.pending = [] then begin
+    let next = next_event t in
+    if next < max_int then t.tick <- max t.tick (next - 1)
+  end;
   (* accepts *)
   Array.iteri
     (fun host lfd ->
@@ -420,6 +450,7 @@ let pump_once t =
         match Unix.accept lfd with
         | fd, _ ->
             Unix.set_nonblock fd;
+            Unix.setsockopt fd Unix.TCP_NODELAY true;
             t.pending <- (host, fd, fresh_decoder t) :: t.pending
         | exception Unix.Unix_error _ -> ())
     t.listeners;
@@ -447,22 +478,13 @@ let pump_once t =
               close_quiet fd;
               false)
       t.pending;
-  (* established reads, then writes *)
+  (* established reads; frames a full socket buffer held back go out in
+     the next iteration's write-through *)
   iter_conns t (fun c ->
       List.iter
         (fun e ->
           match e.fd with
           | Some fd when List.memq fd readable -> read_endp t c e
-          | _ -> ())
-        [ c.ea; c.eb ]);
-  iter_conns t (fun c ->
-      List.iter
-        (fun e ->
-          match e.fd with
-          | Some fd when List.memq fd writable || not (Queue.is_empty e.outq)
-            ->
-              ignore fd;
-              write_endp t c e
           | _ -> ())
         [ c.ea; c.eb ])
 
@@ -510,9 +532,10 @@ let wire_send t ~src ~dst ~seq ~deliver_at msg =
 
 (* -- lifecycle -- *)
 
-let attach ?chaos ?(master_key = 0x6e65742d6d616161L)
-    ?(link_window = 64) ?(rto0 = 8) ?(rto_max = 256) ?(pump_budget = 30.)
-    ?(chaos_seed = 0x77697265L) engine =
+let master_key = 0x6e65742d6d616161L
+
+let attach ?chaos ?(rto0 = 8) ?(pump_budget = 30.) ?(chaos_seed = 0x77697265L)
+    engine =
   let n = Engine.n engine in
   if n < 1 || n > 255 then invalid_arg "Netrun.attach: n out of frame range";
   let master = Auth.of_master master_key in
@@ -525,9 +548,7 @@ let attach ?chaos ?(master_key = 0x6e65742d6d616161L)
     Array.init n (fun _ ->
         Array.init n (fun _ ->
             {
-              snd =
-                Link.sender ~window:link_window ~rto0 ~rto_max
-                  ~rng:(Rng.split link_rng) ();
+              snd = Link.sender ~rto0 ~rng:(Rng.split link_rng) ();
               rcv = Link.receiver ();
               overflow = Queue.create ();
               ack_pending = false;

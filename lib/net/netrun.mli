@@ -35,10 +35,7 @@ val pp_wire_stats : Format.formatter -> wire_stats -> unit
 
 val attach :
   ?chaos:Wire_chaos.plan ->
-  ?master_key:int64 ->
-  ?link_window:int ->
   ?rto0:int ->
-  ?rto_max:int ->
   ?pump_budget:float ->
   ?chaos_seed:int64 ->
   Message.t Engine.t ->

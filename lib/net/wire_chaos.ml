@@ -122,3 +122,18 @@ let flaps_due t ~tick =
     done
   done;
   !out
+
+(* The earliest flap trigger strictly after [after], so a runtime that
+   skips idle ticks can still land on every flap exactly. *)
+let next_flap t ~after =
+  let next = ref max_int in
+  Array.iter
+    (Array.iter (fun ls ->
+         List.iter
+           (function
+             | Link_flap { at_tick; _ } when at_tick > after ->
+                 next := min !next at_tick
+             | _ -> ())
+           ls.atoms))
+    t.links;
+  if !next = max_int then None else Some !next

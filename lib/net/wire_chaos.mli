@@ -37,6 +37,9 @@ val on_frame :
 val flaps_due : t -> tick:int -> (int * int * int) list
 (** [(src, dst, down_for)] for every flap triggering at [tick]. *)
 
+val next_flap : t -> after:int -> int option
+(** The earliest flap trigger tick strictly after [after], if any. *)
+
 val dropped : t -> int
 
 val duplicated : t -> int

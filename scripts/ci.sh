@@ -83,8 +83,10 @@ dune exec bin/msgs_check.exe
 
 echo "== net-check (sim-as-oracle differential grid) =="
 # every pinned case on sim, loopback TCP, and TCP under frame chaos:
-# results must be identical and the chaos monitors clean (exit 1 if not)
-dune exec bin/net_check_main.exe
+# results must be identical and the chaos monitors clean (exit 1 if not).
+# ~16 s on a 2-vCPU host; the timeout turns a pump that falls back to
+# idling one select timeout per wire tick (minutes) into a CI failure
+timeout 120 dune exec bin/net_check_main.exe
 
 echo "== multi-check (multiplexed vs sequential differential grid) =="
 # every multiplexed run must be byte-identical to its k sequential

@@ -147,6 +147,74 @@ let test_chunked_stream () =
     (fun a b -> Alcotest.(check bool) "frame equal" true (frame_eq a b))
     frames got
 
+(* -- SipHash-2-4 ------------------------------------------------------- *)
+
+let int64_t =
+  Alcotest.testable (fun ppf x -> Format.fprintf ppf "0x%016Lx" x) Int64.equal
+
+let test_siphash_vectors () =
+  (* the published reference vectors: key 00..0f, message 00 01 02 .. *)
+  let key = { Auth.k0 = 0x0706050403020100L; k1 = 0x0f0e0d0c0b0a0908L } in
+  let msg = Bytes.init 64 Char.chr in
+  List.iter
+    (fun (len, want) ->
+      Alcotest.check int64_t
+        (Printf.sprintf "reference vector, length %d" len)
+        want
+        (Auth.mac key msg ~off:0 ~len))
+    [ (0, 0x726fdb47dd0e0e31L); (8, 0x93f5f5799a932462L);
+      (15, 0xa129ca6149be45e5L) ]
+
+(* Tags of the slices [5, 5 + len) of a fixed buffer under [key_a], for
+   len = 0..63: every tail length, over an unaligned offset. *)
+let siphash_golden =
+  [| 0x429f321826027e9bL; 0x699ccd53c5898317L; 0x46c24bbe6246722eL;
+     0x43efef45e8829240L; 0x16a54ec455f74a85L; 0x241336303f035469L;
+     0x82053661e3c66973L; 0x88eac717f2700489L; 0x2aadadc154ca52e6L;
+     0x170095015eee298cL; 0xd3dfd75e60f75cdfL; 0x4d063727b5ffa96fL;
+     0xb90b7ceb8c1c45bbL; 0xed3c8205cfa4577dL; 0xb2801b026ca9e238L;
+     0x505ac85645f69431L; 0xe45fd582af580135L; 0x19110379242201adL;
+     0xe068548f81e9c5daL; 0xa9f2ad330b8f13c3L; 0x6065f2e1f6312923L;
+     0xd47dfc8e803eba09L; 0xf27eac3147221250L; 0x6968d93cf44d68afL;
+     0xa5e703bfa22eb2b1L; 0xf51149f756e46739L; 0x250b22639e5fd10cL;
+     0xc80c09f636bf1bc4L; 0x2f23c047bdeb79ceL; 0x2c6f424091ea4c85L;
+     0xe14b44f997029bb6L; 0x08717e86ee491503L; 0x5882c56951ec1881L;
+     0xdfd7d55ccc7d0aa6L; 0x35f3a59cb225948cL; 0x9aff4954d533c9c6L;
+     0xc8ff3b4641f24e66L; 0x908bba6c9fe1b88fL; 0xc04bc0c069629b8bL;
+     0x3aa7dd2246e00880L; 0xcfc5ccd77160b395L; 0x74c8d3c99183c59fL;
+     0x8a405a422b1b9ea1L; 0x6b012a859d6eab3cL; 0x18d31eb505c6164cL;
+     0x4d07e37356bf437eL; 0x0c434c67d9ce6900L; 0x583566362b0bdc52L;
+     0xf77651cef46514f2L; 0x9533080e491e7568L; 0x52a402d93a6e2f95L;
+     0x548960411d5a705bL; 0xdfce94887d30642cL; 0xf6e018eed8306105L;
+     0x5387a21e63875487L; 0x0907312c3306e413L; 0x095f7fe259ca6f74L;
+     0x124049aa02a16f62L; 0x0f5de90f9be619e7L; 0xee24d5a5ffc9ab86L;
+     0xd8025a53c807411aL; 0xef2d36024ff3917cL; 0xf1c5520ea99570c7L;
+     0x94a282b112e07351L |]
+
+let test_siphash_golden () =
+  let buf = Bytes.init 80 (fun i -> Char.chr (((i * 37) + 11) land 0xff)) in
+  Array.iteri
+    (fun len want ->
+      Alcotest.check int64_t
+        (Printf.sprintf "golden tag, off 5 length %d" len)
+        want
+        (Auth.mac key_a buf ~off:5 ~len))
+    siphash_golden
+
+let test_siphash_alloc () =
+  (* every frame is MACed on encode and on verify: only the boxed result
+     may be allocated *)
+  let buf = Bytes.make 100 'm' in
+  let calls = 1000 in
+  ignore (Auth.mac key_a buf ~off:3 ~len:78);
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Auth.mac key_a buf ~off:3 ~len:78))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  if per_call > 8. then
+    Alcotest.failf "Auth.mac allocates %.1f words per call (limit 8)" per_call
+
 (* -- perfect link against a fake clock --------------------------------- *)
 
 let mk_sender ?window ?(rto0 = 8) ?(rto_max = 32) () =
@@ -274,6 +342,10 @@ let check_verdict name =
     true v.Differential.chaos_ok;
   Alcotest.(check bool) (name ^ ": monitor clean") true
     v.Differential.monitor_clean;
+  (* the plan's flap triggers at one exact wire tick, which the pump's
+     idle fast-forward must land on rather than jump past *)
+  Alcotest.(check bool) (name ^ ": chaos flap fired") true
+    (v.Differential.chaos_wire.Netrun.reconnects >= 1);
   Alcotest.(check bool)
     (name ^ ": no logical loss")
     true
@@ -284,6 +356,28 @@ let check_verdict name =
 let test_differential_slice () =
   check_verdict "diff-d1-n4-sync-lockstep-clean";
   check_verdict "diff-d2-n4-sync-lockstep-silent"
+
+let test_frame_economy () =
+  (* On a clean wire every off-party message should cost about one frame:
+     ACKs ride on reverse DATA and nothing is retransmitted. A count
+     ratio, not a timing, so a slow host cannot flake it. *)
+  let scen =
+    { (grid_case "diff-d1-n4-sync-lockstep-clean") with
+      Scenario.transport = `Net }
+  in
+  let self_sends = ref 0 in
+  let tracer = function
+    | Engine.Sent { src; dst; _ } when src = dst -> incr self_sends
+    | _ -> ()
+  in
+  let r = Runner.run ~tracer scen in
+  let w = Option.get r.Runner.wire in
+  let wire_msgs = w.Netrun.logical_sent - !self_sends in
+  let ratio = float_of_int w.Netrun.frames_sent /. float_of_int wire_msgs in
+  if ratio > 1.25 then
+    Alcotest.failf
+      "%d frames for %d off-party messages (%.2f per message, limit 1.25)"
+      w.Netrun.frames_sent wire_msgs ratio
 
 (* -- kill/reconnect replay --------------------------------------------- *)
 
@@ -423,6 +517,14 @@ let () =
           Alcotest.test_case "bad magic" `Quick test_bad_magic;
           Alcotest.test_case "byte-at-a-time stream" `Quick test_chunked_stream;
         ] );
+      ( "siphash",
+        [
+          Alcotest.test_case "published SipHash-2-4 vectors" `Quick
+            test_siphash_vectors;
+          Alcotest.test_case "golden tags, every tail length" `Quick
+            test_siphash_golden;
+          Alcotest.test_case "allocation per MAC" `Quick test_siphash_alloc;
+        ] );
       ( "perfect link",
         [
           Alcotest.test_case "exact retransmit schedule" `Quick
@@ -442,6 +544,8 @@ let () =
         [
           Alcotest.test_case "differential slice + chaos mask" `Slow
             test_differential_slice;
+          Alcotest.test_case "clean-wire frame economy" `Slow
+            test_frame_economy;
           Alcotest.test_case "kill two connections mid-run" `Slow
             test_kill_reconnect;
         ] );
