@@ -185,25 +185,31 @@ let fast_bindings t =
 
 let fast_pairset t = Pairset.of_bindings (fast_bindings t)
 
-let report_verified t r =
-  r.rep_count >= t.n - t.ts
-  &&
-  let ok = ref true in
-  for p = 0 to t.n - 1 do
-    if r.rep_pid.(p) >= 0 && r.rep_pid.(p) <> t.m_pid.(p) then ok := false
-  done;
-  !ok
+let rec agrees_from t r p =
+  p = t.n
+  || ((r.rep_pid.(p) < 0 || r.rep_pid.(p) = t.m_pid.(p))
+     && agrees_from t r (p + 1))
 
+let report_verified t r = r.rep_count >= t.n - t.ts && agrees_from t r 0
+
+let rec any_verified t = function
+  | [] -> false
+  | r :: rest -> report_verified t r || any_verified t rest
+
+(* Runs on every event while reports are pending; the partition only
+   allocates once some report has validated. *)
 let fast_recheck_pending t =
-  let validated, rest = List.partition (report_verified t) t.pending in
-  t.pending <- rest;
-  List.iter
-    (fun r ->
-      if not (bit_mem t.witness_seen r.sender) then begin
-        bit_set t.witness_seen r.sender;
-        t.witness_count <- t.witness_count + 1
-      end)
-    validated
+  if any_verified t t.pending then begin
+    let validated, rest = List.partition (report_verified t) t.pending in
+    t.pending <- rest;
+    List.iter
+      (fun r ->
+        if not (bit_mem t.witness_seen r.sender) then begin
+          bit_set t.witness_seen r.sender;
+          t.witness_count <- t.witness_count + 1
+        end)
+      validated
+  end
 
 let fast_try_fire t =
   if t.started && not t.done_ then begin

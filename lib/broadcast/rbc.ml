@@ -186,10 +186,15 @@ type fast = {
   instances : instance IdTbl.t;
   (* 1-entry lookup memo: deliveries arrive in per-instance bursts (all
      echoes, then all readies), so remembering the last id skips the
-     hashtable on the common path. *)
-  mutable last_id : Message.rbc_id option;
-  mutable last_inst : instance option;
+     hashtable on the common path. Empty while [last_id] is [no_id]. *)
+  mutable last_id : Message.rbc_id;
+  mutable last_inst : instance;
 }
+
+(* The empty memo: [no_id] is recognised physically, so no id a peer
+   sends can alias it. *)
+let no_id = { Message.tag = Message.Init_value; origin = -1; instance = -1 }
+let no_instance = { echoed = false; readied = false; output = None; slots = [] }
 
 let bit_mem b i = Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
@@ -198,44 +203,40 @@ let bit_set b i =
     (Char.chr (Char.code (Bytes.get b (i lsr 3)) lor (1 lsl (i land 7))))
 
 let fast_instance t id =
-  match t.last_id with
-  | Some lid when id_equal lid id -> (
-      match t.last_inst with Some inst -> inst | None -> assert false)
-  | _ ->
-      let inst =
-        match IdTbl.find_opt t.instances id with
-        | Some inst -> inst
-        | None ->
-            let inst =
-              { echoed = false; readied = false; output = None; slots = [] }
-            in
-            IdTbl.add t.instances id inst;
-            inst
-      in
-      t.last_id <- Some id;
-      t.last_inst <- Some inst;
-      inst
+  if t.last_id != no_id && id_equal t.last_id id then t.last_inst
+  else begin
+    let inst =
+      match IdTbl.find_opt t.instances id with
+      | Some inst -> inst
+      | None ->
+          let inst =
+            { echoed = false; readied = false; output = None; slots = [] }
+          in
+          IdTbl.add t.instances id inst;
+          inst
+    in
+    t.last_id <- id;
+    t.last_inst <- inst;
+    inst
+  end
 
-let slot_for t inst pid payload =
-  let rec find = function
-    | [] ->
-        let s =
-          {
-            pid;
-            payload;
-            echo_seen = Bytes.make t.bpp '\000';
-            ready_seen = Bytes.make t.bpp '\000';
-            echo_count = 0;
-            ready_count = 0;
-            echo_extra = [];
-            ready_extra = [];
-          }
-        in
-        inst.slots <- s :: inst.slots;
-        s
-    | s :: rest -> if s.pid = pid then s else find rest
-  in
-  find inst.slots
+let rec slot_for t inst pid payload = function
+  | [] ->
+      let s =
+        {
+          pid;
+          payload;
+          echo_seen = Bytes.make t.bpp '\000';
+          ready_seen = Bytes.make t.bpp '\000';
+          echo_count = 0;
+          ready_count = 0;
+          echo_extra = [];
+          ready_extra = [];
+        }
+      in
+      inst.slots <- s :: inst.slots;
+      s
+  | s :: rest -> if s.pid = pid then s else slot_for t inst pid payload rest
 
 (* Count a vote at most once per (sender, value). Senders outside
    [0, n) cannot index the bitset; they go to a deduped side list so the
@@ -274,7 +275,7 @@ let fast_check_progress t id inst (s : slot) =
     t.cb.send_all (Message.Rbc (id, Message.Ready, s.payload))
   end;
   (* n - t readies: deliver *)
-  if inst.output = None && s.ready_count >= t.n - t.thr then begin
+  if Option.is_none inst.output && s.ready_count >= t.n - t.thr then begin
     inst.output <- Some s.payload;
     t.cb.deliver id s.payload
   end
@@ -290,11 +291,11 @@ let fast_on_message t ~from id step v =
         t.cb.send_all (Message.Rbc (id, Message.Echo, Intern.payload t.intern pid))
       end
   | Message.Echo ->
-      let s = slot_for t inst pid (Intern.payload t.intern pid) in
+      let s = slot_for t inst pid (Intern.payload t.intern pid) inst.slots in
       add_echo t s ~from;
       fast_check_progress t id inst s
   | Message.Ready ->
-      let s = slot_for t inst pid (Intern.payload t.intern pid) in
+      let s = slot_for t inst pid (Intern.payload t.intern pid) inst.slots in
       add_ready t s ~from;
       fast_check_progress t id inst s
 
@@ -320,8 +321,8 @@ let create ?(impl = `Interned) ?intern ~n ~t cb =
           cb;
           intern;
           instances = IdTbl.create 16;
-          last_id = None;
-          last_inst = None;
+          last_id = no_id;
+          last_inst = no_instance;
         }
 
 let broadcast t id v =

@@ -79,8 +79,13 @@ let drain tbl key =
 let record_halt t ~origin it =
   if not (Hashtbl.mem t.halts origin) then Hashtbl.add t.halts origin it
 
+(* Outputs once ts+1 recorded halts name an iteration below the current
+   one. Depends only on [halts], [iter] and [history], so it runs exactly
+   where those change — after [record_halt], at the end of
+   [join_iteration], after adopting a value — and is idempotent in
+   between; a per-delivery call would fold and sort [halts] for nothing. *)
 let try_halt_output t =
-  if t.output = None && t.iter >= 1 then begin
+  if Option.is_none t.output && t.iter >= 1 then begin
     let earlier =
       Hashtbl.fold (fun _ it acc -> if it < t.iter then it :: acc else acc) t.halts []
       |> List.sort compare
@@ -123,10 +128,14 @@ let rec join_iteration t it =
   | Some v -> Obc.start obc v
   | None -> assert false (* join_iteration it requires v_{it-1} recorded *));
   t.set_timer ~at:(t.iter_start + (Params.c_aa_it * t.cfg.delta) + 1);
-  try_advance t
+  (* no value can be pending yet: the fresh oBC cannot output before
+     local time moves past [iter_start] *)
+  try_halt_output t
 
 and on_obc_output t it mset =
-  if t.output = None && t.iter = it && t.pending_value = None then begin
+  if
+    Option.is_none t.output && t.iter = it && Option.is_none t.pending_value
+  then begin
     let k = Pairset.cardinal mset - (t.cfg.n - t.cfg.ts) in
     let trim = max k t.cfg.ta in
     match
@@ -151,27 +160,30 @@ and on_obc_output t it mset =
    c_AA-it·Δ local time has passed, adopt it, halt if this is our estimated
    iteration, output if enough halts are in, else move on. *)
 and try_advance t =
-  if t.output = None && t.iter >= 1 then begin
-    try_halt_output t;
-    if t.output = None then
+  match t.output with
+  | Some _ -> ()
+  | None -> (
       match t.pending_value with
-      | Some v when t.now () > t.iter_start + (Params.c_aa_it * t.cfg.delta)
-        ->
+      | Some v
+        when t.iter >= 1
+             && t.now () > t.iter_start + (Params.c_aa_it * t.cfg.delta) -> (
           let completed = t.iter in
           Hashtbl.replace t.history completed v;
           t.cbs.on_iteration ~iter:completed v;
-          if (not t.sent_halt) && Some completed = t.t_estimate then begin
-            t.sent_halt <- true;
-            Rbc.broadcast (rbc t)
-              { Message.tag = Message.Halt completed;
-                origin = t.me;
-                instance = 0 }
-              (Message.Pint completed)
-          end;
+          (match t.t_estimate with
+          | Some tt when tt = completed && not t.sent_halt ->
+              t.sent_halt <- true;
+              Rbc.broadcast (rbc t)
+                { Message.tag = Message.Halt completed;
+                  origin = t.me;
+                  instance = 0 }
+                (Message.Pint completed)
+          | _ -> ());
           try_halt_output t;
-          if t.output = None then join_iteration t (completed + 1)
-      | _ -> ()
-  end
+          match t.output with
+          | None -> join_iteration t (completed + 1)
+          | Some _ -> ())
+      | _ -> ())
 
 let on_init_output t tt v0 =
   Hashtbl.replace t.history 0 v0;
@@ -193,7 +205,7 @@ let on_rbc_deliver t (id : Message.rbc_id) payload =
           Init_round.on_report i ~origin:id.origin pairs
       | _ -> ())
   | Message.Obc_value it, Message.Pvec v ->
-      if t.output = None then begin
+      if Option.is_none t.output then begin
         match Hashtbl.find_opt t.obcs it with
         | Some obc -> Obc.on_value obc ~origin:id.origin v
         | None -> if it > t.iter then buffer t.buffered_values it (id.origin, v)
@@ -315,7 +327,7 @@ let poke t =
   (match t.init with
   | Some i when not (Init_round.has_output i) -> Init_round.poke i
   | _ -> ());
-  (if t.output = None && t.iter >= 1 then
+  (if Option.is_none t.output && t.iter >= 1 then
      match Hashtbl.find_opt t.obcs t.iter with
      | Some obc -> Obc.poke obc
      | None -> ());
@@ -339,7 +351,7 @@ let handle t (ev : Message.t Transport.event) =
             entries;
           if t.iter >= 1 then try_advance t
       | Message.Obc_report { iter; pairs; _ } ->
-          if t.output = None then begin
+          if Option.is_none t.output then begin
             match Hashtbl.find_opt t.obcs iter with
             | Some obc -> Obc.on_report obc ~from:src pairs
             | None ->

@@ -112,6 +112,14 @@ let payload t id =
   if id < 0 || id >= t.count then invalid_arg "Intern.payload: bad id";
   t.payloads.(id)
 
+(* The id of the entry for payload [p] (hash [h]) in a bucket chain, -1
+   when absent. *)
+let rec find t h p = function
+  | [] -> -1
+  | e :: rest ->
+      if e.hash = h && equal_payload t.payloads.(e.id) p then e.id
+      else find t h p rest
+
 let intern t p =
   if t.last_id >= 0 && p == t.last_p then begin
     t.hits <- t.hits + 1;
@@ -120,14 +128,8 @@ let intern t p =
   else begin
     let h = hash_payload p in
     let b = bucket_of t h in
-    let rec find = function
-      | [] -> -1
-      | e :: rest ->
-          if e.hash = h && equal_payload t.payloads.(e.id) p then e.id
-          else find rest
-    in
     let id =
-      match find t.buckets.(b) with
+      match find t h p t.buckets.(b) with
       | id when id >= 0 ->
           t.hits <- t.hits + 1;
           id

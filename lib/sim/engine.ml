@@ -49,6 +49,7 @@ type 'msg t = {
   flushers : (final:bool -> unit) option array;
   mutable wire : 'msg wire option;
   classify : ('msg -> (int -> int -> unit) -> unit) option;
+  emit : int -> int -> unit;  (* [classify]'s accumulator, built once *)
   class_msgs : int array;
   class_bytes : int array;
   mutable has_flushers : bool;
@@ -79,6 +80,7 @@ let create ?(seed = 0x5eedL) ?(size_of = fun _ -> 0) ?(classes = 0) ?classify
     ~n ~policy () =
   if n <= 0 then invalid_arg "Engine.create: n must be positive";
   if classes < 0 then invalid_arg "Engine.create: classes must be >= 0";
+  let class_msgs = Array.make classes 0 and class_bytes = Array.make classes 0 in
   {
     n;
     policy;
@@ -89,8 +91,12 @@ let create ?(seed = 0x5eedL) ?(size_of = fun _ -> 0) ?(classes = 0) ?classify
     flushers = Array.make n None;
     wire = None;
     classify = (if classes = 0 then None else classify);
-    class_msgs = Array.make classes 0;
-    class_bytes = Array.make classes 0;
+    emit =
+      (fun klass bytes ->
+        class_msgs.(klass) <- class_msgs.(klass) + 1;
+        class_bytes.(klass) <- class_bytes.(klass) + bytes);
+    class_msgs;
+    class_bytes;
     has_flushers = false;
     flushed_upto = -1;
     tracer = None;
@@ -150,7 +156,7 @@ let pending t =
   List.sort (fun a b -> compare (a.ch_at, a.ch_seq) (b.ch_at, b.ch_seq)) !acc
 
 let push t ~at ~target ev =
-  let at = max at t.now in
+  let at = Int.max at t.now in
   t.seq <- t.seq + 1;
   Heap.Keyed.push t.queue ~key:((at lsl seq_bits) lor t.seq) ~aux:target ev
 
@@ -164,22 +170,17 @@ let clear_wire t = t.wire <- None
    of a wire run is therefore identical to the simulator's. *)
 let inject t ~src ~dst ~seq ~deliver_at msg =
   if dst < 0 || dst >= t.n then invalid_arg "Engine.inject: bad destination";
-  let at = max deliver_at t.now in
+  let at = Int.max deliver_at t.now in
   Heap.Keyed.push t.queue ~key:((at lsl seq_bits) lor seq) ~aux:dst
     (Deliver { src; msg })
 
-let send t ~src ~dst msg =
-  if dst < 0 || dst >= t.n then invalid_arg "Engine.send: bad destination";
-  let delay = max 1 (t.policy ~rng:t.rng ~now:t.now ~src ~dst) in
+(* Everything [send] and [send_at] share once the delivery tick is
+   fixed: stats, class accounting, the [Sent] trace, and the hand-off to
+   the heap or the wire. *)
+let enqueue t ~src ~dst ~deliver_at msg =
   t.messages_sent <- t.messages_sent + 1;
   t.bytes_sent <- t.bytes_sent + t.size_of msg;
-  (match t.classify with
-  | Some f ->
-      f msg (fun klass bytes ->
-          t.class_msgs.(klass) <- t.class_msgs.(klass) + 1;
-          t.class_bytes.(klass) <- t.class_bytes.(klass) + bytes)
-  | None -> ());
-  let deliver_at = t.now + delay in
+  (match t.classify with Some f -> f msg t.emit | None -> ());
   (match t.tracer with
   | Some f -> f (Sent { src; dst; at = t.now; deliver_at; msg })
   | None -> ());
@@ -191,26 +192,15 @@ let send t ~src ~dst msg =
       t.seq <- t.seq + 1;
       w.wire_send ~src ~dst ~seq:t.seq ~deliver_at msg
 
+let send t ~src ~dst msg =
+  if dst < 0 || dst >= t.n then invalid_arg "Engine.send: bad destination";
+  let delay = Int.max 1 (t.policy ~rng:t.rng ~now:t.now ~src ~dst) in
+  enqueue t ~src ~dst ~deliver_at:(t.now + delay) msg
+
 let send_at t ~src ~dst ~deliver_at msg =
   if dst < 0 || dst >= t.n then invalid_arg "Engine.send_at: bad destination";
   (* same floor as [send]: nothing is delivered within its own tick *)
-  let deliver_at = max deliver_at (t.now + 1) in
-  t.messages_sent <- t.messages_sent + 1;
-  t.bytes_sent <- t.bytes_sent + t.size_of msg;
-  (match t.classify with
-  | Some f ->
-      f msg (fun klass bytes ->
-          t.class_msgs.(klass) <- t.class_msgs.(klass) + 1;
-          t.class_bytes.(klass) <- t.class_bytes.(klass) + bytes)
-  | None -> ());
-  (match t.tracer with
-  | Some f -> f (Sent { src; dst; at = t.now; deliver_at; msg })
-  | None -> ());
-  match t.wire with
-  | None -> push t ~at:deliver_at ~target:dst (Deliver { src; msg })
-  | Some w ->
-      t.seq <- t.seq + 1;
-      w.wire_send ~src ~dst ~seq:t.seq ~deliver_at msg
+  enqueue t ~src ~dst ~deliver_at:(Int.max deliver_at (t.now + 1)) msg
 
 let broadcast t ~src msg =
   for dst = 0 to t.n - 1 do
@@ -366,7 +356,7 @@ let run ?until ?(max_events = 10_000_000) ?(on_budget = `Raise) ?should_stop t
                 cands;
               (cands.(idx).ch_target, cands.(idx).ch_event)
         in
-        t.now <- max t.now at;
+        t.now <- Int.max t.now at;
         t.events_processed <- t.events_processed + 1;
         (match ev with
         | Deliver { src; msg } ->

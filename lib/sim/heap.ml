@@ -1,138 +1,79 @@
-type 'a t = {
-  cmp : 'a -> 'a -> int;
-  mutable data : 'a array;
-  mutable size : int;
-}
-
-let create ~cmp = { cmp; data = [||]; size = 0 }
-let is_empty t = t.size = 0
-let size t = t.size
-
-let grow t x =
-  let cap = Array.length t.data in
-  if t.size = cap then begin
-    let ncap = max 16 (2 * cap) in
-    let nd = Array.make ncap x in
-    Array.blit t.data 0 nd 0 t.size;
-    t.data <- nd
-  end
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.cmp t.data.(i) t.data.(parent) < 0 then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.cmp t.data.(l) t.data.(!smallest) < 0 then smallest := l;
-  if r < t.size && t.cmp t.data.(r) t.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
-
-let push t x =
-  grow t x;
-  t.data.(t.size) <- x;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
-
-let pop_exn t =
-  if t.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
-  let top = t.data.(0) in
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.data.(0) <- t.data.(t.size);
-    sift_down t 0
-  end;
-  top
-
-let pop t = if t.size = 0 then None else Some (pop_exn t)
-
-let peek t = if t.size = 0 then None else Some t.data.(0)
-let clear t = t.size <- 0
-
-(* Int-keyed variant for the engine's hot loop: keys live in their own
-   unboxed int array, so a sift does immediate integer reads instead of a
-   closure call plus two pointer dereferences per comparison. The payload
-   array mirrors every key move. *)
+(* Binary min-heap over int keys. The heap-ordered arrays hold only
+   immediate ints — the packed key and a slab slot — so a sift is pure
+   integer traffic that never runs the write barrier, and it moves a hole
+   instead of swapping. Each payload and its [aux] rider sit in slab
+   arrays indexed by slot: written once on push, read once on pop. Popped
+   slots are recycled through a stack, so the slab never outgrows the
+   peak queue size. *)
 module Keyed = struct
   type 'a t = {
-    mutable keys : int array;
-    mutable aux : int array;  (* one unboxed int rider per entry *)
-    mutable data : 'a array;
+    mutable keys : int array;  (* heap order *)
+    mutable slots : int array;  (* heap order: slab slot of each key *)
+    mutable data : 'a array;  (* slab *)
+    mutable aux : int array;  (* slab *)
+    mutable free : int array;  (* stack of recycled slab slots *)
+    mutable nfree : int;
     mutable size : int;
   }
 
-  let create () = { keys = [||]; aux = [||]; data = [||]; size = 0 }
+  (* Slots in use = [size]; slots ever handed out = [size + nfree], so
+     with an empty free stack the next fresh slot is [size]. *)
+  let create () =
+    {
+      keys = [||];
+      slots = [||];
+      data = [||];
+      aux = [||];
+      free = [||];
+      nfree = 0;
+      size = 0;
+    }
+
   let is_empty t = t.size = 0
   let size t = t.size
 
+  (* Only called when [size] = capacity, hence with an empty free stack:
+     every slab slot below [size] is live and nothing else is. *)
   let grow t x =
     let cap = Array.length t.keys in
-    if t.size = cap then begin
-      let ncap = max 16 (2 * cap) in
-      let nk = Array.make ncap 0
-      and na = Array.make ncap 0
-      and nd = Array.make ncap x in
-      Array.blit t.keys 0 nk 0 t.size;
-      Array.blit t.aux 0 na 0 t.size;
-      Array.blit t.data 0 nd 0 t.size;
-      t.keys <- nk;
-      t.aux <- na;
-      t.data <- nd
-    end
+    let ncap = max 16 (2 * cap) in
+    let extend a fill =
+      let b = Array.make ncap fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    t.keys <- extend t.keys 0;
+    t.slots <- extend t.slots 0;
+    t.aux <- extend t.aux 0;
+    t.data <- extend t.data x;
+    t.free <- Array.make ncap 0
 
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if t.keys.(i) < t.keys.(parent) then begin
-        let k = t.keys.(i) and a = t.aux.(i) and d = t.data.(i) in
-        t.keys.(i) <- t.keys.(parent);
-        t.aux.(i) <- t.aux.(parent);
-        t.data.(i) <- t.data.(parent);
-        t.keys.(parent) <- k;
-        t.aux.(parent) <- a;
-        t.data.(parent) <- d;
-        sift_up t parent
+  (* Moves the hole at position [i] up until [key] fits, then fills it
+     with [(key, slot)]. *)
+  let sift_up (keys : int array) (slots : int array) i key slot =
+    let i = ref i in
+    while !i > 0 && key < keys.((!i - 1) lsr 1) do
+      let p = (!i - 1) lsr 1 in
+      keys.(!i) <- keys.(p);
+      slots.(!i) <- slots.(p);
+      i := p
+    done;
+    keys.(!i) <- key;
+    slots.(!i) <- slot
+
+  let push t ~key ~aux x =
+    if t.size = Array.length t.keys then grow t x;
+    let slot =
+      if t.nfree > 0 then begin
+        t.nfree <- t.nfree - 1;
+        t.free.(t.nfree)
       end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.size && t.keys.(l) < t.keys.(!smallest) then smallest := l;
-    if r < t.size && t.keys.(r) < t.keys.(!smallest) then smallest := r;
-    let s = !smallest in
-    if s <> i then begin
-      let k = t.keys.(i) and a = t.aux.(i) and d = t.data.(i) in
-      t.keys.(i) <- t.keys.(s);
-      t.aux.(i) <- t.aux.(s);
-      t.data.(i) <- t.data.(s);
-      t.keys.(s) <- k;
-      t.aux.(s) <- a;
-      t.data.(s) <- d;
-      sift_down t s
-    end
-
-  let push t ~key ?(aux = 0) x =
-    grow t x;
-    t.keys.(t.size) <- key;
-    t.aux.(t.size) <- aux;
-    t.data.(t.size) <- x;
-    t.size <- t.size + 1;
-    sift_up t (t.size - 1)
-
-  let peek_key t = if t.size = 0 then None else Some t.keys.(0)
+      else t.size
+    in
+    t.data.(slot) <- x;
+    t.aux.(slot) <- aux;
+    sift_up t.keys t.slots t.size key slot;
+    t.size <- t.size + 1
 
   let min_key_exn t =
     if t.size = 0 then invalid_arg "Heap.Keyed.min_key_exn: empty heap";
@@ -140,24 +81,36 @@ module Keyed = struct
 
   let min_aux_exn t =
     if t.size = 0 then invalid_arg "Heap.Keyed.min_aux_exn: empty heap";
-    t.aux.(0)
+    t.aux.(t.slots.(0))
+
+  (* Refills the root's hole with the last entry [(key, slot)], over the
+     first [n] positions. Bottom-up: walk the hole down along the smaller
+     children to a leaf (one comparison per level), then sift [key] back
+     up from there — it came from the bottom, so it rarely climbs far. *)
+  let sift_down (keys : int array) (slots : int array) n key slot =
+    let i = ref 0 and l = ref 1 in
+    while !l < n do
+      let c = if !l + 1 < n && keys.(!l + 1) < keys.(!l) then !l + 1 else !l in
+      keys.(!i) <- keys.(c);
+      slots.(!i) <- slots.(c);
+      i := c;
+      l := (2 * c) + 1
+    done;
+    sift_up keys slots !i key slot
 
   let pop_exn t =
     if t.size = 0 then invalid_arg "Heap.Keyed.pop_exn: empty heap";
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.keys.(0) <- t.keys.(t.size);
-      t.aux.(0) <- t.aux.(t.size);
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    top
+    let slot = t.slots.(0) in
+    t.free.(t.nfree) <- slot;
+    t.nfree <- t.nfree + 1;
+    let n = t.size - 1 in
+    t.size <- n;
+    if n > 0 then sift_down t.keys t.slots n t.keys.(n) t.slots.(n);
+    t.data.(slot)
 
   let iter t f =
     for i = 0 to t.size - 1 do
-      f ~key:t.keys.(i) ~aux:t.aux.(i) t.data.(i)
+      let s = t.slots.(i) in
+      f ~key:t.keys.(i) ~aux:t.aux.(s) t.data.(s)
     done
-
-  let clear t = t.size <- 0
 end

@@ -1,44 +1,23 @@
-(** A mutable binary min-heap, the event queue of the simulator. *)
+(** The simulator's event queue. *)
 
-type 'a t
-
-val create : cmp:('a -> 'a -> int) -> 'a t
-val is_empty : 'a t -> bool
-val size : 'a t -> int
-val push : 'a t -> 'a -> unit
-
-val pop : 'a t -> 'a option
-(** Removes and returns a minimal element. When elements compare equal the
-    choice is deterministic (heap order), but callers should make their
-    comparison total — the simulator uses a (time, sequence) key. *)
-
-val pop_exn : 'a t -> 'a
-(** Like {!pop} but without the option allocation — the engine's hot loop
-    pops after peeking. @raise Invalid_argument on an empty heap. *)
-
-val peek : 'a t -> 'a option
-val clear : 'a t -> unit
-
-(** Min-heap with explicit [int] keys held in an unboxed array — the
-    engine's event queue. Ties are broken by whatever the caller packs
-    into the key (the engine packs [(time, seq)] into one int), so equal
-    keys never arise there. *)
+(** Min-heap with explicit [int] keys — the engine's event queue. Ties are
+    broken by whatever the caller packs into the key (the engine packs
+    [(time, seq)] into one int), so equal keys never arise there; with
+    equal keys the pop order is unspecified. *)
 module Keyed : sig
   type 'a t
 
   val create : unit -> 'a t
   val is_empty : 'a t -> bool
   val size : 'a t -> int
-  val push : 'a t -> key:int -> ?aux:int -> 'a -> unit
-  (** [aux] (default 0) is an unboxed int carried alongside the element —
-      the engine stores the delivery target there instead of allocating a
-      wrapper record per event. *)
 
-  val peek_key : 'a t -> int option
-  (** The minimal key without removing its element. *)
+  val push : 'a t -> key:int -> aux:int -> 'a -> unit
+  (** [aux] is an unboxed int carried alongside the element — the engine
+      stores the delivery target there instead of allocating a wrapper
+      record per event. *)
 
   val min_key_exn : 'a t -> int
-  (** {!peek_key} without the option allocation, for the engine's loop.
+  (** The minimal key, without removing its element.
       @raise Invalid_argument on an empty heap. *)
 
   val min_aux_exn : 'a t -> int
@@ -50,9 +29,7 @@ module Keyed : sig
       @raise Invalid_argument on an empty heap. *)
 
   val iter : 'a t -> (key:int -> aux:int -> 'a -> unit) -> unit
-  (** Visits every entry in internal (heap-array) order — {e not} sorted.
-      The engine's pending-event snapshot sorts the result itself. Must
-      not mutate the heap from [f]. *)
-
-  val clear : 'a t -> unit
+  (** Visits every pending entry exactly once, in internal (heap-array)
+      order — {e not} sorted. The engine's pending-event snapshot sorts
+      the result itself. Must not mutate the heap from [f]. *)
 end

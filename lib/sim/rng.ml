@@ -1,12 +1,18 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a [mutable int64] field
+   would box a fresh Int64 on every draw. [next_int64] is inlined into
+   each draw so its intermediate int64s stay in registers too. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -23,7 +29,7 @@ let float01 t =
 
 let float_range t lo hi = lo +. (float01 t *. (hi -. lo))
 let bool t = Int64.logand (next_int64 t) 1L = 1L
-let split t = { state = next_int64 t }
+let split t = create (next_int64 t)
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

@@ -81,13 +81,12 @@ let equal ?(eps = 1e-9) u v =
   Array.length u = Array.length v
   && Array.for_all2 (fun a b -> Float.abs (a -. b) <= eps) u v
 
+let rec equal_from (u : t) (v : t) i =
+  i = Array.length u
+  || (Float.compare u.(i) v.(i) = 0 && equal_from u v (i + 1))
+
 let equal_exact (u : t) (v : t) =
-  Array.length u = Array.length v
-  &&
-  let rec go i =
-    i = Array.length u || (Float.compare u.(i) v.(i) = 0 && go (i + 1))
-  in
-  go 0
+  Array.length u = Array.length v && equal_from u v 0
 
 (* Bit-level FNV-style hash. Every NaN is folded to one canonical word so
    the hash agrees with [equal_exact] (Float.compare puts all NaNs in one
@@ -97,10 +96,10 @@ let hash (v : t) =
   let h = ref 0x811c9dc5 in
   for i = 0 to Array.length v - 1 do
     let x = v.(i) in
-    let bits =
-      if Float.is_nan x then 0x7ff8000000000L else Int64.bits_of_float x
+    let w =
+      if Float.is_nan x then 0x7ff8000000000
+      else Int64.to_int (Int64.bits_of_float x)
     in
-    let w = Int64.to_int bits in
     h := (!h * 0x01000193) lxor (w land max_int) lxor (w lsr 32)
   done;
   !h land max_int

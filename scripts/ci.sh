@@ -15,9 +15,15 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== experiments smoke (2 worker domains) =="
-dune exec bin/experiments_main.exe -- --domains 2 e9 e10 > _build/EXP_smoke.txt
-grep -q 'E9' _build/EXP_smoke.txt
+echo "== determinism gate: committed experiment report and soak (2 worker domains) =="
+# the full report and the 500-case seed-7 soak must regenerate byte for
+# byte: a change to the RNG streams or to the engine's event order shows
+# here first (~10 s together)
+dune exec bin/experiments_main.exe -- --domains 2 > _build/EXP_full.txt 2>&1
+cmp _build/EXP_full.txt experiments_output.txt
+dune exec bin/soak_main.exe -- --cases 500 --seed 7 --domains 2 \
+  --out _build/SOAK_full.json > /dev/null
+cmp _build/SOAK_full.json SOAK.json
 
 echo "== chaos soak smoke (2 worker domains) =="
 # exits 1 on any monitor violation — a real-protocol soak must be clean

@@ -42,49 +42,231 @@ let test_rng_shuffle () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 20 Fun.id) sorted
 
-(* --- Heap --- *)
+(* Golden streams: the first 16 draws of [Rng.create 2026L] and of its
+   [split] child, one fresh generator per draw kind. Any change to the
+   state representation must reproduce them bit for bit — every seeded
+   experiment, soak case and benchmark op flows from these streams. *)
+let golden_int64 =
+  [|
+    0xdb9c559891948d23L; 0x78bc927ded35455dL; 0xaad71e75cde2b88eL;
+    0x6280938ad5a104f2L; 0xcaa69c1e0798ff49L; 0xb9f5a07176645a03L;
+    0xf3f8751c656739aeL; 0xcdf6c4e563d8e22dL; 0x55b871711a2012f4L;
+    0x3ae578fd14e84742L; 0x55cba8d6b3a3e36dL; 0xe6e0d6dede7fa7e0L;
+    0x5195628418a67b18L; 0x47db765408e69765L; 0xa4ae3d2c8d299a39L;
+    0x28363ce3db2d4849L;
+  |]
+
+let golden_int40 =
+  [| 32; 15; 3; 36; 10; 24; 11; 19; 5; 8; 3; 0; 38; 9; 30; 26 |]
+
+let golden_float01 =
+  [|
+    0x1.b738ab3123291p-1; 0x1.e2f249f7b4d5p-2; 0x1.55ae3ceb9bc57p-1;
+    0x1.8a024e2b5684p-2; 0x1.954d383c0f31fp-1; 0x1.73eb40e2ecc8bp-1;
+    0x1.e7f0ea38cace7p-1; 0x1.9bed89cac7b1cp-1; 0x1.56e1c5c468804p-2;
+    0x1.d72bc7e8a742p-3; 0x1.572ea35ace8f8p-2; 0x1.cdc1adbdbcff4p-1;
+    0x1.46558a106299ep-2; 0x1.1f6dd950239a4p-2; 0x1.495c7a591a533p-1;
+    0x1.41b1e71ed96a4p-3;
+  |]
+
+let golden_child_int64 =
+  [|
+    0x6e75725323d4929eL; 0x07b389bacfd8f970L; 0x29267fa040ae73ffL;
+    0x43b5cb642eb7cf71L; 0x91460e48003ed35cL; 0x8534f7d665b369d3L;
+    0x972c41683030560dL; 0xb37a43f09763cf6fL; 0xb9990970d2bb8ac0L;
+    0x2cdc9cba6e084a7aL; 0x1e5e241e89730037L; 0xaa7158addc933c39L;
+    0xe4c2d31f5675ce1cL; 0x33f11ca0a6983917L; 0x1cf052951a9b801bL;
+    0x0d1507503f5ea1aaL;
+  |]
+
+let golden_child_int40 =
+  [| 7; 12; 39; 36; 39; 36; 27; 27; 24; 22; 21; 38; 39; 5; 38; 18 |]
+
+let golden_child_float01 =
+  [|
+    0x1.b9d5c94c8f524p-2; 0x1.ece26eb3f63ep-6; 0x1.4933fd0205738p-3;
+    0x1.0ed72d90badf2p-2; 0x1.228c1c90007dap-1; 0x1.0a69efaccb66dp-1;
+    0x1.2e5882d06060ap-1; 0x1.66f487e12ec79p-1; 0x1.733212e1a5771p-1;
+    0x1.66e4e5d370424p-3; 0x1.e5e241e8973p-4; 0x1.54e2b15bb9267p-1;
+    0x1.c985a63eaceb9p-1; 0x1.9f88e50534c1cp-3; 0x1.cf052951a9b8p-4;
+    0x1.a2a0ea07ebd4p-5;
+  |]
+
+let check_golden name mk ~int64s ~int40s ~floats =
+  let r = mk () in
+  Array.iteri
+    (fun i x ->
+      Alcotest.(check int64)
+        (Printf.sprintf "%s next_int64 #%d" name i)
+        x (Rng.next_int64 r))
+    int64s;
+  let r = mk () in
+  Array.iteri
+    (fun i x ->
+      Alcotest.(check int) (Printf.sprintf "%s int 40 #%d" name i) x
+        (Rng.int r 40))
+    int40s;
+  let r = mk () in
+  Array.iteri
+    (fun i x ->
+      Alcotest.(check int64)
+        (Printf.sprintf "%s float01 #%d" name i)
+        (Int64.bits_of_float x)
+        (Int64.bits_of_float (Rng.float01 r)))
+    floats
+
+let test_rng_golden () =
+  check_golden "seed" (fun () -> Rng.create 2026L) ~int64s:golden_int64
+    ~int40s:golden_int40 ~floats:golden_float01;
+  check_golden "split child"
+    (fun () -> Rng.split (Rng.create 2026L))
+    ~int64s:golden_child_int64 ~int40s:golden_child_int40
+    ~floats:golden_child_float01
+
+(* A draw is pure integer work on the unboxed state: the delay policies
+   call it once per message. *)
+let test_rng_int_no_alloc () =
+  let r = Rng.create 9L in
+  let draws = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    ignore (Sys.opaque_identity (Rng.int r 40))
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0. then
+    Alcotest.failf "Rng.int allocated %.0f minor words over %d draws" words draws
+
+(* --- Heap.Keyed --- *)
+
+(* Pops everything, as (key, aux, payload) in pop order. *)
+let drain h =
+  let rec go acc =
+    if Heap.Keyed.is_empty h then List.rev acc
+    else
+      let k = Heap.Keyed.min_key_exn h in
+      let a = Heap.Keyed.min_aux_exn h in
+      let x = Heap.Keyed.pop_exn h in
+      go ((k, a, x) :: acc)
+  in
+  go []
+
+let entry = Alcotest.(triple int int string)
 
 let test_heap_sorts () =
-  let h = Heap.create ~cmp:compare in
-  let input = [ 5; 3; 8; 1; 9; 2; 7; 1; 4 ] in
-  List.iter (Heap.push h) input;
-  Alcotest.(check int) "size" (List.length input) (Heap.size h);
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" (List.sort compare input) (drain [])
+  let h = Heap.Keyed.create () in
+  let input = [ 5; 3; 8; 1; 9; 2; 7; 0; 4 ] in
+  List.iter
+    (fun k -> Heap.Keyed.push h ~key:k ~aux:(10 * k) (string_of_int k))
+    input;
+  Alcotest.(check int) "size" (List.length input) (Heap.Keyed.size h);
+  Alcotest.(check (list entry))
+    "sorted, riders follow their keys"
+    (List.map (fun k -> (k, 10 * k, string_of_int k)) (List.sort compare input))
+    (drain h)
 
 let test_heap_empty () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h);
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h);
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
+  let h = Heap.Keyed.create () in
+  Alcotest.(check bool) "empty" true (Heap.Keyed.is_empty h);
+  Alcotest.(check int) "size 0" 0 (Heap.Keyed.size h);
+  Alcotest.check_raises "min_key_exn empty"
+    (Invalid_argument "Heap.Keyed.min_key_exn: empty heap") (fun () ->
+      ignore (Heap.Keyed.min_key_exn h));
+  Alcotest.check_raises "min_aux_exn empty"
+    (Invalid_argument "Heap.Keyed.min_aux_exn: empty heap") (fun () ->
+      ignore (Heap.Keyed.min_aux_exn h));
+  Heap.Keyed.push h ~key:1 ~aux:7 "one";
+  Alcotest.(check bool) "not empty" false (Heap.Keyed.is_empty h);
+  Alcotest.(check int) "peek key" 1 (Heap.Keyed.min_key_exn h);
+  Alcotest.(check int) "peek aux" 7 (Heap.Keyed.min_aux_exn h);
+  Alcotest.(check string) "pop" "one" (Heap.Keyed.pop_exn h);
+  Alcotest.(check bool) "drained" true (Heap.Keyed.is_empty h)
 
 let test_heap_pop_exn () =
-  let h = Heap.create ~cmp:compare in
+  let h = Heap.Keyed.create () in
   Alcotest.check_raises "pop_exn empty"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h));
-  List.iter (Heap.push h) [ 4; 2; 9 ];
-  Alcotest.(check int) "min first" 2 (Heap.pop_exn h);
-  Alcotest.(check int) "then" 4 (Heap.pop_exn h);
-  Alcotest.(check int) "then" 9 (Heap.pop_exn h);
-  Alcotest.(check bool) "drained" true (Heap.is_empty h)
+    (Invalid_argument "Heap.Keyed.pop_exn: empty heap") (fun () ->
+      ignore (Heap.Keyed.pop_exn h));
+  List.iter (fun k -> Heap.Keyed.push h ~key:k ~aux:0 k) [ 4; 2; 9 ];
+  Alcotest.(check int) "min first" 2 (Heap.Keyed.pop_exn h);
+  Alcotest.(check int) "then" 4 (Heap.Keyed.pop_exn h);
+  Alcotest.(check int) "then" 9 (Heap.Keyed.pop_exn h);
+  Alcotest.(check bool) "drained" true (Heap.Keyed.is_empty h)
 
 let prop_heap =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
     QCheck.(list int)
     (fun l ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) l;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
+      let h = Heap.Keyed.create () in
+      List.iteri (fun i k -> Heap.Keyed.push h ~key:k ~aux:i k) l;
+      List.map (fun (k, _, _) -> k) (drain h) = List.sort compare l)
+
+(* Model test against a sorted association list. Keys are unique, as the
+   engine's packed (tick, seq) keys are. [`Repush] inserts a key below
+   the last popped one — what the chooser's re-insertion and
+   [Engine.inject] do — and after every step [iter] must visit exactly
+   the pending entries. Up to 400 steps at 3:2:1 push/pop/repush odds
+   grow the heap well past its initial 16 slots. *)
+let prop_heap_model =
+  let step =
+    QCheck.Gen.(
+      frequency
+        [ (3, map (fun k -> `Push k) (int_bound 999));
+          (2, return `Pop);
+          (1, map (fun d -> `Repush d) (int_bound 20)) ])
+  in
+  let show = function
+    | `Push k -> Printf.sprintf "push %d" k
+    | `Pop -> "pop"
+    | `Repush d -> Printf.sprintf "repush -%d" d
+  in
+  QCheck.Test.make ~name:"keyed heap matches sorted-list model" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map show l))
+       QCheck.Gen.(list_size (int_bound 400) step))
+    (fun steps ->
+      let h = Heap.Keyed.create () in
+      let model = ref [] (* sorted (key, (aux, payload)) *) in
+      let used = Hashtbl.create 64 in
+      let last_popped = ref 0 in
+      let rec fresh k dir =
+        if Hashtbl.mem used k then fresh (k + dir) dir else k
       in
-      drain [] = List.sort compare l)
+      let push k dir =
+        let k = fresh k dir in
+        Hashtbl.add used k ();
+        let aux = (3 * k) + 1 and payload = Printf.sprintf "v%d" k in
+        Heap.Keyed.push h ~key:k ~aux payload;
+        model := List.merge compare [ (k, (aux, payload)) ] !model
+      in
+      let pending () =
+        let acc = ref [] in
+        Heap.Keyed.iter h (fun ~key ~aux x -> acc := (key, (aux, x)) :: !acc);
+        List.sort compare !acc
+      in
+      let apply = function
+        | `Push k ->
+            push (7 * k) 1;
+            true
+        | `Repush d ->
+            push (!last_popped - 1 - d) (-1);
+            true
+        | `Pop -> (
+            match !model with
+            | [] -> Heap.Keyed.is_empty h
+            | (k, (a, x)) :: rest ->
+                model := rest;
+                last_popped := k;
+                Heap.Keyed.min_key_exn h = k
+                && Heap.Keyed.min_aux_exn h = a
+                && Heap.Keyed.pop_exn h = x)
+      in
+      List.for_all
+        (fun s ->
+          apply s
+          && Heap.Keyed.size h = List.length !model
+          && pending () = !model)
+        steps
+      && List.map (fun (k, (a, x)) -> (k, a, x)) !model = drain h)
 
 (* --- Engine --- *)
 
@@ -333,6 +515,33 @@ let test_engine_wrap_party () =
     (Invalid_argument "Engine.wrap_party: bad party") (fun () ->
       Engine.wrap_party engine 7 (fun inner -> inner))
 
+(* Allocation budget of one whole ΠAA run on the asynchronous fallback
+   (the async-d2-crash shape: n=8, ts=2, ta=1, D=2, one crashed party),
+   in minor words per processed engine event. The count is deterministic,
+   so this guards the allocation-free send/deliver path without timing.
+   The run measured 77.5 words/event before that path was made
+   allocation-free and about 21 after. *)
+let test_engine_alloc_budget () =
+  let cfg = Config.make_exn ~n:8 ~ts:2 ~ta:1 ~d:2 ~eps:0.25 ~delta:10 in
+  let sc =
+    Scenario.make ~name:"alloc-budget" ~seed:7L
+      ~policy:(Network.async_uniform ~max_delay:40)
+      ~sync_network:false
+      ~corruptions:[ (7, Behavior.Silent) ]
+      ~cfg
+      ~inputs:(Inputs.uniform_cube (Rng.create 7L) ~d:2 ~n:8 ~side:10.)
+      ()
+  in
+  let before = Gc.minor_words () in
+  let r = Runner.run sc in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "run is live and agrees" true (r.live && r.agreement);
+  let events = r.stats.Engine.events_processed in
+  let per_event = words /. float_of_int events in
+  if per_event > 30. then
+    Alcotest.failf "%.1f minor words per event (%d events), budget 30"
+      per_event events
+
 (* --- policies --- *)
 
 let check_policy_range name policy lo hi =
@@ -386,6 +595,9 @@ let () =
           Alcotest.test_case "split" `Quick test_rng_split;
           Alcotest.test_case "coverage" `Quick test_rng_coverage;
           Alcotest.test_case "shuffle" `Quick test_rng_shuffle;
+          Alcotest.test_case "golden vectors" `Quick test_rng_golden;
+          Alcotest.test_case "int allocates nothing" `Quick
+            test_rng_int_no_alloc;
         ] );
       ( "heap",
         [
@@ -414,6 +626,8 @@ let () =
             test_engine_fail_fast_default;
           Alcotest.test_case "isolation" `Quick test_engine_isolation;
           Alcotest.test_case "wrap_party" `Quick test_engine_wrap_party;
+          Alcotest.test_case "allocation budget (async run)" `Quick
+            test_engine_alloc_budget;
         ] );
       ( "policies",
         [
@@ -421,5 +635,5 @@ let () =
           Alcotest.test_case "rushing bias" `Quick test_policy_rushing_bias;
           Alcotest.test_case "starvation" `Quick test_policy_starve;
         ] );
-      ("heap properties", q [ prop_heap ]);
+      ("heap properties", q [ prop_heap; prop_heap_model ]);
     ]
