@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-json ci par-check soak soak-smoke soak-resume msgs-check net-check multi-check explore-check serve serve-smoke clean
+.PHONY: all build test bench bench-json ci par-check soak soak-smoke soak-resume msgs-check net-check explore-check serve serve-smoke clean
 
 all: build
 
@@ -85,13 +85,6 @@ msgs-check:
 net-check:
 	dune exec bin/net_check_main.exe
 
-# Multiplexed-engine differential gate: the full k-instances x D x
-# sync/async x corruption grid, every multiplexed run required to be
-# byte-identical to its sequential references (results, stats, traffic,
-# traces, monitor summaries). Exit 1 with one line per mismatch.
-multi-check:
-	dune exec bin/multi_check_main.exe
-
 # Bounded model checking of the pinned small configuration: DFS over all
 # delivery interleavings the engine can produce (chooser seam in
 # lib/sim/engine), every execution graded by the online monitor. Gates:
@@ -112,8 +105,8 @@ serve-smoke:
 	dune exec bin/serve_main.exe -- --throughput-smoke 64
 
 # The agreement front door: a line-oriented TCP service that batches
-# client agreement requests per connection and multiplexes them over
-# the worker-domain pool (protocol in lib/harness/serve.mli).
+# client agreement requests per connection and runs each on its own
+# engine over the worker-domain pool (protocol in lib/harness/serve.mli).
 # --port 0 binds an ephemeral port and prints "listening <port>".
 serve:
 	dune exec bin/serve_main.exe -- --port 7171

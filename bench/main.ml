@@ -469,17 +469,16 @@ let b13_kernel =
     ]
 
 (* B14: instances/sec saturation — many small (n=4, D=1) agreement
-   instances multiplexed onto one engine (Multi_runner.run_group),
-   against the same count of back-to-back dedicated engines. The
-   saturation workload is the EW quadratic path — the ISSUE's designated
-   cheap per-instance protocol (32 engine events per instance) — swept
-   over the co-resident instance count; ΠAA rows (the paper's protocol
-   in both Estimate and the Fixed_t known-bounds mode E16 studies) ride
-   along to price the full-protocol instance. Rows are one whole batch
-   per iteration, so instances/sec = k / (ns_per_run / 1e9), computed in
-   the derived keys below. Domain-sharded rows (Pool.Supervised under
-   run_many) only appear on multi-core hosts — on a 1-core container
-   they would measure oversubscription, not sharding. *)
+   instances, each on its own engine, run back to back with [Runner.run]
+   (the path the serve front door takes). The saturation workload is the
+   EW quadratic path — the designated cheap per-instance protocol (32
+   engine events per instance) — at two batch sizes; ΠAA rows (the
+   paper's protocol in both Estimate and the Fixed_t known-bounds mode
+   E16 studies) ride along to price the full-protocol instance. Rows are
+   one whole batch per iteration, so instances/sec = k / (ns_per_run /
+   1e9), computed in the derived keys below. The 2-domain
+   [Runner.run_batch] row only appears on multi-core hosts — on a 1-core
+   container it would measure oversubscription, not sharding. *)
 let b14_cfg = Config.make_exn ~n:4 ~ts:1 ~ta:0 ~d:1 ~eps:0.25 ~delta:1
 
 let b14_scenario ?(protocol = `Maaa) ?mode i =
@@ -492,46 +491,31 @@ let b14_scenario ?(protocol = `Maaa) ?mode i =
     ()
 
 let b14_ew k = List.init k (b14_scenario ~protocol:`Ew)
-let b14_fx k = List.init k (b14_scenario ~mode:(Party.Fixed_t 1))
-let b14_est k = List.init k (b14_scenario ?mode:None)
 let b14_ew_16 = b14_ew 16
-let b14_ew_64 = b14_ew 64
 let b14_ew_256 = b14_ew 256
-let b14_fx_16 = b14_fx 16
-let b14_fx_64 = b14_fx 64
-let b14_est_16 = b14_est 16
+let b14_fx_16 = List.init 16 (b14_scenario ~mode:(Party.Fixed_t 1))
+let b14_est_16 = List.init 16 (b14_scenario ?mode:None)
 
 let b14_seq scens () =
   List.iter (fun s -> ignore (Runner.run s)) scens
-
-let b14_mux scens () =
-  assert (List.length (Multi_runner.run_group scens) = List.length scens)
 
 let b14_saturation =
   Test.make_grouped ~name:"B14 instance saturation n=4 D=1"
     ([
        Test.make ~name:"sequential ew x16" (Staged.stage (b14_seq b14_ew_16));
-       Test.make ~name:"mux ew k=16" (Staged.stage (b14_mux b14_ew_16));
-       Test.make ~name:"mux ew k=64" (Staged.stage (b14_mux b14_ew_64));
-       Test.make ~name:"mux ew k=256" (Staged.stage (b14_mux b14_ew_256));
+       Test.make ~name:"sequential ew x256" (Staged.stage (b14_seq b14_ew_256));
        Test.make ~name:"sequential maaa fixed_t x16"
          (Staged.stage (b14_seq b14_fx_16));
-       Test.make ~name:"mux maaa fixed_t k=16"
-         (Staged.stage (b14_mux b14_fx_16));
-       Test.make ~name:"mux maaa fixed_t k=64"
-         (Staged.stage (b14_mux b14_fx_64));
-       Test.make ~name:"mux maaa estimate k=16"
-         (Staged.stage (b14_mux b14_est_16));
+       Test.make ~name:"sequential maaa estimate x16"
+         (Staged.stage (b14_seq b14_est_16));
      ]
     @
     if host_domains >= 2 then
       [
-        Test.make ~name:"mux ew k=256 domains=2"
+        Test.make ~name:"run_batch ew x256 domains=2"
           (Staged.stage (fun () ->
                assert (
-                 List.length
-                   (Multi_runner.run_many ~group_size:64 ~domains:2 b14_ew_256)
-                 = 256)));
+                 List.length (Runner.run_batch ~domains:2 b14_ew_256) = 256)));
       ]
     else [])
 
@@ -670,16 +654,14 @@ let best_instances_per_sec rows candidates =
 
 let b14_ew_rows =
   [
-    ("B14 instance saturation n=4 D=1/mux ew k=16", 16);
-    ("B14 instance saturation n=4 D=1/mux ew k=64", 64);
-    ("B14 instance saturation n=4 D=1/mux ew k=256", 256);
+    ("B14 instance saturation n=4 D=1/sequential ew x16", 16);
+    ("B14 instance saturation n=4 D=1/sequential ew x256", 256);
   ]
 
 let b14_maaa_rows =
   [
-    ("B14 instance saturation n=4 D=1/mux maaa fixed_t k=16", 16);
-    ("B14 instance saturation n=4 D=1/mux maaa fixed_t k=64", 64);
-    ("B14 instance saturation n=4 D=1/mux maaa estimate k=16", 16);
+    ("B14 instance saturation n=4 D=1/sequential maaa fixed_t x16", 16);
+    ("B14 instance saturation n=4 D=1/sequential maaa estimate x16", 16);
   ]
 
 let json_escape s =
@@ -827,19 +809,15 @@ let write_json ~oc ~quota ~sweeps rows =
         speedup rows
           ~baseline:"B10 sweep throughput (8 runs)/sequential (domains=1)"
           ~target:"B10 sweep throughput (8 runs)/pool domains=4" );
-      (* The saturation headline: best multiplexed small-instance
-         throughput across the EW sweep (the designated cheap-instance
+      (* The saturation headline: best sequential small-instance
+         throughput across the EW rows (the designated cheap-instance
          path); the ΠAA key prices the full protocol alongside. *)
       ("b14_instances_per_sec", best_instances_per_sec rows b14_ew_rows);
       ("b14_maaa_instances_per_sec", best_instances_per_sec rows b14_maaa_rows);
-      ( "b14_mux_speedup_vs_sequential",
-        speedup rows
-          ~baseline:"B14 instance saturation n=4 D=1/sequential ew x16"
-          ~target:"B14 instance saturation n=4 D=1/mux ew k=16" );
       ( "b14_speedup_2_domains",
         speedup rows
-          ~baseline:"B14 instance saturation n=4 D=1/mux ew k=256"
-          ~target:"B14 instance saturation n=4 D=1/mux ew k=256 domains=2" );
+          ~baseline:"B14 instance saturation n=4 D=1/sequential ew x256"
+          ~target:"B14 instance saturation n=4 D=1/run_batch ew x256 domains=2" );
     ]
   in
   out "  \"derived\": {\n";
@@ -964,7 +942,7 @@ let () =
    with
   | Some ew, Some maaa ->
       Format.printf
-        "B14 mux saturation: %.0f instances/sec (EW path, target 10000); \
+        "B14 saturation: %.0f instances/sec (EW path, target 10000); \
          full-protocol ΠAA %.0f instances/sec@."
         ew maaa
   | _ -> ());

@@ -1,8 +1,8 @@
 (* Agreement front-door daemon.
    Usage: serve.exe [--port N] [--host ADDR] [--domains N] [--max-conns N]
    Listens for line-oriented agreement requests (protocol in
-   lib/harness/serve.mli) and multiplexes each connection's batch over
-   the worker-domain pool. --port 0 binds an ephemeral port; the bound
+   lib/harness/serve.mli) and runs each connection's batch over the
+   worker-domain pool, one engine per request. --port 0 binds an ephemeral port; the bound
    port is printed as "listening <port>" so scripts can handshake.
    All argument errors are one line on stderr and exit code 2. *)
 

@@ -82,8 +82,7 @@ val attach_endpoint :
   Message.t Transport.endpoint ->
   t
 (** Attach onto an arbitrary transport endpoint ([n] comes from the
-    endpoint). This is what lets the multi-instance engine host EW
-    instances alongside ΠAA ones. [equivocation_defence] (default
+    endpoint), simulator or net alike. [equivocation_defence] (default
     [false]) switches the value path to echo-confirmation as described
     above; off, the wire behaviour is byte-identical to previous
     versions. *)

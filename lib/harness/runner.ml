@@ -5,11 +5,9 @@ let termination_to_string = function
   | Timed_out -> "timed-out"
   | Budget_exhausted -> "budget-exhausted"
 
-(* Shared-cache efficacy, surfaced per run: the safe-area memo the run's
+(* Cache efficacy, surfaced per run: the safe-area memo the run's
    parties share, plus the payload-interning tables summed over the graded
-   parties. Under the multi-instance engine both may be shared with other
-   co-resident instances, so a multiplexed run reports the shared totals —
-   the number that actually explains its throughput. *)
+   parties. *)
 type cache_stats = {
   safe_hits : int;
   safe_misses : int;
@@ -58,11 +56,9 @@ type attached = {
 
 type hooks = (iter:int -> Vec.t -> unit) * (iter:int -> Vec.t -> unit)
 
-(* Attach the scenario's protocol onto an arbitrary endpoint — the one
-   seam both the sequential runner below and the multi-instance runner
-   build parties through, so a multiplexed party is configured exactly
-   like a dedicated-engine one. *)
-let attach_party ~(scenario : Scenario.t) ?hooks ?intern ~safe_cache ~ew_iters
+(* Attach the scenario's protocol onto an arbitrary endpoint, sim or
+   net alike. *)
+let attach_party ~(scenario : Scenario.t) ?hooks ~safe_cache ~ew_iters
     (ep : Message.t Transport.endpoint) =
   let s = scenario in
   let cfg = s.Scenario.cfg in
@@ -76,7 +72,7 @@ let attach_party ~(scenario : Scenario.t) ?hooks ?intern ~safe_cache ~ew_iters
       let p =
         Party.attach_endpoint ~callbacks ?mutant:s.mutant ~mode:s.mode
           ~message_layer:s.message_layer ~batch_window:s.batch_window
-          ~update_kernel:s.update_kernel ~safe_cache ?intern ~cfg ep
+          ~update_kernel:s.update_kernel ~safe_cache ~cfg ep
       in
       {
         a_start = Party.start p;
@@ -108,8 +104,7 @@ let attach_party ~(scenario : Scenario.t) ?hooks ?intern ~safe_cache ~ew_iters
       }
 
 (* The grading tail: everything a result reports that is computed from
-   the attached parties after the event loop stops. Factored out so the
-   multi-instance runner produces results through the identical code. *)
+   the attached parties after the event loop stops. *)
 let grade ~(scenario : Scenario.t) ~termination ~stats ~traffic ~monitor
     ~safe_cache ~transport ~wire parties =
   let s = scenario in
@@ -238,7 +233,7 @@ let run ?(monitor = false) ?(fail_fast = false) ?tracer ?on_engine
   in
   (* Traffic accounting rides the engine's send path (see {!Traffic});
      the tracer is needed only when a monitor or an external observer
-     (the differential grid) wants the event stream. *)
+     (the explorer, the tests) wants the event stream. *)
   (match (mon, tracer) with
   | None, None -> ()
   | Some m, None -> Engine.set_tracer engine (fun ev -> Monitor.on_trace m ev)

@@ -24,11 +24,8 @@ type cache_stats = {
   intern_misses : int;  (** payloads interned fresh *)
   intern_size : int;  (** distinct payloads interned *)
 }
-(** Shared-cache efficacy. For a dedicated-engine run the safe-area
-    numbers are this run's own memo and the intern numbers sum the graded
-    parties' tables. Under the multi-instance engine both structures may
-    be shared across co-resident instances, so a multiplexed run reports
-    the {e shared} totals — the differential tests mask this field. *)
+(** Cache efficacy: the safe-area numbers are this run's own memo and
+    the intern numbers sum the graded parties' tables. *)
 
 type result = {
   scenario_name : string;
@@ -84,18 +81,14 @@ type hooks = (iter:int -> Vec.t -> unit) * (iter:int -> Vec.t -> unit)
 val attach_party :
   scenario:Scenario.t ->
   ?hooks:hooks ->
-  ?intern:Intern.t ->
   safe_cache:Safe_cache.t ->
   ew_iters:int Lazy.t ->
   Message.t Transport.endpoint ->
   attached
 (** Attaches the scenario's protocol ([`Maaa] → {!Party}, [`Ew] →
     {!Ew_aa}) onto the endpoint with the scenario's full configuration
-    (mutant, message layer, batch window, update kernel). The one seam
-    both {!run} and {!Multi_runner} build parties through, so a
-    multiplexed party is configured exactly like a dedicated-engine one.
-    [?intern] (ΠAA only) lets the multi-instance runner share one payload
-    table per engine slot across co-resident instances. *)
+    (mutant, message layer, batch window, update kernel). {!run} builds
+    every party through it, on the simulator and the net backend alike. *)
 
 val grade :
   scenario:Scenario.t ->
@@ -108,7 +101,7 @@ val grade :
   wire:Netrun.wire_stats option ->
   (int * attached) list ->
   result
-(** The grading tail shared by {!run} and {!Multi_runner}: filters the
+(** The grading tail of {!run}: filters the
     attached parties down to {!Scenario.graded_honest}, reads their
     outputs, and computes liveness / validity / agreement / diameter /
     completion metrics plus the cache counters. *)
@@ -138,7 +131,7 @@ val run :
 
     [?tracer] observes every engine trace event (chained after the
     monitor's own tracer when both are present) — the hook the
-    differential grid uses to capture full send/deliver traces.
+    explorer uses to capture full send/deliver traces.
 
     [?on_engine] receives the engine right after creation, before any
     party attaches or any event is enqueued — the seam through which the

@@ -151,7 +151,7 @@ let render_result (res : Runner.result) =
     Printf.sprintf "ok diameter=%.17g rounds=%.17g outputs=%s"
       res.Runner.diameter res.Runner.completion_rounds outputs
 
-let handle_batch ?(domains = 1) ?pool lines =
+let handle_batch ?pool lines =
   let parsed =
     List.map
       (fun line ->
@@ -161,11 +161,14 @@ let handle_batch ?(domains = 1) ?pool lines =
       lines
   in
   let scens = List.filter_map Result.to_option parsed in
-  (* the whole batch flows through the multiplexed engine: admissible
-     sim requests share one event loop (and its caches) per group,
-     non-muxable ones (the `Net transport) fall back to dedicated runs;
-     either way results are byte-identical to per-request engines *)
-  let results = ref (Multi_runner.run_many ~domains ?pool scens) in
+  (* every well-formed request runs on its own engine, spread over the
+     pool's workers when there is one *)
+  let results =
+    ref
+      (match pool with
+      | Some pool -> Pool.map_chunked pool Runner.run scens
+      | None -> List.map Runner.run scens)
+  in
   List.map
     (fun p ->
       match p with
@@ -187,7 +190,11 @@ let throughput_smoke ?(domains = 1) n =
           (i + 1))
   in
   let t0 = Unix.gettimeofday () in
-  let resps = handle_batch ~domains lines in
+  let resps =
+    if domains > 1 then
+      Pool.with_pool ~domains (fun pool -> handle_batch ~pool lines)
+    else handle_batch lines
+  in
   let dt = Unix.gettimeofday () -. t0 in
   List.iter
     (fun r ->
@@ -238,7 +245,7 @@ let serve ?(host = "127.0.0.1") ?(domains = 1) ?max_conns ?announce ~port () =
          | exception End_of_file -> List.rev acc
        in
        let lines = read [] in
-       let resps = handle_batch ~domains ?pool lines in
+       let resps = handle_batch ?pool lines in
        List.iter
          (fun r ->
            output_string oc r;

@@ -1,6 +1,6 @@
 (** The agreement front door: a line-oriented TCP service that accepts
-    batches of client agreement requests and multiplexes them over the
-    {!Pool} worker domains via {!Runner.run_batch}.
+    batches of client agreement requests and runs each on its own engine,
+    spread over the {!Pool} worker domains.
 
     Protocol (one request per line, LF-terminated ASCII):
 
@@ -37,15 +37,17 @@ val scenario_of_request : request -> (Scenario.t, string) result
 (** Validates feasibility ({!Config.make}) and builds the synchronous
     lockstep scenario the service runs. *)
 
-val handle_batch : ?domains:int -> ?pool:Pool.t -> string list -> string list
+val render_result : Runner.result -> string
+(** The reply line for one finished run: [ok ...] as above, or
+    [err liveness failure ...] when no honest party output. *)
+
+val handle_batch : ?pool:Pool.t -> string list -> string list
 (** Pure core of the service: one response line per request line, in
-    order. Well-formed requests flow through the multiplexed engine
-    ({!Multi_runner.run_many}): admissible sim requests share one event
-    loop and its caches per group, [`Net] requests fall back to dedicated
-    runs — responses are byte-identical either way. Malformed requests
-    answer [err ...] without consuming a pool slot. When [pool] is given
-    it is used as-is (the socket loop hoists one pool across
-    connections); otherwise [domains] governs per-batch sharding. *)
+    order. Every well-formed request runs on its own engine
+    ({!Runner.run}), over [pool]'s workers when given (the socket loop
+    hoists one pool across connections), else sequentially; the replies
+    are the same either way. Malformed requests answer [err ...] without
+    running anything. *)
 
 val throughput_smoke : ?domains:int -> int -> float
 (** Runs [n] canonical small agreement requests (n=4, D=1) through

@@ -51,10 +51,6 @@ val create : unit -> t
 val attach : t -> Message.t Engine.t -> unit
 (** Installs the counters as the engine's tracer. *)
 
-val observe : t -> Message.t Engine.trace_event -> unit
-(** The raw counting hook behind {!attach}, for callers that need to fan
-    one engine tracer out to several consumers (e.g. traffic + monitor). *)
-
 val of_engine : Message.t Engine.t -> t
 (** Snapshot of an engine's send-path class counters; the engine must
     have been created with [~classes:num_klasses ~classify:classify_into]. *)

@@ -217,7 +217,7 @@ let on_rbc_deliver t (id : Message.rbc_id) payload =
 
 let create ?(callbacks = no_callbacks) ?(mode = Estimate) ?mutant
     ?(message_layer = `Interned) ?(batch_window = 1) ?register_flush
-    ?safe_cache ?intern ?(update_kernel = `Safe_area) ~cfg ~me ~now ~send_all
+    ?safe_cache ?(update_kernel = `Safe_area) ~cfg ~me ~now ~send_all
     ~set_timer () =
   let impl =
     match message_layer with
@@ -242,7 +242,7 @@ let create ?(callbacks = no_callbacks) ?(mode = Estimate) ?mutant
       mutant;
       impl;
       batch;
-      intern = (match intern with Some i -> i | None -> Intern.create ());
+      intern = Intern.create ();
       safe_cache =
         (match safe_cache with Some c -> c | None -> Safe_cache.create ());
       update_kernel;
@@ -372,13 +372,12 @@ let handle t (ev : Message.t Transport.event) =
    [lib/maaa] and whichever backend (simulator engine, or the engine
    driving the loopback TCP wire) carries the traffic. *)
 let attach_endpoint ?callbacks ?mode ?mutant ?message_layer ?batch_window
-    ?safe_cache ?intern ?update_kernel ~cfg (ep : Message.t Transport.endpoint)
-    =
+    ?safe_cache ?update_kernel ~cfg (ep : Message.t Transport.endpoint) =
   if ep.Transport.n <> cfg.Config.n then
     invalid_arg "Party.attach_endpoint: endpoint/config n mismatch";
   let t =
     create ?callbacks ?mode ?mutant ?message_layer ?batch_window ?safe_cache
-      ?intern ?update_kernel ~cfg ~me:ep.Transport.me
+      ?update_kernel ~cfg ~me:ep.Transport.me
       ~register_flush:ep.Transport.register_flush ~now:ep.Transport.now
       ~send_all:ep.Transport.send_all
       ~set_timer:(fun ~at -> ep.Transport.set_timer ~at ~tag:0)
@@ -388,7 +387,7 @@ let attach_endpoint ?callbacks ?mode ?mutant ?message_layer ?batch_window
   t
 
 let attach ?callbacks ?mode ?mutant ?message_layer ?batch_window ?safe_cache
-    ?intern ?update_kernel ~cfg ~me engine =
+    ?update_kernel ~cfg ~me engine =
   attach_endpoint ?callbacks ?mode ?mutant ?message_layer ?batch_window
-    ?safe_cache ?intern ?update_kernel ~cfg
+    ?safe_cache ?update_kernel ~cfg
     (Engine.endpoint engine ~me)

@@ -54,7 +54,6 @@ val create :
   ?batch_window:int ->
   ?register_flush:(((final:bool -> unit) -> unit)) ->
   ?safe_cache:Safe_cache.t ->
-  ?intern:Intern.t ->
   ?update_kernel:Safe_cache.kernel ->
   cfg:Config.t ->
   me:int ->
@@ -78,7 +77,6 @@ val attach_endpoint :
   ?message_layer:[ `Interned | `Reference | `Batched ] ->
   ?batch_window:int ->
   ?safe_cache:Safe_cache.t ->
-  ?intern:Intern.t ->
   ?update_kernel:Safe_cache.kernel ->
   cfg:Config.t ->
   Message.t Transport.endpoint ->
@@ -96,7 +94,6 @@ val attach :
   ?message_layer:[ `Interned | `Reference | `Batched ] ->
   ?batch_window:int ->
   ?safe_cache:Safe_cache.t ->
-  ?intern:Intern.t ->
   ?update_kernel:Safe_cache.kernel ->
   cfg:Config.t ->
   me:int ->
@@ -108,11 +105,7 @@ val attach :
     implementations (default [`Interned], the fast path): the party owns
     one {!Intern} hash-consing table shared by its rBC multiplexer and
     every per-iteration oBC instance, created fresh per party — so a run
-    never sees another run's payload ids — unless the caller passes
-    [intern], which substitutes a shared table (the multi-instance
-    engine shares one table per slot across co-resident instances; safe
-    because ids never leave the party and vote tables are keyed by the
-    instance-carrying rBC id). [`Reference] wires the seed
+    never sees another run's payload ids. [`Reference] wires the seed
     Map-based layers instead; both produce bit-identical traces.
     [`Batched] runs the interned vote tables behind a {!Batch} egress
     buffer: all rBC votes emitted within a tick leave as one combined
@@ -153,6 +146,4 @@ val value_history : t -> (int * Vec.t) list
 (** [(it, v_it)] pairs, [it = 0] being the Πinit output, ascending. *)
 
 val intern_stats : t -> int * int * int
-(** [(hits, misses, size)] of the party's payload-interning table (the
-    table may be shared with other parties when the caller passed
-    [?intern]). *)
+(** [(hits, misses, size)] of the party's payload-interning table. *)

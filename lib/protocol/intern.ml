@@ -30,8 +30,7 @@ type t = {
   mutable last_p : Message.payload;
   mutable last_id : int;
   (* lookup accounting: a hit finds an existing id (memo or bucket), a
-     miss allocates a fresh one. Exposed through Runner.result so shared-
-     table efficacy across multiplexed instances is measurable. *)
+     miss allocates a fresh one. Exposed through Runner.result. *)
   mutable hits : int;
   mutable misses : int;
 }

@@ -51,43 +51,6 @@ let size_of = function
   | Ew_report { pairs; _ } -> 16 + size_of_payload (Ppairs pairs)
   | Junk n -> 16 + n
 
-(* -- instance multiplexing -- *)
-
-let with_instance_id j (id : rbc_id) =
-  if id.instance = j then id else { id with instance = j }
-
-let with_instance j = function
-  | Rbc (id, step, p) -> Rbc (with_instance_id j id, step, p)
-  | Rbc_batch entries ->
-      Rbc_batch
-        (List.map (fun (id, step, p) -> (with_instance_id j id, step, p))
-           entries)
-  | Obc_report r ->
-      if r.instance = j then Obc_report r
-      else Obc_report { r with instance = j }
-  | Witness_set w ->
-      if w.instance = j then Witness_set w
-      else Witness_set { w with instance = j }
-  | Ew_value r ->
-      if r.instance = j then Ew_value r else Ew_value { r with instance = j }
-  | Ew_echo r ->
-      if r.instance = j then Ew_echo r else Ew_echo { r with instance = j }
-  | Ew_report r ->
-      if r.instance = j then Ew_report r else Ew_report { r with instance = j }
-  | (Sync_round _ | Junk _) as m -> m
-
-let instance_of = function
-  | Rbc (id, _, _) -> id.instance
-  | Rbc_batch ((id, _, _) :: _) -> id.instance
-  | Rbc_batch [] -> 0
-  | Obc_report { instance; _ }
-  | Witness_set { instance; _ }
-  | Ew_value { instance; _ }
-  | Ew_echo { instance; _ }
-  | Ew_report { instance; _ } ->
-      instance
-  | Sync_round _ | Junk _ -> 0
-
 let pp_tag ppf = function
   | Init_value -> Format.fprintf ppf "init-value"
   | Init_report -> Format.fprintf ppf "init-report"

@@ -7,13 +7,9 @@
     the role of the "identification numbers" the paper attaches to messages
     and then omits for presentation.
 
-    On top of that, every multiplexable message carries a protocol
-    {e instance} id: the multi-instance engine ({!Multi_runner}) hosts many
-    concurrent ΠAA/EW runs in one event loop, and the instance id is what
-    keeps their vote tables apart — exactly the way rBC ids already keep
-    concurrent broadcasts apart. Single-run code constructs everything with
-    [instance = 0]; the multiplexer rewrites ids at its send boundary with
-    {!with_instance} and routes deliveries with {!instance_of}. *)
+    Most messages also carry a protocol [instance] id. One run hosts one
+    protocol instance, so every sender writes [instance = 0]; the field
+    stays because it is part of the {!Codec} wire format. *)
 
 type tag =
   | Init_value  (** Πinit: input distribution *)
@@ -38,7 +34,7 @@ type t =
   | Rbc of rbc_id * step * payload
   | Rbc_batch of (rbc_id * step * payload) list
       (** batched message layer: every rBC vote a party emits within one
-          delivery tick, across all concurrent instances, packed into one
+          delivery tick, across all concurrent rBC instances, packed into one
           packet per (sender, receiver). Entries are in emission order. *)
   | Obc_report of { instance : int; iter : int; pairs : (int * Vec.t) list }
       (** ΠoBC's best-effort report (line 6 of the protocol) *)
@@ -59,24 +55,9 @@ type t =
       (** Erbes–Wattenhofer quadratic AA: direct witness report *)
   | Junk of int  (** adversarial noise *)
 
-val with_instance_id : int -> rbc_id -> rbc_id
-(** Retags one rBC id (physically equal when already tagged [j]). *)
-
-val with_instance : int -> t -> t
-(** [with_instance j m] retags [m] (including every {!Rbc_batch} entry)
-    with instance id [j]. Physically returns [m] itself when the tag is
-    already [j] — single-instance traffic pays nothing. [Sync_round] and
-    [Junk] are not multiplexable and pass through unchanged. *)
-
-val instance_of : t -> int
-(** The instance id a delivery routes to; 0 for non-multiplexable
-    messages. A batch routes by its first entry (mixed batches are split
-    by the multiplexer before routing). *)
-
 val size_of : t -> int
 (** Approximate serialised size in bytes, for traffic accounting. The
-    16-byte header already accounts for the instance id, so sizes are
-    identical whichever instance a message is tagged with. *)
+    16-byte header includes the instance id. *)
 
 val size_of_entry : rbc_id * step * payload -> int
 (** Wire cost of one {!Rbc_batch} entry: an 8-byte (tag, origin, step)

@@ -8,12 +8,9 @@
     plus n-1 lookups, without changing any result bit: a hit returns
     exactly what the miss computed from identical inputs.
 
-    Scope a cache to one engine: within one event loop it may be shared
-    across {e co-resident protocol instances} too (the multi-instance
-    runner keys one cache per (D, trim-profile) class), because the memo
-    is pure — a hit returns the identical bits a miss would recompute.
-    Sharing across pool domains is forbidden by the harness determinism
-    contract (no mutable state crosses jobs). *)
+    Scope a cache to one run. Sharing across pool domains is forbidden
+    by the harness determinism contract (no mutable state crosses
+    jobs). *)
 
 type kernel = [ `Safe_area | `Centroid ]
 (** Which update rule a cached value belongs to: the paper's

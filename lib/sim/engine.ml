@@ -174,10 +174,10 @@ let inject t ~src ~dst ~seq ~deliver_at msg =
   Heap.Keyed.push t.queue ~key:((at lsl seq_bits) lor seq) ~aux:dst
     (Deliver { src; msg })
 
-(* Everything [send] and [send_at] share once the delivery tick is
-   fixed: stats, class accounting, the [Sent] trace, and the hand-off to
-   the heap or the wire. *)
-let enqueue t ~src ~dst ~deliver_at msg =
+let send t ~src ~dst msg =
+  if dst < 0 || dst >= t.n then invalid_arg "Engine.send: bad destination";
+  let delay = Int.max 1 (t.policy ~rng:t.rng ~now:t.now ~src ~dst) in
+  let deliver_at = t.now + delay in
   t.messages_sent <- t.messages_sent + 1;
   t.bytes_sent <- t.bytes_sent + t.size_of msg;
   (match t.classify with Some f -> f msg t.emit | None -> ());
@@ -191,16 +191,6 @@ let enqueue t ~src ~dst ~deliver_at msg =
          travels with the message so [inject] can reproduce the heap key *)
       t.seq <- t.seq + 1;
       w.wire_send ~src ~dst ~seq:t.seq ~deliver_at msg
-
-let send t ~src ~dst msg =
-  if dst < 0 || dst >= t.n then invalid_arg "Engine.send: bad destination";
-  let delay = Int.max 1 (t.policy ~rng:t.rng ~now:t.now ~src ~dst) in
-  enqueue t ~src ~dst ~deliver_at:(t.now + delay) msg
-
-let send_at t ~src ~dst ~deliver_at msg =
-  if dst < 0 || dst >= t.n then invalid_arg "Engine.send_at: bad destination";
-  (* same floor as [send]: nothing is delivered within its own tick *)
-  enqueue t ~src ~dst ~deliver_at:(Int.max deliver_at (t.now + 1)) msg
 
 let broadcast t ~src msg =
   for dst = 0 to t.n - 1 do

@@ -116,16 +116,6 @@ val failures : 'msg t -> failure list
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Enqueues a message; its delivery time comes from the policy. *)
 
-val send_at : 'msg t -> src:int -> dst:int -> deliver_at:int -> 'msg -> unit
-(** Like {!send}, but with the delivery time chosen by the caller instead
-    of the engine's policy (clamped to [now + 1] — nothing arrives within
-    its own tick). The multi-instance runner uses this to apply {e per
-    instance} delay policies and RNG streams while sharing one global
-    event heap: sequence numbers are still allocated in global push
-    order, so per-instance delivery order matches what a dedicated
-    engine would produce. Statistics, classification and tracing are
-    identical to {!send}. *)
-
 val broadcast : 'msg t -> src:int -> 'msg -> unit
 (** [send] to every party, including [src] itself. *)
 

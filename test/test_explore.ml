@@ -1,6 +1,6 @@
 (* Tests for the bounded model-checking explorer and its supporting
-   seams: the engine chooser hook is byte-invisible at its default across
-   the sim / net / multi backends, Fault_plan reprs round-trip, the
+   seams: the engine chooser hook is byte-invisible at its default on
+   both the sim and the net backend, Fault_plan reprs round-trip, the
    shrinker is 1-minimal and idempotent against its own move set, the EW
    equivocation defence rejects an explicitly equivocating adversary the
    legacy protocol accepts, and the explorer rediscovers both protocol
@@ -13,7 +13,7 @@ let zero_chooser engine = Engine.set_chooser engine (fun _ -> 0)
 let masked (r : Runner.result) =
   { r with Runner.wire = None; transport = `Sim }
 
-(* --- chooser default byte-identity: sim / net / multi --- *)
+(* --- chooser default byte-identity: sim / net --- *)
 
 let grid_slice ~n ~d =
   match
@@ -45,28 +45,6 @@ let test_chooser_identity_net () =
   check_identity "net n=4 d=1"
     (Runner.run ~monitor:true s)
     (Runner.run ~monitor:true ~on_engine:zero_chooser s)
-
-let test_chooser_identity_multi () =
-  let cfg = Config.make_exn ~n:4 ~ts:1 ~ta:0 ~d:1 ~eps:0.05 ~delta:4 in
-  let mk i =
-    Scenario.make
-      ~name:(Printf.sprintf "mux#%d" i)
-      ~seed:(Int64.of_int (41 + i))
-      ~cfg
-      ~inputs:
-        (List.init 4 (fun p ->
-             Vec.of_list [ float_of_int (((i * 7) + (p * 3)) mod 11) ]))
-      ()
-  in
-  let scens = [ mk 0; mk 1; mk 2 ] in
-  let plain = Multi_runner.run_group ~monitor:true scens in
-  let hooked = Multi_runner.run_group ~monitor:true ~on_engine:zero_chooser scens in
-  List.iter2
-    (fun (a : Runner.result) b ->
-      Alcotest.(check bool)
-        (a.Runner.scenario_name ^ ": multiplexed runs byte-identical")
-        true (a = b))
-    plain hooked
 
 (* A non-default chooser must actually steer the schedule — guards
    against the hook silently degenerating into a no-op. *)
@@ -452,8 +430,6 @@ let () =
         [
           Alcotest.test_case "sim grid slices" `Quick test_chooser_identity_sim;
           Alcotest.test_case "net backend" `Quick test_chooser_identity_net;
-          Alcotest.test_case "multi-instance engine" `Quick
-            test_chooser_identity_multi;
           Alcotest.test_case "non-default chooser steers" `Quick
             test_chooser_steers;
         ] );

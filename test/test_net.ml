@@ -465,6 +465,54 @@ let test_handle_batch () =
       Alcotest.(check string) "identical requests, identical answers" a c
   | _ -> assert false)
 
+(* The batch core runs every well-formed request on its own engine:
+   each reply is that scenario's own [Runner.run], rendered, in request
+   order — with or without a worker pool, and with error lines in place. *)
+let test_handle_batch_own_engines () =
+  let sim ~d ~ts ~seed inputs =
+    Printf.sprintf
+      "agree v=1 d=%d eps=0.05 delta=4 ts=%d ta=0 seed=%d inputs=%s" d ts
+      seed inputs
+  in
+  let lines =
+    [
+      sim ~d:1 ~ts:1 ~seed:3 "0;1;0.5;0.25";
+      sim ~d:2 ~ts:1 ~seed:4 "0,0;1,0;0,1;1,1;0.5,0.25";
+      "agree v=1 d=1 eps=0.1 delta=4 ts=9 ta=0 inputs=0;1";
+      sim ~d:2 ~ts:2 ~seed:5 "0,0;1,0;0,1;1,1;0.5,0.5;0.25,0.75;0.75,0.25";
+      "agree v=1 d=1 eps=oops";
+      "agree v=1 d=1 eps=0.1 delta=4 ts=1 ta=0 transport=net \
+       inputs=0;1;0.5;0.25";
+    ]
+  in
+  let plain = Serve.handle_batch lines in
+  Alcotest.(check int) "one reply per line" (List.length lines)
+    (List.length plain);
+  List.iteri
+    (fun i (line, reply) ->
+      match Result.bind (Serve.parse_request line) Serve.scenario_of_request with
+      | Ok s ->
+          Alcotest.(check string)
+            (Printf.sprintf "line %d is its own dedicated run" i)
+            (Serve.render_result (Runner.run s))
+            reply
+      | Error _ ->
+          Alcotest.(check bool)
+            (Printf.sprintf "line %d answers err in place" i)
+            true
+            (String.length reply > 4 && String.sub reply 0 4 = "err "))
+    (List.combine lines plain);
+  Alcotest.(check int) "four ok replies" 4
+    (List.length
+       (List.filter (fun r -> String.length r > 2 && String.sub r 0 2 = "ok") plain));
+  let first, second =
+    Pool.with_pool ~domains:2 (fun pool ->
+        let first = Serve.handle_batch ~pool lines in
+        (first, Serve.handle_batch ~pool lines))
+  in
+  Alcotest.(check (list string)) "pooled batch = pool-less batch" plain first;
+  Alcotest.(check (list string)) "the pool survives a second batch" plain second
+
 let test_serve_e2e () =
   let port = Atomic.make 0 in
   let server =
@@ -553,6 +601,8 @@ let () =
         [
           Alcotest.test_case "request parsing" `Quick test_parse_request;
           Alcotest.test_case "batch core ordering" `Quick test_handle_batch;
+          Alcotest.test_case "batch core: one engine per request" `Quick
+            test_handle_batch_own_engines;
           Alcotest.test_case "socket end-to-end (sim + net)" `Slow
             test_serve_e2e;
         ] );
