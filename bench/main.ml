@@ -167,7 +167,7 @@ let b5_diameter =
              ignore (Hullset.diameter_pair hs)));
     ]
 
-let protocol_run ?message_layer ?update_kernel ~n ~ts ~ta ~d ~seed () =
+let protocol_run ?(opts = Party.default_opts) ~n ~ts ~ta ~d ~seed () =
   let cfg = Config.make_exn ~n ~ts ~ta ~d ~eps:0.05 ~delta:10 in
   let inputs =
     List.init n (fun i ->
@@ -175,7 +175,7 @@ let protocol_run ?message_layer ?update_kernel ~n ~ts ~ta ~d ~seed () =
   in
   fun () ->
     let o =
-      Maaa.run ~seed ?message_layer ?update_kernel
+      Maaa.run ~seed ~opts
         ~policy:(Network.lockstep ~delta:10) ~cfg ~inputs ()
     in
     assert (o.Maaa.outputs <> [])
@@ -194,8 +194,9 @@ let b6_protocol =
         (Staged.stage (protocol_run ~n:12 ~ts:3 ~ta:1 ~d:2 ~seed:1L ()));
       Test.make ~name:"n=12 D=2 ts=3 (reference msg layer)"
         (Staged.stage
-           (protocol_run ~message_layer:`Reference ~n:12 ~ts:3 ~ta:1 ~d:2
-              ~seed:1L ()));
+           (protocol_run
+              ~opts:{ Party.default_opts with layer = Party.Reference }
+              ~n:12 ~ts:3 ~ta:1 ~d:2 ~seed:1L ()));
     ]
 
 let b7_run impl () =
@@ -443,6 +444,8 @@ let b11_message_layer =
              done));
     ]
 
+let centroid = { Party.default_opts with kernel = `Centroid }
+
 (* B13: update-kernel head-to-head on wall-clock — one full protocol run
    per line, safe-area midpoint rule vs the centroid rule (which skips
    the per-iteration diameter query entirely). Two dimensions on purpose:
@@ -458,14 +461,12 @@ let b13_kernel =
         (Staged.stage (protocol_run ~n:8 ~ts:1 ~ta:1 ~d:3 ~seed:1L ()));
       Test.make ~name:"D=3 centroid"
         (Staged.stage
-           (protocol_run ~update_kernel:`Centroid ~n:8 ~ts:1 ~ta:1 ~d:3
-              ~seed:1L ()));
+           (protocol_run ~opts:centroid ~n:8 ~ts:1 ~ta:1 ~d:3 ~seed:1L ()));
       Test.make ~name:"D=4 safe-area midpoint"
         (Staged.stage (protocol_run ~n:8 ~ts:1 ~ta:1 ~d:4 ~seed:1L ()));
       Test.make ~name:"D=4 centroid"
         (Staged.stage
-           (protocol_run ~update_kernel:`Centroid ~n:8 ~ts:1 ~ta:1 ~d:4
-              ~seed:1L ()));
+           (protocol_run ~opts:centroid ~n:8 ~ts:1 ~ta:1 ~d:4 ~seed:1L ()));
     ]
 
 (* B14: instances/sec saturation — many small (n=4, D=1) agreement
@@ -481,20 +482,25 @@ let b13_kernel =
    container it would measure oversubscription, not sharding. *)
 let b14_cfg = Config.make_exn ~n:4 ~ts:1 ~ta:0 ~d:1 ~eps:0.25 ~delta:1
 
-let b14_scenario ?(protocol = `Maaa) ?mode i =
+let batched = { Party.default_opts with layer = Party.Batched { window = 1 } }
+
+let b14_scenario protocol i =
   Scenario.make
     ~name:(Printf.sprintf "b14#%d" i)
     ~seed:(Int64.of_int (i + 1))
     ~policy:(Network.lockstep ~delta:1)
-    ~protocol ?mode ~message_layer:`Batched ~cfg:b14_cfg
+    ~protocol ~cfg:b14_cfg
     ~inputs:(List.init 4 (fun p -> Vec.of_list [ 0.4 +. (0.05 *. float_of_int p) ]))
     ()
 
-let b14_ew k = List.init k (b14_scenario ~protocol:`Ew)
+let b14_ew k = List.init k (b14_scenario Scenario.Ew)
 let b14_ew_16 = b14_ew 16
 let b14_ew_256 = b14_ew 256
-let b14_fx_16 = List.init 16 (b14_scenario ~mode:(Party.Fixed_t 1))
-let b14_est_16 = List.init 16 (b14_scenario ?mode:None)
+let b14_fx_16 =
+  List.init 16
+    (b14_scenario (Scenario.Maaa { batched with mode = Party.Fixed_t 1 }))
+
+let b14_est_16 = List.init 16 (b14_scenario (Scenario.Maaa batched))
 
 let b14_seq scens () =
   List.iter (fun s -> ignore (Runner.run s)) scens
@@ -530,13 +536,13 @@ let b12_inputs ~d n =
   List.init n (fun i ->
       Vec.of_list (List.init d (fun c -> 0.1 *. float_of_int ((i + c) mod 2))))
 
-let b12_run ?message_layer ?protocol ~n () =
+let b12_run ?protocol ~n () =
   let cfg = Config.make_exn ~n ~ts:2 ~ta:1 ~d:2 ~eps:0.05 ~delta:10 in
   let r =
     Runner.run
       (Scenario.make
          ~name:(Printf.sprintf "b12-%d" n)
-         ~cfg ~inputs:(b12_inputs ~d:2 n) ?message_layer ?protocol
+         ~cfg ~inputs:(b12_inputs ~d:2 n) ?protocol
          ~policy:(Network.lockstep ~delta:10) ())
   in
   assert (r.Runner.live && r.Runner.valid && r.Runner.agreement);
@@ -547,16 +553,16 @@ let b12_run ?message_layer ?protocol ~n () =
    subset count C(n, 2) bounds it) and EW — which trims only ta = 1 — out
    to n = 128. *)
 let b12_sweeps () =
-  let sweep path ?message_layer ?protocol ns =
+  let sweep path ?protocol ns =
     List.map
       (fun n ->
-        let m, b = b12_run ?message_layer ?protocol ~n () in
+        let m, b = b12_run ?protocol ~n () in
         (path, n, m, b))
       ns
   in
   sweep "reference" [ 8; 12 ]
-  @ sweep "batched" ~message_layer:`Batched [ 8; 12; 16; 24; 32; 48; 64 ]
-  @ sweep "ew" ~protocol:`Ew [ 8; 16; 32; 64; 96; 128 ]
+  @ sweep "batched" ~protocol:(Scenario.Maaa batched) [ 8; 12; 16; 24; 32; 48; 64 ]
+  @ sweep "ew" ~protocol:Scenario.Ew [ 8; 16; 32; 64; 96; 128 ]
 
 (* Least-squares slope of log(messages) against log(n): the measured
    communication-complexity exponent of one sweep path. *)

@@ -16,13 +16,13 @@ let measure n f =
 let time label n f =
   Printf.printf "%-40s %12.1f us/run\n%!" label (measure n f *. 1e6)
 
-let protocol message_layer () =
+let protocol layer () =
   let cfg = Config.make_exn ~n:12 ~ts:3 ~ta:1 ~d:2 ~eps:0.05 ~delta:10 in
   let inputs =
     List.init 12 (fun i ->
         Vec.of_list (List.init 2 (fun c -> float_of_int ((i + c) mod 4))))
   in
-  let o = Maaa.run ~seed:1L ~message_layer ~policy:(Network.lockstep ~delta:10) ~cfg ~inputs () in
+  let o = Maaa.run ~seed:1L ~opts:{ Party.default_opts with layer } ~policy:(Network.lockstep ~delta:10) ~cfg ~inputs () in
   assert (o.Maaa.outputs <> [])
 
 let rbc impl () =
@@ -37,8 +37,8 @@ let rbc impl () =
 let () =
   time "B7 rbc reference" 2000 (rbc `Reference);
   time "B7 rbc interned" 2000 (rbc `Interned);
-  time "B6 n=12 D=2 reference" 10 (protocol `Reference);
-  time "B6 n=12 D=2 interned" 10 (protocol `Interned)
+  time "B6 n=12 D=2 reference" 10 (protocol Party.Reference);
+  time "B6 n=12 D=2 interned" 10 (protocol Party.Interned)
 
 let storm_payload = Message.Pvec (Vec.of_list [ 1.; 2. ])
 

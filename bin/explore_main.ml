@@ -14,8 +14,11 @@
    honest n=3 D=1 space explores exhaustively clean, both protocol mutants
    are rediscovered with replay-verified shrunk repros, and DPOR pruning
    plus state dedup beat naive enumeration by the pinned factor.
+   --mutant applies to ΠAA only: --protocol ew with a mutant other than
+   none is rejected, whatever the flag order.
    Exit codes: 0 clean, 1 violations found / gate failed / replay failed,
-   2 argument errors (one line on stderr). *)
+   2 argument errors and unparsable --replay files (one line on
+   stderr). *)
 
 let die fmt =
   Printf.ksprintf
@@ -68,7 +71,8 @@ let summarize label (r : Explore.report) =
 
 let check_config ?mutant ~mode () =
   let cfg = Config.make_exn ~n:3 ~ts:0 ~ta:0 ~d:1 ~eps:0.25 ~delta:2 in
-  Explore.default_config ~mode ?mutant ~max_schedule_depth:4
+  let protocol = Scenario.Maaa { Party.default_opts with mutant } in
+  Explore.default_config ~mode ~protocol ~max_schedule_depth:4
     ~max_executions:20_000 ~cfg
     ~inputs:(default_inputs ~n:3 ~d:1)
     ()
@@ -95,9 +99,9 @@ let run_check () =
   (* Gate 2: both protocol mutants are rediscovered, with shrunk repros
      that replay. *)
   List.iter
-    (fun (mutant, expect_inv) ->
-      let name = Explore.mutant_repr (Some mutant) in
-      let config = check_config ~mutant ~mode:Explore.Pruned () in
+    (fun (m, expect_inv) ->
+      let name = Scenario.Spec.(to_string mutant (Some m)) in
+      let config = check_config ~mutant:m ~mode:Explore.Pruned () in
       let r = Explore.explore config in
       let flagged =
         List.exists
@@ -157,7 +161,6 @@ let run_check () =
 
 let () =
   let mode = ref Explore.Pruned in
-  let mutant = ref None in
   let adversary = ref Explore.Honest in
   let n = ref 3 in
   let d = ref 1 in
@@ -169,7 +172,8 @@ let () =
   let max_events = ref 50_000 in
   let max_execs = ref 20_000 in
   let max_cx = ref 3 in
-  let protocol = ref `Maaa in
+  (* protocol-key spellings, newest first; resolved after all flags *)
+  let protocol_keys = ref [] in
   let out = ref None in
   let replay_file = ref None in
   let check = ref false in
@@ -187,12 +191,10 @@ let () =
             mode := m;
             parse rest
         | Error msg -> die "--mode: %s" msg)
-    | "--mutant" :: v :: rest -> (
-        match Explore.mutant_of_repr v with
-        | Ok m ->
-            mutant := m;
-            parse rest
-        | Error msg -> die "--mutant: %s" msg)
+    | (("--protocol" | "--mutant") as flag) :: v :: rest ->
+        protocol_keys :=
+          (String.sub flag 2 (String.length flag - 2), v) :: !protocol_keys;
+        parse rest
     | "--adversary" :: v :: rest -> (
         match Explore.adversary_of_repr v with
         | Ok a ->
@@ -232,15 +234,6 @@ let () =
     | "--max-cx" :: v :: rest ->
         max_cx := pos_int ~flag:"--max-cx" v;
         parse rest
-    | "--protocol" :: v :: rest -> (
-        match v with
-        | "maaa" ->
-            protocol := `Maaa;
-            parse rest
-        | "ew" ->
-            protocol := `Ew;
-            parse rest
-        | _ -> die "--protocol expects maaa or ew (got %S)" v)
     | "--out" :: v :: rest ->
         out := Some v;
         parse rest
@@ -251,6 +244,11 @@ let () =
     | flag :: _ -> die "unknown argument %S" flag
   in
   parse (List.tl (Array.to_list Sys.argv));
+  let protocol =
+    match Scenario.Spec.protocol_of_fields !protocol_keys with
+    | Ok p -> p
+    | Error msg -> die "%s" msg
+  in
   if !check then exit (run_check ());
   match !replay_file with
   | Some path -> (
@@ -272,7 +270,7 @@ let () =
       let config =
         try
           Explore.default_config ~mode:!mode ~adversary:!adversary
-            ?mutant:!mutant ~protocol:!protocol ~max_events:!max_events
+            ~protocol ~max_events:!max_events
             ~max_executions:!max_execs ~max_schedule_depth:!depth
             ~max_counterexamples:!max_cx ~cfg
             ~inputs:(default_inputs ~n:!n ~d:!d)

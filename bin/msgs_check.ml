@@ -25,10 +25,10 @@ let inputs =
   List.init n (fun i ->
       Vec.of_list (List.init d (fun c -> float_of_int ((i + c) mod 4))))
 
-let run ?message_layer ?protocol name =
+let run ?protocol name =
   let r =
     Runner.run
-      (Scenario.make ~name ~cfg ~inputs ?message_layer ?protocol
+      (Scenario.make ~name ~cfg ~inputs ?protocol
          ~policy:(Network.lockstep ~delta:10) ())
   in
   if not (r.Runner.live && r.Runner.valid && r.Runner.agreement) then (
@@ -57,8 +57,14 @@ let check_table ~title rows expected =
 
 let () =
   let r_ref = run "msgs-reference" in
-  let r_bat = run ~message_layer:`Batched "msgs-batched" in
-  let r_ew = run ~protocol:`Ew "msgs-ew" in
+  let r_bat =
+    run
+      ~protocol:
+        (Scenario.Maaa
+           { Party.default_opts with layer = Party.Batched { window = 1 } })
+      "msgs-batched"
+  in
+  let r_ew = run ~protocol:Scenario.Ew "msgs-ew" in
 
   (* Reference: the E14 closed-form model. *)
   let iterations =

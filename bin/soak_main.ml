@@ -15,7 +15,10 @@
    report. Exit code 1 when any invariant was violated — which is the
    EXPECTED outcome with --mutant, where a deliberately broken protocol
    variant must be caught. The report is byte-identical for any --domains.
-   All argument errors are one line on stderr and exit code 2. *)
+   --mutant, --message-layer and --update-kernel configure ΠAA only:
+   --protocol ew with any of them at a non-default value is rejected,
+   whatever the flag order. All argument errors are one line on stderr
+   and exit code 2. *)
 
 let die fmt =
   Printf.ksprintf
@@ -51,7 +54,6 @@ let () =
           | _ -> die "MAAA_DOMAINS must be a positive integer (got %S)" s)
       | None -> Domain.recommended_domain_count ())
   in
-  let mutant = ref None in
   let out_file = ref (Some "SOAK.json") in
   let journal = ref None in
   let resume = ref false in
@@ -59,9 +61,8 @@ let () =
   let case_wall = ref Soak.default.Soak.case_wall in
   let retries = ref Soak.default.Soak.retries in
   let stuck = ref None in
-  let layer = ref Soak.default.Soak.message_layer in
-  let kernel = ref Soak.default.Soak.update_kernel in
-  let protocol = ref Soak.default.Soak.protocol in
+  (* protocol-key spellings, newest first; resolved after all flags *)
+  let protocol_keys = ref [] in
   let transport = ref Soak.default.Soak.transport in
   let rec parse = function
     | [] -> ()
@@ -77,12 +78,17 @@ let () =
     | "--domains" :: v :: rest ->
         domains := pos_int ~flag:"--domains" v;
         parse rest
-    | "--mutant" :: v :: rest -> (
-        match Soak.mutant_of_string v with
-        | Ok m ->
-            mutant := m;
-            parse rest
-        | Error msg -> die "%s" msg)
+    | (("--protocol" | "--mutant" | "--message-layer" | "--update-kernel") as
+       flag)
+      :: v :: rest ->
+        let key =
+          match flag with
+          | "--message-layer" -> "layer"
+          | "--update-kernel" -> "kernel"
+          | f -> String.sub f 2 (String.length f - 2)
+        in
+        protocol_keys := (key, v) :: !protocol_keys;
+        parse rest
     | "--out" :: v :: rest ->
         out_file := (if v = "-" then None else Some v);
         parse rest
@@ -110,26 +116,8 @@ let () =
     | "--inject-stuck" :: v :: rest ->
         stuck := Some (nonneg_int ~flag:"--inject-stuck" v);
         parse rest
-    | "--message-layer" :: v :: rest -> (
-        match Soak.layer_of_string v with
-        | Ok l ->
-            layer := l;
-            parse rest
-        | Error msg -> die "%s" msg)
-    | "--update-kernel" :: v :: rest -> (
-        match Soak.kernel_of_string v with
-        | Ok k ->
-            kernel := k;
-            parse rest
-        | Error msg -> die "%s" msg)
-    | "--protocol" :: v :: rest -> (
-        match Soak.protocol_of_string v with
-        | Ok p ->
-            protocol := p;
-            parse rest
-        | Error msg -> die "%s" msg)
     | "--transport" :: v :: rest -> (
-        match Soak.transport_of_string v with
+        match Scenario.Spec.(of_string transport v) with
         | Ok t ->
             transport := t;
             parse rest
@@ -156,6 +144,11 @@ let () =
           flag
   in
   parse (List.tl (Array.to_list Sys.argv));
+  let protocol =
+    match Scenario.Spec.protocol_of_fields !protocol_keys with
+    | Ok p -> p
+    | Error msg -> die "%s" msg
+  in
   if !resume && !journal = None then die "--resume requires --journal FILE";
   (match (!resume, !journal) with
   | true, Some path when not (Sys.file_exists path) ->
@@ -170,15 +163,12 @@ let () =
       Soak.cases = !cases;
       seed = !seed;
       domains = !domains;
-      mutant = !mutant;
       max_shrink = Soak.default.Soak.max_shrink;
       case_events = !case_events;
       case_wall = !case_wall;
       retries = !retries;
       stuck = !stuck;
-      message_layer = !layer;
-      update_kernel = !kernel;
-      protocol = !protocol;
+      protocol;
       transport = !transport;
     }
   in

@@ -12,8 +12,7 @@ type config = {
   inputs : Vec.t list;
   mode : mode;
   adversary : adversary;
-  mutant : Party.mutant option;
-  protocol : [ `Maaa | `Ew ];
+  protocol : Scenario.protocol;
   max_events : int;
   max_executions : int;
   max_schedule_depth : int;
@@ -48,8 +47,8 @@ let plans_of_adversary cfg = function
               };
           ])
 
-let default_config ?(mode = Pruned) ?(adversary = Honest) ?mutant
-    ?(protocol = `Maaa) ?(max_events = 50_000) ?(max_executions = 20_000)
+let default_config ?(mode = Pruned) ?(adversary = Honest)
+    ?(protocol = Scenario.maaa) ?(max_events = 50_000) ?(max_executions = 20_000)
     ?(max_schedule_depth = 4) ?(max_counterexamples = 3) ~cfg ~inputs () =
   if List.length inputs <> cfg.Config.n then
     invalid_arg "Explore.default_config: need one input per party";
@@ -66,7 +65,6 @@ let default_config ?(mode = Pruned) ?(adversary = Honest) ?mutant
     inputs;
     mode;
     adversary;
-    mutant;
     protocol;
     max_events;
     max_executions;
@@ -81,7 +79,7 @@ exception Cut_execution
 let scenario_of config plan =
   Scenario.make ~name:"explore"
     ?chaos:(if plan = [] then None else Some plan)
-    ?mutant:config.mutant ~protocol:config.protocol
+    ~protocol:config.protocol
     ~budget:{ Scenario.max_events = Some config.max_events; wall_seconds = None }
     ~cfg:config.cfg ~inputs:config.inputs ()
 
@@ -427,42 +425,11 @@ let explore config =
 
 (* -- quarantine journal (soak TSV idiom, own schema) -- *)
 
-let schema = "maaa-explore-quarantine/1"
+let schema = "maaa-explore-quarantine/2"
 
-(* Field encoding: tab-free by construction everywhere below, but escape
-   defensively so a foreign plan repr can never break the TSV framing. *)
-let enc s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' -> Buffer.add_string b "%25"
-      | '\t' -> Buffer.add_string b "%09"
-      | '\n' -> Buffer.add_string b "%0a"
-      | '\r' -> Buffer.add_string b "%0d"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "%%%02x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let dec s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      if s.[i] = '%' && i + 2 < n then begin
-        Buffer.add_char b
-          (Char.chr (int_of_string ("0x" ^ String.sub s (i + 1) 2)));
-        go (i + 3)
-      end
-      else begin
-        Buffer.add_char b s.[i];
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents b
+(* The shared %-decoder, its error tagged with the line. *)
+let dec ~line v =
+  Result.map_error (Printf.sprintf "line %d: %s" line) (Scenario.Spec.decode v)
 
 let vec_repr v =
   String.concat "/"
@@ -482,17 +449,6 @@ let mode_of_repr = function
   | "naive" -> Ok Naive
   | "pruned" -> Ok Pruned
   | s -> Error (Printf.sprintf "bad mode %S" s)
-
-let mutant_repr = function
-  | None -> "~"
-  | Some Party.Non_contracting_update -> "non-contracting"
-  | Some Party.Premature_output -> "premature-output"
-
-let mutant_of_repr = function
-  | "~" -> Ok None
-  | "non-contracting" -> Ok (Some Party.Non_contracting_update)
-  | "premature-output" -> Ok (Some Party.Premature_output)
-  | s -> Error (Printf.sprintf "bad mutant %S" s)
 
 let adversary_repr = function
   | Honest -> "honest"
@@ -517,13 +473,6 @@ let adversary_of_repr s =
           Ok (Equivocator { party; values = (va, vb) }))
   | _ -> Error (Printf.sprintf "bad adversary %S" s)
 
-let protocol_repr = function `Maaa -> "maaa" | `Ew -> "ew"
-
-let protocol_of_repr = function
-  | "maaa" -> Ok `Maaa
-  | "ew" -> Ok `Ew
-  | s -> Error (Printf.sprintf "bad protocol %S" s)
-
 let schedule_repr = function
   | [] -> "~"
   | s -> String.concat "-" (List.map string_of_int s)
@@ -543,13 +492,19 @@ let schedule_of_repr = function
       | Some sched -> Ok sched
       | None -> Error (Printf.sprintf "bad schedule %S" s))
 
-let plan_repr = function [] -> "~" | plan -> Fault_plan.to_repr plan
+(* "~" is the empty plan; encoding escapes '~', so no plan collides with
+   it. Encoded fields stay tab-free whatever a foreign repr contains. *)
+let plan_repr = function
+  | [] -> "~"
+  | plan -> Scenario.Spec.encode (Fault_plan.to_repr plan)
 
-let plan_of_repr = function "~" -> Ok [] | s -> Fault_plan.of_repr s
+let plan_of_repr ~line = function
+  | "~" -> Ok []
+  | s -> Result.bind (dec ~line s) Fault_plan.of_repr
 
 let header_line config =
   let cfg = config.cfg in
-  String.concat "\t"
+  String.concat "\t" @@
     [
       schema;
       "mode=" ^ mode_repr config.mode;
@@ -559,10 +514,13 @@ let header_line config =
       Printf.sprintf "ta=%d" cfg.Config.ta;
       Printf.sprintf "eps=%h" cfg.Config.eps;
       Printf.sprintf "delta=%d" cfg.Config.delta;
-      "protocol=" ^ protocol_repr config.protocol;
-      "mutant=" ^ mutant_repr config.mutant;
-      "adversary=" ^ enc (adversary_repr config.adversary);
-      "inputs=" ^ enc (String.concat "|" (List.map vec_repr config.inputs));
+    ]
+  @ List.map (fun (k, v) -> k ^ "=" ^ v)
+      (Scenario.Spec.protocol_fields config.protocol)
+  @ [
+      "adversary=" ^ Scenario.Spec.encode (adversary_repr config.adversary);
+      "inputs="
+      ^ Scenario.Spec.encode (String.concat "|" (List.map vec_repr config.inputs));
       Printf.sprintf "max-events=%d" config.max_events;
       Printf.sprintf "max-execs=%d" config.max_executions;
       Printf.sprintf "depth=%d" config.max_schedule_depth;
@@ -588,9 +546,9 @@ let case_line cx =
     [
       "case";
       "invariants=" ^ String.concat "," cx.cx_invariants;
-      "plan=" ^ enc (plan_repr cx.cx_plan);
+      "plan=" ^ plan_repr cx.cx_plan;
       "schedule=" ^ schedule_repr cx.cx_schedule;
-      "shrunk-plan=" ^ enc (plan_repr cx.cx_shrunk_plan);
+      "shrunk-plan=" ^ plan_repr cx.cx_shrunk_plan;
       "shrunk-schedule=" ^ schedule_repr cx.cx_shrunk_schedule;
       Printf.sprintf "tries=%d" cx.cx_tries;
       Printf.sprintf "minimal=%d" (if cx.cx_minimal then 1 else 0);
@@ -636,8 +594,8 @@ let parse_header line s =
   let ( let* ) = Result.bind in
   match String.split_on_char '\t' s with
   | [
-   sc; mode; n; d; ts; ta; eps; delta; protocol; mutant; adversary; inputs;
-   max_events; max_execs; depth; max_cx; ".";
+   sc; mode; n; d; ts; ta; eps; delta; protocol; mutant; layer; kernel;
+   adversary; inputs; max_events; max_execs; depth; max_cx; ".";
   ]
     when sc = schema ->
       let* mode = Result.bind (field ~line ~what:"mode" mode "mode") mode_of_repr in
@@ -648,24 +606,29 @@ let parse_header line s =
       let* eps = float_field ~line eps "eps" in
       let* delta = int_field ~line delta "delta" in
       let* protocol =
-        Result.bind (field ~line ~what:"protocol" protocol "protocol")
-          protocol_of_repr
-      in
-      let* mutant =
-        Result.bind (field ~line ~what:"mutant" mutant "mutant") mutant_of_repr
+        let kv f key = Result.map (fun v -> (key, v)) (field ~line ~what:key f key) in
+        let* p = kv protocol "protocol" in
+        let* m = kv mutant "mutant" in
+        let* l = kv layer "layer" in
+        let* k = kv kernel "kernel" in
+        Result.map_error
+          (Printf.sprintf "line %d: %s" line)
+          (Scenario.Spec.protocol_of_fields [ p; m; l; k ])
       in
       let* adversary =
-        Result.bind (field ~line ~what:"adversary" adversary "adversary")
-          (fun v -> adversary_of_repr (dec v))
+        let* v = field ~line ~what:"adversary" adversary "adversary" in
+        let* v = dec ~line v in
+        adversary_of_repr v
       in
       let* inputs_s = field ~line ~what:"inputs" inputs "inputs" in
+      let* inputs_s = dec ~line inputs_s in
       let* inputs =
         List.fold_right
           (fun v acc ->
             let* acc = acc in
             let* v = vec_of_repr v in
             Ok (v :: acc))
-          (String.split_on_char '|' (dec inputs_s))
+          (String.split_on_char '|' inputs_s)
           (Ok [])
       in
       let* max_events = int_field ~line max_events "max-events" in
@@ -687,7 +650,6 @@ let parse_header line s =
             inputs;
             mode;
             adversary;
-            mutant;
             protocol;
             max_events;
             max_executions;
@@ -705,16 +667,16 @@ let parse_case line s =
         List.filter (fun s -> s <> "") (String.split_on_char ',' invs_s)
       in
       let* plan =
-        Result.bind (field ~line ~what:"plan" plan "plan") (fun v ->
-            plan_of_repr (dec v))
+        Result.bind (field ~line ~what:"plan" plan "plan") (plan_of_repr ~line)
       in
       let* schedule =
         Result.bind (field ~line ~what:"schedule" sched "schedule")
           schedule_of_repr
       in
       let* shrunk_plan =
-        Result.bind (field ~line ~what:"shrunk plan" splan "shrunk-plan")
-          (fun v -> plan_of_repr (dec v))
+        Result.bind
+          (field ~line ~what:"shrunk plan" splan "shrunk-plan")
+          (plan_of_repr ~line)
       in
       let* shrunk_schedule =
         Result.bind

@@ -66,10 +66,9 @@ type config = {
   inputs : Vec.t list;  (** one per party *)
   mode : mode;
   adversary : adversary;
-  mutant : Party.mutant option;
-      (** deliberately broken honest-party variant — the explorer must
-          rediscover both known mutants exhaustively *)
-  protocol : [ `Maaa | `Ew ];
+  protocol : Scenario.protocol;
+      (** what the honest parties run; a [Maaa] mutant is a deliberately
+          broken variant the explorer must rediscover exhaustively *)
   max_events : int;  (** per-execution engine event budget *)
   max_executions : int;  (** global execution budget for the search *)
   max_schedule_depth : int;
@@ -84,8 +83,7 @@ type config = {
 val default_config :
   ?mode:mode ->
   ?adversary:adversary ->
-  ?mutant:Party.mutant ->
-  ?protocol:[ `Maaa | `Ew ] ->
+  ?protocol:Scenario.protocol ->
   ?max_events:int ->
   ?max_executions:int ->
   ?max_schedule_depth:int ->
@@ -94,7 +92,7 @@ val default_config :
   inputs:Vec.t list ->
   unit ->
   config
-(** Defaults: [Pruned], [Honest], no mutant, [`Maaa], 50_000 events,
+(** Defaults: [Pruned], [Honest], {!Scenario.maaa}, 50_000 events,
     20_000 executions, depth 4, 3 counterexamples.
     @raise Invalid_argument on input-count mismatch or an out-of-range /
     budget-violating adversary party. *)
@@ -143,13 +141,16 @@ val replay : config -> plan:Fault_plan.t -> schedule:int list -> string list
 
 (** {2 Quarantine journal}
 
-    Same shape as the soak journal (schema ["maaa-explore-quarantine/1"]):
+    Same shape as the soak journal (schema ["maaa-explore-quarantine/2"]):
     one TSV header line binding the config, one [stats] line, one [case]
     line per counterexample, every line ending in a ["."] sentinel.
-    Fault plans embed via {!Fault_plan.to_repr} (tab-free by
-    construction); vectors as ['/']-joined ["%h"] floats. *)
+    The protocol is spelled by {!Scenario.Spec.protocol_fields}; fault
+    plans embed via {!Fault_plan.to_repr}, vectors as ['/']-joined
+    ["%h"] floats, and free-form fields through {!Scenario.Spec.encode}. *)
 
 val write_quarantine : path:string -> config -> report -> unit
+(** @raise Invalid_argument when the config's protocol has no spelling
+    (see {!Scenario.Spec.protocol_fields}). *)
 
 type replay_outcome = {
   rp_total : int;
@@ -160,7 +161,7 @@ type replay_outcome = {
 val replay_quarantine : path:string -> (replay_outcome, string) result
 (** Parses a quarantine file, re-runs every case's {e shrunk}
     counterexample and checks the recorded invariants are violated again.
-    [Error] on unparsable files. *)
+    [Error] naming the line on an unparsable file. *)
 
 (** {2 Reprs} — the journal's field encodings, exposed for the CLI. *)
 
@@ -171,7 +172,4 @@ val adversary_repr : adversary -> string
 val adversary_of_repr : string -> (adversary, string) result
 (** ["honest"], ["crash:PARTY:MAXTICK"], or ["equiv:PARTY:VA:VB"] with
     vectors as ['/']-joined floats (hex or decimal). *)
-
-val mutant_repr : Party.mutant option -> string
-val mutant_of_repr : string -> (Party.mutant option, string) result
 

@@ -1531,11 +1531,14 @@ let e15 () =
     let inputs = Inputs.uniform_cube rng ~d:2 ~n ~side:6. in
     Scenario.make
       ~name:(Printf.sprintf "e15b-%d" n)
-      ~cfg ~inputs ~message_layer:layer
+      ~cfg ~inputs
+      ~protocol:(Scenario.Maaa { Party.default_opts with layer })
       ~policy:(Network.lockstep ~delta:10) ()
   in
-  let ref_runs = run_batch (List.map (scen_layer `Interned) batched_ns) in
-  let bat_runs = run_batch (List.map (scen_layer `Batched) batched_ns) in
+  let ref_runs = run_batch (List.map (scen_layer Party.Interned) batched_ns) in
+  let bat_runs =
+    run_batch (List.map (scen_layer (Party.Batched { window = 1 })) batched_ns)
+  in
   let reductions = ref [] in
   let rows_b =
     List.map2
@@ -1587,7 +1590,7 @@ let e15 () =
            let inputs = Inputs.uniform_cube rng ~d:2 ~n ~side:6. in
            Scenario.make
              ~name:(Printf.sprintf "e15ew-%d" n)
-             ~cfg ~inputs ~protocol:`Ew
+             ~cfg ~inputs ~protocol:Scenario.Ew
              ~policy:(Network.lockstep ~delta:10) ())
          ew_ns)
   in
@@ -1629,14 +1632,16 @@ let e15 () =
 (* ------------------------------------------------------------------ *)
 
 (* A bare runner for the Fixed_t party mode (the known-bounds variant of
-   [20, 29]); the scenario runner always uses the paper's Estimate mode. *)
+   [20, 29]). *)
 let run_fixed_mode ~cfg ~inputs ~tt ~policy ~seed =
   let engine =
     Engine.create ~seed ~size_of:Message.size_of ~n:cfg.Config.n ~policy ()
   in
   let parties =
     List.init cfg.Config.n (fun i ->
-        Party.attach ~mode:(Party.Fixed_t tt) ~cfg ~me:i engine)
+        Party.attach
+          ~opts:{ Party.default_opts with mode = Party.Fixed_t tt }
+          ~cfg ~me:i engine)
   in
   List.iteri (fun i p -> Party.start p (List.nth inputs i)) parties;
   Engine.run engine;
@@ -1782,7 +1787,8 @@ let e17 () =
     in
     Scenario.make
       ~name:(Printf.sprintf "e17-d%d" d)
-      ~seed:7L ~cfg ~inputs ~update_kernel:kernel
+      ~seed:7L ~cfg ~inputs
+      ~protocol:(Scenario.Maaa { Party.default_opts with kernel })
       ~corruptions:[ (n - 1, Behavior.Lagger 5) ]
       ~policy:(Network.targeted_slow ~delta:10 ~victims:(fun i -> i >= 4))
       ()

@@ -63,16 +63,14 @@ let attach_party ~(scenario : Scenario.t) ?hooks ~safe_cache ~ew_iters
   let s = scenario in
   let cfg = s.Scenario.cfg in
   match s.protocol with
-  | `Maaa ->
+  | Scenario.Maaa opts ->
       let callbacks =
         match hooks with
         | Some (on_iteration, on_output) -> { Party.on_iteration; on_output }
         | None -> Party.no_callbacks
       in
       let p =
-        Party.attach_endpoint ~callbacks ?mutant:s.mutant ~mode:s.mode
-          ~message_layer:s.message_layer ~batch_window:s.batch_window
-          ~update_kernel:s.update_kernel ~safe_cache ~cfg ep
+        Party.attach_endpoint ~callbacks ~opts ~safe_cache ~cfg ep
       in
       {
         a_start = Party.start p;
@@ -83,7 +81,7 @@ let attach_party ~(scenario : Scenario.t) ?hooks ~safe_cache ~ew_iters
         a_history = (fun () -> Party.value_history p);
         a_intern = (fun () -> Party.intern_stats p);
       }
-  | `Ew ->
+  | Scenario.Ew ->
       let callbacks =
         match hooks with
         | Some (on_iteration, on_output) -> { Ew_aa.on_iteration; on_output }

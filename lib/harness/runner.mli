@@ -73,7 +73,7 @@ type attached = {
       (** (hits, misses, size) of the party's intern table; zeros for EW *)
 }
 (** Uniform read-side view over whichever protocol an endpoint runs —
-    the interface {!grade} consumes, independent of [`Maaa] vs [`Ew]. *)
+    the interface {!grade} consumes, independent of [Maaa] vs [Ew]. *)
 
 type hooks = (iter:int -> Vec.t -> unit) * (iter:int -> Vec.t -> unit)
 (** (on_iteration, on_output) monitor callbacks. *)
@@ -85,10 +85,9 @@ val attach_party :
   ew_iters:int Lazy.t ->
   Message.t Transport.endpoint ->
   attached
-(** Attaches the scenario's protocol ([`Maaa] → {!Party}, [`Ew] →
-    {!Ew_aa}) onto the endpoint with the scenario's full configuration
-    (mutant, message layer, batch window, update kernel). {!run} builds
-    every party through it, on the simulator and the net backend alike. *)
+(** Attaches the scenario's protocol ([Maaa opts] → {!Party} with
+    [opts], [Ew] → {!Ew_aa}) onto the endpoint. {!run} builds every party
+    through it, on the simulator and the net backend alike. *)
 
 val grade :
   scenario:Scenario.t ->

@@ -17,6 +17,19 @@ type budget = {
 val no_budget : budget
 (** Both fields [None]: the pre-watchdog behaviour. *)
 
+type protocol =
+  | Maaa of Party.opts
+      (** the paper's hybrid ΠAA, with its mode, mutant, message layer and
+          update kernel (see {!Party.opts}) *)
+  | Ew
+      (** the Erbes–Wattenhofer quadratic-communication asynchronous AA
+          ({!Ew_aa}); it has no options, so a ΠAA-only setting under it
+          cannot be written down *)
+(** Which protocol the honest parties run. *)
+
+val maaa : protocol
+(** [Maaa Party.default_opts]: the paper's protocol on the fast path. *)
+
 type t = {
   name : string;
   cfg : Config.t;
@@ -31,38 +44,11 @@ type t = {
       (** seeded fault plan layered on top of [policy] and [corruptions]
           (see {!Fault_plan}); adaptive corruption targets count against
           the same [ts]/[ta] budget *)
-  mutant : Party.mutant option;
-      (** deliberately broken protocol variant — only for proving the
-          monitor detects real bugs *)
-  mode : Party.mode;
-      (** honest parties' protocol mode (see {!Party.mode}): [Estimate]
-          (default, the paper's Πinit + iterations) or [Fixed_t] — the
-          known-input-bounds variant that skips Πinit, used by E16 and by
-          the B14 small-instance saturation bench. Ignored under [`Ew]. *)
   isolate : bool;
       (** run the engine under [`Isolate]: a party-handler exception
           records a failure and crashes that party instead of aborting the
           whole run (and, in pooled sweeps, the whole batch) *)
-  message_layer : [ `Interned | `Reference | `Batched ];
-      (** broadcast-layer implementation for honest parties (see
-          {!Party.attach}); [`Reference] exists for differential testing
-          against the seed message layer and the B6/B11 benches;
-          [`Batched] coalesces each party's per-tick rBC votes into one
-          combined packet per receiver (ignored under [`Ew], which has no
-          rBC traffic) *)
-  batch_window : int;
-      (** cross-tick aggregation window for the [`Batched] layer (see
-          {!Batch.create}); [1] (default) = the per-tick behaviour.
-          Ignored unless [message_layer] is [`Batched]. *)
-  update_kernel : Safe_cache.kernel;
-      (** iteration update rule for honest parties (see {!Party.attach}):
-          the paper's safe-area midpoint (default) or the centroid-style
-          rule benchmarked in E17; ignored under [`Ew] *)
-  protocol : [ `Maaa | `Ew ];
-      (** which protocol the honest parties run: the paper's hybrid ΠAA
-          (default) or the Erbes–Wattenhofer quadratic-communication
-          asynchronous AA ({!Ew_aa}). Under [`Ew] the [mutant] and
-          [message_layer] fields are ignored. *)
+  protocol : protocol;  (** default {!maaa} *)
   transport : [ `Sim | `Net ];
       (** message-passing backend: [`Sim] (default) keeps deliveries
           inside the engine's event queue; [`Net] routes every message
@@ -72,7 +58,7 @@ type t = {
   wire_chaos : Wire_chaos.plan option;
       (** frame-level fault plan for the [`Net] transport (drop /
           duplicate / reorder / delay / flap below the perfect link);
-          must be [None] under [`Sim] *)
+          {!make} rejects one under [`Sim] *)
   budget : budget;
       (** per-case watchdog budgets the runner enforces (see {!budget});
           defaults to {!no_budget} *)
@@ -85,13 +71,8 @@ val make :
   ?sync_network:bool ->
   ?corruptions:(int * Behavior.t) list ->
   ?chaos:Fault_plan.t ->
-  ?mutant:Party.mutant ->
-  ?mode:Party.mode ->
   ?isolate:bool ->
-  ?message_layer:[ `Interned | `Reference | `Batched ] ->
-  ?batch_window:int ->
-  ?update_kernel:Safe_cache.kernel ->
-  ?protocol:[ `Maaa | `Ew ] ->
+  ?protocol:protocol ->
   ?transport:[ `Sim | `Net ] ->
   ?wire_chaos:Wire_chaos.plan ->
   ?budget:budget ->
@@ -100,10 +81,11 @@ val make :
   unit ->
   t
 (** Defaults: worst-case synchronous lockstep policy, no corruptions, no
-    chaos plan, real protocol, fail-fast engine, interned message layer.
-    @raise Invalid_argument on malformed inputs/corruptions, or when the
-    fault plan fails {!Fault_plan.validate} (out-of-range or duplicate
-    targets, corruption budget exceeded, bad windows). *)
+    chaos plan, {!maaa}, fail-fast engine, simulator transport.
+    @raise Invalid_argument on malformed inputs/corruptions, a batched
+    window below 1, [wire_chaos] under [`Sim], or when the fault plan
+    fails {!Fault_plan.validate} (out-of-range or duplicate targets,
+    corruption budget exceeded, bad windows). *)
 
 val replicate : seeds:int64 list -> t -> t list
 (** One copy per seed (same config, inputs, corruptions and policy), the
@@ -126,3 +108,77 @@ val corrupt_count : t -> int
 
 val honest_inputs : t -> Vec.t list
 (** Inputs of the {!graded_honest} parties. *)
+
+(** The one owner of every textual spelling of a scenario setting: the
+    enumerated keys the soak journal, [SOAK.json], the explore quarantine
+    header and the CLIs share, the %-escape codec those TSV files use,
+    and the front door's [agree] request line. *)
+module Spec : sig
+  type 'a key
+  (** An enumerated key: a closed set of spellings, and its error text. *)
+
+  val of_string : 'a key -> string -> ('a, string) result
+  (** [Error "unknown <key> \"<s>\" (expected a|b|…)"] for any other
+      spelling. *)
+
+  val to_string : 'a key -> 'a -> string
+  (** @raise Invalid_argument for a value with no spelling (a batched
+      window other than 1). *)
+
+  val values : 'a key -> 'a list
+  (** Every spelled value, in spelling order. *)
+
+  val mutant : Party.mutant option key
+  (** ["none"], ["non-contracting"], ["premature-output"]. *)
+
+  val layer : Party.layer key
+  (** ["interned"], ["reference"], ["batched"] (window 1). *)
+
+  val kernel : Safe_cache.kernel key
+  (** ["safe-area"], ["centroid"]. *)
+
+  val transport : [ `Sim | `Net ] key
+  (** ["sim"], ["net"]. *)
+
+  val protocol_fields : protocol -> (string * string) list
+  (** [[("protocol", "maaa"|"ew"); ("mutant", _); ("layer", _);
+      ("kernel", _)]]; under {!Ew} the three ΠAA keys read their
+      defaults. @raise Invalid_argument for a protocol with no spelling:
+      the [Fixed_t] mode, or a batched window other than 1. *)
+
+  val protocol_of_fields : (string * string) list -> (protocol, string) result
+  (** Inverse of {!protocol_fields}; an absent key reads its default.
+      [Error] on an unknown spelling, or when ["protocol"] is ["ew"] and a
+      ΠAA key is not at its default. *)
+
+  val encode : string -> string
+  (** Percent-escapes ['%'], TAB, ['~'], control characters and DEL as
+      [%xx], so the result is one TSV field that never equals the ["~"]
+      empty-list marker. *)
+
+  val decode : string -> (string, string) result
+  (** Inverse of {!encode}; [Error] on a ['%'] not followed by two hex
+      digits. *)
+
+  (** One [agree] request of the front door ({!Serve}). *)
+  type request = {
+    d : int;
+    eps : float;
+    delta : int;
+    ts : int;
+    ta : int;
+    transport : [ `Sim | `Net ];
+    seed : int64;
+    inputs : Vec.t list;
+  }
+
+  val of_line : string -> (request, string) result
+  (** Parses [agree v=1 d=… eps=… delta=… ts=… ta=… [transport=…]
+      [seed=…] inputs=…] (fields in any order, CRLF tolerated). The key
+      set is closed: an unknown or repeated key is an [Error] naming it.
+      [Error] strings are single-line and name the offending field. *)
+
+  val to_line : request -> string
+  (** Prints every field, floats as ["%.17g"], so
+      [of_line (to_line r) = Ok r] bit for bit on finite floats. *)
+end

@@ -2,7 +2,7 @@
    request parser and the batch core are pure so the CLI validation
    loop and the e2e test drive them without sockets. *)
 
-type request = {
+type request = Scenario.Spec.request = {
   d : int;
   eps : float;
   delta : int;
@@ -13,109 +13,7 @@ type request = {
   inputs : Vec.t list;
 }
 
-(* -- parsing ------------------------------------------------------------ *)
-
-let split_on_char_nonempty c s =
-  List.filter (fun t -> t <> "") (String.split_on_char c s)
-
-let parse_vec ~d s =
-  let parts = String.split_on_char ',' s in
-  if List.length parts <> d then
-    Error (Printf.sprintf "input %S has %d coordinates (d=%d)" s
-             (List.length parts) d)
-  else
-    try Ok (Vec.of_list (List.map float_of_string parts))
-    with _ -> Error (Printf.sprintf "input %S: bad float" s)
-
-let parse_inputs ~d s =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | p :: rest -> (
-        match parse_vec ~d p with
-        | Ok v -> go (v :: acc) rest
-        | Error e -> Error e)
-  in
-  match split_on_char_nonempty ';' s with
-  | [] -> Error "inputs= is empty"
-  | parts -> go [] parts
-
-let parse_request line =
-  let line =
-    (* tolerate CRLF clients *)
-    if String.length line > 0 && line.[String.length line - 1] = '\r' then
-      String.sub line 0 (String.length line - 1)
-    else line
-  in
-  match split_on_char_nonempty ' ' line with
-  | [] -> Error "empty request"
-  | verb :: fields when verb = "agree" -> (
-      let kv = Hashtbl.create 8 in
-      let bad = ref None in
-      List.iter
-        (fun f ->
-          match String.index_opt f '=' with
-          | Some i ->
-              Hashtbl.replace kv
-                (String.sub f 0 i)
-                (String.sub f (i + 1) (String.length f - i - 1))
-          | None -> if !bad = None then bad := Some f)
-        fields;
-      match !bad with
-      | Some f -> Error (Printf.sprintf "malformed field %S (want key=value)" f)
-      | None -> (
-          let get k = Hashtbl.find_opt kv k in
-          let req k = function
-            | Some v -> Ok v
-            | None -> Error (Printf.sprintf "missing required field %s=" k)
-          in
-          let int_field k v =
-            match int_of_string_opt v with
-            | Some n -> Ok n
-            | None -> Error (Printf.sprintf "%s expects an integer (got %S)" k v)
-          in
-          let float_field k v =
-            match float_of_string_opt v with
-            | Some f -> Ok f
-            | None -> Error (Printf.sprintf "%s expects a float (got %S)" k v)
-          in
-          let ( let* ) = Result.bind in
-          let* v = req "v" (get "v") in
-          let* () =
-            if v = "1" then Ok ()
-            else Error (Printf.sprintf "unsupported protocol version %S" v)
-          in
-          let* d = Result.bind (req "d" (get "d")) (int_field "d") in
-          let* eps = Result.bind (req "eps" (get "eps")) (float_field "eps") in
-          let* delta =
-            Result.bind (req "delta" (get "delta")) (int_field "delta")
-          in
-          let* ts = Result.bind (req "ts" (get "ts")) (int_field "ts") in
-          let* ta = Result.bind (req "ta" (get "ta")) (int_field "ta") in
-          let* transport =
-            match get "transport" with
-            | None -> Ok `Sim
-            | Some "sim" -> Ok `Sim
-            | Some "net" -> Ok `Net
-            | Some t ->
-                Error (Printf.sprintf "unknown transport %S (expected sim|net)" t)
-          in
-          let* seed =
-            match get "seed" with
-            | None -> Ok 1L
-            | Some s -> (
-                match Int64.of_string_opt s with
-                | Some s -> Ok s
-                | None ->
-                    Error (Printf.sprintf "seed expects a 64-bit integer (got %S)" s))
-          in
-          let* raw = req "inputs" (get "inputs") in
-          let* () =
-            if d >= 1 then Ok ()
-            else Error (Printf.sprintf "d must be >= 1 (got %d)" d)
-          in
-          let* inputs = parse_inputs ~d raw in
-          Ok { d; eps; delta; ts; ta; transport; seed; inputs }))
-  | verb :: _ -> Error (Printf.sprintf "unknown verb %S (expected agree)" verb)
+let parse_request = Scenario.Spec.of_line
 
 let scenario_of_request r =
   let n = List.length r.inputs in

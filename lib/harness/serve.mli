@@ -6,9 +6,11 @@
 
     {v agree v=1 d=2 eps=0.05 delta=4 ts=1 ta=0 transport=net seed=7 inputs=0,0;1,0;0,1;1,1 v}
 
-    [v=1] is the protocol version and mandatory; [transport] (sim|net,
-    default sim) and [seed] (default 1) are optional; [n] is the number
-    of [;]-separated input vectors. A connection sends any number of
+    The key set is closed: [v] (the protocol version, mandatory, [1]),
+    [d], [eps], [delta], [ts], [ta] and [inputs] are required,
+    [transport] (sim|net, default sim) and [seed] (default 1) are
+    optional, and any other key, or a key given twice, is an [err]
+    naming it. [n] is the number of [;]-separated input vectors. A connection sends any number of
     request lines and half-closes (or sends an empty line); the server
     runs the whole batch on the domain pool and answers with exactly one
     line per request, in order:
@@ -18,7 +20,7 @@
     or [err <reason>] for a malformed or infeasible request (other
     requests on the same connection are unaffected). *)
 
-type request = {
+type request = Scenario.Spec.request = {
   d : int;
   eps : float;
   delta : int;
@@ -30,8 +32,8 @@ type request = {
 }
 
 val parse_request : string -> (request, string) result
-(** Parses one request line. [Error] strings are single-line,
-    human-readable, and name the offending field. *)
+(** {!Scenario.Spec.of_line}: parses one request line. [Error] strings
+    are single-line, human-readable, and name the offending field. *)
 
 val scenario_of_request : request -> (Scenario.t, string) result
 (** Validates feasibility ({!Config.make}) and builds the synchronous

@@ -2,15 +2,12 @@ type config = {
   cases : int;
   seed : int64;
   domains : int;
-  mutant : Party.mutant option;
   max_shrink : int;
   case_events : int;
   case_wall : float option;
   retries : int;
   stuck : int option;
-  message_layer : [ `Interned | `Reference | `Batched ];
-  update_kernel : Safe_cache.kernel;
-  protocol : [ `Maaa | `Ew ];
+  protocol : Scenario.protocol;
   transport : [ `Sim | `Net ];
 }
 
@@ -19,72 +16,14 @@ let default =
     cases = 500;
     seed = 7L;
     domains = 1;
-    mutant = None;
     max_shrink = 200;
     case_events = 10_000_000;
     case_wall = Some 300.;
     retries = 1;
     stuck = None;
-    message_layer = `Interned;
-    update_kernel = `Safe_area;
-    protocol = `Maaa;
+    protocol = Scenario.maaa;
     transport = `Sim;
   }
-
-let mutant_to_string = function
-  | None -> "none"
-  | Some Party.Non_contracting_update -> "non-contracting"
-  | Some Party.Premature_output -> "premature-output"
-
-let mutant_of_string = function
-  | "none" -> Ok None
-  | "non-contracting" -> Ok (Some Party.Non_contracting_update)
-  | "premature-output" -> Ok (Some Party.Premature_output)
-  | s ->
-      Error
-        (Printf.sprintf
-           "unknown mutant %S (expected none|non-contracting|premature-output)"
-           s)
-
-let layer_to_string = function
-  | `Interned -> "interned"
-  | `Reference -> "reference"
-  | `Batched -> "batched"
-
-let layer_of_string = function
-  | "interned" -> Ok `Interned
-  | "reference" -> Ok `Reference
-  | "batched" -> Ok `Batched
-  | s ->
-      Error
-        (Printf.sprintf
-           "unknown message layer %S (expected interned|reference|batched)" s)
-
-let kernel_to_string = function
-  | `Safe_area -> "safe-area"
-  | `Centroid -> "centroid"
-
-let kernel_of_string = function
-  | "safe-area" -> Ok `Safe_area
-  | "centroid" -> Ok `Centroid
-  | s ->
-      Error
-        (Printf.sprintf
-           "unknown update kernel %S (expected safe-area|centroid)" s)
-
-let protocol_to_string = function `Maaa -> "maaa" | `Ew -> "ew"
-
-let protocol_of_string = function
-  | "maaa" -> Ok `Maaa
-  | "ew" -> Ok `Ew
-  | s -> Error (Printf.sprintf "unknown protocol %S (expected maaa|ew)" s)
-
-let transport_to_string = function `Sim -> "sim" | `Net -> "net"
-
-let transport_of_string = function
-  | "sim" -> Ok `Sim
-  | "net" -> Ok `Net
-  | s -> Error (Printf.sprintf "unknown transport %S (expected sim|net)" s)
 
 (* -- Per-case records ------------------------------------------------
 
@@ -203,13 +142,11 @@ let build_case ~config rng i =
   let sync = i mod 2 = 0 in
   let horizon = 40 * cfg.Config.delta in
   let inputs = sample_inputs rng cfg in
-  let budget = if sync then cfg.Config.ts else cfg.Config.ta in
+  let ew = config.protocol = Scenario.Ew in
   (* EW is correct only up to [ta] corruptions regardless of network
      synchrony, so its sweep caps the static budget there. The default
      ΠAA grid is untouched — same draws, same cases, same SOAK.json. *)
-  let budget =
-    match config.protocol with `Ew -> min budget cfg.Config.ta | `Maaa -> budget
-  in
+  let budget = if sync && not ew then cfg.Config.ts else cfg.Config.ta in
   let n_static = Rng.int rng (budget + 1) in
   let ids = Array.init cfg.Config.n Fun.id in
   Rng.shuffle rng ids;
@@ -220,44 +157,22 @@ let build_case ~config rng i =
   let chaos = Fault_gen.sample rng ~cfg ~sync ~existing:static ~horizon in
   let policy = sample_policy rng ~sync ~static cfg in
   let seed = Rng.next_int64 rng in
+  (* EW drops the chaos plan (after sampling it, so every case draws the
+     same RNG stream): adaptive corruption grading is calibrated against
+     ΠAA's iteration structure, and EW's static-corruption coverage is
+     the property under test. *)
+  let chaos = if ew then None else Some chaos in
   let scen =
     Scenario.make
       ~name:(Printf.sprintf "soak-%04d" i)
-      ~seed ~policy ~sync_network:sync ~corruptions ~chaos ?mutant:config.mutant
-      ~isolate:true
+      ~seed ~policy ~sync_network:sync ~corruptions ?chaos
+      ~protocol:config.protocol ~transport:config.transport ~isolate:true
       ~budget:
         {
           Scenario.max_events = Some config.case_events;
           wall_seconds = config.case_wall;
         }
       ~cfg ~inputs ()
-  in
-  (* Layer/protocol overrides ride on the built scenario rather than the
-     [Scenario.make] call so the RNG draw sequence for the default config
-     stays byte-identical to the committed SOAK.json. EW drops the chaos
-     plan: adaptive corruption grading is calibrated against ΠAA's
-     iteration structure, and EW's static-corruption coverage is the
-     property under test. *)
-  let scen =
-    match (config.message_layer, config.protocol) with
-    | `Interned, `Maaa -> scen
-    | layer, `Maaa -> { scen with Scenario.message_layer = layer }
-    | layer, `Ew ->
-        { scen with Scenario.message_layer = layer; protocol = `Ew; chaos = None }
-  in
-  let scen =
-    match config.update_kernel with
-    | `Safe_area -> scen
-    | k -> { scen with Scenario.update_kernel = k }
-  in
-  (* Same patch-after-make discipline: the net transport rides on the
-     built scenario, so the default sweep's RNG draws (and SOAK.json)
-     are untouched. The sim-as-oracle guarantee makes a `Net soak the
-     same logical sweep over real sockets. *)
-  let scen =
-    match config.transport with
-    | `Sim -> scen
-    | `Net -> { scen with Scenario.transport = `Net }
   in
   (* Test/CI hook: replace case [i]'s corruptions with one unbounded
      spammer, a protocol livelock that generates events forever — the
@@ -456,58 +371,30 @@ let crashed_record ((idx, scen) : int * Scenario.t) ~attempts ~last_error =
 
 let journal_schema = "maaa-soak-journal/1"
 
+(* The config's enumerated keys, spelled by [Scenario.Spec]. *)
+let spec_fields config =
+  Scenario.Spec.protocol_fields config.protocol
+  @ [ ("transport", Scenario.Spec.(to_string transport config.transport)) ]
+
 let journal_header config =
+  let p k = List.assoc k (spec_fields config) in
   Printf.sprintf
     "%s\tseed=%Ld\tcases=%d\tmutant=%s\tevents=%d\twall=%s\tretries=%d\tstuck=%s\tmax_shrink=%d\tlayer=%s\tprotocol=%s\tkernel=%s\ttransport=%s"
-    journal_schema config.seed config.cases
-    (mutant_to_string config.mutant)
+    journal_schema config.seed config.cases (p "mutant")
     config.case_events
     (match config.case_wall with None -> "none" | Some w -> Printf.sprintf "%h" w)
     config.retries
     (match config.stuck with None -> "none" | Some i -> string_of_int i)
-    config.max_shrink
-    (layer_to_string config.message_layer)
-    (protocol_to_string config.protocol)
-    (kernel_to_string config.update_kernel)
-    (transport_to_string config.transport)
-
-let enc s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' | '\t' | '~' | '\x1f' ->
-          Buffer.add_string b (Printf.sprintf "%%%02x" (Char.code c))
-      | c when Char.code c < 0x20 || Char.code c = 0x7f ->
-          Buffer.add_string b (Printf.sprintf "%%%02x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+    config.max_shrink (p "layer") (p "protocol") (p "kernel") (p "transport")
 
 exception Bad_line
 
 let dec s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-    | '%' ->
-        if !i + 2 >= n then raise Bad_line;
-        let code =
-          try int_of_string ("0x" ^ String.sub s (!i + 1) 2)
-          with _ -> raise Bad_line
-        in
-        Buffer.add_char b (Char.chr code);
-        i := !i + 2
-    | c -> Buffer.add_char b c);
-    incr i
-  done;
-  Buffer.contents b
+  match Scenario.Spec.decode s with Ok s -> s | Error _ -> raise Bad_line
 
 let enc_list = function
   | [] -> "~"
-  | l -> String.concat "\x1f" (List.map enc l)
+  | l -> String.concat "\x1f" (List.map Scenario.Spec.encode l)
 
 let dec_list = function
   | "~" -> []
@@ -527,7 +414,7 @@ let render_case (r : case_record) =
   let fld s = Buffer.add_char b '\t'; Buffer.add_string b s in
   Buffer.add_string b "c";
   fld (string_of_int r.cr_index);
-  fld (enc r.cr_name);
+  fld (Scenario.Spec.encode r.cr_name);
   fld (Int64.to_string r.cr_seed);
   fld (if r.cr_sync then "1" else "0");
   fld (string_of_int r.cr_checks);
@@ -549,7 +436,7 @@ let render_case (r : case_record) =
       fld (if v.vd_minimal then "1" else "0")
   | Quarantined q ->
       fld "quar";
-      fld (enc q.qd_reason);
+      fld (Scenario.Spec.encode q.qd_reason);
       fld (enc_list q.qd_shrunk);
       fld (string_of_int q.qd_tries);
       fld (if q.qd_minimal then "1" else "0"));
@@ -821,21 +708,17 @@ let to_json config (o : outcome) =
   out "{\n";
   out "  \"schema\": \"maaa-soak/2\",\n";
   out "  \"seed\": %Ld,\n" config.seed;
-  out "  \"mutant\": \"%s\",\n" (mutant_to_string config.mutant);
-  (* Emitted only when non-default so the committed SOAK.json (written
-     before these knobs existed) stays byte-stable under schema 2. *)
-  (match config.message_layer with
-  | `Interned -> ()
-  | l -> out "  \"message_layer\": \"%s\",\n" (layer_to_string l));
-  (match config.protocol with
-  | `Maaa -> ()
-  | p -> out "  \"protocol\": \"%s\",\n" (protocol_to_string p));
-  (match config.update_kernel with
-  | `Safe_area -> ()
-  | k -> out "  \"update_kernel\": \"%s\",\n" (kernel_to_string k));
-  (match config.transport with
-  | `Sim -> ()
-  | t -> out "  \"transport\": \"%s\",\n" (transport_to_string t));
+  let fields = spec_fields config and defaults = spec_fields default in
+  out "  \"mutant\": \"%s\",\n" (List.assoc "mutant" fields);
+  (* The other keys are emitted only when non-default so the committed
+     SOAK.json (written before these knobs existed) stays byte-stable
+     under schema 2. *)
+  List.iter
+    (fun (key, json_key) ->
+      let v = List.assoc key fields in
+      if v <> List.assoc key defaults then out "  \"%s\": \"%s\",\n" json_key v)
+    [ ("layer", "message_layer"); ("protocol", "protocol");
+      ("kernel", "update_kernel"); ("transport", "transport") ];
   out "  \"case_events\": %d,\n" config.case_events;
   out "  \"cases\": %d,\n" o.total;
   out "  \"sync_cases\": %d,\n" o.sync_cases;

@@ -16,9 +16,6 @@ type config = {
   cases : int;  (** number of (scenario × fault-plan) cases *)
   seed : int64;  (** master seed; every case derives from it *)
   domains : int;  (** worker domains for the sweep *)
-  mutant : Party.mutant option;
-      (** run a deliberately broken protocol variant instead of the real
-          one — the monitor must then flag violations *)
   max_shrink : int;  (** shrinker oracle budget per abnormal case *)
   case_events : int;
       (** per-case engine event budget — the deterministic watchdog *)
@@ -32,19 +29,14 @@ type config = {
       (** test/CI hook: replace case [i]'s faults with an unbounded
           spammer so the case livelocks and must be caught by the
           watchdog *)
-  message_layer : [ `Interned | `Reference | `Batched ];
-      (** rBC implementation + egress path every case's honest parties
-          use (see {!Scenario.t}); [`Interned] is the default grid *)
-  update_kernel : Safe_cache.kernel;
-      (** iteration update rule every case's honest parties use (see
-          {!Scenario.t}); [`Safe_area] is the default grid, [`Centroid]
-          re-soaks the same case grid under the centroid-style rule *)
-  protocol : [ `Maaa | `Ew ];
-      (** [`Ew] soaks the quadratic-communication protocol instead of
-          ΠAA: the static corruption budget is capped at the case
-          config's [ta] (EW's resilience bound regardless of synchrony)
-          and chaos plans are dropped — static-corruption grading is the
-          property under test *)
+  protocol : Scenario.protocol;
+      (** what every case's honest parties run: [Maaa opts] re-soaks the
+          same grid under [opts] (a mutant the monitor must then flag,
+          another message layer or update kernel); [Ew] caps the static
+          corruption budget at the case config's [ta] (EW's resilience
+          bound regardless of synchrony) and drops the chaos plans —
+          static-corruption grading is the property under test. It must
+          have a {!Scenario.Spec.protocol_fields} spelling. *)
   transport : [ `Sim | `Net ];
       (** message backend every case runs on: [`Sim] (default) keeps
           messages inside the discrete-event engine; [`Net] carries every
@@ -55,34 +47,9 @@ type config = {
 }
 
 val default : config
-(** 500 cases, seed 7, 1 domain, real protocol, 200 shrink tries, 10M
-    events + 300 s per case, 1 retry, no stuck case. *)
-
-val mutant_of_string : string -> (Party.mutant option, string) result
-(** ["none"], ["non-contracting"], ["premature-output"]. *)
-
-val mutant_to_string : Party.mutant option -> string
-
-val layer_of_string :
-  string -> ([ `Interned | `Reference | `Batched ], string) result
-(** ["interned"], ["reference"], ["batched"]. *)
-
-val layer_to_string : [ `Interned | `Reference | `Batched ] -> string
-
-val kernel_of_string : string -> (Safe_cache.kernel, string) result
-(** ["safe-area"], ["centroid"]. *)
-
-val kernel_to_string : Safe_cache.kernel -> string
-
-val protocol_of_string : string -> ([ `Maaa | `Ew ], string) result
-(** ["maaa"], ["ew"]. *)
-
-val protocol_to_string : [ `Maaa | `Ew ] -> string
-
-val transport_of_string : string -> ([ `Sim | `Net ], string) result
-(** ["sim"], ["net"]. *)
-
-val transport_to_string : [ `Sim | `Net ] -> string
+(** 500 cases, seed 7, 1 domain, {!Scenario.maaa}, 200 shrink tries, 10M
+    events + 300 s per case, 1 retry, no stuck case, simulator
+    transport. *)
 
 (** How one case ended, as plain data (strings/ints/floats only, so a
     record round-trips through the journal byte-exactly). *)
@@ -214,7 +181,8 @@ val execute : ?journal:string -> ?resume:bool -> config -> outcome
     first replayed and recorded cases are skipped, so an interrupted sweep
     continues where it left off and produces the same {!outcome}.
     @raise Invalid_argument on [cases <= 0], [domains <= 0],
-    [resume] without [journal], or a missing/mismatched resume journal. *)
+    [resume] without [journal], a missing/mismatched resume journal, or
+    a [protocol] with no spelling (see {!config}). *)
 
 val to_json : config -> outcome -> string
 (** The [SOAK.json] document (schema ["maaa-soak/2"]; field list documented

@@ -6,8 +6,7 @@ type outcome = {
   stats : Engine.stats;
 }
 
-let run ?(seed = 1L) ?policy ?(silent = []) ?message_layer ?update_kernel
-    ?(transport = `Sim) ~cfg ~inputs () =
+let run ?(seed = 1L) ?policy ?(silent = []) ?opts ?(transport = `Sim) ~cfg ~inputs () =
   let n = cfg.Config.n in
   if List.length inputs <> n then
     invalid_arg "Maaa.run: need exactly one input per party";
@@ -38,8 +37,7 @@ let run ?(seed = 1L) ?policy ?(silent = []) ?message_layer ?update_kernel
     List.filteri (fun i _ -> not (is_silent i)) (List.init n Fun.id)
     |> List.map (fun i ->
            ( i,
-             Party.attach ?message_layer ?update_kernel ~safe_cache ~cfg ~me:i
-               engine ))
+             Party.attach ?opts ~safe_cache ~cfg ~me:i engine ))
   in
   let inputs = Array.of_list inputs in
   List.iter (fun (i, p) -> Party.start p inputs.(i)) parties;

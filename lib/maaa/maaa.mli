@@ -20,8 +20,7 @@ val run :
   ?seed:int64 ->
   ?policy:Engine.delay_policy ->
   ?silent:int list ->
-  ?message_layer:[ `Interned | `Reference | `Batched ] ->
-  ?update_kernel:Safe_cache.kernel ->
+  ?opts:Party.opts ->
   ?transport:[ `Sim | `Net ] ->
   cfg:Config.t ->
   inputs:Vec.t list ->
@@ -31,8 +30,8 @@ val run :
     [inputs] (one vector per party, in order). Parties listed in [silent]
     are crash-corrupted from the start: they never send anything. The
     default [policy] is {!Network.lockstep} at [cfg.delta] (worst-case
-    synchrony). [update_kernel] selects the iteration update rule for
-    every party (see {!Party.attach}); default [`Safe_area].
+    synchrony). [opts] (default {!Party.default_opts}) configures every
+    party: mode, mutant, message layer and update kernel.
     [transport] [`Net] routes every message through the loopback TCP
     runtime ({!Netrun}) under the same engine-as-scheduler — the outcome
     is byte-identical to [`Sim] by construction.

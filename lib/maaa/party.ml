@@ -9,6 +9,18 @@ type mode = Estimate | Fixed_t of int
 
 type mutant = Non_contracting_update | Premature_output
 
+type layer = Interned | Reference | Batched of { window : int }
+
+type opts = {
+  mode : mode;
+  mutant : mutant option;
+  layer : layer;
+  kernel : Safe_cache.kernel;
+}
+
+let default_opts =
+  { mode = Estimate; mutant = None; layer = Interned; kernel = `Safe_area }
+
 (* Far outside every workload's honest-input hull: one adoption with this
    offset breaks both per-iteration containment and validity. *)
 let mutant_drift d = Vec.basis ~dim:d 0 100.
@@ -16,14 +28,12 @@ let mutant_drift d = Vec.basis ~dim:d 0 100.
 type t = {
   cfg : Config.t;
   me : int;
-  mode : mode;
-  mutant : mutant option;
+  opts : opts;
   impl : [ `Interned | `Reference ];  (* rBC/oBC vote-table implementation *)
-  batch : Batch.t option;  (* egress buffer when the layer is [`Batched] *)
+  batch : Batch.t option;  (* egress buffer when the layer is [Batched] *)
   intern : Intern.t;  (* one hash-consing table for all sub-protocols *)
   safe_cache : Safe_cache.t;  (* shared across the run's parties when the
                                  caller provides one (Maaa.run, Runner) *)
-  update_kernel : Safe_cache.kernel;  (* midpoint (paper) or centroid rule *)
   cbs : callbacks;
   now : unit -> int;
   send_all : Message.t -> unit;
@@ -139,12 +149,12 @@ and on_obc_output t it mset =
     let k = Pairset.cardinal mset - (t.cfg.n - t.cfg.ts) in
     let trim = max k t.cfg.ta in
     match
-      Safe_cache.new_value_arr ~kernel:t.update_kernel t.safe_cache ~t:trim
+      Safe_cache.new_value_arr ~kernel:t.opts.kernel t.safe_cache ~t:trim
         (Pairset.values_arr mset)
     with
     | Some v ->
         let v =
-          match t.mutant with
+          match t.opts.mutant with
           | Some Non_contracting_update -> Vec.add v (mutant_drift t.cfg.d)
           | _ -> v
         in
@@ -215,37 +225,31 @@ let on_rbc_deliver t (id : Message.rbc_id) payload =
       try_halt_output t
   | _ -> ()
 
-let create ?(callbacks = no_callbacks) ?(mode = Estimate) ?mutant
-    ?(message_layer = `Interned) ?(batch_window = 1) ?register_flush
-    ?safe_cache ?(update_kernel = `Safe_area) ~cfg ~me ~now ~send_all
-    ~set_timer () =
-  let impl =
-    match message_layer with
-    | `Batched -> `Interned  (* batching wraps the fast vote tables *)
-    | (`Interned | `Reference) as l -> l
-  in
-  let batch =
-    match message_layer with
-    | `Batched -> Some (Batch.create ~window:batch_window ~send_all ())
-    | `Interned | `Reference -> None
+let create ?(callbacks = no_callbacks) ?(opts = default_opts) ?register_flush
+    ?safe_cache ~cfg ~me ~now ~send_all ~set_timer () =
+  let impl, batch =
+    match opts.layer with
+    | Interned -> (`Interned, None)
+    | Reference -> (`Reference, None)
+    | Batched { window } ->
+        (* batching wraps the fast vote tables *)
+        (`Interned, Some (Batch.create ~window ~send_all ()))
   in
   (match (batch, register_flush) with
   | Some b, Some reg -> reg (fun ~final -> Batch.flush ~final b)
   | Some _, None ->
-      invalid_arg "Party.create: `Batched needs an end-of-tick register_flush"
+      invalid_arg "Party.create: Batched needs an end-of-tick register_flush"
   | None, _ -> ());
   let t =
     {
       cfg;
       me;
-      mode;
-      mutant;
+      opts;
       impl;
       batch;
       intern = Intern.create ();
       safe_cache =
         (match safe_cache with Some c -> c | None -> Safe_cache.create ());
-      update_kernel;
       cbs = callbacks;
       now;
       send_all;
@@ -289,7 +293,7 @@ let create ?(callbacks = no_callbacks) ?(mode = Estimate) ?mutant
          });
   t.init <-
     Some
-      (Init_round.create ~safe_cache:t.safe_cache ~update_kernel
+      (Init_round.create ~safe_cache:t.safe_cache ~update_kernel:opts.kernel
          ~n:cfg.Config.n ~ts:cfg.Config.ts ~ta:cfg.Config.ta
          ~delta:cfg.Config.delta ~eps:cfg.Config.eps
          {
@@ -309,7 +313,7 @@ let start t v =
   if t.started then invalid_arg "Party.start: already started";
   if Vec.dim v <> t.cfg.d then invalid_arg "Party.start: wrong dimension";
   t.started <- true;
-  match (t.mutant, t.mode) with
+  match (t.opts.mutant, t.opts.mode) with
   | Some Premature_output, _ ->
       (* the loosened-ε mutant: "already within ε of everyone" *)
       t.output <- Some v;
@@ -371,13 +375,12 @@ let handle t (ev : Message.t Transport.event) =
    endpoint record exposes — this is the whole-protocol seam between
    [lib/maaa] and whichever backend (simulator engine, or the engine
    driving the loopback TCP wire) carries the traffic. *)
-let attach_endpoint ?callbacks ?mode ?mutant ?message_layer ?batch_window
-    ?safe_cache ?update_kernel ~cfg (ep : Message.t Transport.endpoint) =
+let attach_endpoint ?callbacks ?opts ?safe_cache ~cfg
+    (ep : Message.t Transport.endpoint) =
   if ep.Transport.n <> cfg.Config.n then
     invalid_arg "Party.attach_endpoint: endpoint/config n mismatch";
   let t =
-    create ?callbacks ?mode ?mutant ?message_layer ?batch_window ?safe_cache
-      ?update_kernel ~cfg ~me:ep.Transport.me
+    create ?callbacks ?opts ?safe_cache ~cfg ~me:ep.Transport.me
       ~register_flush:ep.Transport.register_flush ~now:ep.Transport.now
       ~send_all:ep.Transport.send_all
       ~set_timer:(fun ~at -> ep.Transport.set_timer ~at ~tag:0)
@@ -386,8 +389,5 @@ let attach_endpoint ?callbacks ?mode ?mutant ?message_layer ?batch_window
   ep.Transport.set_handler (handle t);
   t
 
-let attach ?callbacks ?mode ?mutant ?message_layer ?batch_window ?safe_cache
-    ?update_kernel ~cfg ~me engine =
-  attach_endpoint ?callbacks ?mode ?mutant ?message_layer ?batch_window
-    ?safe_cache ?update_kernel ~cfg
-    (Engine.endpoint engine ~me)
+let attach ?callbacks ?opts ?safe_cache ~cfg ~me engine =
+  attach_endpoint ?callbacks ?opts ?safe_cache ~cfg (Engine.endpoint engine ~me)

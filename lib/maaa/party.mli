@@ -46,15 +46,48 @@ type mutant = Non_contracting_update | Premature_output
     - [Premature_output] outputs the party's raw input immediately — the
       ε-agreement check "loosened" to infinity. *)
 
+type layer =
+  | Interned
+      (** the fast path (default): one {!Intern} hash-consing table per
+          party, shared by its rBC multiplexer and every per-iteration oBC
+          instance, created fresh per party — so a run never sees another
+          run's payload ids *)
+  | Reference
+      (** the seed Map-based vote tables; bit-identical traces to
+          [Interned], kept for differential testing and the B6/B11 benches *)
+  | Batched of { window : int }
+      (** the interned vote tables behind a {!Batch} egress buffer: the rBC
+          votes emitted within a tick leave as one combined packet per
+          receiver when the end-of-tick flusher fires, coalescing across up
+          to [window] ticks ({!Batch.create}; [1] = per tick). Outputs,
+          iterations and monitor verdicts are identical under RNG-free
+          delay policies, while sent-message counts drop from Θ(n³) to
+          Θ(n²) per iteration. *)
+(** The broadcast layer an honest party's sub-protocols run on. *)
+
+type opts = {
+  mode : mode;
+  mutant : mutant option;
+  layer : layer;
+  kernel : Safe_cache.kernel;
+      (** the iteration update rule: the paper's safe-area
+          diameter-midpoint ([`Safe_area]) or the centroid-style rule
+          ({!Safe_area.centroid_value_arr}) that skips the diameter LPs on
+          the hot path. Both adopt points of the safe area, so Validity and
+          per-iteration containment hold by construction; Πinit's
+          estimation uses the same kernel (see E17). *)
+}
+(** Every ΠAA-only option, as one value. *)
+
+val default_opts : opts
+(** [{ mode = Estimate; mutant = None; layer = Interned; kernel =
+    `Safe_area }]: the paper's protocol on the fast path. *)
+
 val create :
   ?callbacks:callbacks ->
-  ?mode:mode ->
-  ?mutant:mutant ->
-  ?message_layer:[ `Interned | `Reference | `Batched ] ->
-  ?batch_window:int ->
+  ?opts:opts ->
   ?register_flush:(((final:bool -> unit) -> unit)) ->
   ?safe_cache:Safe_cache.t ->
-  ?update_kernel:Safe_cache.kernel ->
   cfg:Config.t ->
   me:int ->
   now:(unit -> int) ->
@@ -62,22 +95,17 @@ val create :
   set_timer:(at:int -> unit) ->
   unit ->
   t
-(** [register_flush] must be provided when [message_layer] is [`Batched]:
-    it receives the party's end-of-tick flush closure and is expected to
-    arrange for it to run once per tick, plus a last [~final:true] fire
-    before the run goes quiescent ({!attach} wires it to
-    [Engine.set_flusher]). Raises [Invalid_argument] if [`Batched] is
-    requested without it. [batch_window] (default [1]) is handed to
-    {!Batch.create}: the opt-in cross-tick aggregation window. *)
+(** [opts] defaults to {!default_opts}. [register_flush] must be provided
+    when the layer is [Batched]: it receives the party's end-of-tick
+    flush closure and is expected to arrange for it to run once per tick,
+    plus a last [~final:true] fire before the run goes quiescent
+    ({!attach} wires it to [Engine.set_flusher]). Raises
+    [Invalid_argument] if [Batched] is requested without it. *)
 
 val attach_endpoint :
   ?callbacks:callbacks ->
-  ?mode:mode ->
-  ?mutant:mutant ->
-  ?message_layer:[ `Interned | `Reference | `Batched ] ->
-  ?batch_window:int ->
+  ?opts:opts ->
   ?safe_cache:Safe_cache.t ->
-  ?update_kernel:Safe_cache.kernel ->
   cfg:Config.t ->
   Message.t Transport.endpoint ->
   t
@@ -89,41 +117,19 @@ val attach_endpoint :
 
 val attach :
   ?callbacks:callbacks ->
-  ?mode:mode ->
-  ?mutant:mutant ->
-  ?message_layer:[ `Interned | `Reference | `Batched ] ->
-  ?batch_window:int ->
+  ?opts:opts ->
   ?safe_cache:Safe_cache.t ->
-  ?update_kernel:Safe_cache.kernel ->
   cfg:Config.t ->
   me:int ->
   Message.t Engine.t ->
   t
 (** [attach_endpoint] on [Engine.endpoint engine ~me]: creates the party
     wired to the engine and registers its handler.
-    [mode] defaults to [Estimate]. [message_layer] selects the broadcast
-    implementations (default [`Interned], the fast path): the party owns
-    one {!Intern} hash-consing table shared by its rBC multiplexer and
-    every per-iteration oBC instance, created fresh per party — so a run
-    never sees another run's payload ids. [`Reference] wires the seed
-    Map-based layers instead; both produce bit-identical traces.
-    [`Batched] runs the interned vote tables behind a {!Batch} egress
-    buffer: all rBC votes emitted within a tick leave as one combined
-    packet per receiver when the engine's end-of-tick flusher fires —
-    protocol behaviour (outputs, iterations, monitor verdicts) is
-    identical under RNG-free delay policies, while sent-message counts
-    drop from Θ(n³) to Θ(n²) per iteration.
     [safe_cache] memoises the new-value rule; pass one cache to every
     party of a run ({!Maaa.run} and the harness runner do) so identical
     report multisets are evaluated once per run instead of once per
     party. Results are bit-identical either way — the cache is keyed on
-    the exact value multiset. Never share one across engines/runs.
-    [update_kernel] (default [`Safe_area]) selects the iteration update
-    rule: the paper's safe-area diameter-midpoint, or the centroid-style
-    rule ({!Safe_area.centroid_value_arr}) that skips the diameter LPs on
-    the hot path. Both adopt points of the safe area, so Validity and
-    per-iteration containment are preserved by construction; the Πinit
-    estimation uses the same kernel (see E17 for the head-to-head). *)
+    the exact value multiset. Never share one across engines/runs. *)
 
 val start : t -> Vec.t -> unit
 (** Join the protocol with input [v] (dimension must match the config). *)

@@ -72,7 +72,10 @@ for bad in "--cases 0" "--cases x" "--domains 0" "--seed banana" \
     "--mutant bogus" "--wall -1" "--resume" "--inject-stuck 99 --cases 5" \
     "--message-layer bogus" "--protocol bogus" "--message-layer" \
     "--protocol" "--update-kernel bogus" "--update-kernel" \
-    "--transport bogus" "--transport"; do
+    "--transport bogus" "--transport" \
+    "--protocol ew --mutant premature-output" \
+    "--protocol ew --message-layer batched" \
+    "--protocol ew --update-kernel centroid"; do
   rc=0
   dune exec bin/soak_main.exe -- $bad --out /dev/null >/dev/null 2>&1 || rc=$?
   if [ "$rc" -ne 2 ]; then
@@ -117,7 +120,8 @@ echo "== explore CLI validation (one-line errors, exit 2) =="
 for bad in "--mode bogus" "--mode" "--mutant bogus" "--adversary bogus" \
     "--adversary crash:x:2" "--n 0" "--n x" "--d 0" "--ts -1" "--eps 0" \
     "--eps x" "--delta 0" "--depth -1" "--max-execs 0" "--protocol bogus" \
-    "--out" "--replay" "--frobnicate" "--n 3 --ts 1"; do
+    "--out" "--replay" "--frobnicate" "--n 3 --ts 1" \
+    "--protocol ew --mutant premature-output"; do
   rc=0
   dune exec bin/explore_main.exe -- $bad >/dev/null 2>&1 || rc=$?
   if [ "$rc" -ne 2 ]; then

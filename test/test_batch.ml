@@ -112,8 +112,10 @@ let test_engine_flusher () =
 
 (* --- scenario helpers --- *)
 
-let scenario ?(message_layer = `Interned) ?(protocol = `Maaa)
-    ?(corruptions = []) ?policy ?(sync_network = true) ~name ~n ~ts ~ta ~d ()
+let batched = Party.Batched { window = 1 }
+let on layer = Scenario.Maaa { Party.default_opts with layer }
+
+let scenario ?(protocol = Scenario.maaa) ?(corruptions = []) ?policy ?(sync_network = true) ~name ~n ~ts ~ta ~d ()
     =
   let cfg = Config.make_exn ~n ~ts ~ta ~d ~eps:0.1 ~delta:10 in
   let inputs =
@@ -121,7 +123,7 @@ let scenario ?(message_layer = `Interned) ?(protocol = `Maaa)
         Vec.of_list (List.init d (fun c -> float_of_int ((i + c) mod 4))))
   in
   Scenario.make ~name ~seed:(Int64.of_int ((n * 977) + d)) ~cfg ~inputs
-    ?policy ~sync_network ~corruptions ~message_layer ~protocol ()
+    ?policy ~sync_network ~corruptions ~protocol ()
 
 (* Fields that intentionally differ across layers: packet/byte/event
    counts, traffic rows, and the monitor's per-send check tally. *)
@@ -152,7 +154,7 @@ let grid () =
             (fun (bname, corruptions) ->
               ( Printf.sprintf "batch-diff D=%d %s %s" d pname bname,
                 fun layer ->
-                  scenario ~message_layer:layer ~corruptions ~policy
+                  scenario ~protocol:(on layer) ~corruptions ~policy
                     ~sync_network:sync
                     ~name:(Printf.sprintf "D=%d %s %s" d pname bname)
                     ~n ~ts ~ta ~d () ))
@@ -174,8 +176,8 @@ let grid () =
 let test_grid_differential () =
   List.iter
     (fun (name, mk) ->
-      let a = Runner.run ~monitor:true (mk `Batched) in
-      let b = Runner.run ~monitor:true (mk `Interned) in
+      let a = Runner.run ~monitor:true (mk batched) in
+      let b = Runner.run ~monitor:true (mk Party.Interned) in
       Alcotest.(check bool)
         (name ^ " masked records identical") true
         (compare (normalize a) (normalize b) = 0);
@@ -187,7 +189,7 @@ let test_grid_differential () =
 
 (* --- expanded logical trace: same vote multiset, same ticks --- *)
 
-let logical_sends ?batch_window message_layer =
+let logical_sends layer =
   let n = 5 in
   let cfg = Config.make_exn ~n ~ts:1 ~ta:1 ~d:2 ~eps:0.1 ~delta:10 in
   let inputs =
@@ -213,15 +215,15 @@ let logical_sends ?batch_window message_layer =
       | _ -> ());
   let parties =
     List.init n (fun i ->
-        Party.attach ~message_layer ?batch_window ~cfg ~me:i engine)
+        Party.attach ~opts:{ Party.default_opts with layer } ~cfg ~me:i engine)
   in
   List.iteri (fun i p -> Party.start p (List.nth inputs i)) parties;
   Engine.run engine;
   (List.sort compare !sends, List.map Party.output parties)
 
 let test_logical_trace () =
-  let sa, oa = logical_sends `Batched in
-  let sb, ob = logical_sends `Interned in
+  let sa, oa = logical_sends batched in
+  let sb, ob = logical_sends Party.Interned in
   Alcotest.(check int) "same number of logical votes" (List.length sb)
     (List.length sa);
   Alcotest.(check bool)
@@ -242,8 +244,8 @@ let test_window_logical_trace () =
          (fun (_, _, src, dst, (id, step, _payload)) -> (src, dst, id, step))
          sends)
   in
-  let sw, ow = logical_sends ~batch_window:3 `Batched in
-  let sb, _ = logical_sends `Batched in
+  let sw, ow = logical_sends (Party.Batched { window = 3 }) in
+  let sb, _ = logical_sends batched in
   Alcotest.(check int) "same number of logical votes" (List.length sb)
     (List.length sw);
   Alcotest.(check bool)
@@ -262,7 +264,7 @@ let test_reduction_n12 () =
   in
   let batched =
     msgs_of
-      (scenario ~message_layer:`Batched ~name:"batched n12" ~n:12 ~ts:2 ~ta:1
+      (scenario ~protocol:(on batched) ~name:"batched n12" ~n:12 ~ts:2 ~ta:1
          ~d:2 ())
   in
   let ratio = float_of_int reference /. float_of_int batched in
@@ -275,7 +277,7 @@ let test_reduction_n12 () =
 let test_ew_converges () =
   let r =
     Runner.run ~monitor:true
-      (scenario ~protocol:`Ew ~name:"ew honest" ~n:8 ~ts:2 ~ta:1 ~d:2 ())
+      (scenario ~protocol:Scenario.Ew ~name:"ew honest" ~n:8 ~ts:2 ~ta:1 ~d:2 ())
   in
   Alcotest.(check bool) "live" true r.Runner.live;
   Alcotest.(check bool) "valid" true r.Runner.valid;
@@ -287,7 +289,7 @@ let test_ew_converges () =
 let test_ew_silent_corruption () =
   let r =
     Runner.run ~monitor:true
-      (scenario ~protocol:`Ew ~corruptions:[ (3, Behavior.Silent) ]
+      (scenario ~protocol:Scenario.Ew ~corruptions:[ (3, Behavior.Silent) ]
          ~policy:(Network.targeted_slow ~delta:10 ~victims:(fun i -> i = 2))
          ~sync_network:false ~name:"ew silent" ~n:8 ~ts:2 ~ta:1 ~d:2 ())
   in
@@ -302,7 +304,7 @@ let test_ew_silent_corruption () =
    or take the iteration count; the cubic protocol would give ×64. *)
 let test_ew_quadratic () =
   let msgs n =
-    msgs_of (scenario ~protocol:`Ew ~name:"ew sweep" ~n ~ts:2 ~ta:1 ~d:2 ())
+    msgs_of (scenario ~protocol:Scenario.Ew ~name:"ew sweep" ~n ~ts:2 ~ta:1 ~d:2 ())
   in
   let m8 = msgs 8 and m32 = msgs 32 in
   let ratio = float_of_int m32 /. float_of_int m8 in

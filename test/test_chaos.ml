@@ -325,20 +325,21 @@ let count_outcome (o : Soak.outcome) name =
 
 let test_soak_catches_mutants () =
   List.iter
-    (fun (mutant, expected_invariant) ->
+    (fun (m, expected_invariant) ->
       let config =
         {
           Soak.default with
           Soak.cases = 2;
           seed = 3L;
           domains = 1;
-          mutant = Some mutant;
+          protocol =
+            Scenario.Maaa { Party.default_opts with mutant = Some m };
           max_shrink = 60;
         }
       in
       let o = Soak.execute config in
       Alcotest.(check bool)
-        (Soak.mutant_to_string (Some mutant) ^ " detected")
+        (Scenario.Spec.(to_string mutant (Some m)) ^ " detected")
         true
         (o.Soak.violations_total > 0);
       Alcotest.(check bool)

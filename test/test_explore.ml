@@ -362,13 +362,14 @@ let test_explorer_pruning_reduces () =
 
 let test_explorer_rediscovers_mutants () =
   List.iter
-    (fun (mutant, invariant) ->
+    (fun (m, invariant) ->
       let config =
-        Explore.default_config ~mutant ~max_schedule_depth:1 ~cfg:explore_cfg
-          ~inputs:explore_inputs ()
+        Explore.default_config
+          ~protocol:(Scenario.Maaa { Party.default_opts with mutant = Some m })
+          ~max_schedule_depth:1 ~cfg:explore_cfg ~inputs:explore_inputs ()
       in
       let r = Explore.explore config in
-      let name = Explore.mutant_repr (Some mutant) in
+      let name = Scenario.Spec.(to_string mutant (Some m)) in
       Alcotest.(check bool) (name ^ " flagged") true
         (r.Explore.counterexamples <> []);
       List.iter
@@ -393,7 +394,11 @@ let test_explorer_rediscovers_mutants () =
 
 let test_explorer_quarantine_roundtrip () =
   let config =
-    Explore.default_config ~mutant:Party.Premature_output ~max_schedule_depth:1
+    Explore.default_config
+      ~protocol:
+        (Scenario.Maaa
+           { Party.default_opts with mutant = Some Party.Premature_output })
+      ~max_schedule_depth:1
       ~cfg:explore_cfg ~inputs:explore_inputs ()
   in
   let r = Explore.explore config in
@@ -422,6 +427,41 @@ let test_explorer_quarantine_rejects_garbage () =
       match Explore.replay_quarantine ~path with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "garbage file accepted")
+
+(* A malformed %-escape in the header is a parse error naming the line,
+   not an exception out of the decoder. *)
+let test_explorer_quarantine_bad_escape () =
+  let config =
+    Explore.default_config ~max_schedule_depth:0 ~cfg:explore_cfg
+      ~inputs:explore_inputs ()
+  in
+  let path = Filename.temp_file "explore-escape" ".tsv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Explore.write_quarantine ~path config (Explore.explore config);
+      let ic = open_in_bin path in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let bad = "adversary=%zz" in
+      let text =
+        String.concat "\t"
+          (List.map
+             (fun f -> if f = "adversary=honest" then bad else f)
+             (String.split_on_char '\t' text))
+      in
+      Alcotest.(check bool) "header carries the bad escape" true
+        (List.mem bad (String.split_on_char '\t' text));
+      let oc = open_out_bin path in
+      output_string oc text;
+      close_out oc;
+      match Explore.replay_quarantine ~path with
+      | Ok _ -> Alcotest.fail "bad escape accepted"
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "error names line 1 (%s)" e)
+            true
+            (String.length e > 7 && String.sub e 0 7 = "line 1:"))
 
 let () =
   Alcotest.run "explore"
@@ -467,5 +507,7 @@ let () =
             test_explorer_quarantine_roundtrip;
           Alcotest.test_case "quarantine rejects garbage" `Quick
             test_explorer_quarantine_rejects_garbage;
+          Alcotest.test_case "quarantine bad escape is an error" `Quick
+            test_explorer_quarantine_bad_escape;
         ] );
     ]

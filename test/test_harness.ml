@@ -136,7 +136,9 @@ let test_centroid_kernel_monitored_clean () =
       let s =
         Scenario.make
           ~name:(Printf.sprintf "centroid-d%d" d)
-          ~update_kernel:`Centroid ~corruptions ~cfg ~inputs ()
+          ~protocol:
+            (Scenario.Maaa { Party.default_opts with kernel = `Centroid })
+          ~corruptions ~cfg ~inputs ()
       in
       let r = Runner.run ~monitor:true s in
       let name fmt = Printf.sprintf ("d=%d: " ^^ fmt) d in

@@ -106,7 +106,7 @@ let test_intern_reset () =
    Interned and Reference layers must produce traces that [compare]
    equal: the canonical payloads the fast path re-broadcasts are
    structurally equal to what the seed layer would have sent. *)
-let trace_of message_layer =
+let trace_of layer =
   let n = 5 in
   let cfg = Config.make_exn ~n ~ts:1 ~ta:1 ~d:2 ~eps:0.1 ~delta:10 in
   let inputs =
@@ -119,15 +119,16 @@ let trace_of message_layer =
   let events = ref [] in
   Engine.set_tracer engine (fun ev -> events := ev :: !events);
   let parties =
-    List.init n (fun i -> Party.attach ~message_layer ~cfg ~me:i engine)
+    List.init n (fun i ->
+        Party.attach ~opts:{ Party.default_opts with layer } ~cfg ~me:i engine)
   in
   List.iteri (fun i p -> Party.start p (List.nth inputs i)) parties;
   Engine.run engine;
   (List.rev !events, List.map Party.output parties, Engine.stats engine)
 
 let test_traces_identical () =
-  let ta, oa, sa = trace_of `Interned in
-  let tb, ob, sb = trace_of `Reference in
+  let ta, oa, sa = trace_of Party.Interned in
+  let tb, ob, sb = trace_of Party.Reference in
   Alcotest.(check int) "trace length" (List.length tb) (List.length ta);
   Alcotest.(check bool) "traces compare equal" true (compare ta tb = 0);
   Alcotest.(check bool) "outputs compare equal" true (compare oa ob = 0);
@@ -167,8 +168,9 @@ let grid () =
 let test_grid_differential () =
   List.iter
     (fun s ->
-      let a = Runner.run { s with Scenario.message_layer = `Interned } in
-      let b = Runner.run { s with Scenario.message_layer = `Reference } in
+      let on layer = Scenario.Maaa { Party.default_opts with layer } in
+      let a = Runner.run { s with Scenario.protocol = on Party.Interned } in
+      let b = Runner.run { s with Scenario.protocol = on Party.Reference } in
       (* the caches field legitimately differs: the reference layer has
          no intern table, so its hit/miss counters stay zero *)
       let b = { b with Runner.caches = a.Runner.caches } in

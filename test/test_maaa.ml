@@ -233,7 +233,9 @@ let test_fixed_t_mode () =
   in
   let parties =
     List.init 8 (fun i ->
-        Party.attach ~mode:(Party.Fixed_t t_true) ~cfg:cfg_2d ~me:i engine)
+        Party.attach
+          ~opts:{ Party.default_opts with mode = Party.Fixed_t t_true }
+          ~cfg:cfg_2d ~me:i engine)
   in
   List.iteri (fun i p -> Party.start p (List.nth inputs i)) parties;
   Engine.run engine;
@@ -258,7 +260,11 @@ let test_fixed_t_mode () =
 
 let test_fixed_t_validation () =
   let engine = Engine.create ~n:8 ~policy:Network.instant () in
-  let p = Party.attach ~mode:(Party.Fixed_t 0) ~cfg:cfg_2d ~me:0 engine in
+  let p =
+    Party.attach
+      ~opts:{ Party.default_opts with mode = Party.Fixed_t 0 }
+      ~cfg:cfg_2d ~me:0 engine
+  in
   Alcotest.check_raises "T >= 1 required"
     (Invalid_argument "Party.start: Fixed_t needs T >= 1") (fun () ->
       Party.start p (Vec.zero 2))

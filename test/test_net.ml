@@ -448,7 +448,175 @@ let test_parse_request () =
     (is_err "agree v=1 d=1 eps=0.1 delta=4 ts=1 ta=0 transport=udp inputs=0;1");
   Alcotest.(check bool) "unknown verb" true (is_err "decide v=1 d=1");
   Alcotest.(check bool) "crlf tolerated" true
-    (match Serve.parse_request (good_line ^ "\r") with Ok _ -> true | Error _ -> false)
+    (match Serve.parse_request (good_line ^ "\r") with Ok _ -> true | Error _ -> false);
+  (* the key set is closed: a misspelt key must not silently run with
+     its default, and a repeated one must not silently take the last *)
+  let err line =
+    match Serve.parse_request line with
+    | Ok _ -> Alcotest.failf "accepted %S" line
+    | Error e -> e
+  in
+  Alcotest.(check string) "unknown key named"
+    "unknown field \"trnasport\" (expected \
+     v|d|eps|delta|ts|ta|transport|seed|inputs)"
+    (err (good_line ^ " trnasport=net"));
+  Alcotest.(check string) "duplicate key named" "duplicate field seed="
+    (err (good_line ^ " seed=3 seed=4"))
+
+(* One malformed line per error class, each answered as the front door
+   answered it before the parser moved into [Scenario.Spec]: the reply
+   text is a client-visible contract. *)
+let golden_errs =
+  [
+    ("agree v=1 d=1 eps=0.1 delta=4 ts=1 inputs=0;1",
+     "err missing required field ta=");
+    ("agree v=1 d=x eps=0.1 delta=4 ts=1 ta=0 inputs=0;1",
+     "err d expects an integer (got \"x\")");
+    ("agree v=1 d=1 eps=0.1 delta=4 ts=1 ta=0.5 inputs=0;1",
+     "err ta expects an integer (got \"0.5\")");
+    ("agree v=1 d=1 eps=x delta=4 ts=1 ta=0 inputs=0;1",
+     "err eps expects a float (got \"x\")");
+    ("agree v=2 d=1 eps=0.1 delta=4 ts=1 ta=0 inputs=0;1",
+     "err unsupported protocol version \"2\"");
+    ("agree d=1 eps=0.1 delta=4 ts=1 ta=0 inputs=0;1",
+     "err missing required field v=");
+    ("decide v=1 d=1", "err unknown verb \"decide\" (expected agree)");
+    ("", "err empty request");
+    ("agree v=1 d=1 eps=0.1 delta=4 ts=1 ta=0 transport=udp inputs=0;1",
+     "err unknown transport \"udp\" (expected sim|net)");
+    ("agree v=1 d=1 eps=0.1 delta=4 ts=1 ta=0 seed=banana inputs=0;1",
+     "err seed expects a 64-bit integer (got \"banana\")");
+    ("agree v=1 d=0 eps=0.1 delta=4 ts=1 ta=0 inputs=0;1",
+     "err d must be >= 1 (got 0)");
+    ("agree v=1 d=2 eps=0.1 delta=4 ts=1 ta=0 inputs=0;1",
+     "err input \"0\" has 1 coordinates (d=2)");
+    ("agree v=1 d=1 eps=0.1 delta=4 ts=1 ta=0 inputs=0;x",
+     "err input \"x\": bad float");
+    ("agree v=1 d=1 eps=0.1 delta=4 ts=1 ta=0 inputs=;;",
+     "err inputs= is empty");
+    ("agree v=1 d=1 eps=0.1 delta=4 ts=1 ta=0 inputs=",
+     "err inputs= is empty");
+    ("agree v=1 d=1 eps oops ts=1 ta=0 inputs=0;1",
+     "err malformed field \"eps\" (want key=value)");
+    ("agree v=1 d=1 eps=0.1 delta=4 ts=9 ta=0 inputs=0;1",
+     "err resilience violated: need (D+1)*ts + ta < n, got 18 >= 2");
+    ("agree v=1 d=1 eps=0.1 delta=4 ts=0 ta=2 inputs=0;1;2",
+     "err need 0 <= ta <= ts");
+  ]
+
+let test_golden_errs () =
+  Alcotest.(check (list string))
+    "err replies byte-identical" (List.map snd golden_errs)
+    (Serve.handle_batch (List.map fst golden_errs))
+
+(* -- Scenario.Spec: every spelling round-trips ---------------------------- *)
+
+let finite_float =
+  QCheck.Gen.map
+    (fun b ->
+      let f = Int64.float_of_bits b in
+      if Float.is_finite f then f else 0.5)
+    QCheck.Gen.ui64
+
+let gen_request =
+  QCheck.Gen.(
+    let* d = int_range 1 4 in
+    let* n = int_range 1 6 in
+    let* eps = finite_float in
+    let* delta = int in
+    let* ts = int in
+    let* ta = int in
+    let* transport = oneofl [ `Sim; `Net ] in
+    let* seed = ui64 in
+    let* inputs = list_repeat n (array_repeat d finite_float) in
+    return
+      {
+        Scenario.Spec.d;
+        eps;
+        delta;
+        ts;
+        ta;
+        transport;
+        seed;
+        inputs = List.map Vec.of_array inputs;
+      })
+
+(* bit-exact: [=] would equate 0. and -0. *)
+let same_request (a : Scenario.Spec.request) (b : Scenario.Spec.request) =
+  let bits f = Int64.bits_of_float f in
+  let vec_bits v = List.map bits (Vec.to_list v) in
+  bits a.eps = bits b.eps
+  && List.map vec_bits a.inputs = List.map vec_bits b.inputs
+  && { a with eps = 0.; inputs = [] } = { b with eps = 0.; inputs = [] }
+
+let prop_spec_line =
+  QCheck.Test.make ~name:"of_line (to_line r) = Ok r, bit-exact" ~count:300
+    (QCheck.make ~print:Scenario.Spec.to_line gen_request)
+    (fun r ->
+      match Scenario.Spec.of_line (Scenario.Spec.to_line r) with
+      | Ok r' -> same_request r r'
+      | Error _ -> false)
+
+let prop_spec_escape =
+  QCheck.Test.make ~name:"decode (encode s) = Ok s" ~count:500
+    QCheck.(string_of_size Gen.(int_range 0 64))
+    (fun s ->
+      let e = Scenario.Spec.encode s in
+      Scenario.Spec.decode e = Ok s
+      && not (String.exists (fun c -> c = '\t' || c = '~' || c = '\n') e))
+
+let test_spec_keys () =
+  let open Scenario.Spec in
+  let roundtrip k =
+    List.for_all (fun v -> of_string k (to_string k v) = Ok v) (values k)
+  in
+  Alcotest.(check bool) "mutant" true (roundtrip mutant);
+  Alcotest.(check bool) "layer" true (roundtrip layer);
+  Alcotest.(check bool) "kernel" true (roundtrip kernel);
+  Alcotest.(check bool) "transport" true (roundtrip transport);
+  let protocols =
+    Scenario.Ew
+    :: List.concat_map
+         (fun m ->
+           List.concat_map
+             (fun l ->
+               List.map
+                 (fun k ->
+                   Scenario.Maaa
+                     { Party.default_opts with mutant = m; layer = l; kernel = k })
+                 (values kernel))
+             (values layer))
+         (values mutant)
+  in
+  Alcotest.(check int) "every protocol spelled" 19 (List.length protocols);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) "protocol round-trips" true
+        (protocol_of_fields (protocol_fields p) = Ok p))
+    protocols;
+  List.iter
+    (fun (k, v, err) ->
+      Alcotest.(check bool) ("ew with " ^ k ^ " is unbuildable") true
+        (protocol_of_fields [ (k, v); ("protocol", "ew") ] = Error err))
+    [
+      ("mutant", "premature-output",
+       "mutant premature-output applies only to protocol maaa");
+      ("layer", "batched", "message layer batched applies only to protocol maaa");
+      ("kernel", "centroid", "update kernel centroid applies only to protocol maaa");
+    ];
+  Alcotest.(check bool) "ew with default keys is ew" true
+    (protocol_of_fields [ ("protocol", "ew"); ("layer", "interned") ] = Ok Scenario.Ew);
+  Alcotest.(check bool) "unknown spelling" true
+    (of_string layer "bogus"
+    = Error "unknown message layer \"bogus\" (expected interned|reference|batched)");
+  Alcotest.(check bool) "bad escape" true
+    (Result.is_error (decode "%zz") && Result.is_error (decode "ab%4"));
+  Alcotest.check_raises "Fixed_t has no spelling"
+    (Invalid_argument "Scenario.Spec: no spelling for the Fixed_t mode")
+    (fun () ->
+      ignore
+        (protocol_fields
+           (Scenario.Maaa { Party.default_opts with mode = Party.Fixed_t 2 })))
 
 let test_handle_batch () =
   let resps =
@@ -600,6 +768,10 @@ let () =
       ( "front door",
         [
           Alcotest.test_case "request parsing" `Quick test_parse_request;
+          Alcotest.test_case "golden err replies" `Quick test_golden_errs;
+          Alcotest.test_case "spec keys round-trip" `Quick test_spec_keys;
+          QCheck_alcotest.to_alcotest prop_spec_line;
+          QCheck_alcotest.to_alcotest prop_spec_escape;
           Alcotest.test_case "batch core ordering" `Quick test_handle_batch;
           Alcotest.test_case "batch core: one engine per request" `Quick
             test_handle_batch_own_engines;
