@@ -15,7 +15,9 @@
    are rediscovered with replay-verified shrunk repros, and DPOR pruning
    plus state dedup beat naive enumeration by the pinned factor.
    --mutant applies to ΠAA only: --protocol ew with a mutant other than
-   none is rejected, whatever the flag order.
+   none is rejected, whatever the flag order. --check and --replay run
+   configurations of their own, so they reject each other and every
+   exploration flag.
    Exit codes: 0 clean, 1 violations found / gate failed / replay failed,
    2 argument errors and unparsable --replay files (one line on
    stderr). *)
@@ -177,7 +179,19 @@ let () =
   let out = ref None in
   let replay_file = ref None in
   let check = ref false in
-  let rec parse = function
+  (* the first exploration flag given, which --check and --replay reject *)
+  let explore_flag = ref None in
+  let rec parse args =
+    (match args with
+    | flag :: _
+      when !explore_flag = None
+           && List.mem flag
+                [ "--mode"; "--mutant"; "--protocol"; "--adversary"; "--n";
+                  "--d"; "--ts"; "--ta"; "--eps"; "--delta"; "--depth";
+                  "--max-events"; "--max-execs"; "--max-cx"; "--out" ] ->
+        explore_flag := Some flag
+    | _ -> ());
+    match args with
     | [] -> ()
     | "--check" :: rest ->
         check := true;
@@ -244,6 +258,11 @@ let () =
     | flag :: _ -> die "unknown argument %S" flag
   in
   parse (List.tl (Array.to_list Sys.argv));
+  (match (!check, !replay_file, !explore_flag) with
+  | true, Some _, _ -> die "--check and --replay are mutually exclusive"
+  | true, None, Some flag -> die "%s does not apply to --check" flag
+  | false, Some _, Some flag -> die "%s does not apply to --replay" flag
+  | _ -> ());
   let protocol =
     match Scenario.Spec.protocol_of_fields !protocol_keys with
     | Ok p -> p

@@ -17,8 +17,9 @@
    variant must be caught. The report is byte-identical for any --domains.
    --mutant, --message-layer and --update-kernel configure ΠAA only:
    --protocol ew with any of them at a non-default value is rejected,
-   whatever the flag order. All argument errors are one line on stderr
-   and exit code 2. *)
+   whatever the flag order. --smoke is --cases 60; giving both is rejected
+   in either order. All argument errors are one line on stderr and exit
+   code 2. *)
 
 let die fmt =
   Printf.ksprintf
@@ -43,7 +44,8 @@ let nonneg_int ~flag v =
   | None -> die "%s expects a non-negative integer (got %S)" flag v
 
 let () =
-  let cases = ref Soak.default.Soak.cases in
+  let cases = ref None in
+  let smoke = ref false in
   let seed = ref Soak.default.Soak.seed in
   let domains =
     ref
@@ -67,7 +69,7 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--cases" :: v :: rest ->
-        cases := pos_int ~flag:"--cases" v;
+        cases := Some (pos_int ~flag:"--cases" v);
         parse rest
     | "--seed" :: v :: rest -> (
         match Int64.of_string_opt v with
@@ -123,7 +125,7 @@ let () =
             parse rest
         | Error msg -> die "%s" msg)
     | "--smoke" :: rest ->
-        cases := 60;
+        smoke := true;
         parse rest
     | [ flag ]
       when List.mem flag
@@ -144,6 +146,12 @@ let () =
           flag
   in
   parse (List.tl (Array.to_list Sys.argv));
+  let cases =
+    match (!smoke, !cases) with
+    | true, Some _ -> die "--smoke and --cases are mutually exclusive"
+    | true, None -> 60
+    | false, c -> Option.value c ~default:Soak.default.Soak.cases
+  in
   let protocol =
     match Scenario.Spec.protocol_of_fields !protocol_keys with
     | Ok p -> p
@@ -155,12 +163,12 @@ let () =
       die "--resume: journal %s does not exist" path
   | _ -> ());
   (match !stuck with
-  | Some i when i >= !cases ->
-      die "--inject-stuck %d is out of range (only %d cases)" i !cases
+  | Some i when i >= cases ->
+      die "--inject-stuck %d is out of range (only %d cases)" i cases
   | _ -> ());
   let config =
     {
-      Soak.cases = !cases;
+      Soak.cases = cases;
       seed = !seed;
       domains = !domains;
       max_shrink = Soak.default.Soak.max_shrink;

@@ -75,7 +75,8 @@ for bad in "--cases 0" "--cases x" "--domains 0" "--seed banana" \
     "--transport bogus" "--transport" \
     "--protocol ew --mutant premature-output" \
     "--protocol ew --message-layer batched" \
-    "--protocol ew --update-kernel centroid"; do
+    "--protocol ew --update-kernel centroid" \
+    "--cases 6 --smoke" "--smoke --cases 6"; do
   rc=0
   dune exec bin/soak_main.exe -- $bad --out /dev/null >/dev/null 2>&1 || rc=$?
   if [ "$rc" -ne 2 ]; then
@@ -121,7 +122,8 @@ for bad in "--mode bogus" "--mode" "--mutant bogus" "--adversary bogus" \
     "--adversary crash:x:2" "--n 0" "--n x" "--d 0" "--ts -1" "--eps 0" \
     "--eps x" "--delta 0" "--depth -1" "--max-execs 0" "--protocol bogus" \
     "--out" "--replay" "--frobnicate" "--n 3 --ts 1" \
-    "--protocol ew --mutant premature-output"; do
+    "--protocol ew --mutant premature-output" \
+    "--check --mutant premature-output" "--replay x.tsv --protocol ew"; do
   rc=0
   dune exec bin/explore_main.exe -- $bad >/dev/null 2>&1 || rc=$?
   if [ "$rc" -ne 2 ]; then
