@@ -375,7 +375,7 @@ let b11_vote_storm impl () =
         deliver = (fun _ _ -> incr delivered);
       }
   in
-  let id = { Message.tag = Message.Init_value; origin = 0; instance = 0 } in
+  let id = { Message.tag = Message.Init_value; origin = 0 } in
   Rbc.on_message rbc ~from:0 id Message.Init b11_storm_payload;
   for s = 0 to n - 1 do
     Rbc.on_message rbc ~from:s id Message.Echo b11_storm_payload
@@ -394,7 +394,7 @@ let b11_instances impl () =
       { Rbc.send_all = (fun _ -> ()); deliver = (fun _ _ -> ()) }
   in
   for o = 0 to 15 do
-    let id = { Message.tag = Message.Obc_value o; origin = o; instance = 0 } in
+    let id = { Message.tag = Message.Obc_value o; origin = o } in
     for s = 0 to 7 do
       Rbc.on_message rbc ~from:s id Message.Echo b11_storm_payload
     done
@@ -442,31 +442,6 @@ let b11_message_layer =
              for _ = 1 to 8 do
                b11_instances `Reference ()
              done));
-    ]
-
-let centroid = { Party.default_opts with kernel = `Centroid }
-
-(* B13: update-kernel head-to-head on wall-clock — one full protocol run
-   per line, safe-area midpoint rule vs the centroid rule (which skips
-   the per-iteration diameter query entirely). Two dimensions on purpose:
-   at D=3 the exact Hull3d arm already makes the diameter query cheap, so
-   the centroid rule buys little (and can lose on extra iterations); at
-   D=4 the safe area is the implicit LP arm, whose diameter search is the
-   cost the centroid rule deletes. Rounds-to-ε for the same pairing are
-   in experiment E17; this group prices the iteration. *)
-let b13_kernel =
-  Test.make_grouped ~name:"B13 update kernel n=8"
-    [
-      Test.make ~name:"D=3 safe-area midpoint"
-        (Staged.stage (protocol_run ~n:8 ~ts:1 ~ta:1 ~d:3 ~seed:1L ()));
-      Test.make ~name:"D=3 centroid"
-        (Staged.stage
-           (protocol_run ~opts:centroid ~n:8 ~ts:1 ~ta:1 ~d:3 ~seed:1L ()));
-      Test.make ~name:"D=4 safe-area midpoint"
-        (Staged.stage (protocol_run ~n:8 ~ts:1 ~ta:1 ~d:4 ~seed:1L ()));
-      Test.make ~name:"D=4 centroid"
-        (Staged.stage
-           (protocol_run ~opts:centroid ~n:8 ~ts:1 ~ta:1 ~d:4 ~seed:1L ()));
     ]
 
 (* B14: instances/sec saturation — many small (n=4, D=1) agreement
@@ -600,7 +575,7 @@ let tests =
     [
       b1_safe_area; b2_representations; b3_lp; b4_hull;
       b6_protocol; b7_rbc; b8_subsets; b9_problem; b10_sweep;
-      b11_message_layer; b13_kernel; b14_saturation;
+      b11_message_layer; b14_saturation;
     ]
 
 (* B5's seed one-shot line runs ~1 s per sample: a 1 s quota admits one
@@ -751,14 +726,6 @@ let write_json ~oc ~quota ~sweeps rows =
         speedup rows
           ~baseline:"B2D safe-area diameter sweep/D=5 seed one-shot reference"
           ~target:"B2D safe-area diameter sweep/D=5 support-cached workspace" );
-      ( "b13_kernel_centroid_vs_safe_area_d3",
-        speedup rows
-          ~baseline:"B13 update kernel n=8/D=3 safe-area midpoint"
-          ~target:"B13 update kernel n=8/D=3 centroid" );
-      ( "b13_kernel_centroid_vs_safe_area_d4",
-        speedup rows
-          ~baseline:"B13 update kernel n=8/D=4 safe-area midpoint"
-          ~target:"B13 update kernel n=8/D=4 centroid" );
       ( "b8_speedup_m12_t3",
         speedup rows
           ~baseline:"B8 subset enumeration/seed recursive lists m=12 t=3 x32"
@@ -913,19 +880,6 @@ let () =
    with
   | Some s -> Format.printf "B2D exact hull3d speedup over implicit LP: %.2fx@." s
   | None -> ());
-  (match
-     ( speedup rows
-         ~baseline:"B13 update kernel n=8/D=3 safe-area midpoint"
-         ~target:"B13 update kernel n=8/D=3 centroid",
-       speedup rows
-         ~baseline:"B13 update kernel n=8/D=4 safe-area midpoint"
-         ~target:"B13 update kernel n=8/D=4 centroid" )
-   with
-  | Some s3, Some s4 ->
-      Format.printf
-        "B13 centroid kernel speedup over safe-area midpoint: D=3 %.2fx, D=4 %.2fx@."
-        s3 s4
-  | _ -> ());
   (match
      speedup rows
        ~baseline:"B6 full protocol run/n=12 D=2 ts=3 (reference msg layer)"

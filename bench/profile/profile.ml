@@ -45,7 +45,7 @@ let storm_payload = Message.Pvec (Vec.of_list [ 1.; 2. ])
 let engine_churn () =
   let engine = Engine.create ~seed:1L ~n:7 ~policy:(Network.lockstep ~delta:10) () in
   for i = 0 to 6 do Engine.set_party engine i (fun _ -> ()) done;
-  let msg = Message.Rbc ({ Message.tag = Message.Init_value; origin = 0; instance = 0 }, Message.Echo, storm_payload) in
+  let msg = Message.Rbc ({ Message.tag = Message.Init_value; origin = 0 }, Message.Echo, storm_payload) in
   for _ = 1 to 15 do Engine.broadcast engine ~src:0 msg done;
   Engine.run engine
 
@@ -56,7 +56,7 @@ let rbc_only impl () =
         Rbc.create ~impl ~n ~t
           { Rbc.send_all = (fun _ -> ()); deliver = (fun _ _ -> ()) })
   in
-  let id = { Message.tag = Message.Init_value; origin = 0; instance = 0 } in
+  let id = { Message.tag = Message.Init_value; origin = 0 } in
   Array.iter
     (fun rbc ->
       Rbc.on_message rbc ~from:0 id Message.Init storm_payload;

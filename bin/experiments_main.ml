@@ -1,12 +1,12 @@
 (* Regenerates every experiment report of EXPERIMENTS.md.
-   Usage: experiments.exe [--domains N] [e1 ... e17]
+   Usage: experiments.exe [--domains N] [e1 ... e16]
    No experiment id runs everything. Independent scenario batches run on
    N worker domains (also settable via MAAA_DOMAINS; default
    Domain.recommended_domain_count). The report text is byte-identical
    for every N — see DESIGN.md §7 "Parallel harness & determinism". *)
 
 let usage () =
-  prerr_endline "usage: experiments.exe [--domains N] [e1 ... e17]";
+  prerr_endline "usage: experiments.exe [--domains N] [e1 ... e16]";
   exit 2
 
 let () =
@@ -43,7 +43,7 @@ let () =
             | Some run -> run ()
             | None ->
                 prerr_endline
-                  ("unknown experiment '" ^ id ^ "'; known: e1 .. e17");
+                  ("unknown experiment '" ^ id ^ "'; known: e1 .. e16");
                 false)
           ids
   in

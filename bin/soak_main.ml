@@ -1,7 +1,6 @@
 (* Randomized chaos soak driver.
    Usage: soak.exe [--cases N] [--seed S] [--domains N] [--mutant M]
                    [--message-layer interned|reference|batched]
-                   [--update-kernel safe-area|centroid]
                    [--protocol maaa|ew] [--transport sim|net]
                    [--out FILE] [--journal FILE] [--resume]
                    [--case-events N] [--wall SECONDS|none] [--retries N]
@@ -15,11 +14,10 @@
    report. Exit code 1 when any invariant was violated — which is the
    EXPECTED outcome with --mutant, where a deliberately broken protocol
    variant must be caught. The report is byte-identical for any --domains.
-   --mutant, --message-layer and --update-kernel configure ΠAA only:
-   --protocol ew with any of them at a non-default value is rejected,
-   whatever the flag order. --smoke is --cases 60; giving both is rejected
-   in either order. All argument errors are one line on stderr and exit
-   code 2. *)
+   --mutant and --message-layer configure ΠAA only: --protocol ew with
+   either of them at a non-default value is rejected, whatever the flag
+   order. --smoke is --cases 60; giving both is rejected in either order.
+   All argument errors are one line on stderr and exit code 2. *)
 
 let die fmt =
   Printf.ksprintf
@@ -80,13 +78,10 @@ let () =
     | "--domains" :: v :: rest ->
         domains := pos_int ~flag:"--domains" v;
         parse rest
-    | (("--protocol" | "--mutant" | "--message-layer" | "--update-kernel") as
-       flag)
-      :: v :: rest ->
+    | (("--protocol" | "--mutant" | "--message-layer") as flag) :: v :: rest ->
         let key =
           match flag with
           | "--message-layer" -> "layer"
-          | "--update-kernel" -> "kernel"
           | f -> String.sub f 2 (String.length f - 2)
         in
         protocol_keys := (key, v) :: !protocol_keys;
@@ -131,16 +126,15 @@ let () =
       when List.mem flag
              [ "--cases"; "--seed"; "--domains"; "--mutant"; "--out";
                "--journal"; "--case-events"; "--wall"; "--retries";
-               "--inject-stuck"; "--message-layer"; "--update-kernel";
-               "--protocol"; "--transport" ] ->
+               "--inject-stuck"; "--message-layer"; "--protocol";
+               "--transport" ] ->
         die "%s expects a value" flag
     | flag :: _ ->
         die
           "unknown argument %S (usage: soak.exe [--cases N] [--seed S] \
            [--domains N] [--mutant M] [--message-layer \
-           interned|reference|batched] [--update-kernel safe-area|centroid] \
-           [--protocol maaa|ew] [--transport sim|net] [--out FILE] \
-           [--journal FILE] [--resume] \
+           interned|reference|batched] [--protocol maaa|ew] \
+           [--transport sim|net] [--out FILE] [--journal FILE] [--resume] \
            [--case-events N] [--wall SECONDS|none] [--retries N] \
            [--inject-stuck I] [--smoke])"
           flag

@@ -18,7 +18,7 @@ let equivocate_towards engine ~cfg ~me ~va ~vb ~lied_to =
         if lied_to dst then
           Engine.send engine ~src:me ~dst
             (Message.Rbc
-               ( { Message.tag; origin = me; instance = 0 },
+               ( { Message.tag; origin = me },
                  Message.Init,
                  Message.Pvec vb ))
       done)
@@ -61,7 +61,7 @@ let install engine ~cfg ~me ~input behavior =
       Party.start p input;
       Engine.broadcast engine ~src:me
         (Message.Rbc
-           ( { Message.tag = Message.Halt it; origin = me; instance = 0 },
+           ( { Message.tag = Message.Halt it; origin = me },
              Message.Init,
              Message.Pint it ))
   | Spam { period; payload_bytes; until } ->
@@ -91,26 +91,26 @@ let install engine ~cfg ~me ~input behavior =
           [
             (* report naming out-of-range and duplicate parties *)
             Message.Obc_report
-              { instance = 0; iter = 1; pairs = bogus_pairs };
+              { iter = 1; pairs = bogus_pairs };
             (* report for an iteration far in the future *)
             Message.Obc_report
-              { instance = 0; iter = 10_000; pairs = bogus_pairs };
+              { iter = 10_000; pairs = bogus_pairs };
             (* witness set full of bogus identifiers *)
             Message.Witness_set
-              { instance = 0; parties = [ -3; n; n + 1; 0; 0 ] };
+              { parties = [ -3; n; n + 1; 0; 0 ] };
             (* a reliably-broadcast report with junk content *)
             Message.Rbc
-              ( { Message.tag = Message.Init_report; origin = me; instance = 0 },
+              ( { Message.tag = Message.Init_report; origin = me },
                 Message.Init,
                 Message.Ppairs bogus_pairs );
             (* halt for a negative iteration *)
             Message.Rbc
-              ( { Message.tag = Message.Halt (-2); origin = me; instance = 0 },
+              ( { Message.tag = Message.Halt (-2); origin = me },
                 Message.Init,
                 Message.Pint (-2) );
             (* mismatched payload kinds *)
             Message.Rbc
-              ( { Message.tag = Message.Obc_value 1; origin = me; instance = 0 },
+              ( { Message.tag = Message.Obc_value 1; origin = me },
                 Message.Init,
                 Message.Pparties [ 1; 2 ] );
           ]

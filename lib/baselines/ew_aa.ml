@@ -69,7 +69,7 @@ let state t it =
       s
 
 let broadcast_value t it v =
-  t.send_all (Message.Ew_value { instance = 0; iter = it; value = v })
+  t.send_all (Message.Ew_value { iter = it; value = v })
 
 let rec step t =
   if t.output = None then begin
@@ -79,7 +79,7 @@ let rec step t =
       s.sent_report <- true;
       t.send_all
         (Message.Ew_report
-           { instance = 0; iter = it; pairs = Pairset.bindings s.m })
+           { iter = it; pairs = Pairset.bindings s.m })
     end;
     let validated, rest =
       IntMap.partition
@@ -167,12 +167,12 @@ let handle t ev =
               (* Late direct arrival: a delta claim, so slow senders still
                  gather their echo quorum. *)
               t.send_all
-                (Message.Ew_echo { instance = 0; iter = it; pairs = [ (src, v) ] })
+                (Message.Ew_echo { iter = it; pairs = [ (src, v) ] })
             else if Pairset.cardinal s.raw >= t.n - t.thr then begin
               s.sent_claims <- true;
               t.send_all
                 (Message.Ew_echo
-                   { instance = 0; iter = it; pairs = Pairset.bindings s.raw })
+                   { iter = it; pairs = Pairset.bindings s.raw })
             end
           end
         end

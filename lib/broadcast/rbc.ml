@@ -132,7 +132,7 @@ let tag_code = function
   | Message.Async_report it -> 5 + (4 * it)
 
 let id_equal (a : Message.rbc_id) (b : Message.rbc_id) =
-  a.origin = b.origin && a.instance = b.instance
+  a.origin = b.origin
   &&
   match (a.tag, b.tag) with
   | Message.Init_value, Message.Init_value
@@ -151,8 +151,7 @@ module IdTbl = Hashtbl.Make (struct
   let equal = id_equal
 
   let hash (id : Message.rbc_id) =
-    ((((tag_code id.tag * 0x01000193) lxor id.origin) * 0x01000193)
-    lxor id.instance)
+    (((tag_code id.tag * 0x01000193) lxor id.origin) * 0x01000193)
     land max_int
 end)
 
@@ -193,7 +192,7 @@ type fast = {
 
 (* The empty memo: [no_id] is recognised physically, so no id a peer
    sends can alias it. *)
-let no_id = { Message.tag = Message.Init_value; origin = -1; instance = -1 }
+let no_id = { Message.tag = Message.Init_value; origin = -1 }
 let no_instance = { echoed = false; readied = false; output = None; slots = [] }
 
 let bit_mem b i = Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0

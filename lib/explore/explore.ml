@@ -425,7 +425,7 @@ let explore config =
 
 (* -- quarantine journal (soak TSV idiom, own schema) -- *)
 
-let schema = "maaa-explore-quarantine/2"
+let schema = "maaa-explore-quarantine/3"
 
 (* The shared %-decoder, its error tagged with the line. *)
 let dec ~line v =
@@ -594,8 +594,8 @@ let parse_header line s =
   let ( let* ) = Result.bind in
   match String.split_on_char '\t' s with
   | [
-   sc; mode; n; d; ts; ta; eps; delta; protocol; mutant; layer; kernel;
-   adversary; inputs; max_events; max_execs; depth; max_cx; ".";
+   sc; mode; n; d; ts; ta; eps; delta; protocol; mutant; layer; adversary;
+   inputs; max_events; max_execs; depth; max_cx; ".";
   ]
     when sc = schema ->
       let* mode = Result.bind (field ~line ~what:"mode" mode "mode") mode_of_repr in
@@ -610,10 +610,9 @@ let parse_header line s =
         let* p = kv protocol "protocol" in
         let* m = kv mutant "mutant" in
         let* l = kv layer "layer" in
-        let* k = kv kernel "kernel" in
         Result.map_error
           (Printf.sprintf "line %d: %s" line)
-          (Scenario.Spec.protocol_of_fields [ p; m; l; k ])
+          (Scenario.Spec.protocol_of_fields [ p; m; l ])
       in
       let* adversary =
         let* v = field ~line ~what:"adversary" adversary "adversary" in
@@ -656,6 +655,10 @@ let parse_header line s =
             max_schedule_depth;
             max_counterexamples;
           }
+  | sc :: _
+    when sc <> schema
+         && String.starts_with ~prefix:"maaa-explore-quarantine/" sc ->
+      Error (Printf.sprintf "line %d: schema %s, expected %s" line sc schema)
   | _ -> Error (Printf.sprintf "line %d: malformed quarantine header" line)
 
 let parse_case line s =

@@ -141,7 +141,7 @@ val replay : config -> plan:Fault_plan.t -> schedule:int list -> string list
 
 (** {2 Quarantine journal}
 
-    Same shape as the soak journal (schema ["maaa-explore-quarantine/2"]):
+    Same shape as the soak journal (schema ["maaa-explore-quarantine/3"]):
     one TSV header line binding the config, one [stats] line, one [case]
     line per counterexample, every line ending in a ["."] sentinel.
     The protocol is spelled by {!Scenario.Spec.protocol_fields}; fault

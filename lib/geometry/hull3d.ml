@@ -712,43 +712,7 @@ let halfspaces p = Array.to_list p.faces
 let contains ?(eps = 1e-9) p v =
   Array.for_all (fun { n; o } -> Vec.dot n v <= o +. eps) p.faces
 
-(* [Vec.diameter_pair] over the vertex set, scanned without allocating:
-   every ordered pair, oriented lexicographically, replaces the best one
-   when more than 1e-15 longer, or as long within 1e-15 and
-   lexicographically smaller. *)
-let diameter_pair p =
-  let vs = Array.of_list (vertices p) in
-  let cmp (u : Vec.t) (v : Vec.t) =
-    let u = (u :> float array) and v = (v :> float array) in
-    let c = Float.compare u.(0) v.(0) in
-    if c <> 0 then c
-    else
-      let c = Float.compare u.(1) v.(1) in
-      if c <> 0 then c else Float.compare u.(2) v.(2)
-  in
-  let ba = ref 0 and bb = ref 0 and bd = ref 0. in
-  for i = 0 to Array.length vs - 1 do
-    for j = 0 to Array.length vs - 1 do
-      let swap = cmp vs.(i) vs.(j) > 0 in
-      let a = if swap then j else i and b = if swap then i else j in
-      let u = (vs.(a) :> float array) and v = (vs.(b) :> float array) in
-      let d0 = u.(0) -. v.(0) and d1 = u.(1) -. v.(1) and d2 = u.(2) -. v.(2) in
-      let d = (0. +. (d0 *. d0)) +. (d1 *. d1) +. (d2 *. d2) in
-      if
-        (i = 0 && j = 0)
-        || d > !bd +. 1e-15
-        || Float.abs (d -. !bd) <= 1e-15
-           &&
-           let c = cmp vs.(a) vs.(!ba) in
-           c < 0 || (c = 0 && cmp vs.(b) vs.(!bb) < 0)
-      then begin
-        ba := a;
-        bb := b;
-        bd := d
-      end
-    done
-  done;
-  (vs.(!ba), vs.(!bb))
+let diameter_pair p = Option.get (Vec.diameter_pair (vertices p))
 
 let diameter p =
   let a, b = diameter_pair p in

@@ -186,16 +186,19 @@ let passed r = r.failures = 0
 
 let pp ppf r =
   Format.pp_open_vbox ppf 0;
-  Format.fprintf ppf "sim-as-oracle differential: %d cases, %d failures@,"
+  Format.fprintf ppf "sim-as-oracle differential: %d cases, %d failures"
     r.cases r.failures;
   List.iter
     (fun v ->
-      Format.fprintf ppf "  %-40s net=%s chaos=%s monitor=%s%s@," v.name
+      Format.fprintf ppf "@,  %-40s net=%s chaos=%s monitor=%s%s" v.name
         (if v.net_ok then "ok" else "MISMATCH")
         (if v.chaos_ok then "ok" else "MISMATCH")
         (if v.monitor_clean then "clean" else "VIOLATIONS")
         (match v.detail with None -> "" | Some d -> "  first diff: " ^ d))
     r.verdicts;
+  Format.pp_close_box ppf ()
+
+let pp_chaos_totals ppf r =
   let tot f = List.fold_left (fun a v -> a + f v.chaos_wire) 0 r.verdicts in
   Format.fprintf ppf
     "  chaos arms masked: %d frames dropped, %d duplicated, %d retransmits, \
@@ -203,5 +206,4 @@ let pp ppf r =
     (tot (fun w -> w.Netrun.chaos_dropped))
     (tot (fun w -> w.Netrun.chaos_duplicated))
     (tot (fun w -> w.Netrun.retransmits))
-    (tot (fun w -> w.Netrun.reconnects));
-  Format.pp_close_box ppf ()
+    (tot (fun w -> w.Netrun.reconnects))

@@ -55,3 +55,9 @@ val execute : ?log:(string -> unit) -> unit -> report
 val passed : report -> bool
 
 val pp : Format.formatter -> report -> unit
+(** The per-case verdicts. Deterministic: no wire statistic appears. *)
+
+val pp_chaos_totals : Format.formatter -> report -> unit
+(** One line: the chaos arms' dropped, duplicated and retransmitted
+    frames and reconnects, summed over the grid. These depend on kernel
+    scheduling and differ from run to run. *)

@@ -1749,90 +1749,6 @@ let e16 () =
   verdict failures
 
 (* ------------------------------------------------------------------ *)
-(* E17: update-kernel head-to-head — midpoint vs centroid              *)
-(* ------------------------------------------------------------------ *)
-
-(* Wall-clock for this pairing lives in the bench suite (the B13 group
-   and the b13_* derived keys of BENCH_lp.json); this report sticks to
-   deterministic counters — estimated T, halt iteration, Δ-rounds, final
-   diameter — so the output is byte-identical on every host and for any
-   --domains. Both kernels adopt points of the same safe areas, so the
-   paper's three properties must hold for both; the centroid rule skips
-   the per-iteration diameter query but contracts without the midpoint
-   rule's √(7/8) guarantee, and the interesting number is how many extra
-   halting iterations (if any) that costs on the same workload. *)
-let e17 () =
-  header "E17  Update kernels: safe-area midpoint vs centroid";
-  let failures = ref [] in
-  let n = 8 in
-  let dims = [ 1; 2; 3; 4 ] in
-  let kernels = [ (`Safe_area, "midpoint"); (`Centroid, "centroid") ] in
-  let scen ~d ~kernel =
-    let cfg = Config.make_exn ~n ~ts:1 ~ta:1 ~d ~eps:0.05 ~delta:10 in
-    (* E13's report-split device: a far-valued lagger over a half-slow
-       network keeps delta_max(I_e) large, so T lands in the tens and the
-       iteration phase actually exercises the contraction of each kernel.
-       Under plain lockstep every party assembles the same report
-       multiset, all estimations coincide, and T collapses to 1 — no
-       kernel difference would be observable. *)
-    let rng = Rng.create 4242L in
-    let inputs =
-      List.mapi
-        (fun i v ->
-          if i = n - 1 then
-            Vec.of_list
-              (List.init d (fun c -> if c mod 2 = 0 then 300. else -300.))
-          else v)
-        (Inputs.uniform_cube rng ~d ~n ~side:4.)
-    in
-    Scenario.make
-      ~name:(Printf.sprintf "e17-d%d" d)
-      ~seed:7L ~cfg ~inputs
-      ~protocol:(Scenario.Maaa { Party.default_opts with kernel })
-      ~corruptions:[ (n - 1, Behavior.Lagger 5) ]
-      ~policy:(Network.targeted_slow ~delta:10 ~victims:(fun i -> i >= 4))
-      ()
-  in
-  let cases =
-    List.concat_map
-      (fun d -> List.map (fun (k, kn) -> (d, kn, scen ~d ~kernel:k)) kernels)
-      dims
-  in
-  let results = run_batch (List.map (fun (_, _, s) -> s) cases) in
-  let rows =
-    List.map2
-      (fun (d, kn, _) r ->
-        let imax sel = List.fold_left (fun a (_, v) -> max a (sel v)) 0 in
-        let tt = imax Fun.id r.Runner.t_estimates in
-        let halt = imax Fun.id r.Runner.output_iters in
-        let ok = r.Runner.live && r.Runner.valid && r.Runner.agreement in
-        ignore
-          (check ok
-             (Printf.sprintf "d=%d %s kernel violated a property" d kn)
-             failures);
-        [
-          string_of_int d; kn; string_of_int tt; string_of_int halt;
-          f3 r.Runner.completion_rounds; e3 r.Runner.diameter; yn ok;
-        ])
-      cases results
-  in
-  Table.print
-    ~header:[ "D"; "kernel"; "T est"; "halt iter"; "rounds"; "diameter"; "ok" ]
-    rows;
-  print_endline
-    "\nSame workload (uniform cube plus one far-valued lagger), same\n\
-     Pi_init information exchange — only the update rule differs. Both\n\
-     kernels satisfy Validity, eps-Agreement and Liveness on every row:\n\
-     the centroid is a point of the same safe area the midpoint rule\n\
-     uses, so per-iteration containment is inherited, and its iteration\n\
-     estimate is computed with the kernel it iterates with. The midpoint\n\
-     rule carries the paper's sqrt(7/8) contraction guarantee; the\n\
-     centroid rule matches it empirically here (D=1 it IS the midpoint\n\
-     rule), trading the per-iteration diameter query for a guarantee-free\n\
-     contraction constant. Wall-clock: BENCH_lp.json b13_* keys.";
-  verdict failures
-
-(* ------------------------------------------------------------------ *)
 
 let all =
   [
@@ -1852,7 +1768,6 @@ let all =
     ("e14", "Message-complexity breakdown", e14);
     ("e15", "Scalability sweep", e15);
     ("e16", "Pi_init ablation", e16);
-    ("e17", "Update-kernel head-to-head", e17);
   ]
 
 let find_opt id =

@@ -12,14 +12,14 @@ val set_domains : int -> unit
     order, and all printing happens after the join. *)
 
 val all : (string * string * (unit -> bool)) list
-(** [(id, title, run)] for e1 … e17, in order. *)
+(** [(id, title, run)] for e1 … e16, in order. *)
 
 val find_opt : string -> (unit -> bool) option
-(** The runner for the experiment with the given id ([e1] … [e17]), or
+(** The runner for the experiment with the given id ([e1] … [e16]), or
     [None] for an unknown id. *)
 
 val run_one : string -> bool
-(** Runs the experiment with the given id ([e1] … [e17]).
+(** Runs the experiment with the given id ([e1] … [e16]).
     @raise Not_found for an unknown id (prefer {!find_opt}). *)
 
 val run_all : unit -> bool

@@ -1,6 +1,6 @@
 type rbc_obs = { rbc_deliveries : (int * Message.payload * int) list }
 
-let rbc_id origin = { Message.tag = Message.Init_value; origin; instance = 0 }
+let rbc_id origin = { Message.tag = Message.Init_value; origin }
 
 let run_rbc ?(seed = 1L) ?impl ~n ~t ~policy ~honest ~sender () =
   let engine = Engine.create ~seed ~n ~policy () in
@@ -76,7 +76,7 @@ let run_obc ?(seed = 1L) ?(witnessing = true) ?(start_delays = []) ~n ~ts
               rbc_broadcast =
                 (fun payload ->
                   Rbc.broadcast rbc
-                    { Message.tag = Message.Obc_value 1; origin = i; instance = 0 }
+                    { Message.tag = Message.Obc_value 1; origin = i }
                     payload);
               send_all = (fun msg -> Engine.broadcast engine ~src:i msg);
               output =
@@ -148,7 +148,7 @@ let run_init ?(seed = 1L) ?(double_witnessing = true) ~n ~ts ~ta ~delta ~eps
               set_timer = (fun ~at -> Engine.set_timer engine ~party:i ~at ~tag:0);
               rbc_broadcast =
                 (fun tag payload ->
-                  Rbc.broadcast rbc { Message.tag; origin = i; instance = 0 } payload);
+                  Rbc.broadcast rbc { Message.tag; origin = i } payload);
               send_all = (fun msg -> Engine.broadcast engine ~src:i msg);
               output =
                 (fun tt v0 ->

@@ -148,9 +148,6 @@ module Spec = struct
         ("batched", Party.Batched { window = 1 });
       ]
 
-  let kernel =
-    key "update kernel" [ ("safe-area", `Safe_area); ("centroid", `Centroid) ]
-
   let transport = key "transport" [ ("sim", `Sim); ("net", `Net) ]
 
   let protocol_fields p =
@@ -163,7 +160,6 @@ module Spec = struct
       ("protocol", to_string protocol_tag tag);
       ("mutant", to_string mutant o.mutant);
       ("layer", to_string layer o.layer);
-      ("kernel", to_string kernel o.kernel);
     ]
 
   let protocol_of_fields fields =
@@ -181,14 +177,12 @@ module Spec = struct
     let* tag = get "protocol" protocol_tag `Maaa in
     let* mutant_v = get "mutant" mutant d.mutant in
     let* layer_v = get "layer" layer d.layer in
-    let* kernel_v = get "kernel" kernel d.kernel in
     match tag with
     | `Maaa ->
-        Ok (Maaa { d with mutant = mutant_v; layer = layer_v; kernel = kernel_v })
+        Ok (Maaa { d with mutant = mutant_v; layer = layer_v })
     (* under EW a ΠAA key may only be absent or at its default *)
     | `Ew when mutant_v <> d.mutant -> only mutant mutant_v
     | `Ew when layer_v <> d.layer -> only layer layer_v
-    | `Ew when kernel_v <> d.kernel -> only kernel kernel_v
     | `Ew -> Ok Ew
 
   let encode s =

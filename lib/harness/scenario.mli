@@ -19,8 +19,8 @@ val no_budget : budget
 
 type protocol =
   | Maaa of Party.opts
-      (** the paper's hybrid ΠAA, with its mode, mutant, message layer and
-          update kernel (see {!Party.opts}) *)
+      (** the paper's hybrid ΠAA, with its mode, mutant and message layer
+          (see {!Party.opts}) *)
   | Ew
       (** the Erbes–Wattenhofer quadratic-communication asynchronous AA
           ({!Ew_aa}); it has no options, so a ΠAA-only setting under it
@@ -134,16 +134,12 @@ module Spec : sig
   val layer : Party.layer key
   (** ["interned"], ["reference"], ["batched"] (window 1). *)
 
-  val kernel : Safe_cache.kernel key
-  (** ["safe-area"], ["centroid"]. *)
-
   val transport : [ `Sim | `Net ] key
   (** ["sim"], ["net"]. *)
 
   val protocol_fields : protocol -> (string * string) list
-  (** [[("protocol", "maaa"|"ew"); ("mutant", _); ("layer", _);
-      ("kernel", _)]]; under {!Ew} the three ΠAA keys read their
-      defaults. @raise Invalid_argument for a protocol with no spelling:
+  (** [[("protocol", "maaa"|"ew"); ("mutant", _); ("layer", _)]]; under
+      {!Ew} the two ΠAA keys read their defaults. @raise Invalid_argument for a protocol with no spelling:
       the [Fixed_t] mode, or a batched window other than 1. *)
 
   val protocol_of_fields : (string * string) list -> (protocol, string) result

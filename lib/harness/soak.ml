@@ -354,7 +354,7 @@ let crashed_record ((idx, scen) : int * Scenario.t) ~attempts ~last_error =
 
 (* -- Journal ---------------------------------------------------------
 
-   Append-only checkpoint file (schema "maaa-soak-journal/1"): a header
+   Append-only checkpoint file (schema "maaa-soak-journal/2"): a header
    line binding the journal to the exact sweep configuration, then one
    line per completed case, written and flushed by the supervising domain
    as each case's outcome becomes final. A resumed sweep replays records
@@ -369,7 +369,7 @@ let crashed_record ((idx, scen) : int * Scenario.t) ~attempts ~last_error =
    encoded elements with US (0x1f), with "~" denoting the empty list;
    floats render as hex ("%h") so they round-trip bit-exactly. *)
 
-let journal_schema = "maaa-soak-journal/1"
+let journal_schema = "maaa-soak-journal/2"
 
 (* The config's enumerated keys, spelled by [Scenario.Spec]. *)
 let spec_fields config =
@@ -379,13 +379,13 @@ let spec_fields config =
 let journal_header config =
   let p k = List.assoc k (spec_fields config) in
   Printf.sprintf
-    "%s\tseed=%Ld\tcases=%d\tmutant=%s\tevents=%d\twall=%s\tretries=%d\tstuck=%s\tmax_shrink=%d\tlayer=%s\tprotocol=%s\tkernel=%s\ttransport=%s"
+    "%s\tseed=%Ld\tcases=%d\tmutant=%s\tevents=%d\twall=%s\tretries=%d\tstuck=%s\tmax_shrink=%d\tlayer=%s\tprotocol=%s\ttransport=%s"
     journal_schema config.seed config.cases (p "mutant")
     config.case_events
     (match config.case_wall with None -> "none" | Some w -> Printf.sprintf "%h" w)
     config.retries
     (match config.stuck with None -> "none" | Some i -> string_of_int i)
-    config.max_shrink (p "layer") (p "protocol") (p "kernel") (p "transport")
+    config.max_shrink (p "layer") (p "protocol") (p "transport")
 
 exception Bad_line
 
@@ -718,7 +718,7 @@ let to_json config (o : outcome) =
       let v = List.assoc key fields in
       if v <> List.assoc key defaults then out "  \"%s\": \"%s\",\n" json_key v)
     [ ("layer", "message_layer"); ("protocol", "protocol");
-      ("kernel", "update_kernel"); ("transport", "transport") ];
+      ("transport", "transport") ];
   out "  \"case_events\": %d,\n" config.case_events;
   out "  \"cases\": %d,\n" o.total;
   out "  \"sync_cases\": %d,\n" o.sync_cases;

@@ -32,9 +32,9 @@ type config = {
   protocol : Scenario.protocol;
       (** what every case's honest parties run: [Maaa opts] re-soaks the
           same grid under [opts] (a mutant the monitor must then flag,
-          another message layer or update kernel); [Ew] caps the static
-          corruption budget at the case config's [ta] (EW's resilience
-          bound regardless of synchrony) and drops the chaos plans —
+          or another message layer); [Ew] caps the static corruption
+          budget at the case config's [ta] (EW's resilience bound
+          regardless of synchrony) and drops the chaos plans —
           static-corruption grading is the property under test. It must
           have a {!Scenario.Spec.protocol_fields} spelling. *)
   transport : [ `Sim | `Net ];
@@ -147,7 +147,7 @@ val build_scenarios : config -> Scenario.t list
     unchanged. *)
 
 val journal_header : config -> string
-(** First line of a journal for [config] (schema ["maaa-soak-journal/1"]):
+(** First line of a journal for [config] (schema ["maaa-soak-journal/2"]):
     binds the journal to the sweep parameters that determine case
     identity — everything except [domains], which is free to change
     between interrupt and resume. *)

@@ -17,7 +17,6 @@ type t = {
   eps : float;
   double_witnessing : bool;
   cache : Safe_cache.t;
-  kernel : Safe_cache.kernel;
   cb : callbacks;
   mutable started : bool;
   mutable tau_start : int;
@@ -34,8 +33,7 @@ type t = {
   mutable done_ : bool;
 }
 
-let create ?(double_witnessing = true) ?safe_cache
-    ?(update_kernel = `Safe_area) ~n ~ts ~ta ~delta ~eps cb =
+let create ?(double_witnessing = true) ?safe_cache ~n ~ts ~ta ~delta ~eps cb =
   {
     n;
     ts;
@@ -45,7 +43,6 @@ let create ?(double_witnessing = true) ?safe_cache
     double_witnessing;
     cache =
       (match safe_cache with Some c -> c | None -> Safe_cache.create ());
-    kernel = update_kernel;
     cb;
     started = false;
     tau_start = 0;
@@ -66,14 +63,13 @@ let has_output t = t.done_
 let estimations t = t.i_e
 
 (* The estimation rule (lines 7-10 of Πinit): identical to the update rule
-   of ΠAA-it (whichever kernel the party runs), computed deterministically
+   of ΠAA-it, computed deterministically
    from the reported set so that every honest party derives the same
    estimate for the same witness. *)
 let estimate t report =
   let k = Pairset.cardinal report - (t.n - t.ts) in
   let trim = max t.ta k in
-  Safe_cache.new_value_arr ~kernel:t.kernel t.cache ~t:trim
-    (Pairset.values_arr report)
+  Safe_cache.new_value_arr t.cache ~t:trim (Pairset.values_arr report)
 
 let promote_witness t from report =
   match estimate t report with
@@ -135,8 +131,7 @@ let try_fire t =
     then begin
       t.sent_wset <- true;
       t.cb.send_all
-        (Message.Witness_set
-           { instance = 0; parties = IntSet.elements t.witnesses })
+        (Message.Witness_set { parties = IntSet.elements t.witnesses })
     end;
     recheck_wsets t;
     let gate =
@@ -149,8 +144,7 @@ let try_fire t =
       let k = IntSet.cardinal t.witnesses - (t.n - t.ts) in
       let trim = max t.ta k in
       match
-        Safe_cache.new_value_arr ~kernel:t.kernel t.cache ~t:trim
-          (Pairset.values_arr t.i_e)
+        Safe_cache.new_value_arr t.cache ~t:trim (Pairset.values_arr t.i_e)
       with
       | Some v0 ->
           t.done_ <- true;

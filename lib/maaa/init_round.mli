@@ -25,14 +25,10 @@ type callbacks = {
 val create :
   ?double_witnessing:bool ->
   ?safe_cache:Safe_cache.t ->
-  ?update_kernel:Safe_cache.kernel ->
   n:int -> ts:int -> ta:int -> delta:int -> eps:float ->
   callbacks -> t
 (** [safe_cache] memoises the estimation rule's update values (per-witness
-    and final); see {!Party.attach}. Fresh per instance when omitted.
-    [update_kernel] (default [`Safe_area]) selects the update rule the
-    estimations are computed with — it must match the kernel the party
-    iterates with, so Πinit estimates the protocol it actually runs. *)
+    and final); see {!Party.attach}. Fresh per instance when omitted. *)
 
 val start : t -> Vec.t -> unit
 

@@ -31,7 +31,7 @@ val run :
     are crash-corrupted from the start: they never send anything. The
     default [policy] is {!Network.lockstep} at [cfg.delta] (worst-case
     synchrony). [opts] (default {!Party.default_opts}) configures every
-    party: mode, mutant, message layer and update kernel.
+    party: mode, mutant and message layer.
     [transport] [`Net] routes every message through the loopback TCP
     runtime ({!Netrun}) under the same engine-as-scheduler — the outcome
     is byte-identical to [`Sim] by construction.

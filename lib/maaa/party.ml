@@ -15,11 +15,10 @@ type opts = {
   mode : mode;
   mutant : mutant option;
   layer : layer;
-  kernel : Safe_cache.kernel;
 }
 
 let default_opts =
-  { mode = Estimate; mutant = None; layer = Interned; kernel = `Safe_area }
+  { mode = Estimate; mutant = None; layer = Interned }
 
 (* Far outside every workload's honest-input hull: one adoption with this
    offset breaks both per-iteration containment and validity. *)
@@ -125,7 +124,7 @@ let rec join_iteration t it =
         rbc_broadcast =
           (fun payload ->
             Rbc.broadcast (rbc t)
-              { Message.tag = Message.Obc_value it; origin = t.me; instance = 0 }
+              { Message.tag = Message.Obc_value it; origin = t.me }
               payload);
         send_all = t.send_all;
         output = (fun mset -> on_obc_output t it mset);
@@ -149,8 +148,7 @@ and on_obc_output t it mset =
     let k = Pairset.cardinal mset - (t.cfg.n - t.cfg.ts) in
     let trim = max k t.cfg.ta in
     match
-      Safe_cache.new_value_arr ~kernel:t.opts.kernel t.safe_cache ~t:trim
-        (Pairset.values_arr mset)
+      Safe_cache.new_value_arr t.safe_cache ~t:trim (Pairset.values_arr mset)
     with
     | Some v ->
         let v =
@@ -184,9 +182,7 @@ and try_advance t =
           | Some tt when tt = completed && not t.sent_halt ->
               t.sent_halt <- true;
               Rbc.broadcast (rbc t)
-                { Message.tag = Message.Halt completed;
-                  origin = t.me;
-                  instance = 0 }
+                { Message.tag = Message.Halt completed; origin = t.me }
                 (Message.Pint completed)
           | _ -> ());
           try_halt_output t;
@@ -293,17 +289,15 @@ let create ?(callbacks = no_callbacks) ?(opts = default_opts) ?register_flush
          });
   t.init <-
     Some
-      (Init_round.create ~safe_cache:t.safe_cache ~update_kernel:opts.kernel
-         ~n:cfg.Config.n ~ts:cfg.Config.ts ~ta:cfg.Config.ta
-         ~delta:cfg.Config.delta ~eps:cfg.Config.eps
+      (Init_round.create ~safe_cache:t.safe_cache ~n:cfg.Config.n
+         ~ts:cfg.Config.ts ~ta:cfg.Config.ta ~delta:cfg.Config.delta
+         ~eps:cfg.Config.eps
          {
            Init_round.now;
            set_timer;
            rbc_broadcast =
              (fun tag payload ->
-               Rbc.broadcast (rbc t)
-                 { Message.tag; origin = me; instance = 0 }
-                 payload);
+               Rbc.broadcast (rbc t) { Message.tag; origin = me } payload);
            send_all;
            output = (fun tt v0 -> on_init_output t tt v0);
          });

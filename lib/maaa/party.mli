@@ -69,19 +69,12 @@ type opts = {
   mode : mode;
   mutant : mutant option;
   layer : layer;
-  kernel : Safe_cache.kernel;
-      (** the iteration update rule: the paper's safe-area
-          diameter-midpoint ([`Safe_area]) or the centroid-style rule
-          ({!Safe_area.centroid_value_arr}) that skips the diameter LPs on
-          the hot path. Both adopt points of the safe area, so Validity and
-          per-iteration containment hold by construction; Πinit's
-          estimation uses the same kernel (see E17). *)
 }
 (** Every ΠAA-only option, as one value. *)
 
 val default_opts : opts
-(** [{ mode = Estimate; mutant = None; layer = Interned; kernel =
-    `Safe_area }]: the paper's protocol on the fast path. *)
+(** [{ mode = Estimate; mutant = None; layer = Interned }]: the paper's
+    protocol on the fast path. *)
 
 val create :
   ?callbacks:callbacks ->

@@ -5,7 +5,7 @@
      offset  size  field
      ------  ----  -----------------------------------------
           0     1  magic        0xAA
-          1     1  version      1
+          1     1  version      2
           2     1  frame type   1 = HELLO, 2 = DATA, 3 = ACK
           3     1  src          party id
           4     1  dst          party id
@@ -25,7 +25,10 @@
    link replay; there is no resync heuristic to get subtly wrong. *)
 
 let magic = 0xAA
-let version = 1
+(* Version 2 dropped the always-zero protocol-instance id from the
+   [Codec] message layout; a version-1 peer is refused with
+   [Bad_version 1] rather than misparsed. *)
+let version = 2
 let header_len = 25
 let trailer_len = 12
 let max_payload = 4 * 1024 * 1024

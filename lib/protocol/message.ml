@@ -6,7 +6,7 @@ type tag =
   | Async_value of int
   | Async_report of int
 
-type rbc_id = { tag : tag; origin : int; instance : int }
+type rbc_id = { tag : tag; origin : int }
 
 type payload =
   | Pvec of Vec.t
@@ -19,12 +19,12 @@ type step = Init | Echo | Ready
 type t =
   | Rbc of rbc_id * step * payload
   | Rbc_batch of (rbc_id * step * payload) list
-  | Obc_report of { instance : int; iter : int; pairs : (int * Vec.t) list }
-  | Witness_set of { instance : int; parties : int list }
+  | Obc_report of { iter : int; pairs : (int * Vec.t) list }
+  | Witness_set of { parties : int list }
   | Sync_round of { round : int; value : Vec.t }
-  | Ew_value of { instance : int; iter : int; value : Vec.t }
-  | Ew_echo of { instance : int; iter : int; pairs : (int * Vec.t) list }
-  | Ew_report of { instance : int; iter : int; pairs : (int * Vec.t) list }
+  | Ew_value of { iter : int; value : Vec.t }
+  | Ew_echo of { iter : int; pairs : (int * Vec.t) list }
+  | Ew_report of { iter : int; pairs : (int * Vec.t) list }
   | Junk of int
 
 let size_of_payload = function

@@ -5,11 +5,7 @@
     the purpose (and, where applicable, the iteration) plus the [origin] —
     the designated sender of that reliable-broadcast instance. This plays
     the role of the "identification numbers" the paper attaches to messages
-    and then omits for presentation.
-
-    Most messages also carry a protocol [instance] id. One run hosts one
-    protocol instance, so every sender writes [instance = 0]; the field
-    stays because it is part of the {!Codec} wire format. *)
+    and then omits for presentation. *)
 
 type tag =
   | Init_value  (** Πinit: input distribution *)
@@ -19,7 +15,7 @@ type tag =
   | Async_value of int  (** pure-async baseline: iteration values *)
   | Async_report of int  (** pure-async baseline: witness reports *)
 
-type rbc_id = { tag : tag; origin : int; instance : int }
+type rbc_id = { tag : tag; origin : int }
 
 type payload =
   | Pvec of Vec.t
@@ -36,28 +32,29 @@ type t =
       (** batched message layer: every rBC vote a party emits within one
           delivery tick, across all concurrent rBC instances, packed into one
           packet per (sender, receiver). Entries are in emission order. *)
-  | Obc_report of { instance : int; iter : int; pairs : (int * Vec.t) list }
+  | Obc_report of { iter : int; pairs : (int * Vec.t) list }
       (** ΠoBC's best-effort report (line 6 of the protocol) *)
-  | Witness_set of { instance : int; parties : int list }
+  | Witness_set of { parties : int list }
       (** Πinit line 13: best-effort witness sets *)
   | Sync_round of { round : int; value : Vec.t }
       (** pure-synchronous baseline: round-[r] value exchange *)
-  | Ew_value of { instance : int; iter : int; value : Vec.t }
+  | Ew_value of { iter : int; value : Vec.t }
       (** Erbes–Wattenhofer quadratic AA: direct iteration-[iter] value *)
-  | Ew_echo of { instance : int; iter : int; pairs : (int * Vec.t) list }
+  | Ew_echo of { iter : int; pairs : (int * Vec.t) list }
       (** Erbes–Wattenhofer quadratic AA, equivocation defence: the sender
           vouches that it received value [v] directly from party [p], for
           each listed pair. A pair enters a receiver's value set only once
           [n − t] distinct parties echo the same [(p, v)] — the
           echo-confirmation quorum that replaces per-value reliable
           broadcast (see {!Ew_aa}). *)
-  | Ew_report of { instance : int; iter : int; pairs : (int * Vec.t) list }
+  | Ew_report of { iter : int; pairs : (int * Vec.t) list }
       (** Erbes–Wattenhofer quadratic AA: direct witness report *)
   | Junk of int  (** adversarial noise *)
 
 val size_of : t -> int
-(** Approximate serialised size in bytes, for traffic accounting. The
-    16-byte header includes the instance id. *)
+(** Approximate serialised size in bytes, for traffic accounting: a
+    fixed 16-byte header plus the payload. This is the traffic model
+    behind E14/E15's byte columns, not the {!Codec} encoding's length. *)
 
 val size_of_entry : rbc_id * step * payload -> int
 (** Wire cost of one {!Rbc_batch} entry: an 8-byte (tag, origin, step)

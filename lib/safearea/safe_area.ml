@@ -99,4 +99,3 @@ let interior_point = function
       | None -> assert false (* Implicit areas are non-empty *))
 
 let centroid_value = interior_point
-let centroid_value_arr ~t vs = Option.map centroid_value (compute_arr ~t vs)

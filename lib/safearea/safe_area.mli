@@ -59,14 +59,9 @@ val interior_point : t -> Vec.t
     protocol itself uses {!midpoint_value}). *)
 
 val centroid_value : t -> Vec.t
-(** The centroid-style update rule (DESIGN.md §4 ablation and the
-    Cambus–Melnyk-inspired [`Centroid] party kernel): the centroid of the
-    area's known extreme points ([D ≤ 3]) or a deterministic interior
-    point (implicit arm — the memoised phase-1 point, no diameter LPs).
-    Valid (stays inside the area, hence inside every trimmed-subset hull)
-    but comes without the paper's [√(7/8)] contraction constant; E7 and
-    E17 measure the difference. *)
-
-val centroid_value_arr : t:int -> Vec.t array -> Vec.t option
-(** [Option.map centroid_value (compute_arr ~t vs)]: the complete
-    trim-and-centroid step of one [`Centroid]-kernel iteration. *)
+(** The centroid-style update of E7's one-step ablation (DESIGN.md §4):
+    the centroid of the area's known extreme points ([D ≤ 3]) or a
+    deterministic interior point (implicit arm — the memoised phase-1
+    point, no diameter LPs). Valid (stays inside the area, hence inside
+    every trimmed-subset hull) but comes without the paper's [√(7/8)]
+    contraction constant; E7 measures the difference. *)

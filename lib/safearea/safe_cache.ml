@@ -1,5 +1,5 @@
 (* Memoised safe-area update values, shared across the parties of one run.
-   ΠAA's update rule is a pure function of (kernel, trim, multiset): under
+   ΠAA's update rule is a pure function of (trim, multiset): under
    any schedule where several honest parties assemble the same report
    multiset in the same iteration — which is every party, every iteration,
    in a synchronous run without equivocation — the geometry kernel redoes
@@ -9,11 +9,8 @@
    (same inputs, deterministic kernel), so results are bit-identical;
    sharing the physical vector is safe because [Vec.t] is immutable. *)
 
-type kernel = [ `Safe_area | `Centroid ]
-
 type key = {
   trim : int;
-  kernel : int;  (* 0 = midpoint rule, 1 = centroid rule *)
   vs : Vec.t array; (* sorted by Vec.compare *)
 }
 
@@ -21,7 +18,7 @@ module H = Hashtbl.Make (struct
   type t = key
 
   let equal a b =
-    a.trim = b.trim && a.kernel = b.kernel
+    a.trim = b.trim
     && Array.length a.vs = Array.length b.vs
     &&
     let n = Array.length a.vs in
@@ -29,7 +26,7 @@ module H = Hashtbl.Make (struct
     go 0
 
   let hash k =
-    let h = ref (((k.trim + 1) * 0x01000193) lxor (k.kernel * 0x9e3779b9)) in
+    let h = ref ((k.trim + 1) * 0x01000193) in
     Array.iter (fun v -> h := (!h * 0x01000193) lxor Vec.hash v) k.vs;
     !h land max_int
 end)
@@ -45,25 +42,20 @@ let hits t = t.hits
 let misses t = t.misses
 let size t = H.length t.tbl
 
-let new_value_arr ?(kernel = `Safe_area) cache ~t vs =
+let new_value_arr cache ~t vs =
   (* Canonicalise the order here so permutations of one multiset share an
      entry; [Safe_area.new_value_arr] re-sorts its own copy, which is
      idempotent and cheap next to the kernel. *)
   let vs = Array.copy vs in
   Array.sort Vec.compare vs;
-  let kid = match kernel with `Safe_area -> 0 | `Centroid -> 1 in
-  let key = { trim = t; kernel = kid; vs } in
+  let key = { trim = t; vs } in
   match H.find_opt cache.tbl key with
   | Some r ->
       cache.hits <- cache.hits + 1;
       r
   | None ->
       cache.misses <- cache.misses + 1;
-      let r =
-        match kernel with
-        | `Safe_area -> Safe_area.new_value_arr ~t vs
-        | `Centroid -> Safe_area.centroid_value_arr ~t vs
-      in
+      let r = Safe_area.new_value_arr ~t vs in
       H.add cache.tbl key r;
       r
 

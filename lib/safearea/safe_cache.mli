@@ -1,7 +1,7 @@
-(** Run-scoped memoisation of the safe-area update rules.
+(** Run-scoped memoisation of the safe-area update rule.
 
-    The update rule is a deterministic pure function of the kernel, the
-    trim level and the value multiset, and in synchronous executions every
+    The update rule is a deterministic pure function of the trim level
+    and the value multiset, and in synchronous executions every
     honest party evaluates it on the {e same} multiset each iteration (and
     on the same witness reports during Πinit). One cache shared by all
     parties of a run makes those n duplicate evaluations one kernel call
@@ -12,20 +12,12 @@
     by the harness determinism contract (no mutable state crosses
     jobs). *)
 
-type kernel = [ `Safe_area | `Centroid ]
-(** Which update rule a cached value belongs to: the paper's
-    diameter-midpoint rule ({!Safe_area.new_value_arr}) or the
-    centroid-style rule ({!Safe_area.centroid_value_arr}). The kernel is
-    part of the cache key, so one run-scoped cache can serve parties on
-    different kernels without collisions. *)
-
 type t
 
 val create : unit -> t
 
-val new_value_arr : ?kernel:kernel -> t -> t:int -> Vec.t array -> Vec.t option
-(** Same contract as {!Safe_area.new_value_arr} (default) or
-    {!Safe_area.centroid_value_arr} ([~kernel:`Centroid]); the multiset is
+val new_value_arr : t -> t:int -> Vec.t array -> Vec.t option
+(** Same contract as {!Safe_area.new_value_arr}; the multiset is
     canonicalised, so permutations of one multiset hit one entry. *)
 
 val reset : t -> unit
@@ -39,4 +31,4 @@ val misses : t -> int
 (** Lookups that ran the geometry kernel. *)
 
 val size : t -> int
-(** Distinct (kernel, trim, multiset) keys currently cached. *)
+(** Distinct (trim, multiset) keys currently cached. *)

@@ -39,11 +39,10 @@ let dot u v =
 let dist2 u v =
   check_dims u v;
   let acc = ref 0. in
-  Array.iteri
-    (fun i x ->
-      let d = x -. v.(i) in
-      acc := !acc +. (d *. d))
-    u;
+  for i = 0 to Array.length u - 1 do
+    let d = u.(i) -. v.(i) in
+    acc := !acc +. (d *. d)
+  done;
   !acc
 
 let norm v = sqrt (dot v v)
@@ -65,17 +64,15 @@ let normalize v =
   let n = norm v in
   if n <= 1e-300 then None else Some (scale (1. /. n) v)
 
+let rec compare_from (u : t) (v : t) i =
+  if i = Array.length u then 0
+  else
+    let c = Float.compare u.(i) v.(i) in
+    if c <> 0 then c else compare_from u v (i + 1)
+
 let compare (u : t) (v : t) =
   let c = Stdlib.compare (Array.length u) (Array.length v) in
-  if c <> 0 then c
-  else
-    let rec go i =
-      if i = Array.length u then 0
-      else
-        let c = Float.compare u.(i) v.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  if c <> 0 then c else compare_from u v 0
 
 let equal ?(eps = 1e-9) u v =
   Array.length u = Array.length v
@@ -104,34 +101,43 @@ let hash (v : t) =
   done;
   !h land max_int
 
-let diameter_pair vs =
-  match vs with
+(* Every ordered pair, oriented lexicographically, replaces the best one
+   when more than 1e-15 longer, or as long within 1e-15 and
+   lexicographically smaller; the squared distance is summed in
+   [dist2]'s order. A plain index loop: no closure, option or tuple per
+   pair. *)
+let diameter_pair = function
   | [] -> None
-  | [ v ] -> Some (v, v)
-  | _ ->
-      let best = ref None in
-      let better a b d2 =
-        match !best with
-        | None -> true
-        | Some (a', b', d2') ->
-            d2 > d2' +. 1e-15
-            ||
-            (Float.abs (d2 -. d2') <= 1e-15
-            &&
-            let c = compare a a' in
-            c < 0 || (c = 0 && compare b b' < 0))
-      in
-      List.iter
-        (fun a ->
-          List.iter
-            (fun b ->
-              (* orient the pair deterministically *)
-              let a, b = if compare a b <= 0 then (a, b) else (b, a) in
-              let d2 = dist2 a b in
-              if better a b d2 then best := Some (a, b, d2))
-            vs)
-        vs;
-      Option.map (fun (a, b, _) -> (a, b)) !best
+  | vs ->
+      let vs = Array.of_list vs in
+      let ba = ref 0 and bb = ref 0 and bd = ref 0. in
+      for i = 0 to Array.length vs - 1 do
+        for j = 0 to Array.length vs - 1 do
+          let swap = compare vs.(i) vs.(j) > 0 in
+          let a = if swap then j else i and b = if swap then i else j in
+          let u = vs.(a) and v = vs.(b) in
+          check_dims u v;
+          let d = ref 0. in
+          for k = 0 to Array.length u - 1 do
+            let x = u.(k) -. v.(k) in
+            d := !d +. (x *. x)
+          done;
+          let d = !d in
+          if
+            (i = 0 && j = 0)
+            || d > !bd +. 1e-15
+            || Float.abs (d -. !bd) <= 1e-15
+               &&
+               let c = compare u vs.(!ba) in
+               c < 0 || (c = 0 && compare v vs.(!bb) < 0)
+          then begin
+            ba := a;
+            bb := b;
+            bd := d
+          end
+        done
+      done;
+      Some (vs.(!ba), vs.(!bb))
 
 let diameter vs =
   match diameter_pair vs with None -> 0. | Some (a, b) -> dist a b

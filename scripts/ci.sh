@@ -40,16 +40,6 @@ grep -q '"message_layer": "batched"' _build/SOAK_batched.json
 grep -q '"violations_total": 0' _build/SOAK_batched.json
 grep -q '"quarantined": 0' _build/SOAK_batched.json
 
-echo "== soak smoke: centroid update kernel =="
-# identical case grid, centroid-style update rule: Validity/Contraction
-# hold by construction (the centroid is a safe-area point) and Agreement
-# must hold empirically — the grid grades all three
-dune exec bin/soak_main.exe -- --smoke --domains 2 --update-kernel centroid \
-  --out _build/SOAK_centroid.json
-grep -q '"update_kernel": "centroid"' _build/SOAK_centroid.json
-grep -q '"violations_total": 0' _build/SOAK_centroid.json
-grep -q '"quarantined": 0' _build/SOAK_centroid.json
-
 echo "== soak smoke: EW quadratic protocol =="
 dune exec bin/soak_main.exe -- --smoke --domains 2 --protocol ew \
   --out _build/SOAK_ew.json
@@ -71,11 +61,10 @@ echo "== soak CLI validation (one-line errors, exit 2) =="
 for bad in "--cases 0" "--cases x" "--domains 0" "--seed banana" \
     "--mutant bogus" "--wall -1" "--resume" "--inject-stuck 99 --cases 5" \
     "--message-layer bogus" "--protocol bogus" "--message-layer" \
-    "--protocol" "--update-kernel bogus" "--update-kernel" \
-    "--transport bogus" "--transport" \
+    "--protocol" "--transport bogus" "--transport" \
     "--protocol ew --mutant premature-output" \
     "--protocol ew --message-layer batched" \
-    "--protocol ew --update-kernel centroid" \
+    "--update-kernel centroid" \
     "--cases 6 --smoke" "--smoke --cases 6"; do
   rc=0
   dune exec bin/soak_main.exe -- $bad --out /dev/null >/dev/null 2>&1 || rc=$?
@@ -116,6 +105,17 @@ if [ "$rc" -ne 1 ]; then
   exit 1
 fi
 dune exec bin/explore_main.exe -- --replay _build/EXPLORE_quarantine.tsv
+# a quarantine file of the previous schema (/2, with a kernel= column)
+# must be refused with one line and exit 2, not replayed
+sed '1s|^maaa-explore-quarantine/3|maaa-explore-quarantine/2|; 1s|\tadversary=|\tkernel=safe-area\tadversary=|' \
+  _build/EXPLORE_quarantine.tsv > _build/EXPLORE_quarantine_v2.tsv
+rc=0
+dune exec bin/explore_main.exe -- --replay _build/EXPLORE_quarantine_v2.tsv \
+  >/dev/null 2>_build/EXPLORE_v2.err || rc=$?
+if [ "$rc" -ne 2 ] || [ "$(wc -l < _build/EXPLORE_v2.err)" -ne 1 ]; then
+  echo "ci: explore --replay of a /2 quarantine should exit 2 with one line, got $rc" >&2
+  exit 1
+fi
 
 echo "== explore CLI validation (one-line errors, exit 2) =="
 for bad in "--mode bogus" "--mode" "--mutant bogus" "--adversary bogus" \
@@ -175,7 +175,6 @@ for key in b6_speedup_n12 b7_speedup b11_speedup_vote_storm \
     b10_speedup_4_domains_vs_sequential b12_reduction_batched_n12 \
     b12_batched_exponent b12_ew_exponent b12_max_n_batched b12_max_n_ew \
     b2_speedup_d3 b2_speedup_d4 b2_speedup_d5 \
-    b13_kernel_centroid_vs_safe_area_d3 b13_kernel_centroid_vs_safe_area_d4 \
     b14_instances_per_sec b14_maaa_instances_per_sec \
     b14_speedup_2_domains; do
   grep -q "\"$key\"" _build/BENCH_smoke.json || {

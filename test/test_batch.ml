@@ -13,7 +13,7 @@ let vec l = Vec.of_list l
 
 (* --- Batch buffer unit tests --- *)
 
-let id_ tag origin = { Message.tag; origin; instance = 0 }
+let id_ tag origin = { Message.tag; origin }
 
 let test_batch_buffer () =
   let sent = ref [] in

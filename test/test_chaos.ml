@@ -236,7 +236,7 @@ let test_monitor_clean_run () =
          deliver_at = 2;
          msg =
            Message.Rbc
-             ( { Message.tag = Message.Obc_value 1; origin = 0; instance = 0 },
+             ( { Message.tag = Message.Obc_value 1; origin = 0 },
                Message.Init,
                Message.Pvec (v1 1.) );
        });
@@ -288,7 +288,7 @@ let test_monitor_malformed_honest_message () =
   send (Message.Junk 9);
   send
     (Message.Rbc
-       ( { Message.tag = Message.Obc_value 1; origin = 9; instance = 0 },
+       ( { Message.tag = Message.Obc_value 1; origin = 9 },
          Message.Init,
          Message.Pvec (v1 1.) ));
   send (Message.Sync_round { round = 1; value = Vec.of_list [ 1.; 2. ] });
@@ -548,6 +548,44 @@ let test_soak_resume_rejects_mismatch () =
      Alcotest.fail "missing journal accepted"
    with Invalid_argument _ -> ())
 
+(* A journal written before the update rule was fixed (schema /1, with a
+   kernel= column) is another sweep configuration: resume refuses it. *)
+let test_soak_resume_rejects_old_schema () =
+  let config = { Soak.default with Soak.cases = 2; seed = 21L; domains = 1 } in
+  let tmp = Filename.temp_file "soak" ".journal" in
+  ignore (Soak.execute ~journal:tmp config);
+  (match read_lines tmp with
+  | header :: records ->
+      let old =
+        String.concat "\t"
+          (List.concat_map
+             (function
+               | "maaa-soak-journal/2" -> [ "maaa-soak-journal/1" ]
+               | "transport=sim" -> [ "kernel=safe-area"; "transport=sim" ]
+               | f -> [ f ])
+             (String.split_on_char '\t' header))
+      in
+      Alcotest.(check bool) "header rewritten" true (old <> header);
+      let oc = open_out tmp in
+      List.iter
+        (fun l ->
+          output_string oc l;
+          output_char oc '\n')
+        (old :: records);
+      close_out oc
+  | [] -> Alcotest.fail "empty journal");
+  (match Soak.execute ~journal:tmp ~resume:true config with
+  | _ -> Alcotest.fail "old journal accepted"
+  | exception Invalid_argument msg ->
+      let first = List.hd (String.split_on_char '\n' msg) in
+      Alcotest.(check string) "refused as another configuration"
+        (Printf.sprintf
+           "Soak.execute: journal %s was written by a different sweep \
+            configuration"
+           tmp)
+        first);
+  Sys.remove tmp
+
 let () =
   Alcotest.run "chaos"
     [
@@ -605,5 +643,7 @@ let () =
             test_soak_resume_byte_identical;
           Alcotest.test_case "resume validation" `Slow
             test_soak_resume_rejects_mismatch;
+          Alcotest.test_case "resume refuses a /1 journal" `Slow
+            test_soak_resume_rejects_old_schema;
         ] );
     ]

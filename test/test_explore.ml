@@ -271,7 +271,7 @@ let ew_equivocation_run ~defence =
     (fun dst ->
       Engine.send engine ~src:3 ~dst
         (Message.Ew_value
-           { instance = 0; iter = 1; value = (if dst = 2 then vb else va) }))
+           { iter = 1; value = (if dst = 2 then vb else va) }))
     honest;
   Engine.run engine;
   List.map (fun (i, p) -> (i, Ew_aa.output p)) parties
@@ -463,6 +463,42 @@ let test_explorer_quarantine_bad_escape () =
             true
             (String.length e > 7 && String.sub e 0 7 = "line 1:"))
 
+(* A quarantine file from before the update rule was fixed (schema /2,
+   with a kernel= column) is refused with a one-line error naming the
+   schema, not replayed under a guessed layout. *)
+let test_explorer_quarantine_old_schema () =
+  let config =
+    Explore.default_config ~max_schedule_depth:0 ~cfg:explore_cfg
+      ~inputs:explore_inputs ()
+  in
+  let path = Filename.temp_file "explore-old" ".tsv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Explore.write_quarantine ~path config (Explore.explore config);
+      let ic = open_in_bin path in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let text =
+        String.concat "\t"
+          (List.concat_map
+             (function
+               | "maaa-explore-quarantine/3" -> [ "maaa-explore-quarantine/2" ]
+               | "layer=interned" -> [ "layer=interned"; "kernel=safe-area" ]
+               | f -> [ f ])
+             (String.split_on_char '\t' text))
+      in
+      let oc = open_out_bin path in
+      output_string oc text;
+      close_out oc;
+      match Explore.replay_quarantine ~path with
+      | Ok _ -> Alcotest.fail "old schema accepted"
+      | Error e ->
+          Alcotest.(check string) "one line naming the schema"
+            "line 1: schema maaa-explore-quarantine/2, expected \
+             maaa-explore-quarantine/3"
+            e)
+
 let () =
   Alcotest.run "explore"
     [
@@ -509,5 +545,7 @@ let () =
             test_explorer_quarantine_rejects_garbage;
           Alcotest.test_case "quarantine bad escape is an error" `Quick
             test_explorer_quarantine_bad_escape;
+          Alcotest.test_case "quarantine with an old schema is refused" `Quick
+            test_explorer_quarantine_old_schema;
         ] );
     ]

@@ -120,39 +120,6 @@ let test_runner_reports_dead_run () =
     (Float.is_finite r.Runner.completion_rounds
     && r.Runner.completion_rounds >= 0.)
 
-(* The centroid update kernel adopts interior points of the same safe
-   areas the midpoint rule uses, so the monitor's invariants (Validity,
-   hull Contraction, ε-Agreement) must hold unchanged — including with a
-   silent corruption and at D=3, where the safe area runs on the exact
-   Hull3d arm. *)
-let test_centroid_kernel_monitored_clean () =
-  List.iter
-    (fun (d, corruptions) ->
-      let cfg = Config.make_exn ~n:5 ~ts:1 ~ta:0 ~d ~eps:0.05 ~delta:10 in
-      let inputs =
-        let rng = Rng.create 2027L in
-        Inputs.uniform_cube rng ~d ~n:5 ~side:4.
-      in
-      let s =
-        Scenario.make
-          ~name:(Printf.sprintf "centroid-d%d" d)
-          ~protocol:
-            (Scenario.Maaa { Party.default_opts with kernel = `Centroid })
-          ~corruptions ~cfg ~inputs ()
-      in
-      let r = Runner.run ~monitor:true s in
-      let name fmt = Printf.sprintf ("d=%d: " ^^ fmt) d in
-      Alcotest.(check bool) (name "live") true r.Runner.live;
-      Alcotest.(check bool) (name "valid") true r.Runner.valid;
-      Alcotest.(check bool) (name "agreement") true r.Runner.agreement;
-      match r.Runner.monitor with
-      | None -> Alcotest.fail (name "no monitor summary")
-      | Some m ->
-          Alcotest.(check int)
-            (name "0 violations") 0
-            (Monitor.total_violations m))
-    [ (2, []); (3, [ (4, Behavior.Silent) ]) ]
-
 (* --- Table --- *)
 
 let test_table_render () =
@@ -254,23 +221,23 @@ let test_traffic_classification () =
   let checks =
     [
       ( Message.Rbc
-          ({ tag = Message.Init_value; origin = 0; instance = 0 },
+          ({ tag = Message.Init_value; origin = 0 },
             Message.Echo,
             Message.Pvec v ),
         Traffic.Init_rbc );
       ( Message.Rbc
-          ({ tag = Message.Obc_value 3; origin = 0; instance = 0 },
+          ({ tag = Message.Obc_value 3; origin = 0 },
             Message.Ready,
             Message.Pvec v ),
         Traffic.Iteration_rbc );
       ( Message.Rbc
-          ({ tag = Message.Halt 2; origin = 0; instance = 0 },
+          ({ tag = Message.Halt 2; origin = 0 },
             Message.Init,
             Message.Pint 2 ),
         Traffic.Halt_rbc );
-      (Message.Obc_report { instance = 0; iter = 1; pairs = [] },
+      (Message.Obc_report { iter = 1; pairs = [] },
         Traffic.Obc_reports );
-      (Message.Witness_set { instance = 0; parties = [ 1 ] },
+      (Message.Witness_set { parties = [ 1 ] },
         Traffic.Witness_sets );
       (Message.Sync_round { round = 0; value = v }, Traffic.Baseline);
       (Message.Junk 3, Traffic.Junk);
@@ -329,8 +296,6 @@ let () =
       ( "runner",
         [
           Alcotest.test_case "metrics" `Quick test_runner_contraction_and_diameters;
-          Alcotest.test_case "centroid kernel monitored clean" `Quick
-            test_centroid_kernel_monitored_clean;
           Alcotest.test_case "graceful on dead runs" `Quick
             test_runner_reports_dead_run;
         ] );

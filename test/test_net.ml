@@ -109,12 +109,129 @@ let test_bad_mac () =
       Alcotest.failf "expected Bad_mac, got %s"
         (Format.asprintf "%a" Wire.pp_error e)
 
+(* -- message codec: every constructor, bit-exact ----------------------- *)
+
+(* Coordinates include both zeros, infinities and two NaN payloads: the
+   codec ships raw IEEE-754 bits, so each must come back unchanged. *)
+let gen_coord =
+  QCheck.Gen.oneof
+    [
+      QCheck.Gen.float_range (-1e6) 1e6;
+      QCheck.Gen.oneofl
+        [ 0.; -0.; Float.nan; Int64.float_of_bits 0x7ff0_0000_0000_0123L;
+          Float.infinity; Float.neg_infinity; Float.min_float; 1e-310 ];
+    ]
+
+let gen_i32 =
+  QCheck.Gen.oneof
+    [ QCheck.Gen.int_range (-3) 1000; QCheck.Gen.oneofl [ 0x7fff_ffff; -0x8000_0000 ] ]
+
+let gen_msg =
+  let open QCheck.Gen in
+  let vec = int_range 0 4 >>= fun d -> list_repeat d gen_coord >|= Vec.of_list in
+  let pairs = small_list (pair gen_i32 vec) in
+  let tag =
+    oneof
+      [
+        oneofl [ Message.Init_value; Message.Init_report ];
+        map (fun i -> Message.Obc_value i) gen_i32;
+        map (fun i -> Message.Halt i) gen_i32;
+        map (fun i -> Message.Async_value i) gen_i32;
+        map (fun i -> Message.Async_report i) gen_i32;
+      ]
+  in
+  let entry =
+    let* tag = tag and* origin = gen_i32 in
+    let* step = oneofl [ Message.Init; Message.Echo; Message.Ready ] in
+    let* p =
+      oneof
+        [
+          map (fun v -> Message.Pvec v) vec;
+          map (fun ps -> Message.Ppairs ps) pairs;
+          map (fun i -> Message.Pint i) (oneofl [ 0; -1; max_int; min_int; 42 ]);
+          map (fun ps -> Message.Pparties ps) (small_list gen_i32);
+        ]
+    in
+    return ({ Message.tag; origin }, step, p)
+  in
+  oneof
+    [
+      map (fun (id, st, p) -> Message.Rbc (id, st, p)) entry;
+      map (fun es -> Message.Rbc_batch es) (small_list entry);
+      map2 (fun iter pairs -> Message.Obc_report { iter; pairs }) gen_i32 pairs;
+      map (fun parties -> Message.Witness_set { parties }) (small_list gen_i32);
+      map2 (fun round value -> Message.Sync_round { round; value }) gen_i32 vec;
+      map2 (fun iter value -> Message.Ew_value { iter; value }) gen_i32 vec;
+      map2 (fun iter pairs -> Message.Ew_echo { iter; pairs }) gen_i32 pairs;
+      map2 (fun iter pairs -> Message.Ew_report { iter; pairs }) gen_i32 pairs;
+      map (fun n -> Message.Junk n) gen_i32;
+    ]
+
+(* [compare] equates NaNs but also ±0, so the re-encoding pins the bits. *)
+let prop_codec_roundtrip =
+  QCheck.Test.make ~name:"decode (encode m) = m, bit-exact" ~count:1000
+    (QCheck.make ~print:(Format.asprintf "%a" Message.pp) gen_msg)
+    (fun m ->
+      let b = Codec.encode m in
+      let m' = Codec.decode b in
+      compare m m' = 0 && Bytes.equal (Codec.encode m') b)
+
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i ->
+         Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
+
+(* One message per constructor in the version-2 layout: kind byte, then
+   little-endian int32 fields, vectors as a length and raw float64 bits. *)
+let golden_messages =
+  let v = Vec.of_list [ 1.; -0. ] in
+  let id = { Message.tag = Message.Obc_value 3; origin = 2 } in
+  [
+    ( Message.Rbc (id, Message.Echo, Message.Pvec v),
+      "00" ^ "0203000000" ^ "02000000" ^ "01" ^ "00" ^ "02000000"
+      ^ "000000000000f03f" ^ "0000000000000080" );
+    ( Message.Rbc_batch
+        [ ({ Message.tag = Message.Init_value; origin = 1 }, Message.Ready,
+           Message.Pint 5) ],
+      "01" ^ "01000000" ^ "00" ^ "01000000" ^ "02" ^ "02" ^ "0500000000000000" );
+    ( Message.Obc_report { iter = 4; pairs = [ (6, v) ] },
+      "02" ^ "04000000" ^ "01000000" ^ "06000000" ^ "02000000"
+      ^ "000000000000f03f" ^ "0000000000000080" );
+    ( Message.Witness_set { parties = [ 0; 7 ] },
+      "03" ^ "02000000" ^ "00000000" ^ "07000000" );
+    ( Message.Sync_round { round = 9; value = Vec.of_list [ 2. ] },
+      "04" ^ "09000000" ^ "01000000" ^ "0000000000000040" );
+    ( Message.Ew_value { iter = 1; value = Vec.of_list [ 2. ] },
+      "05" ^ "01000000" ^ "01000000" ^ "0000000000000040" );
+    ( Message.Ew_report { iter = 2; pairs = [] }, "06" ^ "02000000" ^ "00000000" );
+    (Message.Junk 3, "07" ^ "03000000");
+    ( Message.Ew_echo { iter = 2; pairs = [] }, "08" ^ "02000000" ^ "00000000" );
+  ]
+
+let test_codec_golden () =
+  List.iter
+    (fun (m, want) ->
+      let name = Format.asprintf "%a" Message.pp m in
+      Alcotest.(check string) name want (hex (Codec.encode m));
+      Alcotest.(check bool) (name ^ " decodes") true
+        (compare (Codec.decode (Codec.encode m)) m = 0))
+    golden_messages
+
 let test_bad_magic () =
   let b = Wire.encode ~key:key_a (frame "m") in
   Bytes.set b 0 '\x00';
   match Wire.decode_exact ~n:8 ~key_of b with
   | Error (Wire.Bad_magic _) -> ()
   | _ -> Alcotest.fail "expected Bad_magic"
+
+(* Version 2 changed the message layout; a version-1 peer's frame must be
+   refused at the header, before its payload is ever parsed. *)
+let test_version_1_refused () =
+  let b = Wire.encode ~key:key_a (frame "m") in
+  Bytes.set b 1 '\x01';
+  match Wire.decode_exact ~n:8 ~key_of b with
+  | Error (Wire.Bad_version 1) -> ()
+  | _ -> Alcotest.fail "expected Bad_version 1"
 
 let test_chunked_stream () =
   let frames =
@@ -460,6 +577,11 @@ let test_parse_request () =
     "unknown field \"trnasport\" (expected \
      v|d|eps|delta|ts|ta|transport|seed|inputs)"
     (err (good_line ^ " trnasport=net"));
+  (* the update rule is fixed: there is no kernel key to select another *)
+  Alcotest.(check string) "kernel is not a key"
+    "unknown field \"kernel\" (expected \
+     v|d|eps|delta|ts|ta|transport|seed|inputs)"
+    (err (good_line ^ " kernel=centroid"));
   Alcotest.(check string) "duplicate key named" "duplicate field seed="
     (err (good_line ^ " seed=3 seed=4"))
 
@@ -572,23 +694,18 @@ let test_spec_keys () =
   in
   Alcotest.(check bool) "mutant" true (roundtrip mutant);
   Alcotest.(check bool) "layer" true (roundtrip layer);
-  Alcotest.(check bool) "kernel" true (roundtrip kernel);
   Alcotest.(check bool) "transport" true (roundtrip transport);
   let protocols =
     Scenario.Ew
     :: List.concat_map
          (fun m ->
-           List.concat_map
+           List.map
              (fun l ->
-               List.map
-                 (fun k ->
-                   Scenario.Maaa
-                     { Party.default_opts with mutant = m; layer = l; kernel = k })
-                 (values kernel))
+               Scenario.Maaa { Party.default_opts with mutant = m; layer = l })
              (values layer))
          (values mutant)
   in
-  Alcotest.(check int) "every protocol spelled" 19 (List.length protocols);
+  Alcotest.(check int) "every protocol spelled" 10 (List.length protocols);
   List.iter
     (fun p ->
       Alcotest.(check bool) "protocol round-trips" true
@@ -602,7 +719,6 @@ let test_spec_keys () =
       ("mutant", "premature-output",
        "mutant premature-output applies only to protocol maaa");
       ("layer", "batched", "message layer batched applies only to protocol maaa");
-      ("kernel", "centroid", "update kernel centroid applies only to protocol maaa");
     ];
   Alcotest.(check bool) "ew with default keys is ew" true
     (protocol_of_fields [ ("protocol", "ew"); ("layer", "interned") ] = Ok Scenario.Ew);
@@ -731,7 +847,15 @@ let () =
           Alcotest.test_case "oversized length prefix" `Quick test_oversize;
           Alcotest.test_case "MAC mismatch" `Quick test_bad_mac;
           Alcotest.test_case "bad magic" `Quick test_bad_magic;
+          Alcotest.test_case "version-1 frame refused" `Quick
+            test_version_1_refused;
           Alcotest.test_case "byte-at-a-time stream" `Quick test_chunked_stream;
+        ] );
+      ( "message codec",
+        [
+          QCheck_alcotest.to_alcotest prop_codec_roundtrip;
+          Alcotest.test_case "golden bytes per constructor" `Quick
+            test_codec_golden;
         ] );
       ( "siphash",
         [

@@ -36,7 +36,7 @@ let wire_party f ~n ~ts ~delta i =
         rbc_broadcast =
           (fun payload ->
             Rbc.broadcast rbc
-              { Message.tag = Message.Obc_value 1; origin = i; instance = 0 }
+              { Message.tag = Message.Obc_value 1; origin = i }
               payload);
         send_all = (fun msg -> Engine.broadcast engine ~src:i msg);
         output =
@@ -205,7 +205,7 @@ let test_ablation_no_witnessing_loses_overlap_guarantee () =
         rbc_broadcast =
           (fun payload ->
             Rbc.broadcast rbc
-              { Message.tag = Message.Obc_value 1; origin = 0; instance = 0 }
+              { Message.tag = Message.Obc_value 1; origin = 0 }
               payload);
         send_all = (fun msg -> Engine.broadcast engine ~src:0 msg);
         output = (fun _ -> out_time := Some (Engine.now engine));
@@ -234,7 +234,7 @@ let test_ablation_no_witnessing_loses_overlap_guarantee () =
               Rbc.on_message rbc_i ~from:src id step payload
           | _ -> ());
       Rbc.broadcast rbc_i
-        { Message.tag = Message.Obc_value 1; origin = i; instance = 0 }
+        { Message.tag = Message.Obc_value 1; origin = i }
         (Message.Pvec (vec1 (float_of_int i))))
     [ 1; 2; 3; 4 ];
   Obc.start obc (vec1 0.);

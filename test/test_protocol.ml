@@ -14,7 +14,7 @@ let test_params () =
     Params.conv_factor
 
 let test_message_sizes () =
-  let id = { Message.tag = Message.Init_value; origin = 0; instance = 0 } in
+  let id = { Message.tag = Message.Init_value; origin = 0 } in
   Alcotest.(check int) "vec payload" (16 + 16)
     (Message.size_of (Message.Rbc (id, Message.Init, Message.Pvec v2)));
   Alcotest.(check int) "pairs payload"
@@ -22,18 +22,18 @@ let test_message_sizes () =
     (Message.size_of
        (Message.Rbc (id, Message.Init, Message.Ppairs [ (0, v2); (1, v2) ])));
   Alcotest.(check int) "witness set" (16 + 12)
-    (Message.size_of (Message.Witness_set { instance = 0; parties = [ 0; 1; 2 ] }));
+    (Message.size_of (Message.Witness_set { parties = [ 0; 1; 2 ] }));
   Alcotest.(check int) "junk" (16 + 99) (Message.size_of (Message.Junk 99));
   Alcotest.(check int) "sync round" (16 + 16)
     (Message.size_of (Message.Sync_round { round = 1; value = v2 }))
 
 let test_message_pp () =
   let s m = Format.asprintf "%a" Message.pp m in
-  let id it = { Message.tag = Message.Obc_value it; origin = 3; instance = 0 } in
-  Alcotest.(check bool) "mentions instance" true
+  let id it = { Message.tag = Message.Obc_value it; origin = 3 } in
+  Alcotest.(check bool) "rbc prints" true
     (String.length (s (Message.Rbc (id 7, Message.Echo, Message.Pvec v2))) > 0);
   Alcotest.(check string) "obc report" "obc-report[2] (1 pairs)"
-    (s (Message.Obc_report { instance = 0; iter = 2; pairs = [ (0, v2) ] }))
+    (s (Message.Obc_report { iter = 2; pairs = [ (0, v2) ] }))
 
 (* Lemma 6.12: safe_t(M) ⊆ safe_{t-1}(M). *)
 let prop_safe_monotone_in_t =

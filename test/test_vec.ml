@@ -145,6 +145,87 @@ let prop_diameter_order_independent =
     (arb_vec_list 2) (fun vs ->
       Vec.diameter_pair vs = Vec.diameter_pair (List.rev vs))
 
+(* The list-and-closure [Vec.diameter_pair] the index loop replaced,
+   kept as its oracle together with the [compare] and [dist2] bodies it
+   ran on. *)
+let oracle_diameter_pair vs =
+  let compare (u : Vec.t) (v : Vec.t) =
+    let u = (u :> float array) and v = (v :> float array) in
+    let c = Stdlib.compare (Array.length u) (Array.length v) in
+    if c <> 0 then c
+    else
+      let rec go i =
+        if i = Array.length u then 0
+        else
+          let c = Float.compare u.(i) v.(i) in
+          if c <> 0 then c else go (i + 1)
+      in
+      go 0
+  in
+  let dist2 (u : Vec.t) (v : Vec.t) =
+    let u = (u :> float array) and v = (v :> float array) in
+    let acc = ref 0. in
+    Array.iteri
+      (fun i x ->
+        let d = x -. v.(i) in
+        acc := !acc +. (d *. d))
+      u;
+    !acc
+  in
+  match vs with
+  | [] -> None
+  | [ v ] -> Some (v, v)
+  | _ ->
+      let best = ref None in
+      let better a b d2 =
+        match !best with
+        | None -> true
+        | Some (a', b', d2') ->
+            d2 > d2' +. 1e-15
+            ||
+            (Float.abs (d2 -. d2') <= 1e-15
+            &&
+            let c = compare a a' in
+            c < 0 || (c = 0 && compare b b' < 0))
+      in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              let a, b = if compare a b <= 0 then (a, b) else (b, a) in
+              let d2 = dist2 a b in
+              if better a b d2 then best := Some (a, b, d2))
+            vs)
+        vs;
+      Option.map (fun (a, b, _) -> (a, b)) !best
+
+(* Tie-heavy multisets: coordinates from a pool with both zeros and
+   equal spacings, so duplicates, ±0 and equidistant pairs are common;
+   some points repeat an earlier one physically. *)
+let arb_tie_list =
+  let open QCheck.Gen in
+  let coord = oneofl [ -1.; -0.; 0.; 0.5; 1.; 2.; 1e-16 ] in
+  let gen =
+    int_range 1 4 >>= fun d ->
+    list_size (int_range 1 10) (list_repeat d coord >|= Vec.of_list)
+    >>= fun pts ->
+    list_repeat (List.length pts) (int_range 0 3) >|= fun picks ->
+    List.mapi
+      (fun i (p, k) -> if k = 0 && i > 0 then List.nth pts (i - 1) else p)
+      (List.combine pts picks)
+  in
+  QCheck.make
+    ~print:(fun l -> String.concat " " (List.map Vec.to_string l))
+    gen
+
+let prop_diameter_pair_oracle =
+  QCheck.Test.make ~name:"diameter pair is the oracle's, physically"
+    ~count:2000 arb_tie_list (fun vs ->
+      match (Vec.diameter_pair vs, oracle_diameter_pair vs) with
+      | None, None -> true
+      | Some (a, b), Some (a', b') -> a == a' && b == b'
+      | _ -> false)
+
 let prop_midpoint_between =
   QCheck.Test.make ~name:"midpoint halves the distance" ~count:300
     (QCheck.pair (arb_vec 4) (arb_vec 4))
@@ -183,6 +264,7 @@ let () =
             prop_triangle;
             prop_diameter_max;
             prop_diameter_order_independent;
+            prop_diameter_pair_oracle;
             prop_midpoint_between;
           ] );
     ]
