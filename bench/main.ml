@@ -334,6 +334,42 @@ let b10_scenarios =
 
 let host_domains = Domain.recommended_domain_count ()
 
+(* Host-parallelism calibration for the 2-domain gates: a pure integer
+   loop run twice in sequence, over the same loop run once on each of two
+   domains. Two truly parallel cores give ~2.0; two domains sharing one
+   core give ~1.0. ci.sh arms the B10 2-domain gates only when the median
+   ratio reaches 1.6; half the samples are taken before the benchmark and
+   half after, so a host whose parallelism comes and goes shows it. *)
+let spin () =
+  let x = ref 1 in
+  for i = 1 to 20_000_000 do
+    x := (!x * 31) lxor i
+  done;
+  ignore (Sys.opaque_identity !x)
+
+let parallel_ratio () =
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    f ();
+    Unix.gettimeofday () -. t0
+  in
+  let seq = time (fun () -> spin (); spin ()) in
+  let par =
+    time (fun () ->
+        let d = Domain.spawn spin in
+        spin ();
+        Domain.join d)
+  in
+  seq /. par
+
+let calibrate samples = List.init samples (fun _ -> parallel_ratio ())
+
+let median l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  let k = Array.length a in
+  (a.((k - 1) / 2) +. a.(k / 2)) /. 2.
+
 let b10_sweep =
   let batch ~domains () =
     ignore (Runner.run_batch ~domains b10_scenarios)
@@ -662,7 +698,7 @@ let json_escape s =
 let json_float v =
   if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
 
-let write_json ~oc ~quota ~sweeps rows =
+let write_json ~oc ~quota ~calibration ~sweeps rows =
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
   out "  \"schema\": \"maaa-bench/2\",\n";
@@ -675,9 +711,12 @@ let write_json ~oc ~quota ~sweeps rows =
   (* Section headers for the domain-gated groups: on a 1-core host the
      B10 pool rows and the B14 domain-sharded rows are skipped (their
      derived keys go null), and these flags record why — the perf
-     trajectory stays auditable across hosts. *)
-  out "  \"b10\": {\"skipped_single_core\": %s},\n"
-    (if host_domains >= 2 then "false" else "true");
+     trajectory stays auditable across hosts. The calibration is the
+     host's measured 2-domain ratio (see [parallel_ratio]). *)
+  out
+    "  \"b10\": {\"skipped_single_core\": %s, \"parallel_calibration\": %s},\n"
+    (if host_domains >= 2 then "false" else "true")
+    (json_float calibration);
   out "  \"b14\": {\"skipped_single_core\": %s, \"target_instances_per_sec\": 10000},\n"
     (if host_domains >= 2 then "false" else "true");
   out "  \"unit\": \"ns/run\",\n";
@@ -843,7 +882,10 @@ let () =
       Format.printf
         "B12 fitted exponents: batched %.2f, EW %.2f (reference is ~3)@.@." b e
   | _ -> ());
+  let before = calibrate 3 in
   let results = benchmark ~quota:!quota () in
+  let calibration = median (before @ calibrate 3) in
+  Format.printf "2-domain parallel calibration (pure loop): %.2fx@." calibration;
   let rows =
     Hashtbl.fold
       (fun name ols acc ->
@@ -909,6 +951,6 @@ let () =
   match json_out with
   | None -> ()
   | Some (path, oc) ->
-      write_json ~oc ~quota:!quota ~sweeps rows;
+      write_json ~oc ~quota:!quota ~calibration ~sweeps rows;
       close_out oc;
       Format.printf "wrote %s@." path

@@ -3,7 +3,7 @@ type callbacks = {
   set_timer : at:int -> unit;
   rbc_broadcast : Message.payload -> unit;
   send_all : Message.t -> unit;
-  output : Pairset.t -> unit;
+  output : int array -> Vec.t array -> unit;
 }
 
 (* Seed implementation, kept verbatim as the differential baseline: all
@@ -49,8 +49,6 @@ module Reference = struct
       done_ = false;
     }
 
-  let has_output t = t.done_
-
   (* A report is validated when it is large enough and every pair in it has
      been rBC-delivered to us too; its sender becomes a witness. *)
   let recheck_pending t =
@@ -89,7 +87,9 @@ module Reference = struct
       in
       if now > t.tau_start + deadline && witness_ok then begin
         t.done_ <- true;
-        t.cb.output t.m
+        t.cb.output
+          (Array.of_list (Pairset.parties t.m))
+          (Pairset.values_arr t.m)
       end
     end
 
@@ -169,12 +169,6 @@ let bit_set b i =
   Bytes.set b (i lsr 3)
     (Char.chr (Char.code (Bytes.get b (i lsr 3)) lor (1 lsl (i land 7))))
 
-let intern_vec t v =
-  let pid = Intern.intern t.intern (Message.Pvec v) in
-  match Intern.payload t.intern pid with
-  | Message.Pvec cv -> (pid, cv)
-  | _ -> assert false
-
 (* ascending party order — exactly Pairset.bindings of the same set *)
 let fast_bindings t =
   let acc = ref [] in
@@ -182,8 +176,6 @@ let fast_bindings t =
     if t.m_pid.(p) >= 0 then acc := (p, t.m_vec.(p)) :: !acc
   done;
   !acc
-
-let fast_pairset t = Pairset.of_bindings (fast_bindings t)
 
 let rec agrees_from t r p =
   p = t.n
@@ -196,20 +188,23 @@ let rec any_verified t = function
   | [] -> false
   | r :: rest -> report_verified t r || any_verified t rest
 
-(* Runs on every event while reports are pending; the partition only
-   allocates once some report has validated. *)
-let fast_recheck_pending t =
-  if any_verified t t.pending then begin
-    let validated, rest = List.partition (report_verified t) t.pending in
-    t.pending <- rest;
-    List.iter
-      (fun r ->
+(* Promotes the senders of verified reports to witnesses and returns the
+   reports still pending; allocates only for those. *)
+let rec drop_verified t = function
+  | [] -> []
+  | r :: rest ->
+      if report_verified t r then begin
         if not (bit_mem t.witness_seen r.sender) then begin
           bit_set t.witness_seen r.sender;
           t.witness_count <- t.witness_count + 1
-        end)
-      validated
-  end
+        end;
+        drop_verified t rest
+      end
+      else r :: drop_verified t rest
+
+(* Runs on every event while reports are pending. *)
+let fast_recheck_pending t =
+  if any_verified t t.pending then t.pending <- drop_verified t t.pending
 
 let fast_try_fire t =
   if t.started && not t.done_ then begin
@@ -235,7 +230,11 @@ let fast_try_fire t =
     in
     if now > t.tau_start + deadline && witness_ok then begin
       t.done_ <- true;
-      t.cb.output (fast_pairset t)
+      let parties = Array.make t.m_count 0 and k = ref 0 in
+      Array.iteri
+        (fun p pid -> if pid >= 0 then (parties.(!k) <- p; incr k))
+        t.m_pid;
+      t.cb.output parties (Array.map (Array.get t.m_vec) parties)
     end
   end
 
@@ -255,9 +254,11 @@ let fast_on_value t ~origin v =
   if fast_valid_party t origin then begin
     (* first value per origin wins, as in Pairset.add *)
     if t.m_pid.(origin) < 0 then begin
-      let pid, cv = intern_vec t v in
+      let pid = Intern.intern_vec t.intern v in
       t.m_pid.(origin) <- pid;
-      t.m_vec.(origin) <- cv;
+      (match Intern.payload t.intern pid with
+      | Message.Pvec cv -> t.m_vec.(origin) <- cv
+      | _ -> assert false);
       t.m_count <- t.m_count + 1
     end;
     fast_try_fire t
@@ -267,16 +268,17 @@ let fast_on_report t ~from pairs =
   if fast_valid_party t from && not (bit_mem t.seen_report from) then begin
     bit_set t.seen_report from;
     let rep_pid = Array.make t.n (-1) in
-    let count = ref 0 in
-    List.iter
-      (fun (p, v) ->
-        if fast_valid_party t p && rep_pid.(p) < 0 then begin
-          let pid, _ = intern_vec t v in
-          rep_pid.(p) <- pid;
-          incr count
-        end)
-      pairs;
-    t.pending <- { sender = from; rep_pid; rep_count = !count } :: t.pending;
+    let rec fill count = function
+      | [] -> count
+      | (p, v) :: rest ->
+          if fast_valid_party t p && rep_pid.(p) < 0 then begin
+            rep_pid.(p) <- Intern.intern_vec t.intern v;
+            fill (count + 1) rest
+          end
+          else fill count rest
+    in
+    let rep_count = fill 0 pairs in
+    t.pending <- { sender = from; rep_pid; rep_count } :: t.pending;
     fast_try_fire t
   end
 
@@ -313,10 +315,6 @@ let create ?(impl = `Interned) ?intern ?(witnessing = true) ~n ~ts ~delta
           sent_report = false;
           done_ = false;
         }
-
-let has_output = function
-  | Fast f -> f.done_
-  | Ref r -> Reference.has_output r
 
 let start t v =
   match t with Fast f -> fast_start f v | Ref r -> Reference.start r v

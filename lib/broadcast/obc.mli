@@ -30,7 +30,9 @@ type callbacks = {
   rbc_broadcast : Message.payload -> unit;
       (** start our own rBC instance for this iteration's value *)
   send_all : Message.t -> unit;  (** best-effort broadcast *)
-  output : Pairset.t -> unit;  (** fired exactly once *)
+  output : int array -> Vec.t array -> unit;
+      (** fired exactly once, with the collected set: its parties in
+          ascending order, and their values in the same order *)
 }
 
 val create :
@@ -60,8 +62,6 @@ val on_report : t -> from:int -> (int * Vec.t) list -> unit
 val poke : t -> unit
 (** Re-evaluate all guards (call on timer wake-ups). *)
 
-val has_output : t -> bool
-
 (** The seed Pairset/Map implementation, verbatim — differential baseline
     only; protocol code should go through {!create}. *)
 module Reference : sig
@@ -75,5 +75,4 @@ module Reference : sig
   val on_value : t -> origin:int -> Vec.t -> unit
   val on_report : t -> from:int -> (int * Vec.t) list -> unit
   val poke : t -> unit
-  val has_output : t -> bool
 end

@@ -106,11 +106,6 @@ module Reference = struct
     | Message.Ready ->
         inst.ready_votes <- add_vote inst.ready_votes ~from v;
         check_progress t id inst v
-
-  let delivered t id =
-    match IdMap.find_opt id t.instances with
-    | Some inst -> inst.output
-    | None -> None
 end
 
 (* ------------------------------------------------------------------ *)
@@ -204,10 +199,11 @@ let bit_set b i =
 let fast_instance t id =
   if t.last_id != no_id && id_equal t.last_id id then t.last_inst
   else begin
+    (* [find], not [find_opt]: a hit must not box its result *)
     let inst =
-      match IdTbl.find_opt t.instances id with
-      | Some inst -> inst
-      | None ->
+      match IdTbl.find t.instances id with
+      | inst -> inst
+      | exception Not_found ->
           let inst =
             { echoed = false; readied = false; output = None; slots = [] }
           in
@@ -335,11 +331,3 @@ let on_message t ~from id step v =
   match t with
   | Ref r -> Reference.on_message r ~from id step v
   | Fast f -> fast_on_message f ~from id step v
-
-let delivered t id =
-  match t with
-  | Ref r -> Reference.delivered r id
-  | Fast f -> (
-      match IdTbl.find_opt f.instances id with
-      | Some inst -> inst.output
-      | None -> None)

@@ -55,9 +55,6 @@ val on_message :
     instance's origin (authenticated channels); echo and ready votes are
     counted at most once per (sender, value). *)
 
-val delivered : t -> Message.rbc_id -> Message.payload option
-(** The instance's output, if it has been delivered locally. *)
-
 (** The seed message layer, verbatim — [Map]s keyed by polymorphic
     compare over full payloads. Differential baseline only; protocol code
     should go through {!create}. *)
@@ -69,6 +66,4 @@ module Reference : sig
 
   val on_message :
     t -> from:int -> Message.rbc_id -> Message.step -> Message.payload -> unit
-
-  val delivered : t -> Message.rbc_id -> Message.payload option
 end

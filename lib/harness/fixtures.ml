@@ -80,7 +80,11 @@ let run_obc ?(seed = 1L) ?(witnessing = true) ?(start_delays = []) ~n ~ts
                     payload);
               send_all = (fun msg -> Engine.broadcast engine ~src:i msg);
               output =
-                (fun m -> outputs := (i, m, Engine.now engine) :: !outputs);
+                (fun parties values ->
+                  let pairs = Array.(to_list (combine parties values)) in
+                  outputs :=
+                    (i, Pairset.of_bindings pairs, Engine.now engine)
+                    :: !outputs);
             }
         in
         obc_ref := Some obc;

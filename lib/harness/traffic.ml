@@ -77,8 +77,7 @@ let step_index = function
   | Message.Echo -> index Step_echo
   | Message.Ready -> index Step_ready
 
-(* The accounting fold behind both the tracer path and the engine's
-   send-path counters. Physical classes (0..8) partition the messages;
+(* The accounting fold behind the engine's send-path counters. Physical classes (0..8) partition the messages;
    the step classes (9..11) additionally attribute every logical rBC
    vote — whether it travelled standalone or inside a batch — to its
    Bracha step, so the two groupings overlap by design. *)
@@ -97,19 +96,6 @@ let classify_into msg emit =
   | m -> emit (index (klass_of m)) (Message.size_of m)
 
 type t = { counts : int array; byte_counts : int array }
-
-let create () =
-  { counts = Array.make num_klasses 0; byte_counts = Array.make num_klasses 0 }
-
-let record t i bytes =
-  t.counts.(i) <- t.counts.(i) + 1;
-  t.byte_counts.(i) <- t.byte_counts.(i) + bytes
-
-let observe t = function
-  | Engine.Sent { msg; _ } -> classify_into msg (record t)
-  | Engine.Delivered _ | Engine.Timer_fired _ | Engine.Party_failed _ -> ()
-
-let attach t engine = Engine.set_tracer engine (observe t)
 
 let of_engine engine =
   { counts = Engine.class_messages engine; byte_counts = Engine.class_bytes engine }

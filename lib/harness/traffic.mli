@@ -9,11 +9,8 @@
     — to its Bracha step. Step rows therefore overlap the physical rows
     and are excluded from {!total}.
 
-    Counts can be collected two ways: via the engine tracer ({!attach},
-    the historical path) or — cheaper, and what {!Runner} uses — via the
-    engine's send-path class counters ({!classify_into} passed to
-    [Engine.create], then {!of_engine}). Both paths run the same fold, so
-    they agree exactly. *)
+    The counts come from the engine's send-path class counters:
+    {!classify_into} passed to [Engine.create], then {!of_engine}. *)
 
 type klass =
   | Init_rbc  (** Πinit: value and report reliable broadcasts *)
@@ -44,12 +41,7 @@ val classify_into : Message.t -> (int -> int -> unit) -> unit
     Pass directly as [Engine.create ~classify]. *)
 
 type t
-(** Mutable per-class counters. *)
-
-val create : unit -> t
-
-val attach : t -> Message.t Engine.t -> unit
-(** Installs the counters as the engine's tracer. *)
+(** Per-class counters. *)
 
 val of_engine : Message.t Engine.t -> t
 (** Snapshot of an engine's send-path class counters; the engine must

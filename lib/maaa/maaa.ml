@@ -70,5 +70,3 @@ let run ?(seed = 1L) ?policy ?(silent = []) ?opts ?(transport = `Sim) ~cfg ~inpu
     histories = List.map (fun (i, p) -> (i, Party.value_history p)) parties;
     stats = Engine.stats engine;
   }
-
-let diameter_of_outputs o = Vec.diameter (List.map snd o.outputs)

@@ -39,6 +39,3 @@ val run :
     @raise Invalid_argument on input-count or dimension mismatches.
     @raise Failure if some honest party never outputs (a liveness bug or a
     policy outside the model's guarantees). *)
-
-val diameter_of_outputs : outcome -> float
-(** [δmax] over the honest outputs. *)

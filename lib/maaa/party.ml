@@ -59,7 +59,6 @@ let me t = t.me
 let output t = t.output
 let output_iteration t = t.output_iter
 let output_time t = t.output_time
-let current_iteration t = t.iter
 let iteration_estimate t = t.t_estimate
 
 let value_history t =
@@ -127,7 +126,7 @@ let rec join_iteration t it =
               { Message.tag = Message.Obc_value it; origin = t.me }
               payload);
         send_all = t.send_all;
-        output = (fun mset -> on_obc_output t it mset);
+        output = (fun _ values -> on_obc_output t it values);
       }
   in
   Hashtbl.replace t.obcs it obc;
@@ -141,15 +140,13 @@ let rec join_iteration t it =
      local time moves past [iter_start] *)
   try_halt_output t
 
-and on_obc_output t it mset =
+and on_obc_output t it values =
   if
     Option.is_none t.output && t.iter = it && Option.is_none t.pending_value
   then begin
-    let k = Pairset.cardinal mset - (t.cfg.n - t.cfg.ts) in
+    let k = Array.length values - (t.cfg.n - t.cfg.ts) in
     let trim = max k t.cfg.ta in
-    match
-      Safe_cache.new_value_arr t.safe_cache ~t:trim (Pairset.values_arr mset)
-    with
+    match Safe_cache.new_value_arr t.safe_cache ~t:trim values with
     | Some v ->
         let v =
           match t.opts.mutant with

@@ -135,8 +135,6 @@ val me : t -> int
 val output : t -> Vec.t option
 val output_iteration : t -> int option
 val output_time : t -> int option
-val current_iteration : t -> int
-(** 0 while still in Πinit. *)
 
 val iteration_estimate : t -> int option
 (** The [T] obtained from Πinit. *)

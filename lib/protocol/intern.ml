@@ -38,8 +38,10 @@ type t = {
 let hash_int_list l =
   List.fold_left (fun h p -> ((h * 0x01000193) lxor p) land max_int) 0x2f0e1 l
 
+let hash_vec v = Vec.hash v lxor 0x11
+
 let hash_payload = function
-  | Message.Pvec v -> Vec.hash v lxor 0x11
+  | Message.Pvec v -> hash_vec v
   | Message.Ppairs ps ->
       List.fold_left
         (fun h (p, v) ->
@@ -119,38 +121,59 @@ let rec find t h p = function
       if e.hash = h && equal_payload t.payloads.(e.id) p then e.id
       else find t h p rest
 
+(* [find] specialised to [Pvec v], so the probe needs no box. *)
+let rec find_vec t h v = function
+  | [] -> -1
+  | e :: rest -> (
+      match t.payloads.(e.id) with
+      | Message.Pvec u when e.hash = h && Vec.equal_exact u v -> e.id
+      | _ -> find_vec t h v rest)
+
+(* The two outcomes of a chain walk: a hit, or a miss that stores [p]
+   under a fresh id in bucket [b] (hash [h]). *)
+let hit t id =
+  t.hits <- t.hits + 1;
+  id
+
+let fresh t h b p =
+  t.misses <- t.misses + 1;
+  let id = t.count in
+  if id = Array.length t.payloads then begin
+    let bigger = Array.make (2 * id) dummy in
+    Array.blit t.payloads 0 bigger 0 id;
+    t.payloads <- bigger
+  end;
+  t.payloads.(id) <- p;
+  t.count <- id + 1;
+  t.buckets.(b) <- { hash = h; id } :: t.buckets.(b);
+  if (not t.fixed) && t.count > 2 * Array.length t.buckets then rehash t;
+  id
+
+let memo t p id =
+  t.last_p <- p;
+  t.last_id <- id;
+  id
+
 let intern t p =
-  if t.last_id >= 0 && p == t.last_p then begin
-    t.hits <- t.hits + 1;
-    t.last_id
-  end
+  if t.last_id >= 0 && p == t.last_p then hit t t.last_id
   else begin
     let h = hash_payload p in
     let b = bucket_of t h in
-    let id =
-      match find t h p t.buckets.(b) with
-      | id when id >= 0 ->
-          t.hits <- t.hits + 1;
-          id
-      | _ ->
-          t.misses <- t.misses + 1;
-          let id = t.count in
-          if id = Array.length t.payloads then begin
-            let bigger = Array.make (2 * id) dummy in
-            Array.blit t.payloads 0 bigger 0 id;
-            t.payloads <- bigger
-          end;
-          t.payloads.(id) <- p;
-          t.count <- id + 1;
-          t.buckets.(b) <- { hash = h; id } :: t.buckets.(b);
-          if (not t.fixed) && t.count > 2 * Array.length t.buckets then
-            rehash t;
-          id
-    in
-    t.last_p <- p;
-    t.last_id <- id;
-    id
+    let id = find t h p t.buckets.(b) in
+    memo t p (if id >= 0 then hit t id else fresh t h b p)
   end
+
+(* [intern t (Pvec v)] without the box: the memo matches on the vector,
+   and a [Pvec] is built only when [v] is new. *)
+let intern_vec t v =
+  match t.last_p with
+  | Message.Pvec u when t.last_id >= 0 && u == v -> hit t t.last_id
+  | _ ->
+      let h = hash_vec v in
+      let b = bucket_of t h in
+      let id = find_vec t h v t.buckets.(b) in
+      let id = if id >= 0 then hit t id else fresh t h b (Message.Pvec v) in
+      memo t t.payloads.(id) id
 
 let intern_payload t p = payload t (intern t p)
 

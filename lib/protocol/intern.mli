@@ -31,6 +31,11 @@ val intern : t -> Message.payload -> int
 (** The id of the payload: a fresh dense id ([0], [1], [2], …) on first
     sight, the existing id for any structurally equal payload after. *)
 
+val intern_vec : t -> Vec.t -> int
+(** [intern t (Pvec v)] without allocating the [Pvec]: the same id, hash,
+    chain walk and {!hits}/{!misses}/{!count}. The box is built only when
+    [v] is new, to become the canonical representative. *)
+
 val payload : t -> int -> Message.payload
 (** The canonical representative interned under this id (the first
     structurally-equal payload received).

@@ -50,6 +50,7 @@ type 'msg t = {
   mutable wire : 'msg wire option;
   classify : ('msg -> (int -> int -> unit) -> unit) option;
   emit : int -> int -> unit;  (* [classify]'s accumulator, built once *)
+  fanout : int ref;  (* copies [emit] counts per entry: n in a broadcast *)
   class_msgs : int array;
   class_bytes : int array;
   mutable has_flushers : bool;
@@ -81,6 +82,7 @@ let create ?(seed = 0x5eedL) ?(size_of = fun _ -> 0) ?(classes = 0) ?classify
   if n <= 0 then invalid_arg "Engine.create: n must be positive";
   if classes < 0 then invalid_arg "Engine.create: classes must be >= 0";
   let class_msgs = Array.make classes 0 and class_bytes = Array.make classes 0 in
+  let fanout = ref 1 in
   {
     n;
     policy;
@@ -93,8 +95,9 @@ let create ?(seed = 0x5eedL) ?(size_of = fun _ -> 0) ?(classes = 0) ?classify
     classify = (if classes = 0 then None else classify);
     emit =
       (fun klass bytes ->
-        class_msgs.(klass) <- class_msgs.(klass) + 1;
-        class_bytes.(klass) <- class_bytes.(klass) + bytes);
+        class_msgs.(klass) <- class_msgs.(klass) + !fanout;
+        class_bytes.(klass) <- class_bytes.(klass) + (!fanout * bytes));
+    fanout;
     class_msgs;
     class_bytes;
     has_flushers = false;
@@ -174,27 +177,46 @@ let inject t ~src ~dst ~seq ~deliver_at msg =
   Heap.Keyed.push t.queue ~key:((at lsl seq_bits) lor seq) ~aux:dst
     (Deliver { src; msg })
 
-let send t ~src ~dst msg =
-  if dst < 0 || dst >= t.n then invalid_arg "Engine.send: bad destination";
+(* Accounting for [copies] sends of one message: the size and the class
+   fold run once, the counts scale. *)
+let account t msg copies =
+  t.messages_sent <- t.messages_sent + copies;
+  t.bytes_sent <- t.bytes_sent + (copies * t.size_of msg);
+  match t.classify with
+  | Some f ->
+      t.fanout := copies;
+      f msg t.emit;
+      t.fanout := 1
+  | None -> ()
+
+(* The per-destination half of a send: the policy draw, the [Sent] trace
+   and the hand-off of [ev] (a [Deliver] of [msg] from [src]). *)
+let dispatch t ~src ~dst msg ev =
   let delay = Int.max 1 (t.policy ~rng:t.rng ~now:t.now ~src ~dst) in
   let deliver_at = t.now + delay in
-  t.messages_sent <- t.messages_sent + 1;
-  t.bytes_sent <- t.bytes_sent + t.size_of msg;
-  (match t.classify with Some f -> f msg t.emit | None -> ());
   (match t.tracer with
   | Some f -> f (Sent { src; dst; at = t.now; deliver_at; msg })
   | None -> ());
   match t.wire with
-  | None -> push t ~at:deliver_at ~target:dst (Deliver { src; msg })
+  | None -> push t ~at:deliver_at ~target:dst ev
   | Some w ->
       (* the sequence number is allocated here, in global send order, and
          travels with the message so [inject] can reproduce the heap key *)
       t.seq <- t.seq + 1;
       w.wire_send ~src ~dst ~seq:t.seq ~deliver_at msg
 
+let send t ~src ~dst msg =
+  if dst < 0 || dst >= t.n then invalid_arg "Engine.send: bad destination";
+  account t msg 1;
+  dispatch t ~src ~dst msg (Deliver { src; msg })
+
+(* One immutable event record serves every destination: the queue only
+   reads it, and the handler learns its own index from the heap rider. *)
 let broadcast t ~src msg =
+  account t msg t.n;
+  let ev = Deliver { src; msg } in
   for dst = 0 to t.n - 1 do
-    send t ~src ~dst msg
+    dispatch t ~src ~dst msg ev
   done
 
 let set_timer t ~party ~at ~tag =

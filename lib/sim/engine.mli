@@ -50,9 +50,10 @@ val create :
 (** [size_of] is used only for byte accounting (default: 0 per message).
 
     [classes]/[classify] enable per-class accounting on the send path:
-    [classify msg emit] is invoked once per sent message and calls
-    [emit klass bytes] for each accounting entry it attributes to the
-    message — usually once, but a batched packet may emit once per
+    [classify msg emit] is invoked once per {!send} or {!broadcast} and
+    calls [emit klass bytes] for each accounting entry it attributes to
+    the message (a broadcast's entries count once per destination) —
+    usually once, but a batched packet may emit once per
     logical entry it carries, so the classifier is a fold rather than a
     plain classification function. [klass] must lie in
     [0 .. classes - 1]. Free when [classes = 0] (the default). *)
@@ -117,7 +118,11 @@ val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Enqueues a message; its delivery time comes from the policy. *)
 
 val broadcast : 'msg t -> src:int -> 'msg -> unit
-(** [send] to every party, including [src] itself. *)
+(** [send] to every party, including [src] itself, with the same stats,
+    class counts, [Sent] trace events and pop order as [n] {!send}s in
+    destination order — but all [n] deliveries share one immutable
+    [Deliver] record, and [size_of] and [classify] run once, their
+    counts added [n] times. *)
 
 val set_timer : 'msg t -> party:int -> at:time -> tag:int -> unit
 (** Wakes [party] with [Timer tag] at absolute time [at] (clamped to the

@@ -3,7 +3,6 @@ module IM = Map.Make (Int)
 type t = Vec.t IM.t
 
 let empty = IM.empty
-let is_empty = IM.is_empty
 let cardinal = IM.cardinal
 
 let add ~party v m =
@@ -51,10 +50,3 @@ let inter m m' =
 
 let union m m' = IM.union (fun _ v _ -> Some v) m m'
 let diameter m = Vec.diameter (values m)
-
-let pp ppf m =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-       (fun ppf (p, v) -> Format.fprintf ppf "P%d↦%a" p Vec.pp v))
-    (bindings m)

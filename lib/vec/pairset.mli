@@ -7,7 +7,6 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
 val cardinal : t -> int
 
 val add : party:int -> Vec.t -> t -> t
@@ -41,5 +40,3 @@ val union : t -> t -> t
 
 val diameter : t -> float
 (** [δmax(val(M))]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -168,6 +168,7 @@ dune exec bench/main.exe -- --smoke --json _build/BENCH_smoke.json
 grep -q '"schema": "maaa-bench/2"' _build/BENCH_smoke.json
 grep -q '"ocaml_version"' _build/BENCH_smoke.json
 grep -q '"recommended_domains"' _build/BENCH_smoke.json
+grep -q '"parallel_calibration"' _build/BENCH_smoke.json
 
 echo "== bench derived keys =="
 for key in b6_speedup_n12 b7_speedup b11_speedup_vote_storm \
@@ -266,40 +267,53 @@ awk '
 # Multicore honesty: with real parallelism available, 2 domains must
 # actually beat sequential — >= 1.1x on the committed full-quota file
 # (plus a >= 0.95x sanity floor on the smoke run, which only proves the
-# pool is not pathologically slower). On a 1-core box every extra domain
-# just adds minor-GC stop-the-world synchronisation, so the gates skip —
-# and the committed JSON records the skip in its "b10" section header.
-cores=$( (nproc || getconf _NPROCESSORS_ONLN || echo 1) 2>/dev/null | head -n1 )
-if [ "$cores" -ge 2 ]; then
-  echo "== b10 2-domain smoke sanity floor ($cores cores, >= 0.95x) =="
+# pool is not pathologically slower). Whether parallelism is available is
+# measured, not inferred from the core count: the bench records the
+# median 2-domain ratio of a pure integer loop as "parallel_calibration"
+# in its "b10" section header. Two parallel cores give ~2.0; a host that
+# reports 2 cores but time-slices them gives ~1.0, and there every extra
+# domain just adds minor-GC stop-the-world synchronisation. Each gate
+# applies only when its file's calibration is >= 1.6, and otherwise
+# skips with the measured ratio printed.
+calibration() {
+  sed -n 's/.*"b10": {.*"parallel_calibration": \([0-9.e+-]*\).*/\1/p' "$1"
+}
+parallel_ok() {
+  [ -n "$1" ] && awk -v c="$1" 'BEGIN { exit !(c + 0 >= 1.6) }'
+}
+smoke_cal=$(calibration _build/BENCH_smoke.json)
+if parallel_ok "$smoke_cal"; then
+  echo "== b10 2-domain smoke sanity floor (calibration $smoke_cal, >= 0.95x) =="
   awk '
     /"b10_speedup_2_domains_vs_sequential"/ {
       v = $2; gsub(/[,"]/, "", v)
+      found = 1
       if (v == "null" || v + 0 < 0.95) {
         printf "ci: b10 2-domain speedup %s < 0.95\n", v > "/dev/stderr"
         exit 1
       }
-      found = 1
     }
     END { if (!found) { print "ci: b10 2-domain key missing" > "/dev/stderr"; exit 1 } }
   ' _build/BENCH_smoke.json
-  if grep -q '"b10": {"skipped_single_core": false}' BENCH_lp.json; then
-    echo "== committed b10 2-domain honesty gate (>= 1.1x) =="
-    awk '
-      /"b10_speedup_2_domains_vs_sequential"/ {
-        v = $2; gsub(/[,"]/, "", v)
-        if (v == "null" || v + 0 < 1.1) {
-          printf "ci: committed b10 2-domain speedup %s < 1.1\n", v > "/dev/stderr"
-          exit 1
-        }
-        found = 1
-      }
-      END { if (!found) { print "ci: b10 2-domain key missing in BENCH_lp.json" > "/dev/stderr"; exit 1 } }
-    ' BENCH_lp.json
-  else
-    echo "== committed b10 honesty gate skipped (BENCH_lp.json was produced single-core) =="
-  fi
 else
-  echo "== b10 throughput gate skipped (single core) =="
+  echo "== b10 2-domain smoke floor skipped (parallel calibration ${smoke_cal:-missing} < 1.6) =="
+fi
+committed_cal=$(calibration BENCH_lp.json)
+if grep -q '"b10": {"skipped_single_core": false' BENCH_lp.json \
+    && parallel_ok "$committed_cal"; then
+  echo "== committed b10 2-domain honesty gate (calibration $committed_cal, >= 1.1x) =="
+  awk '
+    /"b10_speedup_2_domains_vs_sequential"/ {
+      v = $2; gsub(/[,"]/, "", v)
+      found = 1
+      if (v == "null" || v + 0 < 1.1) {
+        printf "ci: committed b10 2-domain speedup %s < 1.1\n", v > "/dev/stderr"
+        exit 1
+      }
+    }
+    END { if (!found) { print "ci: b10 2-domain key missing in BENCH_lp.json" > "/dev/stderr"; exit 1 } }
+  ' BENCH_lp.json
+else
+  echo "== committed b10 honesty gate skipped (BENCH_lp.json: single-core or parallel calibration ${committed_cal:-missing} < 1.6) =="
 fi
 echo "ci: OK"

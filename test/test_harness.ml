@@ -250,19 +250,59 @@ let test_traffic_classification () =
         (Traffic.klass_name (Traffic.klass_of msg)))
     checks
 
+let traffic_engine ~n =
+  Engine.create ~size_of:Message.size_of ~classes:Traffic.num_klasses
+    ~classify:Traffic.classify_into ~n ~policy:Network.instant ()
+
 let test_traffic_counters () =
-  let t = Traffic.create () in
-  let engine =
-    Engine.create ~size_of:Message.size_of ~n:2 ~policy:Network.instant ()
-  in
-  Traffic.attach t engine;
+  let engine = traffic_engine ~n:2 in
   Engine.set_party engine 1 (fun _ -> ());
   Engine.send engine ~src:0 ~dst:1 (Message.Junk 10);
   Engine.send engine ~src:0 ~dst:1 (Message.Junk 20);
   Engine.run engine;
+  let t = Traffic.of_engine engine in
   Alcotest.(check int) "count" 2 (Traffic.count t Traffic.Junk);
   Alcotest.(check int) "bytes" (16 + 10 + 16 + 20) (Traffic.bytes t Traffic.Junk);
   Alcotest.(check int) "total" 2 (Traffic.total t)
+
+(* A broadcast sizes and classifies its message once and scales the
+   counts by n: the rows and totals must equal those of n single sends,
+   and the tracer must still see one [Sent] per destination, in order. *)
+let test_broadcast_accounts_like_sends () =
+  let v = Vec.of_list [ 1.; 2. ] in
+  let id = { Message.tag = Message.Obc_value 1; origin = 0 } in
+  let halt = { Message.tag = Message.Halt 2; origin = 3 } in
+  List.iter
+    (fun (name, msg) ->
+      let a = traffic_engine ~n:4 and b = traffic_engine ~n:4 in
+      let dsts = ref [] in
+      Engine.set_tracer a (function
+        | Engine.Sent { dst; _ } -> dsts := dst :: !dsts
+        | _ -> ());
+      Engine.broadcast a ~src:0 msg;
+      for dst = 0 to 3 do
+        Engine.send b ~src:0 ~dst msg
+      done;
+      let rows e = Traffic.to_rows (Traffic.of_engine e) in
+      Alcotest.(check (list (triple string int int)))
+        (name ^ ": rows") (rows b) (rows a);
+      let sa = Engine.stats a and sb = Engine.stats b in
+      Alcotest.(check int)
+        (name ^ ": messages") sb.Engine.messages_sent sa.Engine.messages_sent;
+      Alcotest.(check int)
+        (name ^ ": bytes") sb.Engine.bytes_sent sa.Engine.bytes_sent;
+      Alcotest.(check (list int))
+        (name ^ ": Sent in dst order") [ 0; 1; 2; 3 ] (List.rev !dsts))
+    [
+      ("rbc vote", Message.Rbc (id, Message.Echo, Message.Pvec v));
+      ( "rbc batch",
+        Message.Rbc_batch
+          [
+            (id, Message.Init, Message.Pvec v);
+            (halt, Message.Ready, Message.Pint 2);
+          ] );
+      ("obc report", Message.Obc_report { iter = 1; pairs = [ (0, v); (2, v) ] });
+    ]
 
 (* --- Baseline runner corruption plumbing --- *)
 
@@ -318,6 +358,8 @@ let () =
         [
           Alcotest.test_case "classification" `Quick test_traffic_classification;
           Alcotest.test_case "counters" `Quick test_traffic_counters;
+          Alcotest.test_case "broadcast accounts like sends" `Quick
+            test_broadcast_accounts_like_sends;
         ] );
       ( "baseline runner",
         [

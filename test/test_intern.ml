@@ -99,6 +99,85 @@ let test_intern_reset () =
   Alcotest.(check int) "ids restart at 0" 0 (Intern.intern t (Message.Pint 9));
   Alcotest.(check int) "fresh table semantics" 1 (Intern.intern t p)
 
+(* [intern_vec t v] against its definition, [intern t (Pvec v)]: random
+   sequences mixing all four payload kinds with bare vectors, over
+   one-bucket tables so every lookup walks a collision chain. A vector op
+   reuses a pool vector (shared: the phys memo can fire) or a fresh copy
+   of it; [Again] re-interns the previous payload object itself. After
+   every op the twin tables must agree on the id, the
+   counters and the canonical representative. *)
+type op =
+  | Vector of int * bool  (* pool index, shared *)
+  | Payload of int * int  (* kind, pool index *)
+  | Again
+
+let pool =
+  Array.map vec
+    [|
+      [ 0.; 1. ];
+      [ -0.; 1. ];
+      [ Float.nan; 1. ];
+      [ 0. /. 0.; 1. ];
+      [ 0.; 1. ];
+      [ 2.5 ];
+      [ Float.infinity; -1. ];
+      [ 1.; 0.; -0. ];
+    |]
+
+let payload_of kind k =
+  let v = pool.(k) in
+  match kind with
+  | 0 -> Message.Pvec v
+  | 1 -> Message.Ppairs [ (k, v); (k + 1, pool.((k + 3) mod Array.length pool)) ]
+  | 2 -> Message.Pint (k mod 3)
+  | _ -> Message.Pparties [ k mod 2; k mod 3 ]
+
+let gen_ops =
+  let open QCheck.Gen in
+  let k = int_bound (Array.length pool - 1) in
+  list_size (int_range 1 60)
+    (frequency
+       [
+         (3, map2 (fun k shared -> Vector (k, shared)) k bool);
+         (2, map2 (fun kind k -> Payload (kind, k)) (int_bound 3) k);
+         (1, return Again);
+       ])
+
+let print_op = function
+  | Vector (k, shared) -> Printf.sprintf "vec %d%s" k (if shared then "" else "'")
+  | Payload (kind, k) -> Printf.sprintf "payload %d/%d" kind k
+  | Again -> "again"
+
+let prop_intern_vec_differential =
+  QCheck.Test.make ~name:"intern_vec = intern (Pvec v)" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_op) gen_ops)
+    (fun ops ->
+      let a = Intern.create ~fixed:true ~initial_size:1 () in
+      let b = Intern.create ~fixed:true ~initial_size:1 () in
+      let last = ref (Message.Pint 0) in
+      let both p = (Intern.intern a p, Intern.intern b p) in
+      List.for_all
+        (fun op ->
+          let ia, ib =
+            match op with
+            | Vector (k, shared) ->
+                let v =
+                  if shared then pool.(k)
+                  else Vec.of_array (Vec.to_array pool.(k))
+                in
+                (Intern.intern_vec a v, Intern.intern b (Message.Pvec v))
+            | Payload (kind, k) ->
+                last := payload_of kind k;
+                both !last
+            | Again -> both !last
+          in
+          ia = ib
+          && Intern.hits a = Intern.hits b
+          && Intern.misses a = Intern.misses b
+          && Intern.count a = Intern.count b
+          && compare (Intern.payload a ia) (Intern.payload b ib) = 0)
+        ops)
+
 (* --- engine-level differential: byte-identical traces --- *)
 
 (* Full ΠAA under an async heavy-tail schedule, the whole trace (sends
@@ -192,6 +271,7 @@ let () =
           Alcotest.test_case "forced collision chains" `Quick
             test_intern_collision_chains;
           Alcotest.test_case "reset" `Quick test_intern_reset;
+          QCheck_alcotest.to_alcotest prop_intern_vec_differential;
         ] );
       ( "differential",
         [

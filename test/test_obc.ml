@@ -40,7 +40,10 @@ let wire_party f ~n ~ts ~delta i =
               payload);
         send_all = (fun msg -> Engine.broadcast engine ~src:i msg);
         output =
-          (fun m -> f.outputs := (i, m, Engine.now engine) :: !(f.outputs));
+          (fun parties values ->
+            let pairs = Array.(to_list (combine parties values)) in
+            f.outputs :=
+              (i, Pairset.of_bindings pairs, Engine.now engine) :: !(f.outputs));
       }
   in
   obc_ref := Some obc;
@@ -208,7 +211,7 @@ let test_ablation_no_witnessing_loses_overlap_guarantee () =
               { Message.tag = Message.Obc_value 1; origin = 0 }
               payload);
         send_all = (fun msg -> Engine.broadcast engine ~src:0 msg);
-        output = (fun _ -> out_time := Some (Engine.now engine));
+        output = (fun _ _ -> out_time := Some (Engine.now engine));
       }
   in
   obc_ref := Some obc;

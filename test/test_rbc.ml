@@ -209,6 +209,42 @@ let test_threshold_validation () =
         (Rbc.create ~n:6 ~t:2
            { Rbc.send_all = ignore; deliver = (fun _ _ -> ()) }))
 
+(* An echo or ready vote for a value an instance already has a slot for,
+   that crosses no threshold, only flips a bit and bumps a counter: it
+   must allocate nothing. Votes alternate between two instances so the
+   lookup goes through the instance table rather than the last-id memo,
+   and carry an equal but distinct payload so interning walks its
+   bucket. *)
+let test_vote_alloc_free () =
+  let n = 7 and t = 2 in
+  let sends = ref 0 in
+  let rbc =
+    Rbc.create ~n ~t
+      { Rbc.send_all = (fun _ -> incr sends); deliver = (fun _ _ -> ()) }
+  in
+  let a = id 0 and b = id 1 in
+  List.iter
+    (fun i ->
+      Rbc.on_message rbc ~from:1 i Message.Echo (pvec 1.);
+      Rbc.on_message rbc ~from:1 i Message.Ready (pvec 1.))
+    [ a; b ];
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (name, step) ->
+      let v = pvec 1. in
+      let w =
+        words (fun () ->
+            Rbc.on_message rbc ~from:2 a step v;
+            Rbc.on_message rbc ~from:2 b step v)
+      in
+      Alcotest.(check (float 0.)) (name ^ " words") 0. w)
+    [ ("echo", Message.Echo); ("ready", Message.Ready) ];
+  Alcotest.(check int) "no threshold crossed" 0 !sends
+
 let () =
   Alcotest.run "rbc"
     [
@@ -234,5 +270,7 @@ let () =
             test_duplicate_votes_ignored;
           Alcotest.test_case "threshold validation" `Quick
             test_threshold_validation;
+          Alcotest.test_case "vote without send allocates nothing" `Quick
+            test_vote_alloc_free;
         ] );
     ]

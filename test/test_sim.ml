@@ -542,6 +542,27 @@ let test_engine_alloc_budget () =
     Alcotest.failf "%.1f minor words per event (%d events), budget 30"
       per_event events
 
+(* A broadcast builds one event record for all n destinations, so its
+   minor words must not grow with n (each destination used to cost a
+   fresh 3-word [Deliver]). A first broadcast sizes the queue, so the
+   measured one never grows it. *)
+let test_engine_broadcast_alloc_flat () =
+  let words n =
+    let engine = Engine.create ~n ~policy:Network.instant () in
+    Engine.broadcast engine ~src:0 "x";
+    Engine.run engine;
+    let before = Gc.minor_words () in
+    Engine.broadcast engine ~src:0 "x";
+    Gc.minor_words () -. before
+  in
+  let w4 = words 4 in
+  List.iter
+    (fun n ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "n=%d allocates as n=4" n)
+        w4 (words n))
+    [ 8; 16 ]
+
 (* --- policies --- *)
 
 let check_policy_range name policy lo hi =
@@ -628,6 +649,8 @@ let () =
           Alcotest.test_case "wrap_party" `Quick test_engine_wrap_party;
           Alcotest.test_case "allocation budget (async run)" `Quick
             test_engine_alloc_budget;
+          Alcotest.test_case "broadcast allocation flat in n" `Quick
+            test_engine_broadcast_alloc_flat;
         ] );
       ( "policies",
         [
