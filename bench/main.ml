@@ -6,8 +6,9 @@
    B4  2-D convex hull
    B5  implicit diameter search (D = 3): seed one-shot path vs the
        warm-started Lp.Problem workspace
-   B6  full protocol runs (one ΠAA execution, end to end, per config;
-       n=12 also on the seed `Reference message layer)
+   B6  full protocol runs (one ΠAA execution through Runner.run, end to
+       end and graded, per config; n=12 also on the seed `Reference
+       message layer)
    B7  one reliable-broadcast instance, end to end, interned vs
        reference message layer
    B8  restrict_t(M) subset enumeration: seed recursive lists vs the
@@ -173,12 +174,11 @@ let protocol_run ?(opts = Party.default_opts) ~n ~ts ~ta ~d ~seed () =
     List.init n (fun i ->
         Vec.of_list (List.init d (fun c -> float_of_int ((i + c) mod 4))))
   in
-  fun () ->
-    let o =
-      Maaa.run ~seed ~opts
-        ~policy:(Network.lockstep ~delta:10) ~cfg ~inputs ()
-    in
-    assert (o.Maaa.outputs <> [])
+  let scenario =
+    Scenario.make ~seed ~protocol:(Scenario.Maaa opts)
+      ~policy:(Network.lockstep ~delta:10) ~cfg ~inputs ()
+  in
+  fun () -> assert (Runner.run scenario).Runner.live
 
 (* B6: the reference line keeps the seed message layer (PayloadMap votes,
    polymorphic-compare instance maps) alive for the b6_speedup_n12 derived
@@ -493,7 +493,7 @@ let b11_message_layer =
    container it would measure oversubscription, not sharding. *)
 let b14_cfg = Config.make_exn ~n:4 ~ts:1 ~ta:0 ~d:1 ~eps:0.25 ~delta:1
 
-let batched = { Party.default_opts with layer = Party.Batched { window = 1 } }
+let batched = { Party.default_opts with layer = Party.Batched }
 
 let b14_scenario protocol i =
   Scenario.make

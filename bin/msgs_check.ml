@@ -61,7 +61,7 @@ let () =
     run
       ~protocol:
         (Scenario.Maaa
-           { Party.default_opts with layer = Party.Batched { window = 1 } })
+           { Party.default_opts with layer = Party.Batched })
       "msgs-batched"
   in
   let r_ew = run ~protocol:Scenario.Ew "msgs-ew" in

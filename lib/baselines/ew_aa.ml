@@ -43,7 +43,6 @@ type t = {
 let output t = t.output
 let output_time t = t.output_time
 let output_iteration t = if t.output = None then None else Some t.iters
-let current_iteration t = t.iter
 
 let value_history t =
   Hashtbl.fold (fun r v acc -> (r, v) :: acc) t.history []

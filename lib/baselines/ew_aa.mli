@@ -92,6 +92,5 @@ val output : t -> Vec.t option
 val output_iteration : t -> int option
 (** The iteration the output was adopted at ([iters]), once output. *)
 
-val current_iteration : t -> int
 val value_history : t -> (int * Vec.t) list
 val output_time : t -> int option

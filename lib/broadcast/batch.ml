@@ -13,61 +13,35 @@
    is delivered at exactly the tick the unbatched layer would have chosen.
    Randomised policies draw one delay per packet instead of one per vote,
    so schedules diverge (while the protocol stays correct); the
-   differential tests therefore pin deterministic policies.
-
-   The opt-in cross-tick window ([~window] > 1) holds the buffer across up
-   to [window] consecutive flusher fires before emitting, so votes emitted
-   on different ticks — the common shape under uniformly-random-delay
-   schedules, where echo thresholds crossed by different parties land on
-   different ticks — still coalesce into one packet. This trades latency
-   (a vote can leave up to [window − 1] ticks late) for packet count; it
-   changes the schedule, never the logical vote multiset, and is only
-   sound where arbitrary-but-finite extra delay is: under the asynchronous
-   network model, or under synchrony when the caller accounts the window
-   into its Δ budget. The engine's final flush ([~final:true], fired just
-   before a run goes quiescent) drains whatever the window still holds, so
-   no vote is ever lost to a run ending mid-window. *)
+   differential tests therefore pin deterministic policies. *)
 
 type t = {
   mutable buf : (Message.rbc_id * Message.step * Message.payload) list;
       (* reverse emission order *)
   mutable buffered : int;  (* lifetime votes buffered *)
   mutable flushes : int;  (* non-empty flushes *)
-  mutable fires : int;  (* flusher fires since the buffer last emptied *)
-  window : int;
   send_all : Message.t -> unit;
 }
 
-let create ?(window = 1) ~send_all () =
-  if window < 1 then invalid_arg "Batch.create: window must be >= 1";
-  { buf = []; buffered = 0; flushes = 0; fires = 0; window; send_all }
+let create ~send_all = { buf = []; buffered = 0; flushes = 0; send_all }
 
 let add t id step payload =
   t.buffered <- t.buffered + 1;
   t.buf <- (id, step, payload) :: t.buf
 
-let emit t =
+let flush t =
   match t.buf with
   | [] -> ()
   | [ (id, step, p) ] ->
       (* a lone vote gains nothing from the batch framing — send it
          plain, so receivers and byte accounting see the familiar shape *)
       t.buf <- [];
-      t.fires <- 0;
       t.flushes <- t.flushes + 1;
       t.send_all (Message.Rbc (id, step, p))
   | entries ->
       t.buf <- [];
-      t.fires <- 0;
       t.flushes <- t.flushes + 1;
       t.send_all (Message.Rbc_batch (List.rev entries))
-
-let flush ?(final = false) t =
-  match t.buf with
-  | [] -> t.fires <- 0
-  | _ ->
-      t.fires <- t.fires + 1;
-      if final || t.fires >= t.window then emit t
 
 let pending t = List.length t.buf
 let buffered t = t.buffered

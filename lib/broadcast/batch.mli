@@ -6,34 +6,20 @@
     Wire the {!flush} into [Engine.set_flusher] so it runs at the end of
     each tick; a singleton buffer is flushed as a plain {!Message.Rbc}
     packet. Batching is behaviour-preserving under RNG-free delay
-    policies (see the implementation comment for the argument).
-
-    With [~window] > 1 (opt-in) the buffer additionally coalesces across
-    up to [window] consecutive end-of-tick fires before emitting — the
-    cross-{e tick} aggregation that uniformly-random-delay schedules
-    need, where same-tick batching finds little to combine. The engine's
-    final flush drains a part-filled window before a run goes quiescent.
-    The logical vote multiset is unchanged; delivery ticks shift by at
-    most [window − 1], which is sound under the asynchronous model (and
-    under synchrony only if the caller budgets the window into Δ). *)
+    policies (see the implementation comment for the argument). *)
 
 type t
 
-val create : ?window:int -> send_all:(Message.t -> unit) -> unit -> t
+val create : send_all:(Message.t -> unit) -> t
 (** [send_all] broadcasts one packet to every party — the same primitive
-    the unbatched layer hands to [Rbc]. [window] (default [1]: emit at
-    every fire, the PR 6 behaviour) is the maximum number of flusher
-    fires a vote may sit through before the buffer must emit. Raises
-    [Invalid_argument] when [window < 1]. *)
+    the unbatched layer hands to [Rbc]. *)
 
 val add : t -> Message.rbc_id -> Message.step -> Message.payload -> unit
 (** Buffer one outgoing vote (in emission order). *)
 
-val flush : ?final:bool -> t -> unit
+val flush : t -> unit
 (** One end-of-tick fire: emit the buffered votes as one combined
-    broadcast once the window is exhausted (immediately at the default
-    window of 1); no-op when empty. [~final:true] — the engine's
-    about-to-go-quiescent fire — always emits what is held. *)
+    broadcast; no-op when empty. *)
 
 val pending : t -> int
 (** Votes currently buffered. *)

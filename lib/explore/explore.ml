@@ -316,6 +316,7 @@ let shrink_schedule ~check schedule =
 
 let shrink_counterexample config ~plan ~schedule ~invariants =
   let tries = ref 0 in
+  (* counts every oracle call, the plan shrinker's included *)
   let reproduces p s =
     incr tries;
     subset_of invariants (replay config ~plan:p ~schedule:s)
@@ -336,7 +337,7 @@ let shrink_counterexample config ~plan ~schedule ~invariants =
     cx_invariants = invariants;
     cx_shrunk_plan = plan2;
     cx_shrunk_schedule = schedule2;
-    cx_tries = !tries + plan_outcome.Fault_shrink.tries;
+    cx_tries = !tries;
     cx_minimal = plan_outcome.Fault_shrink.minimal;
   }
 

@@ -167,7 +167,6 @@ val replay_quarantine : path:string -> (replay_outcome, string) result
 
 val mode_repr : mode -> string
 val mode_of_repr : string -> (mode, string) result
-val adversary_repr : adversary -> string
 
 val adversary_of_repr : string -> (adversary, string) result
 (** ["honest"], ["crash:PARTY:MAXTICK"], or ["equiv:PARTY:VA:VB"] with

@@ -36,6 +36,9 @@ let unit_normal_of_edge p q =
   | Some n -> n
   | None -> invalid_arg "Polygon: zero-length edge"
 
+(* A finite H-representation of the region (also for the degenerate
+   cases: a segment is four half-planes, a point is four axis-aligned
+   ones). *)
 let halfplanes t =
   match Array.length t with
   | 0 -> assert false

@@ -19,11 +19,6 @@ val of_points : Vec.t list -> t
 val vertices : t -> Vec.t list
 (** Extreme points, CCW. *)
 
-val halfplanes : t -> halfplane list
-(** A finite H-representation of the region (also for the degenerate
-    cases: a segment is four half-planes, a point is four axis-aligned
-    ones). *)
-
 val contains : ?eps:float -> t -> Vec.t -> bool
 (** Membership up to distance [eps] (default [1e-9]). *)
 

@@ -80,6 +80,9 @@ let pinned_grid () =
         modes)
     grid_configs
 
+(* The chaos arm's frame-fault plan: 15% drop, 10% duplicate, 10% reorder
+   (hold 3) on every directed link, a delay spike on links out of party 0,
+   and one connection flap on the (0,1) pair. *)
 let default_wire_chaos ~src ~dst =
   let base =
     [

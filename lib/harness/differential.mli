@@ -38,11 +38,6 @@ val pinned_grid : unit -> Scenario.t list
     skipped where the mode's budget is zero). Seeds, inputs and policies
     are all pinned — the grid is identical on every invocation. *)
 
-val default_wire_chaos : Wire_chaos.plan
-(** The chaos arm's frame-fault plan: 15% drop, 10% duplicate, 10%
-    reorder (hold 3) on every directed link, a delay spike on links out
-    of party 0, and one connection flap on the (0,1) pair. *)
-
 val run_case : Scenario.t -> verdict
 (** Runs the three arms for one scenario (the scenario's [transport] is
     overridden per-arm) and compares. The scenario's wall budget bounds

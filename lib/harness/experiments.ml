@@ -695,7 +695,7 @@ let e7 () =
     !worst
   in
   let mid = measure Safe_area.midpoint_value 300 in
-  let cen = measure Safe_area.centroid_value 300 in
+  let cen = measure Safe_area.interior_point 300 in
   Table.print
     ~header:[ "update rule"; "max ratio"; "proven bound" ]
     [
@@ -1537,7 +1537,7 @@ let e15 () =
   in
   let ref_runs = run_batch (List.map (scen_layer Party.Interned) batched_ns) in
   let bat_runs =
-    run_batch (List.map (scen_layer (Party.Batched { window = 1 })) batched_ns)
+    run_batch (List.map (scen_layer Party.Batched) batched_ns)
   in
   let reductions = ref [] in
   let rows_b =
@@ -1631,31 +1631,6 @@ let e15 () =
 (* E16: what the Pi_init estimation round buys                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A bare runner for the Fixed_t party mode (the known-bounds variant of
-   [20, 29]). *)
-let run_fixed_mode ~cfg ~inputs ~tt ~policy ~seed =
-  let engine =
-    Engine.create ~seed ~size_of:Message.size_of ~n:cfg.Config.n ~policy ()
-  in
-  let parties =
-    List.init cfg.Config.n (fun i ->
-        Party.attach
-          ~opts:{ Party.default_opts with mode = Party.Fixed_t tt }
-          ~cfg ~me:i engine)
-  in
-  List.iteri (fun i p -> Party.start p (List.nth inputs i)) parties;
-  Engine.run engine;
-  let outs = List.filter_map Party.output parties in
-  let time =
-    List.fold_left
-      (fun acc p -> match Party.output_time p with Some t -> max acc t | None -> acc)
-      0 parties
-  in
-  ( List.length outs = cfg.Config.n,
-    Vec.diameter outs,
-    float_of_int time /. float_of_int cfg.Config.delta,
-    (Engine.stats engine).Engine.messages_sent )
-
 let e16 () =
   header "E16  Ablation: Pi_init vs the known-input-bounds variant";
   let failures = ref [] in
@@ -1671,9 +1646,17 @@ let e16 () =
       (Scenario.make ~name:"e16" ~cfg ~inputs
          ~policy:(Network.lockstep ~delta:10) ())
   in
-  let ok_f, diam_f, rounds_f, msgs_f =
-    run_fixed_mode ~cfg ~inputs ~tt:t_true
-      ~policy:(Network.lockstep ~delta:10) ~seed:1L
+  (* the known-bounds variant of [20, 29]: ΠAA in the Fixed_t mode *)
+  let fixed ~tt ~policy ~seed =
+    Scenario.make ~name:"e16-fixed" ~seed ~cfg ~inputs ~policy
+      ~protocol:(Scenario.Maaa { Party.default_opts with mode = Party.Fixed_t tt })
+      ()
+  in
+  let r_fixed =
+    Runner.run (fixed ~tt:t_true ~policy:(Network.lockstep ~delta:10) ~seed:1L)
+  in
+  let ok_fixed =
+    r_fixed.Runner.live && r_fixed.Runner.diameter <= cfg.Config.eps
   in
   print_endline "Cost under synchrony (honest, lockstep):";
   Table.print
@@ -1688,14 +1671,14 @@ let e16 () =
       [
         Printf.sprintf "Fixed T = %d (known bounds)" t_true;
         "input diameter";
-        yn (ok_f && diam_f <= cfg.Config.eps);
-        f3 rounds_f;
-        string_of_int msgs_f;
+        yn ok_fixed;
+        f3 r_fixed.Runner.completion_rounds;
+        string_of_int r_fixed.Runner.stats.Engine.messages_sent;
       ];
     ];
   ignore
     (check r_paper.Runner.agreement "paper variant failed" failures);
-  ignore (check (ok_f && diam_f <= cfg.Config.eps) "fixed-T variant failed" failures);
+  ignore (check ok_fixed "fixed-T variant failed" failures);
 
   (* Part 2 — safety: a mis-estimated bound (T = 1, i.e. the inputs were
      assumed nearly agreed already) breaks agreement under asynchrony,
@@ -1705,15 +1688,17 @@ let e16 () =
     "Safety under asynchrony (heavy-tail scheduling, 3 seeds; worst output
      diameter):";
   let seeds = [ 2L; 3L; 4L ] in
-  let worst_fixed1 = ref 0. and worst_paper = ref 0. in
-  List.iter
-    (fun seed ->
-      let _, d1, _, _ =
-        run_fixed_mode ~cfg ~inputs ~tt:1
-          ~policy:(Network.async_heavy_tail ~base:60) ~seed
-      in
-      worst_fixed1 := Float.max !worst_fixed1 d1)
-    seeds;
+  let worst_fixed1 =
+    List.fold_left
+      (fun acc r -> Float.max acc r.Runner.diameter)
+      0.
+      (run_batch
+         (List.map
+            (fun seed ->
+              fixed ~tt:1 ~policy:(Network.async_heavy_tail ~base:60) ~seed)
+            seeds))
+  in
+  let worst_paper = ref 0. in
   List.iter
     (fun rp ->
       ignore
@@ -1732,12 +1717,12 @@ let e16 () =
     [
       [ "Pi_init estimation (paper)"; e3 !worst_paper; "0.05";
         yn (!worst_paper <= cfg.Config.eps) ];
-      [ "Fixed T = 1 (wrong bound)"; e3 !worst_fixed1; "0.05";
-        yn (!worst_fixed1 <= cfg.Config.eps) ];
+      [ "Fixed T = 1 (wrong bound)"; e3 worst_fixed1; "0.05";
+        yn (worst_fixed1 <= cfg.Config.eps) ];
     ];
   ignore
     (check
-       (!worst_fixed1 > cfg.Config.eps)
+       (worst_fixed1 > cfg.Config.eps)
        "mis-configured fixed-T variant unexpectedly survived" failures);
   print_endline
     "\nPi_init wins on both axes. Safety: it removes the a-priori-bounds\n\

@@ -81,63 +81,20 @@ let shutdown pool =
   end
   else Mutex.unlock pool.lock
 
-(* A job that raises is recorded as [Error] in its own slot and the first
-   failure (by submission index) is re-raised only after every job has
-   finished — one bad task cannot wedge the pool or abandon its
-   siblings' results. *)
+(* One queued job per contiguous chunk of ⌈n/size⌉ items, i.e. one chunk
+   per worker: for protocol-run sized jobs the per-item dispatch (queue
+   lock + wakeup + done-counter lock) would be the dominant pool overhead
+   once items outnumber workers. A job that raises is recorded as [Error]
+   in its own slot, the rest of its chunk still runs, and the first
+   failure (by submission index) is re-raised only after every chunk has
+   finished — one bad task cannot wedge the pool or abandon its siblings'
+   results. *)
 let map pool f xs =
-  let items = Array.of_list xs in
-  let n = Array.length items in
-  let out = Array.make n None in
-  let done_lock = Mutex.create () in
-  let all_done = Condition.create () in
-  let remaining = ref n in
-  Array.iteri
-    (fun i x ->
-      submit pool (fun () ->
-          let r =
-            match f x with
-            | v -> Ok v
-            | exception e ->
-                let bt = Printexc.get_raw_backtrace () in
-                Error (e, bt)
-          in
-          Mutex.lock done_lock;
-          out.(i) <- Some r;
-          decr remaining;
-          if !remaining = 0 then Condition.signal all_done;
-          Mutex.unlock done_lock))
-    items;
-  Mutex.lock done_lock;
-  while !remaining > 0 do
-    Condition.wait all_done done_lock
-  done;
-  Mutex.unlock done_lock;
-  Array.to_list
-    (Array.map
-       (function
-         | Some (Ok v) -> v
-         | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-         | None -> assert false (* remaining = 0 fills every slot *))
-       out)
-
-(* Same contract as [map], but one queued job per contiguous chunk of
-   ⌈n/size⌉ items instead of one per item. For protocol-run sized jobs the
-   per-item dispatch (queue lock + wakeup + done-counter lock) is the
-   dominant pool overhead once items outnumber workers; chunking pays it
-   once per chunk. Chunks are contiguous and results keep submission
-   order, so the output is bit-identical to [map]'s. *)
-let map_chunked ?chunk_size pool f xs =
   let items = Array.of_list xs in
   let n = Array.length items in
   if n = 0 then []
   else begin
-    let chunk =
-      match chunk_size with
-      | Some c when c > 0 -> c
-      | Some c -> invalid_arg (Printf.sprintf "Pool.map_chunked: chunk_size %d" c)
-      | None -> (n + size pool - 1) / size pool
-    in
+    let chunk = (n + size pool - 1) / size pool in
     let out = Array.make n None in
     let done_lock = Mutex.create () in
     let all_done = Condition.create () in
@@ -181,7 +138,7 @@ let with_pool ?domains f =
 
 (* -- Supervised sweeps: worker-domain crash recovery -----------------
 
-   [map]/[map_chunked] capture job exceptions in-slot, which is right for
+   [map] captures job exceptions in-slot, which is right for
    programming errors in cheap jobs — but a soak sweep must also survive
    *fatal* worker failures (Out_of_memory, Stack_overflow, a crashed
    runtime invariant) without losing the rest of the sweep or the results

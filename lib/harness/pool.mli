@@ -17,21 +17,12 @@ val size : t -> int
 (** Number of worker domains. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Fans the list out to the pool and blocks until every element is done;
-    results come back in submission order. The task count may exceed the
-    pool size — excess tasks queue. If jobs raise, every job still runs
-    to completion and the exception of the {e lowest-indexed} failing
-    element is re-raised (with its backtrace); the pool stays usable. *)
-
-val map_chunked : ?chunk_size:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** Like {!map}, but enqueues one job per {e contiguous chunk} of
-    [chunk_size] items (default ⌈length/size⌉, i.e. one chunk per worker)
-    instead of one job per item, so per-item queue/wakeup/counter traffic
-    is paid once per chunk. Results keep submission order and per-item
-    exceptions are captured exactly as in [map] (lowest-indexed failure
-    re-raised after everything finishes) — the output is bit-identical to
-    [map]'s, only the dispatch granularity changes.
-    @raise Invalid_argument if [chunk_size <= 0]. *)
+(** Fans the list out to the pool as one job per {e contiguous chunk} of
+    ⌈length/size⌉ items (one chunk per worker) and blocks until every
+    element is done; results come back in submission order. If jobs
+    raise, every job still runs to completion and the exception of the
+    {e lowest-indexed} failing element is re-raised (with its backtrace);
+    the pool stays usable. *)
 
 val submit : t -> (unit -> unit) -> unit
 (** Low-level enqueue of one fire-and-forget job.

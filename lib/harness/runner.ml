@@ -319,13 +319,7 @@ let run_batch ?(domains = 1) ?(monitor = false) scenarios =
   else
     match scenarios with
     | [] | [ _ ] -> List.map run scenarios
-    | _ ->
-        (* One contiguous chunk per domain: a scenario run is micro-seconds
-           to milliseconds, so per-scenario dispatch overhead (and the
-           cross-domain cache traffic it causes) is what sank the original
-           per-item fan-out on wide batches. *)
-        Pool.with_pool ~domains (fun pool ->
-            Pool.map_chunked pool run scenarios)
+    | _ -> Pool.with_pool ~domains (fun pool -> Pool.map pool run scenarios)
 
 (* I_it = the honest values adopted in iteration [it]; only iterations every
    honest party reached are meaningful for Lemma 5.15. *)

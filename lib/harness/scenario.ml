@@ -47,10 +47,6 @@ let make ?(name = "scenario") ?(seed = 1L) ?policy ?(sync_network = true)
       match Fault_plan.validate ~cfg ~sync:sync_network ~existing:ids plan with
       | Ok () -> ()
       | Error msg -> invalid_arg ("Scenario.make: bad fault plan: " ^ msg)));
-  (match protocol with
-  | Maaa { layer = Party.Batched { window }; _ } when window < 1 ->
-      invalid_arg "Scenario.make: batched window < 1"
-  | _ -> ());
   (match (wire_chaos, transport) with
   | Some _, `Sim ->
       invalid_arg "Scenario.make: wire_chaos requires the `Net transport"
@@ -123,10 +119,8 @@ module Spec = struct
           (Printf.sprintf "unknown %s %S (expected %s)" k.what s
              (String.concat "|" (List.map fst k.spellings)))
 
-  let to_string k v =
-    match List.find_opt (fun (_, x) -> x = v) k.spellings with
-    | Some (s, _) -> s
-    | None -> invalid_arg ("Scenario.Spec: no spelling for this " ^ k.what)
+  (* every key spells each of its values *)
+  let to_string k v = fst (List.find (fun (_, x) -> x = v) k.spellings)
 
   let values k = List.map snd k.spellings
   let key what spellings = { what; spellings }
@@ -145,7 +139,7 @@ module Spec = struct
       [
         ("interned", Party.Interned);
         ("reference", Party.Reference);
-        ("batched", Party.Batched { window = 1 });
+        ("batched", Party.Batched);
       ]
 
   let transport = key "transport" [ ("sim", `Sim); ("net", `Net) ]

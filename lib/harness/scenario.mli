@@ -14,9 +14,6 @@ type budget = {
           safety net, and [max_events] as the deterministic budget *)
 }
 
-val no_budget : budget
-(** Both fields [None]: the pre-watchdog behaviour. *)
-
 type protocol =
   | Maaa of Party.opts
       (** the paper's hybrid ΠAA, with its mode, mutant and message layer
@@ -61,7 +58,7 @@ type t = {
           {!make} rejects one under [`Sim] *)
   budget : budget;
       (** per-case watchdog budgets the runner enforces (see {!budget});
-          defaults to {!no_budget} *)
+          defaults to both fields [None] *)
 }
 
 val make :
@@ -82,8 +79,8 @@ val make :
   t
 (** Defaults: worst-case synchronous lockstep policy, no corruptions, no
     chaos plan, {!maaa}, fail-fast engine, simulator transport.
-    @raise Invalid_argument on malformed inputs/corruptions, a batched
-    window below 1, [wire_chaos] under [`Sim], or when the fault plan
+    @raise Invalid_argument on malformed inputs/corruptions,
+    [wire_chaos] under [`Sim], or when the fault plan
     fails {!Fault_plan.validate} (out-of-range or duplicate targets,
     corruption budget exceeded, bad windows). *)
 
@@ -122,8 +119,7 @@ module Spec : sig
       spelling. *)
 
   val to_string : 'a key -> 'a -> string
-  (** @raise Invalid_argument for a value with no spelling (a batched
-      window other than 1). *)
+  (** The value's spelling; every value of every key has one. *)
 
   val values : 'a key -> 'a list
   (** Every spelled value, in spelling order. *)
@@ -132,15 +128,15 @@ module Spec : sig
   (** ["none"], ["non-contracting"], ["premature-output"]. *)
 
   val layer : Party.layer key
-  (** ["interned"], ["reference"], ["batched"] (window 1). *)
+  (** ["interned"], ["reference"], ["batched"]. *)
 
   val transport : [ `Sim | `Net ] key
   (** ["sim"], ["net"]. *)
 
   val protocol_fields : protocol -> (string * string) list
   (** [[("protocol", "maaa"|"ew"); ("mutant", _); ("layer", _)]]; under
-      {!Ew} the two ΠAA keys read their defaults. @raise Invalid_argument for a protocol with no spelling:
-      the [Fixed_t] mode, or a batched window other than 1. *)
+      {!Ew} the two ΠAA keys read their defaults. @raise Invalid_argument for
+      the [Fixed_t] mode, which has no spelling. *)
 
   val protocol_of_fields : (string * string) list -> (protocol, string) result
   (** Inverse of {!protocol_fields}; an absent key reads its default.

@@ -64,7 +64,7 @@ let handle_batch ?pool lines =
   let results =
     ref
       (match pool with
-      | Some pool -> Pool.map_chunked pool Runner.run scens
+      | Some pool -> Pool.map pool Runner.run scens
       | None -> List.map Runner.run scens)
   in
   List.map

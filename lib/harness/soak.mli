@@ -35,8 +35,11 @@ type config = {
           or another message layer); [Ew] caps the static corruption
           budget at the case config's [ta] (EW's resilience bound
           regardless of synchrony) and drops the chaos plans —
-          static-corruption grading is the property under test. It must
-          have a {!Scenario.Spec.protocol_fields} spelling. *)
+          static-corruption grading is the property under test. {!Behavior}
+          has no EW arm, though: every corrupted party except [Spam] runs
+          (a variant of) ΠAA and sends ΠAA messages, which EW parties
+          drop, so an EW sweep in effect only tests silent corruptions.
+          It must have a {!Scenario.Spec.protocol_fields} spelling. *)
   transport : [ `Sim | `Net ];
       (** message backend every case runs on: [`Sim] (default) keeps
           messages inside the discrete-event engine; [`Net] carries every

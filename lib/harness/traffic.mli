@@ -30,7 +30,6 @@ val klass_of : Message.t -> klass
 (** The physical class of a packet. *)
 
 val klass_name : klass -> string
-val all_klasses : klass list
 
 val num_klasses : int
 (** Array size for engine-side accounting ([Engine.create ~classes]). *)

@@ -9,7 +9,7 @@ type mode = Estimate | Fixed_t of int
 
 type mutant = Non_contracting_update | Premature_output
 
-type layer = Interned | Reference | Batched of { window : int }
+type layer = Interned | Reference | Batched
 
 type opts = {
   mode : mode;
@@ -32,7 +32,7 @@ type t = {
   batch : Batch.t option;  (* egress buffer when the layer is [Batched] *)
   intern : Intern.t;  (* one hash-consing table for all sub-protocols *)
   safe_cache : Safe_cache.t;  (* shared across the run's parties when the
-                                 caller provides one (Maaa.run, Runner) *)
+                                 caller provides one (Runner) *)
   cbs : callbacks;
   now : unit -> int;
   send_all : Message.t -> unit;
@@ -224,12 +224,12 @@ let create ?(callbacks = no_callbacks) ?(opts = default_opts) ?register_flush
     match opts.layer with
     | Interned -> (`Interned, None)
     | Reference -> (`Reference, None)
-    | Batched { window } ->
+    | Batched ->
         (* batching wraps the fast vote tables *)
-        (`Interned, Some (Batch.create ~window ~send_all ()))
+        (`Interned, Some (Batch.create ~send_all))
   in
   (match (batch, register_flush) with
-  | Some b, Some reg -> reg (fun ~final -> Batch.flush ~final b)
+  | Some b, Some reg -> reg (fun ~final:_ -> Batch.flush b)
   | Some _, None ->
       invalid_arg "Party.create: Batched needs an end-of-tick register_flush"
   | None, _ -> ());

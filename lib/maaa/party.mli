@@ -55,11 +55,10 @@ type layer =
   | Reference
       (** the seed Map-based vote tables; bit-identical traces to
           [Interned], kept for differential testing and the B6/B11 benches *)
-  | Batched of { window : int }
+  | Batched
       (** the interned vote tables behind a {!Batch} egress buffer: the rBC
           votes emitted within a tick leave as one combined packet per
-          receiver when the end-of-tick flusher fires, coalescing across up
-          to [window] ticks ({!Batch.create}; [1] = per tick). Outputs,
+          receiver when the end-of-tick flusher fires. Outputs,
           iterations and monitor verdicts are identical under RNG-free
           delay policies, while sent-message counts drop from Θ(n³) to
           Θ(n²) per iteration. *)
@@ -90,9 +89,9 @@ val create :
   t
 (** [opts] defaults to {!default_opts}. [register_flush] must be provided
     when the layer is [Batched]: it receives the party's end-of-tick
-    flush closure and is expected to arrange for it to run once per tick,
-    plus a last [~final:true] fire before the run goes quiescent
-    ({!attach} wires it to [Engine.set_flusher]). Raises
+    flush closure and is expected to arrange for it to run once per tick
+    ({!attach} wires it to [Engine.set_flusher]; the closure ignores the
+    engine's [~final] flag). Raises
     [Invalid_argument] if [Batched] is requested without it. *)
 
 val attach_endpoint :
@@ -119,7 +118,7 @@ val attach :
 (** [attach_endpoint] on [Engine.endpoint engine ~me]: creates the party
     wired to the engine and registers its handler.
     [safe_cache] memoises the new-value rule; pass one cache to every
-    party of a run ({!Maaa.run} and the harness runner do) so identical
+    party of a run (the harness runner does) so identical
     report multisets are evaluated once per run instead of once per
     party. Results are bit-identical either way — the cache is keyed on
     the exact value multiset. Never share one across engines/runs. *)

@@ -54,14 +54,6 @@ type wire_stats = {
   decode_errors : int;
 }
 
-let pp_wire_stats ppf s =
-  Format.fprintf ppf
-    "logical %d/%d  frames %d/%d  retx %d  dup %d  chaos %d/%d/%d  reconn %d  \
-     stall %d  decerr %d"
-    s.logical_sent s.logical_delivered s.frames_sent s.frames_received
-    s.retransmits s.dup_frames s.chaos_dropped s.chaos_duplicated s.chaos_held
-    s.reconnects s.backpressure_stalls s.decode_errors
-
 (* one directed link's perfect-link state *)
 type dlink = {
   snd : Link.sender;

@@ -31,8 +31,6 @@ type wire_stats = {
   decode_errors : int;  (** poisoned streams (each drops a connection) *)
 }
 
-val pp_wire_stats : Format.formatter -> wire_stats -> unit
-
 val attach :
   ?chaos:Wire_chaos.plan ->
   ?rto0:int ->

@@ -27,8 +27,6 @@ type atom =
 
 type plan = src:int -> dst:int -> atom list
 
-let no_chaos ~src:_ ~dst:_ = []
-
 type link_state = { atoms : atom list; rng : Rng.t }
 
 type t = {

@@ -20,8 +20,6 @@ type atom =
 type plan = src:int -> dst:int -> atom list
 (** Atoms for each directed link. *)
 
-val no_chaos : plan
-
 type t
 
 val create : seed:int64 -> n:int -> plan -> t

@@ -97,5 +97,3 @@ let interior_point = function
       match Hullset.find_point hs with
       | Some p -> p
       | None -> assert false (* Implicit areas are non-empty *))
-
-let centroid_value = interior_point

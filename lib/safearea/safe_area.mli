@@ -55,13 +55,9 @@ val new_value_arr : t:int -> Vec.t array -> Vec.t option
 (** Array-native {!new_value}, over {!compute_arr}. *)
 
 val interior_point : t -> Vec.t
-(** Some deterministic point of the area (used by the ablations; the
-    protocol itself uses {!midpoint_value}). *)
+(** A deterministic point of the area: the centroid of its known extreme
+    points ([D ≤ 3]) or, on the implicit arm, the memoised phase-1 point
+    (no diameter LPs). It is the centroid-style update of E7's one-step
+    ablation (DESIGN.md §4): valid, but without the paper's [√(7/8)]
+    contraction constant. The protocol itself uses {!midpoint_value}. *)
 
-val centroid_value : t -> Vec.t
-(** The centroid-style update of E7's one-step ablation (DESIGN.md §4):
-    the centroid of the area's known extreme points ([D ≤ 3]) or a
-    deterministic interior point (implicit arm — the memoised phase-1
-    point, no diameter LPs). Valid (stays inside the area, hence inside
-    every trimmed-subset hull) but comes without the paper's [√(7/8)]
-    contraction constant; E7 measures the difference. *)

@@ -142,7 +142,6 @@ let set_isolation t mode = t.isolation <- mode
 let stop_reason t = t.stop_reason
 let failures t = List.rev t.failures
 let set_chooser t f = t.chooser <- Some f
-let clear_chooser t = t.chooser <- None
 let has_handler t i = i >= 0 && i < t.n && t.handlers.(i) <> None
 
 let pending t =
@@ -263,9 +262,9 @@ let flush_tick t =
 let pump t =
   match t.wire with None -> false | Some w -> w.wire_pump ()
 
-(* Last-chance flush before the run goes quiescent: hooks that coalesce
-   across ticks (a cross-tick batch window) may still hold traffic that
-   no further tick would ever flush. Runs every flusher with
+(* Last-chance flush before the run goes quiescent: a hook that coalesced
+   across ticks could still hold traffic that no further tick would ever
+   flush. Runs every flusher with
    [final = true]; progress is detected through the send counter, which
    both the direct and the wire send paths bump. *)
 let final_flush t =

@@ -83,9 +83,9 @@ val set_flusher : 'msg t -> int -> (final:bool -> unit) -> unit
 
     When the run is about to go quiescent (queue drained, no per-tick
     flush produced traffic, wire drained) every flusher additionally
-    runs with [final = true]: a hook holding cross-tick state (the
-    opt-in batch window) must emit it then or lose it. Hooks that flush
-    everything on every call can ignore the flag. *)
+    runs with [final = true]: a hook holding cross-tick state must emit
+    it then or lose it. Hooks that flush everything on every call (the
+    batched message layer's) can ignore the flag. *)
 
 val endpoint : 'msg t -> me:int -> 'msg Transport.endpoint
 (** Party [me]'s view of this engine as an abstract {!Transport.endpoint}
@@ -244,8 +244,6 @@ val set_chooser : 'msg t -> ('msg choice array -> int) -> unit
     (ascending — index 0 is what the engine would pop by default) and
     must return an index into the array; anything out of range raises
     [Invalid_argument] from {!run}. *)
-
-val clear_chooser : 'msg t -> unit
 
 val pending : 'msg t -> 'msg choice list
 (** Snapshot of the whole event queue, sorted by [(ch_at, ch_seq)]; does

@@ -192,19 +192,22 @@ awk '
   function num(v) { gsub(/[,"]/, "", v); return v }
   /"b12_reduction_batched_n12"/ {
     v = num($2)
-    if (v == "null" || v + 0 < 3.0) {
-      printf "ci: b12 batched reduction %s < 3x at n=12\n", v > "/dev/stderr"; exit 1
-    }
     seen++
+    if (v == "null" || v + 0 < 3.0) {
+      printf "ci: b12 batched reduction %s < 3x at n=12\n", v > "/dev/stderr"; failed = 1; exit 1
+    }
   }
   /"b12_ew_exponent"/ || /"b12_batched_exponent"/ {
     v = num($2)
-    if (v == "null" || v + 0 < 1.6 || v + 0 > 2.4) {
-      printf "ci: b12 exponent %s outside [1.6, 2.4] (%s)\n", v, $1 > "/dev/stderr"; exit 1
-    }
     seen++
+    if (v == "null" || v + 0 < 1.6 || v + 0 > 2.4) {
+      printf "ci: b12 exponent %s outside [1.6, 2.4] (%s)\n", v, $1 > "/dev/stderr"; failed = 1; exit 1
+    }
   }
-  END { if (seen != 3) { print "ci: b12 gate keys missing" > "/dev/stderr"; exit 1 } }
+  END {
+    if (failed) exit 1
+    if (seen != 3) { print "ci: b12 gate keys missing" > "/dev/stderr"; exit 1 }
+  }
 ' _build/BENCH_smoke.json
 
 # The B14 saturation gate: on the committed full-quota file the best
@@ -216,11 +219,11 @@ echo "== committed b14 instance-saturation gate (>= 10000/sec) =="
 awk '
   /"b14_instances_per_sec"/ {
     v = $2; gsub(/[,"]/, "", v)
+    found = 1
     if (v == "null" || v + 0 < 10000.0) {
       printf "ci: b14_instances_per_sec %s < 10000 in BENCH_lp.json\n", v > "/dev/stderr"
       exit 1
     }
-    found = 1
   }
   END { if (!found) { print "ci: b14_instances_per_sec missing in BENCH_lp.json" > "/dev/stderr"; exit 1 } }
 ' BENCH_lp.json
@@ -233,11 +236,11 @@ echo "== committed b2 D=3 geometry-kernel gate (>= 25x) =="
 awk '
   /"b2_speedup_d3"/ {
     v = $2; gsub(/[,"]/, "", v)
+    found = 1
     if (v == "null" || v + 0 < 25.0) {
       printf "ci: b2_speedup_d3 %s < 25x in BENCH_lp.json\n", v > "/dev/stderr"
       exit 1
     }
-    found = 1
   }
   END { if (!found) { print "ci: b2_speedup_d3 missing in BENCH_lp.json" > "/dev/stderr"; exit 1 } }
 ' BENCH_lp.json

@@ -17,7 +17,7 @@ let id_ tag origin = { Message.tag; origin }
 
 let test_batch_buffer () =
   let sent = ref [] in
-  let b = Batch.create ~send_all:(fun m -> sent := m :: !sent) () in
+  let b = Batch.create ~send_all:(fun m -> sent := m :: !sent) in
   Batch.flush b;
   Alcotest.(check (list reject)) "empty flush is a no-op" [] !sent;
   Batch.add b (id_ Message.Init_value 3) Message.Init (Message.Pvec (vec [ 1. ]));
@@ -43,36 +43,6 @@ let test_batch_buffer () =
   Alcotest.(check int) "lifetime votes" 3 (Batch.buffered b);
   Alcotest.(check int) "non-empty flushes" 2 (Batch.flushes b);
   Alcotest.(check int) "nothing pending" 0 (Batch.pending b)
-
-(* A window-2 buffer holds its votes through the first fire, emits on the
-   second, and always emits on a final fire regardless of the count. *)
-let test_batch_window () =
-  let sent = ref [] in
-  let b = Batch.create ~window:2 ~send_all:(fun m -> sent := m :: !sent) () in
-  Batch.add b (id_ Message.Init_value 0) Message.Init (Message.Pvec (vec [ 1. ]));
-  Batch.flush b;
-  Alcotest.(check int) "held through first fire" 1 (Batch.pending b);
-  Batch.add b (id_ Message.Init_value 1) Message.Echo (Message.Pvec (vec [ 2. ]));
-  Batch.flush b;
-  Alcotest.(check int) "emitted on second fire" 0 (Batch.pending b);
-  (match !sent with
-  | [ Message.Rbc_batch entries ] ->
-      Alcotest.(check int) "both ticks' votes coalesced" 2 (List.length entries)
-  | _ -> Alcotest.fail "window flush must send one Rbc_batch");
-  sent := [];
-  (* an empty fire must not age the window of votes that arrive later *)
-  Batch.flush b;
-  Batch.add b (id_ Message.Init_value 2) Message.Ready (Message.Pint 7);
-  Batch.flush b;
-  Alcotest.(check int) "empty fire did not count" 1 (Batch.pending b);
-  Batch.flush ~final:true b;
-  Alcotest.(check int) "final fire drains" 0 (Batch.pending b);
-  (match !sent with
-  | [ Message.Rbc (_, Message.Ready, _) ] -> ()
-  | _ -> Alcotest.fail "final singleton leaves as a plain Rbc");
-  match Batch.create ~window:0 ~send_all:(fun _ -> ()) () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "window 0 must be rejected"
 
 (* --- engine end-of-tick flusher --- *)
 
@@ -112,7 +82,7 @@ let test_engine_flusher () =
 
 (* --- scenario helpers --- *)
 
-let batched = Party.Batched { window = 1 }
+let batched = Party.Batched
 let on layer = Scenario.Maaa { Party.default_opts with layer }
 
 let scenario ?(protocol = Scenario.maaa) ?(corruptions = []) ?policy ?(sync_network = true) ~name ~n ~ts ~ta ~d ()
@@ -231,29 +201,6 @@ let test_logical_trace () =
     (compare sa sb = 0);
   Alcotest.(check bool) "outputs equal" true (compare oa ob = 0)
 
-(* Window > 1 shifts send ticks (by at most window − 1), which lawfully
-   changes which report subsets cross the protocol's thresholds first —
-   payload {e values} may diverge. What the buffer must preserve is the
-   vote {e identity} multiset: who casts which (instance, step) vote to
-   whom, with none lost to the window and none duplicated by it. The run
-   must also still converge. *)
-let test_window_logical_trace () =
-  let strip sends =
-    List.sort compare
-      (List.map
-         (fun (_, _, src, dst, (id, step, _payload)) -> (src, dst, id, step))
-         sends)
-  in
-  let sw, ow = logical_sends (Party.Batched { window = 3 }) in
-  let sb, _ = logical_sends batched in
-  Alcotest.(check int) "same number of logical votes" (List.length sb)
-    (List.length sw);
-  Alcotest.(check bool)
-    "same vote-identity multiset modulo ticks" true
-    (compare (strip sw) (strip sb) = 0);
-  Alcotest.(check bool) "windowed run produced outputs" true
-    (List.for_all Option.is_some ow)
-
 (* --- the message wall: ≥3× packet reduction at n = 12 --- *)
 
 let msgs_of s = (Runner.run s).Runner.stats.Engine.messages_sent
@@ -319,7 +266,6 @@ let () =
       ( "batch buffer",
         [
           Alcotest.test_case "encoder" `Quick test_batch_buffer;
-          Alcotest.test_case "cross-tick window" `Quick test_batch_window;
           Alcotest.test_case "engine end-of-tick flusher" `Quick
             test_engine_flusher;
         ] );
@@ -329,8 +275,6 @@ let () =
             test_grid_differential;
           Alcotest.test_case "logical vote trace identical" `Quick
             test_logical_trace;
-          Alcotest.test_case "window > 1: vote multiset preserved" `Quick
-            test_window_logical_trace;
           Alcotest.test_case "3x packet reduction at n=12" `Quick
             test_reduction_n12;
         ] );

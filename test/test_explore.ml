@@ -392,6 +392,41 @@ let test_explorer_rediscovers_mutants () =
       (Party.Premature_output, "agreement");
     ]
 
+(* [cx_tries] counts every oracle call once. With no schedule to shrink
+   (depth 0), the only calls are the plan shrinker's, so the count must
+   equal what [Fault_shrink.shrink] reports for the same plan and a
+   replay-backed oracle. *)
+let test_explorer_cx_tries_counted_once () =
+  let cfg = Config.make_exn ~n:4 ~ts:1 ~ta:0 ~d:1 ~eps:0.25 ~delta:2 in
+  let config =
+    Explore.default_config
+      ~protocol:
+        (Scenario.Maaa
+           { Party.default_opts with mutant = Some Party.Premature_output })
+      ~adversary:(Explore.Crash { party = 3; max_tick = 2 })
+      ~max_schedule_depth:0 ~cfg
+      ~inputs:(List.init 4 (fun i -> Vec.of_list [ 0.4 *. float_of_int i ]))
+      ()
+  in
+  let r = Explore.explore config in
+  Alcotest.(check bool) "counterexamples with a fault plan" true
+    (List.exists (fun cx -> cx.Explore.cx_plan <> []) r.Explore.counterexamples);
+  List.iter
+    (fun cx ->
+      let reproduces plan =
+        List.for_all
+          (fun i ->
+            List.mem i
+              (Explore.replay config ~plan ~schedule:cx.Explore.cx_schedule))
+          cx.Explore.cx_invariants
+      in
+      let expected = (Fault_shrink.shrink ~reproduces cx.Explore.cx_plan).tries in
+      Alcotest.(check int)
+        (Printf.sprintf "tries for plan %s"
+           (Fault_plan.to_repr cx.Explore.cx_plan))
+        expected cx.Explore.cx_tries)
+    r.Explore.counterexamples
+
 let test_explorer_quarantine_roundtrip () =
   let config =
     Explore.default_config
@@ -539,6 +574,8 @@ let () =
             test_explorer_pruning_reduces;
           Alcotest.test_case "rediscovers both mutants" `Quick
             test_explorer_rediscovers_mutants;
+          Alcotest.test_case "cx_tries counts each oracle call once" `Quick
+            test_explorer_cx_tries_counted_once;
           Alcotest.test_case "quarantine round-trip" `Quick
             test_explorer_quarantine_roundtrip;
           Alcotest.test_case "quarantine rejects garbage" `Quick

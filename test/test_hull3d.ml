@@ -434,7 +434,7 @@ let test_alloc_budget () =
 
 (* --- E7's centroid ablation rule stays inside the area --- *)
 
-let test_centroid_value_in_area () =
+let test_interior_point_in_area () =
   let rng = Rng.create 77L in
   for d = 1 to 4 do
     for rep = 1 to 8 do
@@ -448,7 +448,7 @@ let test_centroid_value_in_area () =
       match Safe_area.compute_arr ~t:1 vs with
       | None -> ()
       | Some area ->
-          let c = Safe_area.centroid_value area in
+          let c = Safe_area.interior_point area in
           Alcotest.(check bool)
             (Printf.sprintf "centroid in area d=%d rep=%d" d rep)
             true
@@ -490,6 +490,6 @@ let () =
       ( "kernels",
         [
           Alcotest.test_case "centroid value stays in area" `Quick
-            test_centroid_value_in_area;
+            test_interior_point_in_area;
         ] );
     ]

@@ -83,7 +83,7 @@ let prop_centroid_inside =
       let pts = List.map Vec.of_list pts_l in
       match Safe_area.compute ~t:1 pts with
       | None -> QCheck.assume_fail ()
-      | Some a -> Safe_area.contains ~eps:1e-6 a (Safe_area.centroid_value a))
+      | Some a -> Safe_area.contains ~eps:1e-6 a (Safe_area.interior_point a))
 
 (* Determinism of the estimation rule across permutations of the received
    set — the property Πinit's consistency argument needs. *)
