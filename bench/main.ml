@@ -7,10 +7,8 @@
    B5  implicit diameter search (D = 3): seed one-shot path vs the
        warm-started Lp.Problem workspace
    B6  full protocol runs (one ΠAA execution through Runner.run, end to
-       end and graded, per config; n=12 also on the seed `Reference
-       message layer)
-   B7  one reliable-broadcast instance, end to end, interned vs
-       reference message layer
+       end and graded, per config)
+   B7  one reliable-broadcast instance, end to end
    B8  restrict_t(M) subset enumeration: seed recursive lists vs the
        index-array kernel
    B9  repeated LP objectives over one constraint system: one-shot solve
@@ -19,7 +17,8 @@
        vs Runner.run_batch on a 2- and 4-domain pool (runs/sec; results
        bit-identical by construction)
    B11 message layer in isolation: intern hit/miss cost, rBC vote
-       accounting and instance lookup, interned vs reference
+       accounting and instance lookup, interned vs the seed
+       Rbc.Reference
    B12 deterministic message-count sweeps (not timed — exact counts):
        reference vs batched message layer, and the EW quadratic
        protocol, out to n = 128
@@ -168,21 +167,17 @@ let b5_diameter =
              ignore (Hullset.diameter_pair hs)));
     ]
 
-let protocol_run ?(opts = Party.default_opts) ~n ~ts ~ta ~d ~seed () =
+let protocol_run ~n ~ts ~ta ~d ~seed () =
   let cfg = Config.make_exn ~n ~ts ~ta ~d ~eps:0.05 ~delta:10 in
   let inputs =
     List.init n (fun i ->
         Vec.of_list (List.init d (fun c -> float_of_int ((i + c) mod 4))))
   in
   let scenario =
-    Scenario.make ~seed ~protocol:(Scenario.Maaa opts)
-      ~policy:(Network.lockstep ~delta:10) ~cfg ~inputs ()
+    Scenario.make ~seed ~policy:(Network.lockstep ~delta:10) ~cfg ~inputs ()
   in
   fun () -> assert (Runner.run scenario).Runner.live
 
-(* B6: the reference line keeps the seed message layer (PayloadMap votes,
-   polymorphic-compare instance maps) alive for the b6_speedup_n12 derived
-   key; every other line runs the interned fast path. *)
 let b6_protocol =
   Test.make_grouped ~name:"B6 full protocol run"
     [
@@ -192,16 +187,11 @@ let b6_protocol =
         (Staged.stage (protocol_run ~n:8 ~ts:2 ~ta:1 ~d:2 ~seed:1L ()));
       Test.make ~name:"n=12 D=2 ts=3"
         (Staged.stage (protocol_run ~n:12 ~ts:3 ~ta:1 ~d:2 ~seed:1L ()));
-      Test.make ~name:"n=12 D=2 ts=3 (reference msg layer)"
-        (Staged.stage
-           (protocol_run
-              ~opts:{ Party.default_opts with layer = Party.Reference }
-              ~n:12 ~ts:3 ~ta:1 ~d:2 ~seed:1L ()));
     ]
 
-let b7_run impl () =
+let b7_run () =
   let obs =
-    Fixtures.run_rbc ~impl ~n:7 ~t:2 ~policy:(Network.lockstep ~delta:10)
+    Fixtures.run_rbc ~n:7 ~t:2 ~policy:(Network.lockstep ~delta:10)
       ~honest:[ 0; 1; 2; 3; 4; 5; 6 ]
       ~sender:(`Honest (0, Message.Pvec (Vec.of_list [ 1.; 2. ])))
       ()
@@ -209,20 +199,14 @@ let b7_run impl () =
   assert (List.length obs.Fixtures.rbc_deliveries = 7)
 
 let b7_rbc =
-  (* x16 on both rows: one instance is 15-30 us, too close to the noise
-     floor for a stable OLS fit (cf. the B11 comment); b7_speedup is
-     their ratio, so the scaling cancels. *)
+  (* x16: one instance is 15-30 us, too close to the noise floor for a
+     stable OLS fit (cf. the B11 comment). *)
   Test.make_grouped ~name:"B7 one rBC instance n=7"
     [
       Test.make ~name:"interned x16"
         (Staged.stage (fun () ->
              for _ = 1 to 16 do
-               b7_run `Interned ()
-             done));
-      Test.make ~name:"reference msg layer x16"
-        (Staged.stage (fun () ->
-             for _ = 1 to 16 do
-               b7_run `Reference ()
+               b7_run ()
              done));
     ]
 
@@ -400,39 +384,44 @@ let b11_hit_tbl = Intern.create ()
 let b11_miss_tbl = Intern.create ()
 let b11_storm_payload = Message.Pvec (Vec.of_list [ 1.; 2. ])
 
+(* B11's two vote-table implementations, each as a fresh instance's
+   [on_message]. *)
+let interned ~n ~t cb = Rbc.on_message (Rbc.create ~n ~t cb)
+let reference ~n ~t cb =
+  Rbc.Reference.on_message (Rbc.Reference.create ~n ~t cb)
+
 (* One instance, every step: init + n echoes + n readies, one delivery. *)
-let b11_vote_storm impl () =
+let b11_vote_storm create () =
   let n = 16 and t = 5 in
   let delivered = ref 0 in
-  let rbc =
-    Rbc.create ~impl ~n ~t
+  let on_message =
+    create ~n ~t
       {
         Rbc.send_all = (fun _ -> ());
         deliver = (fun _ _ -> incr delivered);
       }
   in
   let id = { Message.tag = Message.Init_value; origin = 0 } in
-  Rbc.on_message rbc ~from:0 id Message.Init b11_storm_payload;
+  on_message ~from:0 id Message.Init b11_storm_payload;
   for s = 0 to n - 1 do
-    Rbc.on_message rbc ~from:s id Message.Echo b11_storm_payload
+    on_message ~from:s id Message.Echo b11_storm_payload
   done;
   for s = 0 to n - 1 do
-    Rbc.on_message rbc ~from:s id Message.Ready b11_storm_payload
+    on_message ~from:s id Message.Ready b11_storm_payload
   done;
   assert (!delivered = 1)
 
 (* Many live instances: exercises the per-id instance lookup (hashtable on
    precomputed tag codes vs Map over polymorphic compare). *)
-let b11_instances impl () =
+let b11_instances create () =
   let n = 16 and t = 5 in
-  let rbc =
-    Rbc.create ~impl ~n ~t
-      { Rbc.send_all = (fun _ -> ()); deliver = (fun _ _ -> ()) }
+  let on_message =
+    create ~n ~t { Rbc.send_all = (fun _ -> ()); deliver = (fun _ _ -> ()) }
   in
   for o = 0 to 15 do
     let id = { Message.tag = Message.Obc_value o; origin = o } in
     for s = 0 to 7 do
-      Rbc.on_message rbc ~from:s id Message.Echo b11_storm_payload
+      on_message ~from:s id Message.Echo b11_storm_payload
     done
   done
 
@@ -461,22 +450,22 @@ let b11_message_layer =
       Test.make ~name:"rbc vote storm n=16 interned x8"
         (Staged.stage (fun () ->
              for _ = 1 to 8 do
-               b11_vote_storm `Interned ()
+               b11_vote_storm interned ()
              done));
       Test.make ~name:"rbc vote storm n=16 reference x8"
         (Staged.stage (fun () ->
              for _ = 1 to 8 do
-               b11_vote_storm `Reference ()
+               b11_vote_storm reference ()
              done));
       Test.make ~name:"rbc 16 live instances interned x8"
         (Staged.stage (fun () ->
              for _ = 1 to 8 do
-               b11_instances `Interned ()
+               b11_instances interned ()
              done));
       Test.make ~name:"rbc 16 live instances reference x8"
         (Staged.stage (fun () ->
              for _ = 1 to 8 do
-               b11_instances `Reference ()
+               b11_instances reference ()
              done));
     ]
 
@@ -783,14 +772,6 @@ let write_json ~oc ~quota ~calibration ~sweeps rows =
           ~baseline:"B9 16 objectives, one system/one-shot Lp.solve each"
           ~target:"B9 16 objectives, one system/workspace warm start (warm:true)"
       );
-      ( "b6_speedup_n12",
-        speedup rows
-          ~baseline:"B6 full protocol run/n=12 D=2 ts=3 (reference msg layer)"
-          ~target:"B6 full protocol run/n=12 D=2 ts=3" );
-      ( "b7_speedup",
-        speedup rows
-          ~baseline:"B7 one rBC instance n=7/reference msg layer x16"
-          ~target:"B7 one rBC instance n=7/interned x16" );
       ( "b12_reduction_batched_n12",
         (match (b12_msgs sweeps "reference" 12, b12_msgs sweeps "batched" 12) with
         | Some r, Some b when b > 0 -> Some (float_of_int r /. float_of_int b)
@@ -921,14 +902,6 @@ let () =
        ~target:"B2D safe-area diameter sweep/D=3 exact hull3d"
    with
   | Some s -> Format.printf "B2D exact hull3d speedup over implicit LP: %.2fx@." s
-  | None -> ());
-  (match
-     speedup rows
-       ~baseline:"B6 full protocol run/n=12 D=2 ts=3 (reference msg layer)"
-       ~target:"B6 full protocol run/n=12 D=2 ts=3"
-   with
-  | Some s ->
-      Format.printf "B6 n=12 interned message layer speedup over reference: %.2fx@." s
   | None -> ());
   (match
      speedup rows

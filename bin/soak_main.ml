@@ -1,6 +1,6 @@
 (* Randomized chaos soak driver.
    Usage: soak.exe [--cases N] [--seed S] [--domains N] [--mutant M]
-                   [--message-layer interned|reference|batched]
+                   [--message-layer interned|batched]
                    [--protocol maaa|ew] [--transport sim|net]
                    [--out FILE] [--journal FILE] [--resume]
                    [--case-events N] [--wall SECONDS|none] [--retries N]
@@ -133,7 +133,7 @@ let () =
         die
           "unknown argument %S (usage: soak.exe [--cases N] [--seed S] \
            [--domains N] [--mutant M] [--message-layer \
-           interned|reference|batched] [--protocol maaa|ew] \
+           interned|batched] [--protocol maaa|ew] \
            [--transport sim|net] [--out FILE] [--journal FILE] [--resume] \
            [--case-events N] [--wall SECONDS|none] [--retries N] \
            [--inject-stuck I] [--smoke])"

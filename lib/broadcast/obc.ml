@@ -6,7 +6,8 @@ type callbacks = {
   output : int array -> Vec.t array -> unit;
 }
 
-(* Seed implementation, kept verbatim as the differential baseline: all
+(* Seed implementation, kept verbatim as a test oracle (test_obc.ml
+   compares the callback calls of both on generated streams): all
    collected-set accounting through Pairset (an Int map of vectors) and
    report verification through Pairset.subset — O(n · D) float compares
    per pending report on every event. *)
@@ -128,7 +129,7 @@ module Reference = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Interned fast path. The collected set M is a flat party-indexed array
+(* The protocol path. The collected set M is a flat party-indexed array
    of interned value ids, a pending report is the same shape, and the
    subset check behind witness promotion — re-run on every single event
    by [try_fire] — degrades from O(n·D) float comparisons to O(n) int
@@ -142,7 +143,7 @@ type pending = {
   rep_count : int;
 }
 
-type fast = {
+type t = {
   n : int;
   ts : int;
   delta : int;
@@ -170,7 +171,7 @@ let bit_set b i =
     (Char.chr (Char.code (Bytes.get b (i lsr 3)) lor (1 lsl (i land 7))))
 
 (* ascending party order — exactly Pairset.bindings of the same set *)
-let fast_bindings t =
+let bindings t =
   let acc = ref [] in
   for p = t.n - 1 downto 0 do
     if t.m_pid.(p) >= 0 then acc := (p, t.m_vec.(p)) :: !acc
@@ -203,10 +204,10 @@ let rec drop_verified t = function
       else r :: drop_verified t rest
 
 (* Runs on every event while reports are pending. *)
-let fast_recheck_pending t =
+let recheck_pending t =
   if any_verified t t.pending then t.pending <- drop_verified t t.pending
 
-let fast_try_fire t =
+let try_fire t =
   if t.started && not t.done_ then begin
     let now = t.cb.now () in
     if
@@ -217,9 +218,9 @@ let fast_try_fire t =
       t.sent_report <- true;
       t.cb.send_all
         (Message.Obc_report
-           { iter = t.iter; pairs = fast_bindings t })
+           { iter = t.iter; pairs = bindings t })
     end;
-    fast_recheck_pending t;
+    recheck_pending t;
     let witness_ok =
       if t.witnessing then t.witness_count >= t.n - t.ts
       else t.m_count >= t.n - t.ts
@@ -238,7 +239,7 @@ let fast_try_fire t =
     end
   end
 
-let fast_start t v =
+let start t v =
   if t.started then invalid_arg "Obc.start: already started";
   t.started <- true;
   t.tau_start <- t.cb.now ();
@@ -246,12 +247,12 @@ let fast_start t v =
   t.cb.set_timer ~at:(t.tau_start + (Params.c_rbc * t.delta) + 1);
   t.cb.set_timer
     ~at:(t.tau_start + ((Params.c_rbc + Params.c_rbc') * t.delta) + 1);
-  fast_try_fire t
+  try_fire t
 
-let fast_valid_party t p = p >= 0 && p < t.n
+let valid_party t p = p >= 0 && p < t.n
 
-let fast_on_value t ~origin v =
-  if fast_valid_party t origin then begin
+let on_value t ~origin v =
+  if valid_party t origin then begin
     (* first value per origin wins, as in Pairset.add *)
     if t.m_pid.(origin) < 0 then begin
       let pid = Intern.intern_vec t.intern v in
@@ -261,17 +262,17 @@ let fast_on_value t ~origin v =
       | _ -> assert false);
       t.m_count <- t.m_count + 1
     end;
-    fast_try_fire t
+    try_fire t
   end
 
-let fast_on_report t ~from pairs =
-  if fast_valid_party t from && not (bit_mem t.seen_report from) then begin
+let on_report t ~from pairs =
+  if valid_party t from && not (bit_mem t.seen_report from) then begin
     bit_set t.seen_report from;
     let rep_pid = Array.make t.n (-1) in
     let rec fill count = function
       | [] -> count
       | (p, v) :: rest ->
-          if fast_valid_party t p && rep_pid.(p) < 0 then begin
+          if valid_party t p && rep_pid.(p) < 0 then begin
             rep_pid.(p) <- Intern.intern_vec t.intern v;
             fill (count + 1) rest
           end
@@ -279,55 +280,32 @@ let fast_on_report t ~from pairs =
     in
     let rep_count = fill 0 pairs in
     t.pending <- { sender = from; rep_pid; rep_count } :: t.pending;
-    fast_try_fire t
+    try_fire t
   end
 
-(* ------------------------------------------------------------------ *)
+let create ?intern ?(witnessing = true) ~n ~ts ~delta ~iter cb =
+  let intern =
+    match intern with Some i -> i | None -> Intern.create ~initial_size:16 ()
+  in
+  {
+    n;
+    ts;
+    delta;
+    iter;
+    witnessing;
+    cb;
+    intern;
+    m_pid = Array.make n (-1);
+    m_vec = Array.make n (Vec.zero 0);
+    m_count = 0;
+    witness_seen = Bytes.make ((n + 7) / 8) '\000';
+    witness_count = 0;
+    pending = [];
+    seen_report = Bytes.make ((n + 7) / 8) '\000';
+    started = false;
+    tau_start = 0;
+    sent_report = false;
+    done_ = false;
+  }
 
-type t = Fast of fast | Ref of Reference.t
-
-let create ?(impl = `Interned) ?intern ?(witnessing = true) ~n ~ts ~delta
-    ~iter cb =
-  match impl with
-  | `Reference -> Ref (Reference.create ~witnessing ~n ~ts ~delta ~iter cb)
-  | `Interned ->
-      let intern =
-        match intern with Some i -> i | None -> Intern.create ~initial_size:16 ()
-      in
-      Fast
-        {
-          n;
-          ts;
-          delta;
-          iter;
-          witnessing;
-          cb;
-          intern;
-          m_pid = Array.make n (-1);
-          m_vec = Array.make n (Vec.zero 0);
-          m_count = 0;
-          witness_seen = Bytes.make ((n + 7) / 8) '\000';
-          witness_count = 0;
-          pending = [];
-          seen_report = Bytes.make ((n + 7) / 8) '\000';
-          started = false;
-          tau_start = 0;
-          sent_report = false;
-          done_ = false;
-        }
-
-let start t v =
-  match t with Fast f -> fast_start f v | Ref r -> Reference.start r v
-
-let on_value t ~origin v =
-  match t with
-  | Fast f -> fast_on_value f ~origin v
-  | Ref r -> Reference.on_value r ~origin v
-
-let on_report t ~from pairs =
-  match t with
-  | Fast f -> fast_on_report f ~from pairs
-  | Ref r -> Reference.on_report r ~from pairs
-
-let poke t =
-  match t with Fast f -> fast_try_fire f | Ref r -> Reference.poke r
+let poke t = try_fire t

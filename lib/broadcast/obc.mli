@@ -15,12 +15,12 @@
     skips the witness phase and outputs on the first deadline, losing the
     [(ts, ta)]-Overlap guarantee under asynchrony.
 
-    Like {!Rbc}, two implementations share this interface: the default
-    [`Interned] path keeps the collected set and every pending report as
-    flat party-indexed arrays of {!Intern} value ids (report verification
-    is O(n) int compares instead of a [Pairset.subset] of float vectors
-    on every event), while [`Reference] is the seed Pairset/Map code —
-    trace-identical, retained for differential tests and benches. *)
+    The collected set and every pending report are flat party-indexed
+    arrays of {!Intern} value ids, so report verification is O(n) int
+    compares instead of a [Pairset.subset] of float vectors on every event.
+    The seed Pairset/Map code survives as {!Reference}, a test oracle: on
+    every input stream both make callback calls that [compare] equal
+    ([test_obc.ml]). *)
 
 type t
 
@@ -36,7 +36,6 @@ type callbacks = {
 }
 
 val create :
-  ?impl:[ `Interned | `Reference ] ->
   ?intern:Intern.t ->
   ?witnessing:bool ->
   n:int ->
@@ -46,8 +45,8 @@ val create :
   callbacks ->
   t
 (** [intern] shares the owning party's interning table (fresh private
-    table when omitted; ignored by [`Reference]) — pass the same table as
-    the party's {!Rbc} so value ids agree across the layers. *)
+    table when omitted) — pass the same table as the party's {!Rbc} so
+    value ids agree across the layers. *)
 
 val start : t -> Vec.t -> unit
 (** Join the protocol with our value; records the local start time. *)
@@ -62,8 +61,8 @@ val on_report : t -> from:int -> (int * Vec.t) list -> unit
 val poke : t -> unit
 (** Re-evaluate all guards (call on timer wake-ups). *)
 
-(** The seed Pairset/Map implementation, verbatim — differential baseline
-    only; protocol code should go through {!create}. *)
+(** The seed Pairset/Map implementation, verbatim — a test oracle only;
+    protocol code goes through {!create}. *)
 module Reference : sig
   type t
 

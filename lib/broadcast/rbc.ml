@@ -4,9 +4,9 @@ type callbacks = {
 }
 
 (* The seed implementation, kept verbatim (including its
-   exception-as-control-flow [votes] lookup) as the differential-test
-   baseline — the interned fast path below must be trace-identical to
-   this module on every schedule. *)
+   exception-as-control-flow [votes] lookup) as a test oracle and the
+   B11 baseline: on every input stream, the interned path below must
+   make [send_all]/[deliver] calls that [compare] equal (test_rbc.ml). *)
 module Reference = struct
   module IdMap = Map.Make (struct
     type t = Message.rbc_id
@@ -109,7 +109,7 @@ module Reference = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Interned fast path: payloads become dense ids at receipt (one
+(* The protocol path: payloads become dense ids at receipt (one
    structural hash each — see Intern), instances live in a hashtable
    keyed by a per-constructor rbc_id code, and echo/ready accounting is
    an int counter plus a per-(payload, sender) bitset. No polymorphic
@@ -171,7 +171,7 @@ type instance = {
   mutable slots : slot list;
 }
 
-type fast = {
+type t = {
   n : int;
   thr : int;
   bpp : int;  (* bytes per sender bitset *)
@@ -196,7 +196,7 @@ let bit_set b i =
   Bytes.set b (i lsr 3)
     (Char.chr (Char.code (Bytes.get b (i lsr 3)) lor (1 lsl (i land 7))))
 
-let fast_instance t id =
+let instance t id =
   if t.last_id != no_id && id_equal t.last_id id then t.last_inst
   else begin
     (* [find], not [find_opt]: a hit must not box its result *)
@@ -260,7 +260,7 @@ let add_ready t s ~from =
     s.ready_count <- s.ready_count + 1
   end
 
-let fast_check_progress t id inst (s : slot) =
+let check_progress t id inst (s : slot) =
   (* n - t echoes, or t + 1 readies: send our ready for this value *)
   if
     (not inst.readied)
@@ -275,8 +275,8 @@ let fast_check_progress t id inst (s : slot) =
     t.cb.deliver id s.payload
   end
 
-let fast_on_message t ~from id step v =
-  let inst = fast_instance t id in
+let on_message t ~from id step v =
+  let inst = instance t id in
   (* one structural hash per receipt; everything after is int-keyed *)
   let pid = Intern.intern t.intern v in
   match step with
@@ -288,46 +288,31 @@ let fast_on_message t ~from id step v =
   | Message.Echo ->
       let s = slot_for t inst pid (Intern.payload t.intern pid) inst.slots in
       add_echo t s ~from;
-      fast_check_progress t id inst s
+      check_progress t id inst s
   | Message.Ready ->
       let s = slot_for t inst pid (Intern.payload t.intern pid) inst.slots in
       add_ready t s ~from;
-      fast_check_progress t id inst s
+      check_progress t id inst s
 
-(* ------------------------------------------------------------------ *)
-
-type t = Fast of fast | Ref of Reference.t
-
-let create ?(impl = `Interned) ?intern ~n ~t cb =
-  match impl with
-  | `Reference -> Ref (Reference.create ~n ~t cb)
-  | `Interned ->
-      if n <= 3 * t then invalid_arg "Rbc.create: requires n > 3t";
-      (* standalone (non-Party) use: small tables — one broadcast is a
-         single instance with a handful of payloads *)
-      let intern =
-        match intern with Some i -> i | None -> Intern.create ~initial_size:16 ()
-      in
-      Fast
-        {
-          n;
-          thr = t;
-          bpp = (n + 7) / 8;
-          cb;
-          intern;
-          instances = IdTbl.create 16;
-          last_id = no_id;
-          last_inst = no_instance;
-        }
+let create ?intern ~n ~t cb =
+  if n <= 3 * t then invalid_arg "Rbc.create: requires n > 3t";
+  (* standalone (non-Party) use: small tables — one broadcast is a
+     single instance with a handful of payloads *)
+  let intern =
+    match intern with Some i -> i | None -> Intern.create ~initial_size:16 ()
+  in
+  {
+    n;
+    thr = t;
+    bpp = (n + 7) / 8;
+    cb;
+    intern;
+    instances = IdTbl.create 16;
+    last_id = no_id;
+    last_inst = no_instance;
+  }
 
 let broadcast t id v =
-  match t with
-  | Ref r -> Reference.broadcast r id v
-  | Fast f ->
-      (* intern our own value so the self-delivered copy is a hash hit *)
-      f.cb.send_all (Message.Rbc (id, Message.Init, Intern.intern_payload f.intern v))
-
-let on_message t ~from id step v =
-  match t with
-  | Ref r -> Reference.on_message r ~from id step v
-  | Fast f -> fast_on_message f ~from id step v
+  (* intern our own value so the self-delivered copy is a hash hit *)
+  t.cb.send_all
+    (Message.Rbc (id, Message.Init, Intern.intern_payload t.intern v))

@@ -11,18 +11,12 @@
     completes within 3Δ of a synchronous start) and [c'_rBC = 2] (once any
     honest party delivers, all do within 2Δ).
 
-    Two implementations sit behind the same interface (select with
-    [create ?impl]):
-    - [`Interned] (default): every received payload is hash-consed through
-      an {!Intern} table once at receipt, instances live in a hashtable
-      with a specialized [rbc_id] hash, and votes are flat counters plus
-      per-(payload, sender) bitsets — no polymorphic compare on the hot
-      path. This is the production path.
-    - [`Reference]: the seed [PayloadMap]/[IntSet] implementation (also
-      exposed directly as {!Reference}), retained for differential tests
-      and the B7/B11 before/after benches. The interned path is
-      trace-identical to it on every schedule — locked in by
-      [test_intern.ml]. *)
+    Every received payload is hash-consed through an {!Intern} table once
+    at receipt, instances live in a hashtable with a specialized [rbc_id]
+    hash, and votes are flat counters plus per-(payload, sender) bitsets —
+    no polymorphic compare on the hot path. The seed [PayloadMap]/[IntSet]
+    implementation survives as {!Reference}, a test oracle: on every input
+    stream both make callback calls that [compare] equal ([test_rbc.ml]). *)
 
 type t
 
@@ -33,17 +27,11 @@ type callbacks = {
       (** invoked exactly once per instance, on output *)
 }
 
-val create :
-  ?impl:[ `Interned | `Reference ] ->
-  ?intern:Intern.t ->
-  n:int ->
-  t:int ->
-  callbacks ->
-  t
+val create : ?intern:Intern.t -> n:int -> t:int -> callbacks -> t
 (** [t] is the corruption threshold the instance thresholds are computed
     from (the paper uses [ts]); requires [n > 3t]. [intern] lets the
     owning party share one interning table across its sub-protocols
-    (fresh private table when omitted); it is ignored by [`Reference]. *)
+    (fresh private table when omitted). *)
 
 val broadcast : t -> Message.rbc_id -> Message.payload -> unit
 (** Act as the designated sender of instance [id] (the caller must be
@@ -56,8 +44,8 @@ val on_message :
     counted at most once per (sender, value). *)
 
 (** The seed message layer, verbatim — [Map]s keyed by polymorphic
-    compare over full payloads. Differential baseline only; protocol code
-    should go through {!create}. *)
+    compare over full payloads. A test oracle and bench baseline only;
+    protocol code goes through {!create}. *)
 module Reference : sig
   type t
 

@@ -38,6 +38,11 @@ val pinned_grid : unit -> Scenario.t list
     skipped where the mode's budget is zero). Seeds, inputs and policies
     are all pinned — the grid is identical on every invocation. *)
 
+val diff_detail : Runner.result -> Runner.result -> string option
+(** The first field in which two results differ, cheapest first, or
+    [None] when they are identical once the transport tag and the wire
+    statistics are masked. *)
+
 val run_case : Scenario.t -> verdict
 (** Runs the three arms for one scenario (the scenario's [transport] is
     overridden per-arm) and compares. The scenario's wall budget bounds

@@ -2,14 +2,14 @@ type rbc_obs = { rbc_deliveries : (int * Message.payload * int) list }
 
 let rbc_id origin = { Message.tag = Message.Init_value; origin }
 
-let run_rbc ?(seed = 1L) ?impl ~n ~t ~policy ~honest ~sender () =
+let run_rbc ?(seed = 1L) ~n ~t ~policy ~honest ~sender () =
   let engine = Engine.create ~seed ~n ~policy () in
   let deliveries = ref [] in
   let rbcs = Array.make n None in
   List.iter
     (fun i ->
       let rbc =
-        Rbc.create ?impl ~n ~t
+        Rbc.create ~n ~t
           {
             Rbc.send_all = (fun msg -> Engine.broadcast engine ~src:i msg);
             deliver =

@@ -8,7 +8,6 @@ type rbc_obs = {
 
 val run_rbc :
   ?seed:int64 ->
-  ?impl:[ `Interned | `Reference ] ->
   n:int ->
   t:int ->
   policy:Engine.delay_policy ->

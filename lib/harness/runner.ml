@@ -186,7 +186,7 @@ let grade ~(scenario : Scenario.t) ~termination ~stats ~traffic ~monitor
     wire;
   }
 
-let run ?(monitor = false) ?(fail_fast = false) ?tracer ?on_engine
+let run ?(monitor = false) ?tracer ?on_engine
     (s : Scenario.t) =
   let cfg = s.Scenario.cfg in
   let policy =
@@ -291,7 +291,7 @@ let run ?(monitor = false) ?(fail_fast = false) ?tracer ?on_engine
   in
   Engine.run
     ?max_events:s.Scenario.budget.Scenario.max_events
-    ~on_budget:(if fail_fast then `Raise else `Stop)
+    ~on_budget:`Stop
     ?should_stop engine;
   let termination =
     match Engine.stop_reason engine with

@@ -107,7 +107,6 @@ val grade :
 
 val run :
   ?monitor:bool ->
-  ?fail_fast:bool ->
   ?tracer:(Message.t Engine.trace_event -> unit) ->
   ?on_engine:(Message.t Engine.t -> unit) ->
   Scenario.t ->
@@ -125,8 +124,7 @@ val run :
     The scenario's {!Scenario.budget} is enforced as a watchdog: event
     budget exhaustion and wall-clock deadline are reported as the result's
     [termination] ([Budget_exhausted] / [Timed_out]) instead of an
-    exception escaping [Engine.run]. [~fail_fast:true] restores the old
-    raising behaviour on event-budget exhaustion, for tests that pin it.
+    exception escaping [Engine.run].
 
     [?tracer] observes every engine trace event (chained after the
     monitor's own tracer when both are present) — the hook the

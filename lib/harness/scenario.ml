@@ -138,7 +138,6 @@ module Spec = struct
     key "message layer"
       [
         ("interned", Party.Interned);
-        ("reference", Party.Reference);
         ("batched", Party.Batched);
       ]
 

@@ -128,7 +128,7 @@ module Spec : sig
   (** ["none"], ["non-contracting"], ["premature-output"]. *)
 
   val layer : Party.layer key
-  (** ["interned"], ["reference"], ["batched"]. *)
+  (** ["interned"], ["batched"]. *)
 
   val transport : [ `Sim | `Net ] key
   (** ["sim"], ["net"]. *)

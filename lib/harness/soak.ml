@@ -68,30 +68,6 @@ type case_record = {
   cr_status : case_status;
 }
 
-type violating_case = {
-  vc_name : string;
-  vc_seed : int64;
-  vc_sync : bool;
-  vc_invariants : string list;
-  vc_violations : int;
-  vc_first : string list;
-  vc_plan : string list;
-  vc_shrunk_plan : string list;
-  vc_shrink_tries : int;
-  vc_shrink_minimal : bool;
-}
-
-type quarantined_case = {
-  qc_name : string;
-  qc_seed : int64;
-  qc_sync : bool;
-  qc_reason : string;
-  qc_plan : string list;
-  qc_shrunk_plan : string list;
-  qc_shrink_tries : int;
-  qc_shrink_minimal : bool;
-}
-
 type outcome = {
   total : int;
   sync_cases : int;
@@ -104,8 +80,8 @@ type outcome = {
   worst_diameter : float;
   worst_diameter_eps : float;
   worst_diameter_case : string;
-  violating : violating_case list;
-  quarantined : quarantined_case list;
+  violating : (case_record * violating_detail) list;
+  quarantined : (case_record * quarantine_detail) list;
 }
 
 (* Configs at the paper's resilience bounds ((D+1)·ts + ta < n, n > 3·ts);
@@ -544,41 +520,13 @@ let aggregate records =
   let violating =
     List.filter_map
       (fun r ->
-        match r.cr_status with
-        | Violating v ->
-            Some
-              {
-                vc_name = r.cr_name;
-                vc_seed = r.cr_seed;
-                vc_sync = r.cr_sync;
-                vc_invariants = v.vd_invariants;
-                vc_violations = v.vd_total;
-                vc_first = v.vd_first;
-                vc_plan = r.cr_plan;
-                vc_shrunk_plan = v.vd_shrunk;
-                vc_shrink_tries = v.vd_tries;
-                vc_shrink_minimal = v.vd_minimal;
-              }
-        | _ -> None)
+        match r.cr_status with Violating v -> Some (r, v) | _ -> None)
       records
   in
   let quarantined =
     List.filter_map
       (fun r ->
-        match r.cr_status with
-        | Quarantined q ->
-            Some
-              {
-                qc_name = r.cr_name;
-                qc_seed = r.cr_seed;
-                qc_sync = r.cr_sync;
-                qc_reason = q.qd_reason;
-                qc_plan = r.cr_plan;
-                qc_shrunk_plan = q.qd_shrunk;
-                qc_shrink_tries = q.qd_tries;
-                qc_shrink_minimal = q.qd_minimal;
-              }
-        | _ -> None)
+        match r.cr_status with Quarantined q -> Some (r, q) | _ -> None)
       records
   in
   let sync_cases = List.length (List.filter (fun r -> r.cr_sync) records) in
@@ -739,38 +687,39 @@ let to_json config (o : outcome) =
     (json_float o.worst_diameter_eps);
   out "  \"quarantined_cases\": [";
   List.iteri
-    (fun k qc ->
+    (fun k (r, q) ->
       if k > 0 then out ",";
       out "\n    {\n";
-      out "      \"name\": \"%s\",\n" (json_escape qc.qc_name);
-      out "      \"seed\": %Ld,\n" qc.qc_seed;
-      out "      \"sync\": %b,\n" qc.qc_sync;
-      out "      \"reason\": \"%s\",\n" (json_escape qc.qc_reason);
-      out "      \"plan\": %s,\n" (json_strings qc.qc_plan);
-      out "      \"shrunk_plan\": %s,\n" (json_strings qc.qc_shrunk_plan);
-      out "      \"shrink_tries\": %d,\n" qc.qc_shrink_tries;
-      out "      \"shrink_minimal\": %b\n" qc.qc_shrink_minimal;
+      out "      \"name\": \"%s\",\n" (json_escape r.cr_name);
+      out "      \"seed\": %Ld,\n" r.cr_seed;
+      out "      \"sync\": %b,\n" r.cr_sync;
+      out "      \"reason\": \"%s\",\n" (json_escape q.qd_reason);
+      out "      \"plan\": %s,\n" (json_strings r.cr_plan);
+      out "      \"shrunk_plan\": %s,\n" (json_strings q.qd_shrunk);
+      out "      \"shrink_tries\": %d,\n" q.qd_tries;
+      out "      \"shrink_minimal\": %b\n" q.qd_minimal;
       out "    }")
     o.quarantined;
   if o.quarantined <> [] then out "\n  ";
   out "],\n";
   out "  \"violating_cases\": [";
   List.iteri
-    (fun k vc ->
+    (fun k (r, v) ->
       if k > 0 then out ",";
       out "\n    {\n";
-      out "      \"name\": \"%s\",\n" (json_escape vc.vc_name);
-      out "      \"seed\": %Ld,\n" vc.vc_seed;
-      out "      \"sync\": %b,\n" vc.vc_sync;
-      out "      \"invariants\": %s,\n" (json_strings vc.vc_invariants);
-      out "      \"violations\": %d,\n" vc.vc_violations;
-      (match vc.vc_first with
+      out "      \"name\": \"%s\",\n" (json_escape r.cr_name);
+      out "      \"seed\": %Ld,\n" r.cr_seed;
+      out "      \"sync\": %b,\n" r.cr_sync;
+      out "      \"invariants\": %s,\n" (json_strings v.vd_invariants);
+      out "      \"violations\": %d,\n" v.vd_total;
+      (match v.vd_first with
       | [] -> ()
-      | v :: _ -> out "      \"first_violation\": \"%s\",\n" (json_escape v));
-      out "      \"plan\": %s,\n" (json_strings vc.vc_plan);
-      out "      \"shrunk_plan\": %s,\n" (json_strings vc.vc_shrunk_plan);
-      out "      \"shrink_tries\": %d,\n" vc.vc_shrink_tries;
-      out "      \"shrink_minimal\": %b\n" vc.vc_shrink_minimal;
+      | line :: _ ->
+          out "      \"first_violation\": \"%s\",\n" (json_escape line));
+      out "      \"plan\": %s,\n" (json_strings r.cr_plan);
+      out "      \"shrunk_plan\": %s,\n" (json_strings v.vd_shrunk);
+      out "      \"shrink_tries\": %d,\n" v.vd_tries;
+      out "      \"shrink_minimal\": %b\n" v.vd_minimal;
       out "    }")
     o.violating;
   if o.violating <> [] then out "\n  ";
@@ -792,35 +741,35 @@ let pp ppf (o : outcome) =
     Format.fprintf ppf "  worst final diameter: %.3e (eps=%g) in %s@."
       o.worst_diameter o.worst_diameter_eps o.worst_diameter_case;
   List.iter
-    (fun qc ->
-      Format.fprintf ppf "  QUARANTINED %s (seed=%Ld, %s): %s@." qc.qc_name
-        qc.qc_seed
-        (if qc.qc_sync then "sync" else "async")
-        qc.qc_reason;
+    (fun (r, q) ->
+      Format.fprintf ppf "  QUARANTINED %s (seed=%Ld, %s): %s@." r.cr_name
+        r.cr_seed
+        (if r.cr_sync then "sync" else "async")
+        q.qd_reason;
       Format.fprintf ppf "    plan: %s@."
-        (match qc.qc_plan with
+        (match r.cr_plan with
         | [] -> "<none>"
         | atoms -> String.concat "; " atoms);
       Format.fprintf ppf "    shrunk (%d tries, minimal=%b): %s@."
-        qc.qc_shrink_tries qc.qc_shrink_minimal
-        (match qc.qc_shrunk_plan with
+        q.qd_tries q.qd_minimal
+        (match q.qd_shrunk with
         | [] -> "<empty plan — the case wedges under every sub-plan>"
         | atoms -> String.concat "; " atoms))
     o.quarantined;
   List.iter
-    (fun vc ->
-      Format.fprintf ppf "  VIOLATION %s (seed=%Ld, %s): %s@." vc.vc_name
-        vc.vc_seed
-        (if vc.vc_sync then "sync" else "async")
-        (String.concat "," vc.vc_invariants);
+    (fun (r, v) ->
+      Format.fprintf ppf "  VIOLATION %s (seed=%Ld, %s): %s@." r.cr_name
+        r.cr_seed
+        (if r.cr_sync then "sync" else "async")
+        (String.concat "," v.vd_invariants);
       List.iter
         (fun line -> Format.fprintf ppf "    %s@." line)
-        vc.vc_first;
+        v.vd_first;
       Format.fprintf ppf "    plan: %s@."
-        (String.concat "; " vc.vc_plan);
+        (String.concat "; " r.cr_plan);
       Format.fprintf ppf "    shrunk (%d tries, minimal=%b): %s@."
-        vc.vc_shrink_tries vc.vc_shrink_minimal
-        (match vc.vc_shrunk_plan with
+        v.vd_tries v.vd_minimal
+        (match v.vd_shrunk with
         | [] -> "<empty plan — the protocol variant itself violates>"
         | atoms -> String.concat "; " atoms))
     o.violating

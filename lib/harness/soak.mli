@@ -96,30 +96,6 @@ type case_record = {
   cr_status : case_status;
 }
 
-type violating_case = {
-  vc_name : string;
-  vc_seed : int64;  (** the case's scenario seed *)
-  vc_sync : bool;
-  vc_invariants : string list;
-  vc_violations : int;
-  vc_first : string list;
-  vc_plan : string list;
-  vc_shrunk_plan : string list;
-  vc_shrink_tries : int;
-  vc_shrink_minimal : bool;
-}
-
-type quarantined_case = {
-  qc_name : string;
-  qc_seed : int64;
-  qc_sync : bool;
-  qc_reason : string;
-  qc_plan : string list;
-  qc_shrunk_plan : string list;
-  qc_shrink_tries : int;
-  qc_shrink_minimal : bool;
-}
-
 type outcome = {
   total : int;
   sync_cases : int;
@@ -132,8 +108,9 @@ type outcome = {
   worst_diameter : float;
   worst_diameter_eps : float;
   worst_diameter_case : string;
-  violating : violating_case list;
-  quarantined : quarantined_case list;
+  violating : (case_record * violating_detail) list;
+      (** each violating case's record, with its [Violating] detail *)
+  quarantined : (case_record * quarantine_detail) list;
       (** watchdogged or crash-killed cases: excluded from every aggregate
           above (a truncated run's monitor tables are not trustworthy),
           reported here with a shrunk repro instead *)

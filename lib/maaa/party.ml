@@ -9,7 +9,7 @@ type mode = Estimate | Fixed_t of int
 
 type mutant = Non_contracting_update | Premature_output
 
-type layer = Interned | Reference | Batched
+type layer = Interned | Batched
 
 type opts = {
   mode : mode;
@@ -28,7 +28,6 @@ type t = {
   cfg : Config.t;
   me : int;
   opts : opts;
-  impl : [ `Interned | `Reference ];  (* rBC/oBC vote-table implementation *)
   batch : Batch.t option;  (* egress buffer when the layer is [Batched] *)
   intern : Intern.t;  (* one hash-consing table for all sub-protocols *)
   safe_cache : Safe_cache.t;  (* shared across the run's parties when the
@@ -115,7 +114,7 @@ let rec join_iteration t it =
   t.iter_start <- t.now ();
   t.pending_value <- None;
   let obc =
-    Obc.create ~impl:t.impl ~intern:t.intern ~n:t.cfg.n ~ts:t.cfg.ts
+    Obc.create ~intern:t.intern ~n:t.cfg.n ~ts:t.cfg.ts
       ~delta:t.cfg.delta ~iter:it
       {
         Obc.now = t.now;
@@ -220,13 +219,10 @@ let on_rbc_deliver t (id : Message.rbc_id) payload =
 
 let create ?(callbacks = no_callbacks) ?(opts = default_opts) ?register_flush
     ?safe_cache ~cfg ~me ~now ~send_all ~set_timer () =
-  let impl, batch =
+  let batch =
     match opts.layer with
-    | Interned -> (`Interned, None)
-    | Reference -> (`Reference, None)
-    | Batched ->
-        (* batching wraps the fast vote tables *)
-        (`Interned, Some (Batch.create ~send_all))
+    | Interned -> None
+    | Batched -> Some (Batch.create ~send_all)
   in
   (match (batch, register_flush) with
   | Some b, Some reg -> reg (fun ~final:_ -> Batch.flush b)
@@ -238,7 +234,6 @@ let create ?(callbacks = no_callbacks) ?(opts = default_opts) ?register_flush
       cfg;
       me;
       opts;
-      impl;
       batch;
       intern = Intern.create ();
       safe_cache =
@@ -279,7 +274,7 @@ let create ?(callbacks = no_callbacks) ?(opts = default_opts) ?register_flush
   in
   t.rbc <-
     Some
-      (Rbc.create ~impl ~intern:t.intern ~n:cfg.Config.n ~t:cfg.Config.ts
+      (Rbc.create ~intern:t.intern ~n:cfg.Config.n ~t:cfg.Config.ts
          {
            Rbc.send_all = rbc_send_all;
            deliver = (fun id payload -> on_rbc_deliver t id payload);

@@ -48,13 +48,10 @@ type mutant = Non_contracting_update | Premature_output
 
 type layer =
   | Interned
-      (** the fast path (default): one {!Intern} hash-consing table per
+      (** one packet per vote (default): one {!Intern} hash-consing table per
           party, shared by its rBC multiplexer and every per-iteration oBC
           instance, created fresh per party — so a run never sees another
           run's payload ids *)
-  | Reference
-      (** the seed Map-based vote tables; bit-identical traces to
-          [Interned], kept for differential testing and the B6/B11 benches *)
   | Batched
       (** the interned vote tables behind a {!Batch} egress buffer: the rBC
           votes emitted within a tick leave as one combined packet per

@@ -87,8 +87,8 @@ let equal_exact (u : t) (v : t) =
 
 (* Bit-level FNV-style hash. Every NaN is folded to one canonical word so
    the hash agrees with [equal_exact] (Float.compare puts all NaNs in one
-   equivalence class); -0. and 0. hash apart, as Float.compare separates
-   them. *)
+   equivalence class); -0. and 0. hash alike, as Float.compare equates
+   them, because [Int64.to_int] drops the sign bit. *)
 let hash (v : t) =
   let h = ref 0x811c9dc5 in
   for i = 0 to Array.length v - 1 do

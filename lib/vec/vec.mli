@@ -68,7 +68,7 @@ val equal : ?eps:float -> t -> t -> bool
 val equal_exact : t -> t -> bool
 (** [equal_exact u v] iff [compare u v = 0]: same dimension and every
     coordinate equal under [Float.compare] (so NaNs compare equal to NaNs,
-    and [0.] ≠ [-0.]). The exact-identity relation the message-layer
+    and [0.] = [-0.]). The exact-identity relation the message-layer
     interning uses — no tolerance. *)
 
 val hash : t -> int

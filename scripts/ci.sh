@@ -60,7 +60,8 @@ grep -q '"violations_total": 0' _build/SOAK_stuck.json
 echo "== soak CLI validation (one-line errors, exit 2) =="
 for bad in "--cases 0" "--cases x" "--domains 0" "--seed banana" \
     "--mutant bogus" "--wall -1" "--resume" "--inject-stuck 99 --cases 5" \
-    "--message-layer bogus" "--protocol bogus" "--message-layer" \
+    "--message-layer bogus" "--message-layer reference" \
+    "--protocol bogus" "--message-layer" \
     "--protocol" "--transport bogus" "--transport" \
     "--protocol ew --mutant premature-output" \
     "--protocol ew --message-layer batched" \
@@ -171,8 +172,8 @@ grep -q '"recommended_domains"' _build/BENCH_smoke.json
 grep -q '"parallel_calibration"' _build/BENCH_smoke.json
 
 echo "== bench derived keys =="
-for key in b6_speedup_n12 b7_speedup b11_speedup_vote_storm \
-    b11_speedup_instances b10_speedup_2_domains_vs_sequential \
+for key in b11_speedup_vote_storm b11_speedup_instances \
+    b10_speedup_2_domains_vs_sequential \
     b10_speedup_4_domains_vs_sequential b12_reduction_batched_n12 \
     b12_batched_exponent b12_ew_exponent b12_max_n_batched b12_max_n_ew \
     b2_speedup_d3 b2_speedup_d4 b2_speedup_d5 \

@@ -347,13 +347,13 @@ let test_soak_catches_mutants () =
         true
         (count_outcome o expected_invariant > 0);
       List.iter
-        (fun vc ->
+        (fun (_, v) ->
           Alcotest.(check bool) "shrink reached a fixpoint" true
-            vc.Soak.vc_shrink_minimal;
+            v.Soak.vd_minimal;
           (* the protocol itself is broken, so the minimal reproducing
              fault plan is the empty one *)
           Alcotest.(check (list string)) "shrunk to the empty plan" []
-            vc.Soak.vc_shrunk_plan)
+            v.Soak.vd_shrunk)
         o.Soak.violating)
     [
       (Party.Non_contracting_update, "validity");
@@ -381,7 +381,7 @@ let test_soak_scenarios_reproducible () =
 
 let test_runner_watchdog_structured () =
   (* the per-case event budget lands as a structured termination, not an
-     exception — and ~fail_fast:true pins the old raising behaviour *)
+     exception (test_sim pins Engine.run's own raise) *)
   let scen =
     List.hd (Soak.build_scenarios { Soak.default with Soak.cases = 1; seed = 4L })
   in
@@ -397,9 +397,6 @@ let test_runner_watchdog_structured () =
     (Runner.termination_to_string r.Runner.termination);
   Alcotest.(check int) "stopped exactly at the budget" 50
     r.Runner.stats.Engine.events_processed;
-  Alcotest.check_raises "fail-fast pins the raise"
-    (Failure "Engine.run: max_events exceeded (run-away protocol?)")
-    (fun () -> ignore (Runner.run ~fail_fast:true tiny));
   let full = Runner.run scen in
   Alcotest.(check string)
     "a normal case completes" "completed"
@@ -472,15 +469,15 @@ let test_soak_stuck_case_quarantined () =
   let o = Soak.execute config in
   Alcotest.(check int) "all cases accounted for" 4 o.Soak.total;
   Alcotest.(check int) "one quarantined" 1 (List.length o.Soak.quarantined);
-  let qc = List.hd o.Soak.quarantined in
-  Alcotest.(check string) "the injected case" "soak-0001" qc.Soak.qc_name;
+  let r, q = List.hd o.Soak.quarantined in
+  Alcotest.(check string) "the injected case" "soak-0001" r.Soak.cr_name;
   Alcotest.(check bool) "reason names the event budget" true
-    (String.length qc.Soak.qc_reason >= 16
-    && String.sub qc.Soak.qc_reason 0 16 = "budget-exhausted");
+    (String.length q.Soak.qd_reason >= 16
+    && String.sub q.Soak.qd_reason 0 16 = "budget-exhausted");
   (* the stuck case carries no chaos plan, so the shrunk repro is the
      empty plan — stuck-ness is attributed to the scenario itself *)
-  Alcotest.(check (list string)) "trivial minimal repro" [] qc.Soak.qc_shrunk_plan;
-  Alcotest.(check bool) "shrink converged" true qc.Soak.qc_shrink_minimal;
+  Alcotest.(check (list string)) "trivial minimal repro" [] q.Soak.qd_shrunk;
+  Alcotest.(check bool) "shrink converged" true q.Soak.qd_minimal;
   (* quarantine is not a violation, and the truncated run's monitor data
      stays out of the aggregates *)
   Alcotest.(check int) "no violations" 0 o.Soak.violations_total;

@@ -8,11 +8,6 @@
 
 let zero_chooser engine = Engine.set_chooser engine (fun _ -> 0)
 
-(* Everything in a result is schedule-determined except the transport
-   tag and the kernel-scheduling-dependent wire statistics. *)
-let masked (r : Runner.result) =
-  { r with Runner.wire = None; transport = `Sim }
-
 (* --- chooser default byte-identity: sim / net --- *)
 
 let grid_slice ~n ~d =
@@ -24,11 +19,14 @@ let grid_slice ~n ~d =
   | Some s -> s
   | None -> Alcotest.failf "no (n=%d, d=%d) slice in the pinned grid" n d
 
+(* Everything in a result is schedule-determined except the transport
+   tag and the kernel-scheduling-dependent wire statistics, which
+   Differential.diff_detail masks. *)
 let check_identity name baseline hooked =
-  Alcotest.(check bool)
+  Alcotest.(check (option string))
     (name ^ ": always-0 chooser is byte-identical to no chooser")
-    true
-    (masked baseline = masked hooked)
+    None
+    (Differential.diff_detail baseline hooked)
 
 let test_chooser_identity_sim () =
   List.iter
@@ -534,6 +532,39 @@ let test_explorer_quarantine_old_schema () =
              maaa-explore-quarantine/3"
             e)
 
+(* A quarantine written while the seed message layer was selectable
+   (layer=reference, same schema) is refused with Spec's one-line error:
+   that layer is no longer spelled. *)
+let test_explorer_quarantine_reference_layer () =
+  let config =
+    Explore.default_config ~max_schedule_depth:0 ~cfg:explore_cfg
+      ~inputs:explore_inputs ()
+  in
+  let path = Filename.temp_file "explore-reference" ".tsv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Explore.write_quarantine ~path config (Explore.explore config);
+      let ic = open_in_bin path in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let text =
+        String.concat "\t"
+          (List.map
+             (fun f -> if f = "layer=interned" then "layer=reference" else f)
+             (String.split_on_char '\t' text))
+      in
+      let oc = open_out_bin path in
+      output_string oc text;
+      close_out oc;
+      match Explore.replay_quarantine ~path with
+      | Ok _ -> Alcotest.fail "layer=reference accepted"
+      | Error e ->
+          Alcotest.(check string) "Spec's one-line error"
+            "line 1: unknown message layer \"reference\" (expected \
+             interned|batched)"
+            e)
+
 let () =
   Alcotest.run "explore"
     [
@@ -584,5 +615,7 @@ let () =
             test_explorer_quarantine_bad_escape;
           Alcotest.test_case "quarantine with an old schema is refused" `Quick
             test_explorer_quarantine_old_schema;
+          Alcotest.test_case "quarantine with the reference layer is refused"
+            `Quick test_explorer_quarantine_reference_layer;
         ] );
     ]

@@ -1,7 +1,7 @@
-(* Unit tests for the Intern hash-consing table, plus the differential
-   guarantee the interned message layer is built on: engine traces and
-   run results are byte-identical to the Reference (seed) layer — the
-   fast path changes representation, never behaviour. *)
+(* Unit tests for the Intern hash-consing table. The guarantee the
+   interned message layer is built on — same callback calls as the seed
+   Rbc.Reference/Obc.Reference on every input stream — is checked by the
+   stream differentials in test_rbc.ml and test_obc.ml. *)
 
 let vec l = Vec.of_list l
 
@@ -178,87 +178,6 @@ let prop_intern_vec_differential =
           && compare (Intern.payload a ia) (Intern.payload b ib) = 0)
         ops)
 
-(* --- engine-level differential: byte-identical traces --- *)
-
-(* Full ΠAA under an async heavy-tail schedule, the whole trace (sends
-   with delivery times, deliveries, timers) captured via the tracer.
-   Interned and Reference layers must produce traces that [compare]
-   equal: the canonical payloads the fast path re-broadcasts are
-   structurally equal to what the seed layer would have sent. *)
-let trace_of layer =
-  let n = 5 in
-  let cfg = Config.make_exn ~n ~ts:1 ~ta:1 ~d:2 ~eps:0.1 ~delta:10 in
-  let inputs =
-    List.init n (fun i -> vec [ float_of_int i; float_of_int (i mod 3) ])
-  in
-  let engine =
-    Engine.create ~seed:7L ~size_of:Message.size_of ~n
-      ~policy:(Network.async_heavy_tail ~base:8) ()
-  in
-  let events = ref [] in
-  Engine.set_tracer engine (fun ev -> events := ev :: !events);
-  let parties =
-    List.init n (fun i ->
-        Party.attach ~opts:{ Party.default_opts with layer } ~cfg ~me:i engine)
-  in
-  List.iteri (fun i p -> Party.start p (List.nth inputs i)) parties;
-  Engine.run engine;
-  (List.rev !events, List.map Party.output parties, Engine.stats engine)
-
-let test_traces_identical () =
-  let ta, oa, sa = trace_of Party.Interned in
-  let tb, ob, sb = trace_of Party.Reference in
-  Alcotest.(check int) "trace length" (List.length tb) (List.length ta);
-  Alcotest.(check bool) "traces compare equal" true (compare ta tb = 0);
-  Alcotest.(check bool) "outputs compare equal" true (compare oa ob = 0);
-  Alcotest.(check bool) "stats compare equal" true (compare sa sb = 0)
-
-(* --- runner-level differential: the full scenario grid --- *)
-
-(* Same grid shape as test_pool.ml: D 1..3, sync and async networks, a
-   silent crash and an out-of-hull poisoner. Whole-record compare. *)
-let grid () =
-  let poison d = Behavior.Honest_with_input (Vec.make d 50.) in
-  List.concat_map
-    (fun (d, n, ts, ta) ->
-      let cfg = Config.make_exn ~n ~ts ~ta ~d ~eps:0.1 ~delta:10 in
-      let inputs =
-        List.init n (fun i ->
-            Vec.of_list (List.init d (fun c -> float_of_int ((i + c) mod 4))))
-      in
-      List.concat_map
-        (fun (pname, policy, sync) ->
-          List.map
-            (fun (bname, corruptions) ->
-              Scenario.make
-                ~name:(Printf.sprintf "diff D=%d %s %s" d pname bname)
-                ~seed:(Int64.of_int ((d * 131) + n))
-                ~cfg ~inputs ~policy ~sync_network:sync ~corruptions ())
-            [
-              ("silent", [ (0, Behavior.Silent) ]);
-              ("poison", [ (0, poison d) ]);
-            ])
-        [
-          ("sync", Network.sync_uniform ~delta:10, true);
-          ("async", Network.async_heavy_tail ~base:8, false);
-        ])
-    [ (1, 4, 1, 0); (2, 5, 1, 1); (3, 5, 1, 0) ]
-
-let test_grid_differential () =
-  List.iter
-    (fun s ->
-      let on layer = Scenario.Maaa { Party.default_opts with layer } in
-      let a = Runner.run { s with Scenario.protocol = on Party.Interned } in
-      let b = Runner.run { s with Scenario.protocol = on Party.Reference } in
-      (* the caches field legitimately differs: the reference layer has
-         no intern table, so its hit/miss counters stay zero *)
-      let b = { b with Runner.caches = a.Runner.caches } in
-      Alcotest.(check bool)
-        (s.Scenario.name ^ " identical across message layers")
-        true
-        (compare (a : Runner.result) b = 0))
-    (grid ())
-
 let () =
   Alcotest.run "intern"
     [
@@ -272,12 +191,5 @@ let () =
             test_intern_collision_chains;
           Alcotest.test_case "reset" `Quick test_intern_reset;
           QCheck_alcotest.to_alcotest prop_intern_vec_differential;
-        ] );
-      ( "differential",
-        [
-          Alcotest.test_case "engine traces byte-identical" `Quick
-            test_traces_identical;
-          Alcotest.test_case "scenario grid whole-record" `Quick
-            test_grid_differential;
         ] );
     ]

@@ -705,7 +705,7 @@ let test_spec_keys () =
              (values layer))
          (values mutant)
   in
-  Alcotest.(check int) "every protocol spelled" 10 (List.length protocols);
+  Alcotest.(check int) "every protocol spelled" 7 (List.length protocols);
   List.iter
     (fun p ->
       Alcotest.(check bool) "protocol round-trips" true
@@ -724,7 +724,10 @@ let test_spec_keys () =
     (protocol_of_fields [ ("protocol", "ew"); ("layer", "interned") ] = Ok Scenario.Ew);
   Alcotest.(check bool) "unknown spelling" true
     (of_string layer "bogus"
-    = Error "unknown message layer \"bogus\" (expected interned|reference|batched)");
+    = Error "unknown message layer \"bogus\" (expected interned|batched)");
+  Alcotest.(check bool) "the retired reference layer is unspelled" true
+    (of_string layer "reference"
+    = Error "unknown message layer \"reference\" (expected interned|batched)");
   Alcotest.(check bool) "bad escape" true
     (Result.is_error (decode "%zz") && Result.is_error (decode "ab%4"));
   Alcotest.check_raises "Fixed_t has no spelling"

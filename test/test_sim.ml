@@ -458,7 +458,7 @@ let test_engine_tracer () =
   Engine.run engine;
   Alcotest.(check int) "no more trace events" 1 !sends
 
-let test_engine_fail_fast_default () =
+let test_engine_propagates_by_default () =
   (* the default isolation mode lets handler exceptions abort the run *)
   let engine = Engine.create ~n:1 ~policy:Network.instant () in
   Engine.set_party engine 0 (fun _ -> failwith "boom");
@@ -644,7 +644,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
           Alcotest.test_case "tracer" `Quick test_engine_tracer;
           Alcotest.test_case "fail fast default" `Quick
-            test_engine_fail_fast_default;
+            test_engine_propagates_by_default;
           Alcotest.test_case "isolation" `Quick test_engine_isolation;
           Alcotest.test_case "wrap_party" `Quick test_engine_wrap_party;
           Alcotest.test_case "allocation budget (async run)" `Quick
