@@ -53,8 +53,11 @@ par-check:
 # monitor tables are not trustworthy). The report contains no wall-clock
 # data and is byte-identical for any --domains count and for an
 # interrupted-and-resumed sweep (--journal FILE / --resume) vs an
-# uninterrupted one. Exit code 1 iff any invariant was violated (expected
-# with --mutant non-contracting | premature-output).
+# uninterrupted one. The journal is a case file (schema "maaa-case/1",
+# shared with explore): its violating and quarantined rows replay with
+# `dune exec bin/explore_main.exe -- --replay _build/SOAK.journal`.
+# Exit code 1 iff any invariant was violated (expected with --mutant
+# non-contracting | premature-output).
 soak:
 	dune exec bin/soak_main.exe -- --cases 500 --seed 7 --journal _build/SOAK.journal
 
@@ -94,7 +97,8 @@ net-check:
 # sets + canonical-state dedup beat naive enumeration >= 5x. Exit 1 on
 # any gate failure. Ad-hoc exploration: `dune exec bin/explore_main.exe
 # -- --n 4 --ts 1 --adversary crash:3:2 --depth 3 --out Q.tsv`, then
-# `--replay Q.tsv`.
+# `--replay Q.tsv`. --replay takes any case file ("maaa-case/1"): an
+# explore quarantine or a soak journal.
 explore-check:
 	dune exec bin/explore_main.exe -- --check
 

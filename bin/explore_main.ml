@@ -8,9 +8,11 @@
    Enumerates delivery interleavings (and, with --adversary, crash points /
    equivocation splits) of a small configuration, grades every execution
    with the online invariant monitor, shrinks violations to minimal
-   (plan, schedule) repros and quarantines them to --out in the soak-style
-   TSV format. --replay re-runs a quarantine file's shrunk repros and
-   verifies each still violates. --check runs the pinned CI gates: the
+   (plan, schedule) repros and quarantines them to --out as a case file
+   (schema maaa-case/1). --replay re-runs the shrunk repro of every case
+   row of a case file — an explore quarantine or a soak journal — and
+   verifies each verdict comes back: the same invariants violated, or
+   the run still not completing. --check runs the pinned CI gates: the
    honest n=3 D=1 space explores exhaustively clean, both protocol mutants
    are rediscovered with replay-verified shrunk repros, and DPOR pruning
    plus state dedup beat naive enumeration by the pinned factor.
@@ -19,8 +21,8 @@
    configurations of their own, so they reject each other and every
    exploration flag.
    Exit codes: 0 clean, 1 violations found / gate failed / replay failed,
-   2 argument errors and unparsable --replay files (one line on
-   stderr). *)
+   2 argument errors and unparsable or older-schema --replay files (one
+   line on stderr). *)
 
 let die fmt =
   Printf.ksprintf
@@ -50,6 +52,9 @@ let default_inputs ~n ~d =
              if j = 0 && n > 1 then float_of_int i /. float_of_int (n - 1)
              else 0.)))
 
+let invariants (cx : Case.t) =
+  match cx.Case.verdict with Case.Violates l -> l | Case.Incomplete -> []
+
 let summarize label (r : Explore.report) =
   Printf.printf
     "%s: %d executions, %d choice points, %d truncated, %d dedup cuts, %d \
@@ -61,12 +66,12 @@ let summarize label (r : Explore.report) =
     (fun i cx ->
       Printf.printf "  cx %d: {%s} plan=%s schedule=[%s] tries=%d minimal=%b\n"
         (i + 1)
-        (String.concat ", " cx.Explore.cx_invariants)
-        (match cx.Explore.cx_shrunk_plan with
+        (String.concat ", " (invariants cx))
+        (match cx.Case.shrunk_plan with
         | [] -> "-"
         | p -> Fault_plan.to_repr p)
-        (String.concat "; " (List.map string_of_int cx.Explore.cx_shrunk_schedule))
-        cx.Explore.cx_tries cx.Explore.cx_minimal)
+        (String.concat "; " (List.map string_of_int cx.Case.shrunk_schedule))
+        cx.Case.tries cx.Case.minimal)
     r.Explore.counterexamples
 
 (* -- the pinned CI gates -- *)
@@ -107,7 +112,7 @@ let run_check () =
       let r = Explore.explore config in
       let flagged =
         List.exists
-          (fun cx -> List.mem expect_inv cx.Explore.cx_invariants)
+          (fun cx -> List.mem expect_inv (invariants cx))
           r.Explore.counterexamples
       in
       gate
@@ -118,14 +123,7 @@ let run_check () =
       let replays =
         r.Explore.counterexamples <> []
         && List.for_all
-             (fun cx ->
-               let got =
-                 Explore.replay config ~plan:cx.Explore.cx_shrunk_plan
-                   ~schedule:cx.Explore.cx_shrunk_schedule
-               in
-               List.for_all
-                 (fun inv -> List.mem inv got)
-                 cx.Explore.cx_invariants)
+             (fun cx -> Explore.replay cx = Ok true)
              r.Explore.counterexamples
       in
       gate (Printf.sprintf "mutant %s shrunk repros replay" name) replays "")
@@ -271,7 +269,7 @@ let () =
   if !check then exit (run_check ());
   match !replay_file with
   | Some path -> (
-      match Explore.replay_quarantine ~path with
+      match Explore.replay_file ~path with
       | Error msg -> die "--replay %s: %s" path msg
       | Ok { Explore.rp_total; rp_reproduced; rp_failures } ->
           Printf.printf "replayed %d/%d shrunk counterexample(s)\n"

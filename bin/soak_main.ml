@@ -9,9 +9,11 @@
    monitor with a per-case watchdog, shrinks any abnormal case to a minimal
    reproducing plan, quarantines cases the watchdog stopped, and writes a
    SOAK.json report (schema maaa-soak/2; see `make help-soak`). With
-   --journal the sweep checkpoints every finished case; --resume replays
-   the journal and finishes the remainder, producing a byte-identical
-   report. Exit code 1 when any invariant was violated — which is the
+   --journal the sweep checkpoints every finished case to a case file
+   (schema maaa-case/1) whose violating and quarantined rows replay with
+   `explore_main --replay`; --resume replays the journal and finishes the
+   remainder, producing a byte-identical report, and refuses a journal
+   of an older schema. Exit code 1 when any invariant was violated — which is the
    EXPECTED outcome with --mutant, where a deliberately broken protocol
    variant must be caught. The report is byte-identical for any --domains.
    --mutant and --message-layer configure ΠAA only: --protocol ew with
@@ -165,7 +167,6 @@ let () =
       Soak.cases = cases;
       seed = !seed;
       domains = !domains;
-      max_shrink = Soak.default.Soak.max_shrink;
       case_events = !case_events;
       case_wall = !case_wall;
       retries = !retries;

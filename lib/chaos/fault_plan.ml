@@ -176,7 +176,7 @@ let pp ppf plan =
    join with ';', fields with ',', behaviour sub-fields with ':', vector
    coordinates with '/' rendered as hex floats (bit-exact round trip),
    and 0/1 arrays as digit strings. No field ever contains a tab, so a
-   repr embeds directly in the soak-style TSV journal encoding. *)
+   repr embeds directly in a case-file line (Case). *)
 
 let vec_to_repr v =
   String.concat "/"

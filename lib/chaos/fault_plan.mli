@@ -72,12 +72,18 @@ val pp : Format.formatter -> t -> unit
 val to_repr : t -> string
 (** Machine-readable plan encoding: atoms joined by [';'], fields by
     [','], vectors as ['/']-joined hex floats. Contains no tabs or
-    control characters, so a repr embeds directly in the soak-style TSV
-    journal/quarantine encoding. [of_repr (to_repr p) = Ok p] for every
-    plan whose [Equivocate_split] assignments are 0/1 (the encoding
-    normalizes other non-zero marks to 1). *)
+    control characters, so a repr embeds directly in a case-file line.
+    [of_repr (to_repr p) = Ok p] for every plan whose [Equivocate_split]
+    assignments are 0/1 (the encoding normalizes other non-zero marks to
+    1). *)
 
 val of_repr : string -> (t, string) result
 (** Parses {!to_repr} output; [Error] describes the first offending
     atom. The empty string is the empty plan. Parsing performs no
     scenario validation — run {!validate} separately. *)
+
+val vec_to_repr : Vec.t -> string
+(** A vector as the repr writes it: ['/']-joined ["%h"] floats. *)
+
+val vec_of_repr : string -> (Vec.t, string) result
+(** Inverse of {!vec_to_repr}; decimal floats are accepted too. *)

@@ -1,4 +1,9 @@
-type outcome = { plan : Fault_plan.t; tries : int; minimal : bool }
+type outcome = {
+  plan : Fault_plan.t;
+  schedule : int list;
+  tries : int;
+  minimal : bool;
+}
 
 (* Simpler variants of one atom, strongest simplification first. Variants
    must stay valid whenever the original was (ticks only move toward 0,
@@ -82,7 +87,9 @@ let candidates (atom : Fault_plan.atom) : Fault_plan.atom list =
         ]
       else []
 
-let shrink ?(max_tries = 200) ~reproduces plan =
+(* The plan half: removal and numeric passes to a joint fixpoint, with
+   [max_tries] oracle calls; [minimal] is false when the budget ran out. *)
+let shrink_plan ~max_tries ~reproduces plan =
   let tries = ref 0 in
   let exhausted = ref false in
   let check p =
@@ -146,4 +153,38 @@ let shrink ?(max_tries = 200) ~reproduces plan =
     if !exhausted || plan' = plan then plan' else fix plan'
   in
   let plan = fix plan in
-  { plan; tries = !tries; minimal = not !exhausted }
+  (plan, not !exhausted)
+
+(* Trailing default answers are behaviourally void: beyond the recorded
+   prefix the chooser answers 0 anyway. *)
+let canonical schedule =
+  let rec drop = function 0 :: tl -> drop tl | s -> s in
+  List.rev (drop (List.rev schedule))
+
+(* Greedy left-to-right zeroing of schedule answers to a fixpoint. *)
+let shrink_schedule ~check schedule =
+  let rec zero_pass sched i =
+    if i >= List.length sched then sched
+    else if List.nth sched i = 0 then zero_pass sched (i + 1)
+    else
+      let cand = List.mapi (fun j x -> if j = i then 0 else x) sched in
+      if check cand then zero_pass cand (i + 1) else zero_pass sched (i + 1)
+  in
+  let rec fix sched =
+    let sched' = canonical (zero_pass sched 0) in
+    if sched' = sched then sched else fix sched'
+  in
+  fix (canonical schedule)
+
+let shrink ?(max_tries = 200) ~reproduces ?(schedule = []) plan =
+  let tries = ref 0 in
+  let reproduces p s =
+    incr tries;
+    reproduces p s
+  in
+  let schedule = shrink_schedule ~check:(reproduces plan) schedule in
+  let plan, minimal =
+    shrink_plan ~max_tries ~reproduces:(fun p -> reproduces p schedule) plan
+  in
+  let schedule = shrink_schedule ~check:(reproduces plan) schedule in
+  { plan; schedule; tries = !tries; minimal }

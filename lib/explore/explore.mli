@@ -18,7 +18,8 @@
     a tick range, Byzantine per-receiver payload choices become
     [Corrupt_at _ → Equivocate_split] atoms over a small symbolic domain
     of value pairs and receiver subsets. A counterexample is always a
-    (plan, schedule) pair — replayable, shrinkable and serialisable.
+    (plan, schedule) pair — a {!Case.t}, replayable, shrinkable and
+    serialisable.
 
     Two reduction mechanisms cut the [Pruned] search (both off under
     [Naive], which is kept as the measured baseline):
@@ -44,10 +45,10 @@
     comparison, not hash compaction) only up to MD5 collisions.
 
     Graded by the existing online {!Monitor}: a violating execution is
-    shrunk — schedule indices zeroed/truncated to a fixpoint, then the
-    fault plan through {!Fault_shrink}, then the schedule again — and
-    appended to a soak-style TSV quarantine journal, replayable with
-    [explore_main --replay]. *)
+    shrunk by {!Case.shrink} — schedule indices zeroed/truncated to a
+    fixpoint, then the fault plan, then the schedule again — and written
+    to a case file ({!Case}), replayable with [explore_main --replay]
+    like a soak journal's abnormal rows. *)
 
 type mode = Naive | Pruned
 
@@ -97,20 +98,6 @@ val default_config :
     @raise Invalid_argument on input-count mismatch or an out-of-range /
     budget-violating adversary party. *)
 
-type counterexample = {
-  cx_plan : Fault_plan.t;
-  cx_schedule : int list;  (** chooser answers, one per [k ≥ 2] point *)
-  cx_invariants : string list;
-      (** sorted violated-invariant names: monitor invariants plus
-          ["liveness"] for a quiescent run with a silent graded party *)
-  cx_shrunk_plan : Fault_plan.t;
-  cx_shrunk_schedule : int list;
-  cx_tries : int;  (** oracle re-executions spent shrinking *)
-  cx_minimal : bool;
-      (** the joint (schedule zeroing ∘ {!Fault_shrink}) fixpoint was
-          reached within the shrinker's try budget *)
-}
-
 type report = {
   r_mode : mode;
   executions : int;  (** complete re-executions performed *)
@@ -124,33 +111,35 @@ type report = {
       (** the bounded schedule space was drained; [false] when
           [max_executions] stopped the search or a plan was abandoned at
           [max_counterexamples] *)
-  counterexamples : counterexample list;
+  counterexamples : Case.t list;
+      (** each with verdict [Violates], deduplicated by shrunk repro *)
 }
 
 val explore : config -> report
 (** Runs the full search: every plan in the adversary's symbolic domain,
     DFS over the schedule space of each. Deterministic: same config, same
-    report. *)
+    report. Each counterexample's spec line spells the config's cfg,
+    inputs, protocol and event budget.
+    @raise Invalid_argument on a counterexample under a protocol with no
+    {!Scenario.Spec.protocol_fields} spelling. *)
 
-val replay : config -> plan:Fault_plan.t -> schedule:int list -> string list
-(** One concrete execution under [plan] with the chooser answering
-    [schedule] (then default); returns the sorted violated-invariant
-    names, [] when clean. The [mode]/[adversary] fields of [config] are
-    ignored — a quarantined counterexample replays against the config
-    alone. *)
-
-(** {2 Quarantine journal}
-
-    Same shape as the soak journal (schema ["maaa-explore-quarantine/3"]):
-    one TSV header line binding the config, one [stats] line, one [case]
-    line per counterexample, every line ending in a ["."] sentinel.
-    The protocol is spelled by {!Scenario.Spec.protocol_fields}; fault
-    plans embed via {!Fault_plan.to_repr}, vectors as ['/']-joined
-    ["%h"] floats, and free-form fields through {!Scenario.Spec.encode}. *)
+(** {2 Case files} *)
 
 val write_quarantine : path:string -> config -> report -> unit
-(** @raise Invalid_argument when the config's protocol has no spelling
-    (see {!Scenario.Spec.protocol_fields}). *)
+(** A {!Case} file: a header with the search's mode, depth and
+    execution count, then one ["case"] line per counterexample. *)
+
+val scenario_of_spec : string -> (Scenario.t, string) result
+(** The replay dispatch: rebuilds a case's scenario from its spec line —
+    ["soak"] specs through {!Soak.scenario_of_spec}, ["explore"] specs
+    from their keys. *)
+
+val replay : Case.t -> (bool, string) result
+(** Rebuilds the case's scenario and re-runs its {e shrunk} repro through
+    {!Case.reproduces}: [Ok true] when its verdict comes back — the same
+    invariants violated again, or the run still not completing. [Error]
+    on a spec that does not rebuild or a shrunk plan the scenario
+    rejects. *)
 
 type replay_outcome = {
   rp_total : int;
@@ -158,12 +147,13 @@ type replay_outcome = {
   rp_failures : string list;  (** one human-readable line per failure *)
 }
 
-val replay_quarantine : path:string -> (replay_outcome, string) result
-(** Parses a quarantine file, re-runs every case's {e shrunk}
-    counterexample and checks the recorded invariants are violated again.
-    [Error] naming the line on an unparsable file. *)
+val replay_file : path:string -> (replay_outcome, string) result
+(** {!replay}s every ["case"] row of a case file: an explore quarantine
+    or a soak journal (whose ["ok"] rows carry no repro). [Error] naming
+    the line on an unparsable file, one of another schema, or a case
+    whose scenario does not rebuild. *)
 
-(** {2 Reprs} — the journal's field encodings, exposed for the CLI. *)
+(** {2 Reprs} — CLI spellings. *)
 
 val mode_repr : mode -> string
 val mode_of_repr : string -> (mode, string) result
@@ -171,4 +161,3 @@ val mode_of_repr : string -> (mode, string) result
 val adversary_of_repr : string -> (adversary, string) result
 (** ["honest"], ["crash:PARTY:MAXTICK"], or ["equiv:PARTY:VA:VB"] with
     vectors as ['/']-joined floats (hex or decimal). *)
-

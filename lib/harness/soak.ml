@@ -2,7 +2,6 @@ type config = {
   cases : int;
   seed : int64;
   domains : int;
-  max_shrink : int;
   case_events : int;
   case_wall : float option;
   retries : int;
@@ -16,7 +15,6 @@ let default =
     cases = 500;
     seed = 7L;
     domains = 1;
-    max_shrink = 200;
     case_events = 10_000_000;
     case_wall = Some 300.;
     retries = 1;
@@ -27,25 +25,21 @@ let default =
 
 (* -- Per-case records ------------------------------------------------
 
-   Everything the final report needs about one case, as plain data
-   (strings, ints, floats — no closures, no plan values), so a record can
-   round-trip through the journal byte-exactly and a resumed sweep
+   Everything the final report needs about one case, as plain data, so a
+   record round-trips through the journal exactly and a resumed sweep
    aggregates to the same SOAK.json as an uninterrupted one. *)
 
 type violating_detail = {
-  vd_invariants : string list;
+  vd_seed : int64;
+  vd_case : Case.t;
   vd_total : int;
   vd_first : string list;  (* up to 3 rendered violations *)
-  vd_shrunk : string list;
-  vd_tries : int;
-  vd_minimal : bool;
 }
 
 type quarantine_detail = {
+  qd_seed : int64;
+  qd_case : Case.t;
   qd_reason : string;
-  qd_shrunk : string list;
-  qd_tries : int;
-  qd_minimal : bool;
 }
 
 type case_status =
@@ -55,8 +49,6 @@ type case_status =
 
 type case_record = {
   cr_index : int;
-  cr_name : string;
-  cr_seed : int64;
   cr_sync : bool;
   cr_checks : int;
   cr_counts : int list;  (* aligned with Monitor.all_invariants *)
@@ -64,7 +56,6 @@ type case_record = {
   cr_pfail : int;
   cr_diameter : float;
   cr_eps : float;
-  cr_plan : string list;
   cr_status : case_status;
 }
 
@@ -113,6 +104,8 @@ let sample_policy rng ~sync ~static (cfg : Config.t) =
     | 0 -> Network.async_uniform ~max_delay:(4 * delta)
     | _ -> Network.async_heavy_tail ~base:delta
 
+let case_name i = Printf.sprintf "soak-%04d" i
+
 let build_case ~config rng i =
   let cfg = List.nth grid_configs (Rng.int rng (List.length grid_configs)) in
   let sync = i mod 2 = 0 in
@@ -133,14 +126,19 @@ let build_case ~config rng i =
   let chaos = Fault_gen.sample rng ~cfg ~sync ~existing:static ~horizon in
   let policy = sample_policy rng ~sync ~static cfg in
   let seed = Rng.next_int64 rng in
-  (* EW drops the chaos plan (after sampling it, so every case draws the
-     same RNG stream): adaptive corruption grading is calibrated against
-     ΠAA's iteration structure, and EW's static-corruption coverage is
-     the property under test. *)
-  let chaos = if ew then None else Some chaos in
+  (* EW drops the chaos plan and runs every static corruption [Silent],
+     after drawing both so every case draws the same RNG stream: adaptive
+     corruption grading is calibrated against ΠAA's iteration structure,
+     and {!Behavior} has no EW arm — any other behaviour runs ΠAA, whose
+     messages EW parties drop. *)
+  let chaos, corruptions =
+    if ew then
+      (None, List.map (fun (p, _) -> (p, Behavior.Silent)) corruptions)
+    else (Some chaos, corruptions)
+  in
   let scen =
     Scenario.make
-      ~name:(Printf.sprintf "soak-%04d" i)
+      ~name:(case_name i)
       ~seed ~policy ~sync_network:sync ~corruptions ?chaos
       ~protocol:config.protocol ~transport:config.transport ~isolate:true
       ~budget:
@@ -177,33 +175,64 @@ let build_scenarios config =
   in
   go 0 []
 
+(* -- Spec lines: one case, rebuilt on its own -- *)
+
+(* The config's enumerated keys, spelled by [Scenario.Spec]. *)
+let spec_fields config =
+  Scenario.Spec.protocol_fields config.protocol
+  @ [ ("transport", Scenario.Spec.(to_string transport config.transport)) ]
+
+let opt_repr f = function None -> "none" | Some x -> f x
+
+let opt_of f = function
+  | "none" -> Some None
+  | s -> Option.map Option.some (f s)
+
+(* Every config key a case's scenario depends on. *)
+let sweep_keys config =
+  [
+    ("seed", Int64.to_string config.seed);
+    ("events", string_of_int config.case_events);
+    ("wall", opt_repr (Printf.sprintf "%h") config.case_wall);
+    ("stuck", opt_repr string_of_int config.stuck);
+  ]
+  @ spec_fields config
+
+let spec config i =
+  Case.spec "soak" (sweep_keys config @ [ ("case", string_of_int i) ])
+
+let ( let* ) = Result.bind
+
+let scenario_of_spec keys =
+  let f key parse = Case.field keys key parse in
+  let* seed = f "seed" Int64.of_string_opt in
+  let* case_events = f "events" int_of_string_opt in
+  let* case_wall = f "wall" (opt_of float_of_string_opt) in
+  let* stuck = f "stuck" (opt_of int_of_string_opt) in
+  let* protocol = Scenario.Spec.protocol_of_fields keys in
+  let* transport =
+    Result.bind (f "transport" Option.some) Scenario.Spec.(of_string transport)
+  in
+  let* i =
+    f "case" (fun s ->
+        match Case.ints_of s with Some [ i ] -> Some i | _ -> None)
+  in
+  let config =
+    { default with seed; case_events; case_wall; stuck; protocol; transport }
+  in
+  (* [build_scenarios] splits the master once per case *)
+  let master = Rng.create seed in
+  for _ = 1 to i do
+    ignore (Rng.split master)
+  done;
+  Ok (build_case ~config (Rng.split master) i)
+
+(* -- Running one case -- *)
+
 let violated_invariants (m : Monitor.summary) =
   List.filter_map
     (fun (name, c) -> if c > 0 then Some name else None)
     m.Monitor.counts
-
-let shrink_case ~max_shrink (scen : Scenario.t) (m : Monitor.summary) =
-  let target = violated_invariants m in
-  let reproduces plan' =
-    let r = Runner.run ~monitor:true { scen with Scenario.chaos = Some plan' } in
-    match r.Runner.monitor with
-    | Some m' ->
-        List.exists
-          (fun (name, c) -> c > 0 && List.mem name target)
-          m'.Monitor.counts
-    | None -> false
-  in
-  let plan = Option.value scen.Scenario.chaos ~default:[] in
-  Fault_shrink.shrink ~max_tries:max_shrink ~reproduces plan
-
-let monitor_exn name = function
-  | Some (m : Monitor.summary) -> m
-  | None -> invalid_arg ("Soak: no monitor summary for " ^ name)
-
-let plan_strings (scen : Scenario.t) =
-  match scen.Scenario.chaos with
-  | None -> []
-  | Some plan -> Fault_plan.to_strings plan
 
 let zero_counts = List.map (fun _ -> 0) Monitor.all_invariants
 
@@ -212,103 +241,9 @@ let render_violation (v : Monitor.violation) =
     (Monitor.invariant_name v.Monitor.invariant)
     v.Monitor.party v.Monitor.time v.Monitor.detail
 
-let rec take k = function
-  | [] -> []
-  | _ when k = 0 -> []
-  | x :: rest -> x :: take (k - 1) rest
-
-(* One case, run inside a pool worker: watchdogged run, then (still in the
-   worker, so it parallelizes and needs no engine state afterwards) the
-   deterministic shrink of anything abnormal, folded into a plain-data
-   record. *)
-let run_case config ((idx, scen) : int * Scenario.t) : case_record =
-  let r = Runner.run ~monitor:true scen in
-  let base ~checks ~counts ~missing ~pfail ~diameter ~eps status =
-    {
-      cr_index = idx;
-      cr_name = scen.Scenario.name;
-      cr_seed = scen.Scenario.seed;
-      cr_sync = scen.Scenario.sync_network;
-      cr_checks = checks;
-      cr_counts = counts;
-      cr_missing = missing;
-      cr_pfail = pfail;
-      cr_diameter = diameter;
-      cr_eps = eps;
-      cr_plan = plan_strings scen;
-      cr_status = status;
-    }
-  in
-  match r.Runner.termination with
-  | Runner.Completed ->
-      let m = monitor_exn scen.Scenario.name r.Runner.monitor in
-      let counts =
-        List.map
-          (fun inv ->
-            match
-              List.assoc_opt (Monitor.invariant_name inv) m.Monitor.counts
-            with
-            | Some c -> c
-            | None -> 0)
-          Monitor.all_invariants
-      in
-      let status =
-        if Monitor.total_violations m = 0 then Clean
-        else
-          let shrunk = shrink_case ~max_shrink:config.max_shrink scen m in
-          Violating
-            {
-              vd_invariants = violated_invariants m;
-              vd_total = List.length m.Monitor.violations;
-              vd_first = take 3 (List.map render_violation m.Monitor.violations);
-              vd_shrunk = Fault_plan.to_strings shrunk.Fault_shrink.plan;
-              vd_tries = shrunk.Fault_shrink.tries;
-              vd_minimal = shrunk.Fault_shrink.minimal;
-            }
-      in
-      base ~checks:m.Monitor.checks ~counts
-        ~missing:(m.Monitor.honest_expected - m.Monitor.honest_outputs)
-        ~pfail:r.Runner.stats.Engine.party_failures
-        ~diameter:m.Monitor.final_diameter ~eps:m.Monitor.eps status
-  | (Runner.Timed_out | Runner.Budget_exhausted) as t ->
-      (* A watchdogged case is quarantined: its partial monitor tables are
-         not trustworthy (deferred containment checks need complete runs),
-         so it contributes nothing to the aggregate counters. The repro
-         plan is still shrunk, against a "still fails to complete" oracle
-         bounded by the same budgets. *)
-      let reproduces plan' =
-        let r' =
-          Runner.run ~monitor:false { scen with Scenario.chaos = Some plan' }
-        in
-        r'.Runner.termination <> Runner.Completed
-      in
-      let plan = Option.value scen.Scenario.chaos ~default:[] in
-      let shrunk =
-        Fault_shrink.shrink ~max_tries:config.max_shrink ~reproduces plan
-      in
-      base ~checks:0 ~counts:zero_counts ~missing:0 ~pfail:0 ~diameter:0.
-        ~eps:scen.Scenario.cfg.Config.eps
-        (Quarantined
-           {
-             qd_reason =
-               Printf.sprintf "%s(%d events)"
-                 (Runner.termination_to_string t)
-                 r.Runner.stats.Engine.events_processed;
-             qd_shrunk = Fault_plan.to_strings shrunk.Fault_shrink.plan;
-             qd_tries = shrunk.Fault_shrink.tries;
-             qd_minimal = shrunk.Fault_shrink.minimal;
-           })
-
-(* A worker-domain crash (Out_of_memory-style fatal, retried
-   [config.retries] times by the supervised pool) is quarantined without
-   re-running anything — the repro "shrink" would risk crashing the
-   supervisor itself, so the unshrunk plan is the artifact. *)
-let crashed_record ((idx, scen) : int * Scenario.t) ~attempts ~last_error =
-  let plan = plan_strings scen in
+let quarantined ((idx, scen) : int * Scenario.t) case reason =
   {
     cr_index = idx;
-    cr_name = scen.Scenario.name;
-    cr_seed = scen.Scenario.seed;
     cr_sync = scen.Scenario.sync_network;
     cr_checks = 0;
     cr_counts = zero_counts;
@@ -316,182 +251,190 @@ let crashed_record ((idx, scen) : int * Scenario.t) ~attempts ~last_error =
     cr_pfail = 0;
     cr_diameter = 0.;
     cr_eps = scen.Scenario.cfg.Config.eps;
-    cr_plan = plan;
     cr_status =
       Quarantined
-        {
-          qd_reason =
-            Printf.sprintf "crashed: %s (attempts=%d)" last_error attempts;
-          qd_shrunk = plan;
-          qd_tries = 0;
-          qd_minimal = false;
-        };
+        { qd_seed = scen.Scenario.seed; qd_case = case; qd_reason = reason };
   }
+
+(* One case, run inside a pool worker: watchdogged run, then (still in the
+   worker, so it parallelizes and needs no engine state afterwards) the
+   deterministic shrink of anything abnormal, folded into a plain-data
+   record. *)
+let run_case config ((idx, scen) as item : int * Scenario.t) : case_record =
+  let r = Runner.run ~monitor:true scen in
+  let shrink verdict =
+    Case.shrink ~spec:(spec config idx) scen verdict
+      ~plan:(Option.value scen.Scenario.chaos ~default:[])
+      ~schedule:[]
+  in
+  match r.Runner.termination with
+  | Runner.Completed ->
+      let m = Option.get r.Runner.monitor in
+      let status =
+        match m.Monitor.violations with
+        | [] -> Clean
+        | vs ->
+            Violating
+              {
+                vd_seed = scen.Scenario.seed;
+                vd_case = shrink (Case.Violates (violated_invariants m));
+                vd_total = List.length vs;
+                vd_first =
+                  List.filteri (fun k _ -> k < 3) (List.map render_violation vs);
+              }
+      in
+      {
+        cr_index = idx;
+        cr_sync = scen.Scenario.sync_network;
+        cr_checks = m.Monitor.checks;
+        cr_counts = List.map snd m.Monitor.counts;
+        cr_missing = m.Monitor.honest_expected - m.Monitor.honest_outputs;
+        cr_pfail = r.Runner.stats.Engine.party_failures;
+        cr_diameter = m.Monitor.final_diameter;
+        cr_eps = m.Monitor.eps;
+        cr_status = status;
+      }
+  | (Runner.Timed_out | Runner.Budget_exhausted) as t ->
+      (* A watchdogged case is quarantined: its partial monitor tables are
+         not trustworthy (deferred containment checks need complete runs),
+         so it contributes nothing to the aggregate counters. The repro
+         plan is still shrunk, against a "still fails to complete" oracle
+         bounded by the same budgets. *)
+      quarantined item (shrink Case.Incomplete)
+        (Printf.sprintf "%s(%d events)"
+           (Runner.termination_to_string t)
+           r.Runner.stats.Engine.events_processed)
+
+(* A worker-domain crash (Out_of_memory-style fatal, retried
+   [config.retries] times by the supervised pool) is quarantined without
+   re-running anything — the repro "shrink" would risk crashing the
+   supervisor itself, so the unshrunk plan is the artifact. *)
+let crashed_record config ((idx, scen) as item) ~attempts ~last_error =
+  let plan = Option.value scen.Scenario.chaos ~default:[] in
+  quarantined item
+    {
+      Case.spec = spec config idx;
+      plan;
+      schedule = [];
+      verdict = Case.Incomplete;
+      shrunk_plan = plan;
+      shrunk_schedule = [];
+      tries = 0;
+      minimal = false;
+    }
+    (Printf.sprintf "crashed: %s (attempts=%d)" last_error attempts)
 
 (* -- Journal ---------------------------------------------------------
 
-   Append-only checkpoint file (schema "maaa-soak-journal/2"): a header
+   Append-only checkpoint file in the case-file format ({!Case}): a header
    line binding the journal to the exact sweep configuration, then one
    line per completed case, written and flushed by the supervising domain
-   as each case's outcome becomes final. A resumed sweep replays records
-   instead of re-running their cases, so the final SOAK.json is
-   byte-identical to an uninterrupted run's for any --domains count.
-
-   Robustness: a SIGKILL can truncate the last line mid-write, so every
-   record line ends with a "." sentinel field and any line that fails to
-   parse (or lacks the sentinel) is discarded — that case simply re-runs.
-   Encoding is line-oriented: fields are TAB-separated; strings are
-   percent-encoded (%, TAB, control bytes, '~'); string lists join their
-   encoded elements with US (0x1f), with "~" denoting the empty list;
-   floats render as hex ("%h") so they round-trip bit-exactly. *)
-
-let journal_schema = "maaa-soak-journal/2"
-
-(* The config's enumerated keys, spelled by [Scenario.Spec]. *)
-let spec_fields config =
-  Scenario.Spec.protocol_fields config.protocol
-  @ [ ("transport", Scenario.Spec.(to_string transport config.transport)) ]
+   as each case's outcome becomes final. A clean case is an "ok" line
+   with the aggregation fields only; a violating or quarantined case is a
+   "case" line — replayable by [explore_main --replay] — with the same
+   fields appended. A resumed sweep replays records instead of re-running
+   their cases, so the final SOAK.json is byte-identical to an
+   uninterrupted run's for any --domains count. A line that fails to
+   parse (a SIGKILL-torn one, or counts of the wrong length) is dropped
+   and its case re-runs. Floats render as hex ("%h") so they round-trip
+   bit-exactly. *)
 
 let journal_header config =
-  let p k = List.assoc k (spec_fields config) in
-  Printf.sprintf
-    "%s\tseed=%Ld\tcases=%d\tmutant=%s\tevents=%d\twall=%s\tretries=%d\tstuck=%s\tmax_shrink=%d\tlayer=%s\tprotocol=%s\ttransport=%s"
-    journal_schema config.seed config.cases (p "mutant")
-    config.case_events
-    (match config.case_wall with None -> "none" | Some w -> Printf.sprintf "%h" w)
-    config.retries
-    (match config.stuck with None -> "none" | Some i -> string_of_int i)
-    config.max_shrink (p "layer") (p "protocol") (p "transport")
-
-exception Bad_line
-
-let dec s =
-  match Scenario.Spec.decode s with Ok s -> s | Error _ -> raise Bad_line
-
-let enc_list = function
-  | [] -> "~"
-  | l -> String.concat "\x1f" (List.map Scenario.Spec.encode l)
-
-let dec_list = function
-  | "~" -> []
-  | s -> List.map dec (String.split_on_char '\x1f' s)
-
-let int_of_field s = match int_of_string_opt s with Some i -> i | None -> raise Bad_line
-let int64_of_field s = match Int64.of_string_opt s with Some i -> i | None -> raise Bad_line
-let float_of_field s = match float_of_string_opt s with Some f -> f | None -> raise Bad_line
-
-let bool_of_field = function
-  | "1" -> true
-  | "0" -> false
-  | _ -> raise Bad_line
+  Case.line Case.schema
+    ([ ("cases", string_of_int config.cases);
+       ("retries", string_of_int config.retries) ]
+    @ sweep_keys config)
 
 let render_case (r : case_record) =
-  let b = Buffer.create 256 in
-  let fld s = Buffer.add_char b '\t'; Buffer.add_string b s in
-  Buffer.add_string b "c";
-  fld (string_of_int r.cr_index);
-  fld (Scenario.Spec.encode r.cr_name);
-  fld (Int64.to_string r.cr_seed);
-  fld (if r.cr_sync then "1" else "0");
-  fld (string_of_int r.cr_checks);
-  fld (String.concat "," (List.map string_of_int r.cr_counts));
-  fld (string_of_int r.cr_missing);
-  fld (string_of_int r.cr_pfail);
-  fld (Printf.sprintf "%h" r.cr_diameter);
-  fld (Printf.sprintf "%h" r.cr_eps);
-  fld (enc_list r.cr_plan);
-  (match r.cr_status with
-  | Clean -> fld "ok"
+  let fields =
+    [
+      ("index", string_of_int r.cr_index);
+      ("sync", string_of_bool r.cr_sync);
+      ("checks", string_of_int r.cr_checks);
+      ("counts", Case.ints r.cr_counts);
+      ("missing", string_of_int r.cr_missing);
+      ("pfail", string_of_int r.cr_pfail);
+      ("diameter", Printf.sprintf "%h" r.cr_diameter);
+      ("eps", Printf.sprintf "%h" r.cr_eps);
+    ]
+  in
+  match r.cr_status with
+  | Clean -> Case.line "ok" fields
   | Violating v ->
-      fld "viol";
-      fld (enc_list v.vd_invariants);
-      fld (string_of_int v.vd_total);
-      fld (enc_list v.vd_first);
-      fld (enc_list v.vd_shrunk);
-      fld (string_of_int v.vd_tries);
-      fld (if v.vd_minimal then "1" else "0")
+      Case.line "case"
+        (Case.to_fields v.vd_case @ fields
+        @ [ ("seed", Int64.to_string v.vd_seed);
+            ("total", string_of_int v.vd_total) ]
+        @ List.map (fun l -> ("first", l)) v.vd_first)
   | Quarantined q ->
-      fld "quar";
-      fld (Scenario.Spec.encode q.qd_reason);
-      fld (enc_list q.qd_shrunk);
-      fld (string_of_int q.qd_tries);
-      fld (if q.qd_minimal then "1" else "0"));
-  fld ".";
-  Buffer.contents b
+      Case.line "case"
+        (Case.to_fields q.qd_case @ fields
+        @ [ ("seed", Int64.to_string q.qd_seed); ("reason", q.qd_reason) ])
 
 let parse_case line =
-  match String.split_on_char '\t' line with
-  | "c" :: idx :: name :: seed :: sync :: checks :: counts :: missing :: pfail
-    :: diam :: eps :: plan :: rest ->
-      let status =
-        match rest with
-        | [ "ok"; "." ] -> Clean
-        | [ "viol"; invs; total; first; shrunk; tries; minimal; "." ] ->
-            Violating
-              {
-                vd_invariants = dec_list invs;
-                vd_total = int_of_field total;
-                vd_first = dec_list first;
-                vd_shrunk = dec_list shrunk;
-                vd_tries = int_of_field tries;
-                vd_minimal = bool_of_field minimal;
-              }
-        | [ "quar"; reason; shrunk; tries; minimal; "." ] ->
-            Quarantined
-              {
-                qd_reason = dec reason;
-                qd_shrunk = dec_list shrunk;
-                qd_tries = int_of_field tries;
-                qd_minimal = bool_of_field minimal;
-              }
-        | _ -> raise Bad_line
-      in
-      {
-        cr_index = int_of_field idx;
-        cr_name = dec name;
-        cr_seed = int64_of_field seed;
-        cr_sync = bool_of_field sync;
-        cr_checks = int_of_field checks;
-        cr_counts =
-          (match counts with
-          | "" -> []
-          | s -> List.map int_of_field (String.split_on_char ',' s));
-        cr_missing = int_of_field missing;
-        cr_pfail = int_of_field pfail;
-        cr_diameter = float_of_field diam;
-        cr_eps = float_of_field eps;
-        cr_plan = dec_list plan;
-        cr_status = status;
-      }
-  | _ -> raise Bad_line
+  let* tag, fs = Case.parse_line line in
+  let f key parse = Case.field fs key parse in
+  let* status =
+    match tag with
+    | "ok" -> Ok Clean
+    | "case" -> (
+        let* case = Case.of_fields fs in
+        let* seed = f "seed" Int64.of_string_opt in
+        match case.Case.verdict with
+        | Case.Violates _ ->
+            let* total = f "total" int_of_string_opt in
+            let first =
+              List.filter_map
+                (fun (k, v) -> if k = "first" then Some v else None)
+                fs
+            in
+            Ok
+              (Violating
+                 { vd_seed = seed; vd_case = case; vd_total = total;
+                   vd_first = first })
+        | Case.Incomplete ->
+            let* reason = f "reason" Option.some in
+            Ok
+              (Quarantined
+                 { qd_seed = seed; qd_case = case; qd_reason = reason }))
+    | t -> Error (Printf.sprintf "unknown record %S" t)
+  in
+  let* cr_index = f "index" int_of_string_opt in
+  let* cr_sync = f "sync" bool_of_string_opt in
+  let* cr_checks = f "checks" int_of_string_opt in
+  let* cr_counts =
+    f "counts" (fun s ->
+        match Case.ints_of s with
+        | Some l when List.length l = List.length Monitor.all_invariants -> Some l
+        | _ -> None)
+  in
+  let* cr_missing = f "missing" int_of_string_opt in
+  let* cr_pfail = f "pfail" int_of_string_opt in
+  let* cr_diameter = f "diameter" float_of_string_opt in
+  let* cr_eps = f "eps" float_of_string_opt in
+  Ok
+    {
+      cr_index; cr_sync; cr_checks; cr_counts; cr_missing; cr_pfail;
+      cr_diameter; cr_eps; cr_status = status;
+    }
 
 let load_journal ~header path =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "journal %s does not exist" path)
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    match List.rev !lines with
-    | [] -> Error (Printf.sprintf "journal %s is empty" path)
-    | first :: rest ->
-        if first <> header then
+  match In_channel.with_open_text path In_channel.input_lines with
+  | exception Sys_error e -> Error e
+  | [] -> Error (Printf.sprintf "journal %s is empty" path)
+  | first :: rest -> (
+      match String.split_on_char '\t' first with
+      | schema :: _ when schema <> Case.schema ->
+          Error
+            (Printf.sprintf "journal %s has schema %s, expected %s" path schema
+               Case.schema)
+      | _ when first <> header ->
           Error
             (Printf.sprintf
                "journal %s was written by a different sweep configuration\n\
                \  journal: %s\n\
                \  current: %s" path first header)
-        else
-          Ok
-            (List.filter_map
-               (fun line -> try Some (parse_case line) with Bad_line -> None)
-               rest)
-  end
+      | _ -> Ok (List.filter_map (fun l -> Result.to_option (parse_case l)) rest))
 
 (* -- Sweep ----------------------------------------------------------- *)
 
@@ -502,18 +445,19 @@ let aggregate records =
       records
   in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 graded in
+  (* every record's counts are aligned with the invariants: the codec
+     refuses any other length *)
   let counts =
     List.mapi
       (fun k inv ->
-        ( Monitor.invariant_name inv,
-          sum (fun r -> try List.nth r.cr_counts k with _ -> 0) ))
+        (Monitor.invariant_name inv, sum (fun r -> List.nth r.cr_counts k)))
       Monitor.all_invariants
   in
   let violations_total = List.fold_left (fun a (_, c) -> a + c) 0 counts in
   let worst_diameter, worst_diameter_eps, worst_diameter_case =
     List.fold_left
       (fun ((best, _, _) as acc) r ->
-        if r.cr_diameter > best then (r.cr_diameter, r.cr_eps, r.cr_name)
+        if r.cr_diameter > best then (r.cr_diameter, r.cr_eps, case_name r.cr_index)
         else acc)
       (-1., 0., "") graded
   in
@@ -607,7 +551,7 @@ let execute ?journal ?(resume = false) config =
             match outcome with
             | Pool.Supervised.Done r -> r
             | Pool.Supervised.Crashed { attempts; last_error } ->
-                crashed_record item ~attempts ~last_error
+                crashed_record config item ~attempts ~last_error
           in
           Hashtbl.replace records_tbl idx record;
           match oc with
@@ -639,6 +583,9 @@ let json_escape s =
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
+
+let invariants (c : Case.t) =
+  match c.Case.verdict with Case.Violates invs -> invs | Case.Incomplete -> []
 
 let json_float v =
   if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
@@ -685,19 +632,26 @@ let to_json config (o : outcome) =
     (json_escape o.worst_diameter_case)
     (json_float o.worst_diameter)
     (json_float o.worst_diameter_eps);
+  let head r seed =
+    out "      \"name\": \"%s\",\n" (json_escape (case_name r.cr_index));
+    out "      \"seed\": %Ld,\n" seed;
+    out "      \"sync\": %b,\n" r.cr_sync
+  in
+  let repro (c : Case.t) =
+    out "      \"plan\": %s,\n" (json_strings (Fault_plan.to_strings c.Case.plan));
+    out "      \"shrunk_plan\": %s,\n"
+      (json_strings (Fault_plan.to_strings c.Case.shrunk_plan));
+    out "      \"shrink_tries\": %d,\n" c.Case.tries;
+    out "      \"shrink_minimal\": %b\n" c.Case.minimal
+  in
   out "  \"quarantined_cases\": [";
   List.iteri
     (fun k (r, q) ->
       if k > 0 then out ",";
       out "\n    {\n";
-      out "      \"name\": \"%s\",\n" (json_escape r.cr_name);
-      out "      \"seed\": %Ld,\n" r.cr_seed;
-      out "      \"sync\": %b,\n" r.cr_sync;
+      head r q.qd_seed;
       out "      \"reason\": \"%s\",\n" (json_escape q.qd_reason);
-      out "      \"plan\": %s,\n" (json_strings r.cr_plan);
-      out "      \"shrunk_plan\": %s,\n" (json_strings q.qd_shrunk);
-      out "      \"shrink_tries\": %d,\n" q.qd_tries;
-      out "      \"shrink_minimal\": %b\n" q.qd_minimal;
+      repro q.qd_case;
       out "    }")
     o.quarantined;
   if o.quarantined <> [] then out "\n  ";
@@ -707,19 +661,14 @@ let to_json config (o : outcome) =
     (fun k (r, v) ->
       if k > 0 then out ",";
       out "\n    {\n";
-      out "      \"name\": \"%s\",\n" (json_escape r.cr_name);
-      out "      \"seed\": %Ld,\n" r.cr_seed;
-      out "      \"sync\": %b,\n" r.cr_sync;
-      out "      \"invariants\": %s,\n" (json_strings v.vd_invariants);
+      head r v.vd_seed;
+      out "      \"invariants\": %s,\n" (json_strings (invariants v.vd_case));
       out "      \"violations\": %d,\n" v.vd_total;
       (match v.vd_first with
       | [] -> ()
       | line :: _ ->
           out "      \"first_violation\": \"%s\",\n" (json_escape line));
-      out "      \"plan\": %s,\n" (json_strings r.cr_plan);
-      out "      \"shrunk_plan\": %s,\n" (json_strings v.vd_shrunk);
-      out "      \"shrink_tries\": %d,\n" v.vd_tries;
-      out "      \"shrink_minimal\": %b\n" v.vd_minimal;
+      repro v.vd_case;
       out "    }")
     o.violating;
   if o.violating <> [] then out "\n  ";
@@ -740,36 +689,35 @@ let pp ppf (o : outcome) =
   if o.worst_diameter_case <> "" then
     Format.fprintf ppf "  worst final diameter: %.3e (eps=%g) in %s@."
       o.worst_diameter o.worst_diameter_eps o.worst_diameter_case;
+  let head kind r seed what =
+    Format.fprintf ppf "  %s %s (seed=%Ld, %s): %s@." kind
+      (case_name r.cr_index) seed
+      (if r.cr_sync then "sync" else "async")
+      what
+  in
+  let shrunk (c : Case.t) ~empty =
+    Format.fprintf ppf "    shrunk (%d tries, minimal=%b): %s@." c.Case.tries
+      c.Case.minimal
+      (match Fault_plan.to_strings c.Case.shrunk_plan with
+      | [] -> empty
+      | atoms -> String.concat "; " atoms)
+  in
   List.iter
     (fun (r, q) ->
-      Format.fprintf ppf "  QUARANTINED %s (seed=%Ld, %s): %s@." r.cr_name
-        r.cr_seed
-        (if r.cr_sync then "sync" else "async")
-        q.qd_reason;
+      head "QUARANTINED" r q.qd_seed q.qd_reason;
       Format.fprintf ppf "    plan: %s@."
-        (match r.cr_plan with
+        (match Fault_plan.to_strings q.qd_case.Case.plan with
         | [] -> "<none>"
         | atoms -> String.concat "; " atoms);
-      Format.fprintf ppf "    shrunk (%d tries, minimal=%b): %s@."
-        q.qd_tries q.qd_minimal
-        (match q.qd_shrunk with
-        | [] -> "<empty plan — the case wedges under every sub-plan>"
-        | atoms -> String.concat "; " atoms))
+      shrunk q.qd_case ~empty:"<empty plan — the case wedges under every sub-plan>")
     o.quarantined;
   List.iter
     (fun (r, v) ->
-      Format.fprintf ppf "  VIOLATION %s (seed=%Ld, %s): %s@." r.cr_name
-        r.cr_seed
-        (if r.cr_sync then "sync" else "async")
-        (String.concat "," v.vd_invariants);
+      head "VIOLATION" r v.vd_seed (String.concat "," (invariants v.vd_case));
       List.iter
         (fun line -> Format.fprintf ppf "    %s@." line)
         v.vd_first;
       Format.fprintf ppf "    plan: %s@."
-        (String.concat "; " r.cr_plan);
-      Format.fprintf ppf "    shrunk (%d tries, minimal=%b): %s@."
-        v.vd_tries v.vd_minimal
-        (match v.vd_shrunk with
-        | [] -> "<empty plan — the protocol variant itself violates>"
-        | atoms -> String.concat "; " atoms))
+        (String.concat "; " (Fault_plan.to_strings v.vd_case.Case.plan));
+      shrunk v.vd_case ~empty:"<empty plan — the protocol variant itself violates>")
     o.violating

@@ -16,7 +16,6 @@ type config = {
   cases : int;  (** number of (scenario × fault-plan) cases *)
   seed : int64;  (** master seed; every case derives from it *)
   domains : int;  (** worker domains for the sweep *)
-  max_shrink : int;  (** shrinker oracle budget per abnormal case *)
   case_events : int;
       (** per-case engine event budget — the deterministic watchdog *)
   case_wall : float option;
@@ -34,12 +33,11 @@ type config = {
           same grid under [opts] (a mutant the monitor must then flag,
           or another message layer); [Ew] caps the static corruption
           budget at the case config's [ta] (EW's resilience bound
-          regardless of synchrony) and drops the chaos plans —
-          static-corruption grading is the property under test. {!Behavior}
-          has no EW arm, though: every corrupted party except [Spam] runs
-          (a variant of) ΠAA and sends ΠAA messages, which EW parties
-          drop, so an EW sweep in effect only tests silent corruptions.
-          It must have a {!Scenario.Spec.protocol_fields} spelling. *)
+          regardless of synchrony), drops the chaos plans and makes every
+          drawn static corruption [Silent] ({!Behavior} has no EW arm),
+          after the draws, so the grid's names, seeds and corrupted
+          parties are the ones drawn. It must have a
+          {!Scenario.Spec.protocol_fields} spelling. *)
   transport : [ `Sim | `Net ];
       (** message backend every case runs on: [`Sim] (default) keeps
           messages inside the discrete-event engine; [`Net] carries every
@@ -50,30 +48,27 @@ type config = {
 }
 
 val default : config
-(** 500 cases, seed 7, 1 domain, {!Scenario.maaa}, 200 shrink tries, 10M
+(** 500 cases, seed 7, 1 domain, {!Scenario.maaa}, 10M
     events + 300 s per case, 1 retry, no stuck case, simulator
     transport. *)
 
-(** How one case ended, as plain data (strings/ints/floats only, so a
-    record round-trips through the journal byte-exactly). *)
+(** How one case ended, as plain data, so a record round-trips through
+    the journal exactly. *)
 type violating_detail = {
-  vd_invariants : string list;  (** violated invariant names *)
-  vd_total : int;
+  vd_seed : int64;  (** the scenario's engine seed *)
+  vd_case : Case.t;  (** verdict [Violates]: the violated invariants *)
+  vd_total : int;  (** violations recorded *)
   vd_first : string list;  (** up to 3 rendered violations *)
-  vd_shrunk : string list;  (** minimal reproducing plan, rendered *)
-  vd_tries : int;
-  vd_minimal : bool;
 }
 
 type quarantine_detail = {
+  qd_seed : int64;
+  qd_case : Case.t;
+      (** verdict [Incomplete]; for a crash the plan is not shrunk
+          (re-running a crasher under the supervisor is unsafe) *)
   qd_reason : string;
       (** ["budget-exhausted(N events)"], ["timed-out(N events)"] or
           ["crashed: <exn> (attempts=K)"] *)
-  qd_shrunk : string list;
-      (** minimal plan still preventing completion (unshrunk plan for
-          crashes — re-running a crasher under the supervisor is unsafe) *)
-  qd_tries : int;
-  qd_minimal : bool;
 }
 
 type case_status =
@@ -82,9 +77,7 @@ type case_status =
   | Quarantined of quarantine_detail
 
 type case_record = {
-  cr_index : int;  (** position in the case grid *)
-  cr_name : string;
-  cr_seed : int64;
+  cr_index : int;  (** position in the case grid; named [soak-%04d] *)
   cr_sync : bool;
   cr_checks : int;
   cr_counts : int list;  (** aligned with [Monitor.all_invariants] *)
@@ -92,7 +85,6 @@ type case_record = {
   cr_pfail : int;
   cr_diameter : float;
   cr_eps : float;
-  cr_plan : string list;  (** the sampled chaos plan, rendered *)
   cr_status : case_status;
 }
 
@@ -126,27 +118,21 @@ val build_scenarios : config -> Scenario.t list
     spammer {e after} all RNG draws, so the rest of the grid is
     unchanged. *)
 
-val journal_header : config -> string
-(** First line of a journal for [config] (schema ["maaa-soak-journal/2"]):
-    binds the journal to the sweep parameters that determine case
-    identity — everything except [domains], which is free to change
-    between interrupt and resume. *)
+val scenario_of_spec : (string * string) list -> (Scenario.t, string) result
+(** Rebuilds one case of a grid from the keys of its ["soak"] spec line
+    ({!Case.spec_fields}): the sweep keys that fix a case (seed, event
+    and wall budgets, stuck hook, protocol, transport) and its grid
+    index. [build_scenarios] splits the master RNG once per case, so
+    case [i] is rebuilt by [i + 1] splits, without the others. *)
 
 val render_case : case_record -> string
-(** One journal line: TAB-separated, percent-encoded strings, hex floats,
-    trailing ["."] sentinel (so a SIGKILL-truncated line is detectably
-    incomplete). *)
+(** One journal line ({!Case.line}): a clean case is an ["ok"] line with
+    the aggregation fields only; a violating or quarantined case is a
+    ["case"] line ({!Case.to_fields}) with those fields appended. *)
 
-val parse_case : string -> case_record
-(** Inverse of {!render_case}. @raise Bad_line (private) on malformed
-    input — callers use {!load_journal}, which skips bad lines. *)
-
-val load_journal :
-  header:string -> string -> (case_record list, string) result
-(** Reads a journal written for [header]'s configuration. [Error] when the
-    file is missing, empty, or was written by a different configuration;
-    malformed (e.g. kill-truncated) case lines are silently dropped — those
-    cases simply re-run. *)
+val parse_case : string -> (case_record, string) result
+(** Inverse of {!render_case}. [Error] on a torn or malformed line, and
+    on a counts field whose length is not the number of invariants. *)
 
 val execute : ?journal:string -> ?resume:bool -> config -> outcome
 (** Build the grid, run every case not already recorded, aggregate.
@@ -157,11 +143,14 @@ val execute : ?journal:string -> ?resume:bool -> config -> outcome
     is requeued up to [retries] times and then quarantined unshrunk.
 
     With [~journal:path], completed case records are appended (and
-    flushed) to [path] as they finish; with [~resume:true] the journal is
-    first replayed and recorded cases are skipped, so an interrupted sweep
-    continues where it left off and produces the same {!outcome}.
+    flushed) to [path] as they finish, after a header binding the journal
+    to every config field but [domains]; with [~resume:true] the journal
+    is first replayed and recorded cases are skipped, so an interrupted
+    sweep continues where it left off and produces the same {!outcome}.
+    Lines {!parse_case} rejects (e.g. kill-torn ones) re-run.
     @raise Invalid_argument on [cases <= 0], [domains <= 0],
-    [resume] without [journal], a missing/mismatched resume journal, or
+    [resume] without [journal], a missing/mismatched resume journal
+    (one line for another schema), or
     a [protocol] with no spelling (see {!config}). *)
 
 val to_json : config -> outcome -> string

@@ -106,15 +106,44 @@ if [ "$rc" -ne 1 ]; then
   exit 1
 fi
 dune exec bin/explore_main.exe -- --replay _build/EXPLORE_quarantine.tsv
-# a quarantine file of the previous schema (/2, with a kernel= column)
+# a quarantine file of the previous schema (maaa-explore-quarantine/3)
 # must be refused with one line and exit 2, not replayed
-sed '1s|^maaa-explore-quarantine/3|maaa-explore-quarantine/2|; 1s|\tadversary=|\tkernel=safe-area\tadversary=|' \
-  _build/EXPLORE_quarantine.tsv > _build/EXPLORE_quarantine_v2.tsv
+sed '1s|^maaa-case/1|maaa-explore-quarantine/3|' \
+  _build/EXPLORE_quarantine.tsv > _build/EXPLORE_quarantine_v3.tsv
 rc=0
-dune exec bin/explore_main.exe -- --replay _build/EXPLORE_quarantine_v2.tsv \
-  >/dev/null 2>_build/EXPLORE_v2.err || rc=$?
-if [ "$rc" -ne 2 ] || [ "$(wc -l < _build/EXPLORE_v2.err)" -ne 1 ]; then
-  echo "ci: explore --replay of a /2 quarantine should exit 2 with one line, got $rc" >&2
+dune exec bin/explore_main.exe -- --replay _build/EXPLORE_quarantine_v3.tsv \
+  >/dev/null 2>_build/EXPLORE_v3.err || rc=$?
+if [ "$rc" -ne 2 ] || [ "$(wc -l < _build/EXPLORE_v3.err)" -ne 1 ]; then
+  echo "ci: explore --replay of a /3 quarantine should exit 2 with one line, got $rc" >&2
+  exit 1
+fi
+
+echo "== soak journal cross-replay through explore =="
+# a soak journal is a case file: its violating rows replay through
+# explore_main --replay (exit 1 from the sweep is the expected
+# "violations found" signal)
+rc=0
+dune exec bin/soak_main.exe -- --cases 2 --seed 3 --domains 1 \
+  --mutant premature-output --journal _build/SOAK_mutant.journal \
+  --out /dev/null >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "ci: soak mutant sweep should exit 1 (violations), got $rc" >&2
+  exit 1
+fi
+dune exec bin/explore_main.exe -- --replay _build/SOAK_mutant.journal \
+  > _build/SOAK_mutant.replay
+cat _build/SOAK_mutant.replay
+grep -Eq '^replayed [1-9][0-9]*/[1-9]' _build/SOAK_mutant.replay
+# a journal of the previous schema (maaa-soak-journal/2) is refused by
+# --resume with one line and exit 2
+sed '1s|^maaa-case/1|maaa-soak-journal/2|' _build/SOAK_mutant.journal \
+  > _build/SOAK_mutant_v2.journal
+rc=0
+dune exec bin/soak_main.exe -- --cases 2 --seed 3 --domains 1 \
+  --mutant premature-output --journal _build/SOAK_mutant_v2.journal --resume \
+  --out /dev/null >/dev/null 2>_build/SOAK_v2.err || rc=$?
+if [ "$rc" -ne 2 ] || [ "$(wc -l < _build/SOAK_v2.err)" -ne 1 ]; then
+  echo "ci: soak --resume of a /2 journal should exit 2 with one line, got $rc" >&2
   exit 1
 fi
 

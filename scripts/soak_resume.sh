@@ -32,7 +32,7 @@ pid=$!
 # replay, which must still reproduce the reference document.
 i=0
 while [ "$i" -lt 200 ]; do
-  n=$(grep -c '^c' "$dir/int.journal" 2>/dev/null || true)
+  n=$(grep -cE '^(ok|case)' "$dir/int.journal" 2>/dev/null || true)
   [ "${n:-0}" -ge 3 ] && break
   kill -0 "$pid" 2>/dev/null || break
   sleep 0.05

@@ -168,7 +168,7 @@ let test_shrink_synthetic_predicate () =
          (function Fault_plan.Corrupt_at { party = 2; _ } -> true | _ -> false)
          p
   in
-  let o = Fault_shrink.shrink ~reproduces plan in
+  let o = Fault_shrink.shrink ~reproduces:(fun p _ -> reproduces p) plan in
   Alcotest.(check bool) "still reproduces" true (reproduces o.Fault_shrink.plan);
   Alcotest.(check bool) "1-minimal" true o.Fault_shrink.minimal;
   Alcotest.(check int) "two atoms survive" 2 (List.length o.Fault_shrink.plan);
@@ -199,7 +199,7 @@ let test_shrink_respects_try_budget () =
     incr calls;
     true
   in
-  let o = Fault_shrink.shrink ~max_tries:3 ~reproduces plan in
+  let o = Fault_shrink.shrink ~max_tries:3 ~reproduces:(fun p _ -> reproduces p) plan in
   Alcotest.(check bool) "oracle budget respected" true (o.Fault_shrink.tries <= 3);
   Alcotest.(check bool) "budget exhaustion reported" false o.Fault_shrink.minimal;
   Alcotest.(check bool) "result still reproduces" true (reproduces o.Fault_shrink.plan)
@@ -334,7 +334,6 @@ let test_soak_catches_mutants () =
           domains = 1;
           protocol =
             Scenario.Maaa { Party.default_opts with mutant = Some m };
-          max_shrink = 60;
         }
       in
       let o = Soak.execute config in
@@ -349,11 +348,11 @@ let test_soak_catches_mutants () =
       List.iter
         (fun (_, v) ->
           Alcotest.(check bool) "shrink reached a fixpoint" true
-            v.Soak.vd_minimal;
+            v.Soak.vd_case.Case.minimal;
           (* the protocol itself is broken, so the minimal reproducing
              fault plan is the empty one *)
           Alcotest.(check (list string)) "shrunk to the empty plan" []
-            v.Soak.vd_shrunk)
+            (Fault_plan.to_strings v.Soak.vd_case.Case.shrunk_plan))
         o.Soak.violating)
     [
       (Party.Non_contracting_update, "validity");
@@ -376,6 +375,46 @@ let test_soak_scenarios_reproducible () =
     List.map fingerprint (Soak.build_scenarios { config with Soak.seed = 6L })
   in
   Alcotest.(check bool) "different seed, different grid" true (a <> c)
+
+(* Behavior has no EW arm, so an EW sweep makes every drawn static
+   corruption Silent — after the draws: names, seeds, sync flags and the
+   corrupted parties are pinned to the grid drawn before that rule. *)
+let test_soak_ew_corruptions_silent () =
+  let config =
+    { Soak.default with Soak.cases = 12; seed = 5L; protocol = Scenario.Ew }
+  in
+  let grid = Soak.build_scenarios config in
+  List.iter
+    (fun (s : Scenario.t) ->
+      List.iter
+        (fun (p, b) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s party %d silent" s.Scenario.name p)
+            true (b = Behavior.Silent))
+        s.Scenario.corruptions)
+    grid;
+  let pinned =
+    [
+      (-1775295754246911067L, []); (4526775184652458095L, [ 0 ]);
+      (8456396775057237488L, []); (-608758432333017832L, [ 4 ]);
+      (-4911657591812961201L, [ 6 ]); (8013438923489089939L, [ 4 ]);
+      (-6009316638275050510L, []); (-4849781702076001881L, [ 0; 8 ]);
+      (-8056477796056711115L, []); (-8687408945578808554L, [ 4; 5 ]);
+      (-7577583799249249848L, []); (-7027930524764524572L, [ 2; 0 ]);
+    ]
+  in
+  Alcotest.(check bool) "names, seeds, sync flags and parties as drawn" true
+    (List.mapi
+       (fun i (seed, parties) ->
+         (Printf.sprintf "soak-%04d" i, seed, i mod 2 = 0, parties))
+       pinned
+    = List.map
+        (fun (s : Scenario.t) ->
+          ( s.Scenario.name,
+            s.Scenario.seed,
+            s.Scenario.sync_network,
+            List.map fst s.Scenario.corruptions ))
+        grid)
 
 (* --- Watchdog, journal and resume --- *)
 
@@ -402,55 +441,107 @@ let test_runner_watchdog_structured () =
     "a normal case completes" "completed"
     (Runner.termination_to_string full.Runner.termination)
 
-let roundtrip_record r =
-  Alcotest.(check bool) "journal line round-trips" true
-    (Soak.parse_case (Soak.render_case r) = r)
+(* One case line, every codec path: plans from Fault_gen plus one atom of
+   every kind with hex-exact floats, schedules including [], and free-form
+   spec strings over the characters the escaping must survive. The same
+   case rides in a soak violating and quarantined row, next to a clean
+   row, so the journal's own fields round-trip through one codec too. *)
+let cfg8 = Config.make_exn ~n:8 ~ts:2 ~ta:1 ~d:2 ~eps:0.05 ~delta:10
 
-let test_journal_roundtrip () =
-  let base =
-    {
-      Soak.cr_index = 3;
-      cr_name = "soak-0003";
-      cr_seed = -77L;
-      cr_sync = false;
-      cr_checks = 12345;
-      cr_counts = [ 0; 1; 2; 0; 5; 0 ];
-      cr_missing = 1;
-      cr_pfail = 2;
-      cr_diameter = 0.1 +. 0.2;  (* not exactly representable: %h must hold *)
-      cr_eps = 0.05;
-      cr_plan = [ "delay-spike [10,60) x6"; "odd \t%~\x1f chars\n" ];
-      cr_status = Soak.Clean;
-    }
+let every_atom x =
+  let v y = Vec.of_list [ x; y ] in
+  [
+    Fault_plan.Corrupt_at
+      { tick = 3; party = 1; behavior = Behavior.Honest_with_input (v 0.1) };
+    Fault_plan.Corrupt_at
+      {
+        tick = 0;
+        party = 4;
+        behavior =
+          Behavior.Equivocate_split
+            {
+              values = (v (1. /. 3.), v (-2.5));
+              assign = [| 0; 1; 1; 0; 0; 0; 1; 0 |];
+            };
+      };
+    Fault_plan.Partition
+      { from_tick = 2; until_tick = 9; group_of = [| 0; 0; 1; 1; 0; 1; 0; 1 |] };
+    Fault_plan.Delay_spike { from_tick = 0; until_tick = 5; factor = 3 };
+    Fault_plan.Duplicate { from_tick = 1; until_tick = 6; percent = 35 };
+    Fault_plan.Reorder { from_tick = 4; until_tick = 12; window = 5 };
+  ]
+
+let gen_case =
+  let open QCheck.Gen in
+  let spec_char = oneofl [ 'a'; ' '; '='; '\t'; '%'; '~'; '\x1f'; '\n'; '.'; '|' ] in
+  let plan =
+    map2
+      (fun seed x ->
+        Fault_gen.sample (Rng.create (Int64.of_int seed)) ~cfg:cfg8 ~sync:true
+          ~existing:[] ~horizon:200
+        @ every_atom x)
+      (int_bound 1_000_000) (float_range (-1e3) 1e3)
   in
-  roundtrip_record base;
-  roundtrip_record
-    {
-      base with
-      Soak.cr_status =
-        Soak.Violating
-          {
-            vd_invariants = [ "validity"; "agreement" ];
-            vd_total = 4;
-            vd_first = [ "[validity] party=1 t=9 output outside hull" ];
-            vd_shrunk = [];
-            vd_tries = 12;
-            vd_minimal = true;
-          };
-    };
-  roundtrip_record
-    {
-      base with
-      Soak.cr_plan = [];
-      cr_status =
-        Soak.Quarantined
-          {
-            qd_reason = "budget-exhausted(40000 events)";
-            qd_shrunk = [ "~" ];  (* the empty-list marker itself, escaped *)
-            qd_tries = 3;
-            qd_minimal = false;
-          };
-    }
+  let schedule = list_size (int_bound 4) (int_bound 5) in
+  let verdict =
+    oneof
+      [
+        return Case.Incomplete;
+        map (fun l -> Case.Violates l)
+          (list_size (int_bound 3) (oneofl [ "validity"; "agreement"; "liveness" ]));
+      ]
+  in
+  map
+    (fun ((spec, plan, schedule, verdict), (shrunk_schedule, tries, minimal)) ->
+      {
+        Case.spec;
+        plan;
+        schedule;
+        verdict;
+        shrunk_plan = List.filteri (fun i _ -> i mod 2 = 0) plan;
+        shrunk_schedule;
+        tries;
+        minimal;
+      })
+    (pair
+       (quad (string_size ~gen:spec_char (int_bound 12)) plan schedule verdict)
+       (triple schedule nat bool))
+
+let prop_case_line_roundtrip =
+  QCheck.Test.make ~name:"case line round-trip" ~count:200
+    (QCheck.make ~print:(fun c -> Case.line "case" (Case.to_fields c)) gen_case)
+    (fun c ->
+      let line = Case.line "case" (Case.to_fields c) in
+      if String.contains line '\n' then QCheck.Test.fail_report "newline in a line";
+      let cr status =
+        {
+          Soak.cr_index = 3;
+          cr_sync = false;
+          cr_checks = 12345;
+          cr_counts = [ 0; 1; 2; 0; 5 ];
+          cr_missing = 1;
+          cr_pfail = 2;
+          cr_diameter = 0.1 +. 0.2;  (* not exactly representable: %h must hold *)
+          cr_eps = 0.05;
+          cr_status = status;
+        }
+      in
+      let abnormal =
+        match c.Case.verdict with
+        | Case.Violates _ ->
+            Soak.Violating
+              {
+                vd_seed = -77L;
+                vd_case = c;
+                vd_total = 4;
+                vd_first = [ c.Case.spec; "" ];
+              }
+        | Case.Incomplete ->
+            Soak.Quarantined { qd_seed = 9L; qd_case = c; qd_reason = c.Case.spec }
+      in
+      let rows = [ cr Soak.Clean; cr abnormal ] in
+      Result.bind (Case.parse_line line) (fun (_, fs) -> Case.of_fields fs) = Ok c
+      && List.for_all (fun r -> Soak.parse_case (Soak.render_case r) = Ok r) rows)
 
 let test_soak_stuck_case_quarantined () =
   (* case 1 is replaced by an unbounded spammer: the event-budget watchdog
@@ -462,7 +553,6 @@ let test_soak_stuck_case_quarantined () =
       seed = 11L;
       domains = 1;
       case_events = 300_000;
-      max_shrink = 40;
       stuck = Some 1;
     }
   in
@@ -470,14 +560,15 @@ let test_soak_stuck_case_quarantined () =
   Alcotest.(check int) "all cases accounted for" 4 o.Soak.total;
   Alcotest.(check int) "one quarantined" 1 (List.length o.Soak.quarantined);
   let r, q = List.hd o.Soak.quarantined in
-  Alcotest.(check string) "the injected case" "soak-0001" r.Soak.cr_name;
+  Alcotest.(check int) "the injected case" 1 r.Soak.cr_index;
   Alcotest.(check bool) "reason names the event budget" true
     (String.length q.Soak.qd_reason >= 16
     && String.sub q.Soak.qd_reason 0 16 = "budget-exhausted");
   (* the stuck case carries no chaos plan, so the shrunk repro is the
      empty plan — stuck-ness is attributed to the scenario itself *)
-  Alcotest.(check (list string)) "trivial minimal repro" [] q.Soak.qd_shrunk;
-  Alcotest.(check bool) "shrink converged" true q.Soak.qd_minimal;
+  Alcotest.(check (list string)) "trivial minimal repro" []
+    (Fault_plan.to_strings q.Soak.qd_case.Case.shrunk_plan);
+  Alcotest.(check bool) "shrink converged" true q.Soak.qd_case.Case.minimal;
   (* quarantine is not a violation, and the truncated run's monitor data
      stays out of the aggregates *)
   Alcotest.(check int) "no violations" 0 o.Soak.violations_total;
@@ -545,42 +636,67 @@ let test_soak_resume_rejects_mismatch () =
      Alcotest.fail "missing journal accepted"
    with Invalid_argument _ -> ())
 
-(* A journal written before the update rule was fixed (schema /1, with a
-   kernel= column) is another sweep configuration: resume refuses it. *)
+(* A journal of the previous schema (maaa-soak-journal/2, written before
+   soak and explore shared one case file) is refused with one line, not
+   resumed into the wrong report. *)
 let test_soak_resume_rejects_old_schema () =
   let config = { Soak.default with Soak.cases = 2; seed = 21L; domains = 1 } in
   let tmp = Filename.temp_file "soak" ".journal" in
-  ignore (Soak.execute ~journal:tmp config);
+  let oc = open_out tmp in
+  List.iter
+    (fun l ->
+      output_string oc (String.concat "\t" l);
+      output_char oc '\n')
+    [
+      [ "maaa-soak-journal/2"; "seed=21"; "cases=2"; "mutant=none";
+        "events=10000000"; "wall=0x1.2cp+8"; "retries=1"; "stuck=none";
+        "max_shrink=200"; "layer=interned"; "protocol=maaa"; "transport=sim" ];
+      [ "c"; "1"; "soak-0001"; "-5845645704775730997"; "0"; "47663";
+        "0,0,0,0,0"; "0"; "0"; "0x0p+0"; "0x1.999999999999ap-5";
+        "duplicate{[339,356);10%25}"; "ok"; "." ];
+    ];
+  close_out oc;
+  (match Soak.execute ~journal:tmp ~resume:true config with
+  | _ -> Alcotest.fail "old journal accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "one line naming the schema"
+        (Printf.sprintf
+           "Soak.execute: journal %s has schema maaa-soak-journal/2, \
+            expected maaa-case/1"
+           tmp)
+        msg);
+  Sys.remove tmp
+
+(* A damaged row — counts cut to 4 of the 5 invariants — is dropped and
+   its case re-runs, so the resumed report is the uninterrupted one. *)
+let test_soak_resume_short_counts () =
+  let config = { Soak.default with Soak.cases = 4; seed = 9L; domains = 1 } in
+  let tmp = Filename.temp_file "soak" ".journal" in
+  let json_full = Soak.to_json config (Soak.execute ~journal:tmp config) in
+  let cut_counts field =
+    match String.split_on_char '=' field with
+    | [ "counts"; v ] ->
+        let counts = String.split_on_char ',' v in
+        "counts=" ^ String.concat "," (List.filteri (fun i _ -> i < 4) counts)
+    | _ -> field
+  in
   (match read_lines tmp with
-  | header :: records ->
-      let old =
-        String.concat "\t"
-          (List.concat_map
-             (function
-               | "maaa-soak-journal/2" -> [ "maaa-soak-journal/1" ]
-               | "transport=sim" -> [ "kernel=safe-area"; "transport=sim" ]
-               | f -> [ f ])
-             (String.split_on_char '\t' header))
+  | header :: r0 :: r1 :: rest ->
+      let damaged =
+        String.concat "\t" (List.map cut_counts (String.split_on_char '\t' r1))
       in
-      Alcotest.(check bool) "header rewritten" true (old <> header);
+      Alcotest.(check bool) "row damaged" true (damaged <> r1);
       let oc = open_out tmp in
       List.iter
         (fun l ->
           output_string oc l;
           output_char oc '\n')
-        (old :: records);
+        (header :: r0 :: damaged :: rest);
       close_out oc
-  | [] -> Alcotest.fail "empty journal");
-  (match Soak.execute ~journal:tmp ~resume:true config with
-  | _ -> Alcotest.fail "old journal accepted"
-  | exception Invalid_argument msg ->
-      let first = List.hd (String.split_on_char '\n' msg) in
-      Alcotest.(check string) "refused as another configuration"
-        (Printf.sprintf
-           "Soak.execute: journal %s was written by a different sweep \
-            configuration"
-           tmp)
-        first);
+  | _ -> Alcotest.fail "journal shorter than expected");
+  let o = Soak.execute ~journal:tmp ~resume:true config in
+  Alcotest.(check string) "resumed = uninterrupted" json_full
+    (Soak.to_json config o);
   Sys.remove tmp
 
 let () =
@@ -627,20 +743,23 @@ let () =
             test_soak_catches_mutants;
           Alcotest.test_case "case grid reproducible" `Quick
             test_soak_scenarios_reproducible;
+          Alcotest.test_case "EW corruptions silent" `Quick
+            test_soak_ew_corruptions_silent;
         ] );
       ( "supervision",
         [
           Alcotest.test_case "runner watchdog structured" `Quick
             test_runner_watchdog_structured;
-          Alcotest.test_case "journal line round-trip" `Quick
-            test_journal_roundtrip;
+          QCheck_alcotest.to_alcotest prop_case_line_roundtrip;
           Alcotest.test_case "stuck case quarantined" `Slow
             test_soak_stuck_case_quarantined;
           Alcotest.test_case "kill + resume byte-identical" `Slow
             test_soak_resume_byte_identical;
           Alcotest.test_case "resume validation" `Slow
             test_soak_resume_rejects_mismatch;
-          Alcotest.test_case "resume refuses a /1 journal" `Slow
+          Alcotest.test_case "resume refuses a /2 journal" `Slow
             test_soak_resume_rejects_old_schema;
+          Alcotest.test_case "resume re-runs short counts" `Slow
+            test_soak_resume_short_counts;
         ] );
     ]

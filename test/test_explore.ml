@@ -181,14 +181,18 @@ let prop_shrink_minimal_idempotent =
       QCheck.assume (plan <> [] && total > 0);
       let threshold = max 1 (total / 2) in
       let reproduces p = weight p >= threshold in
-      let o = Fault_shrink.shrink ~max_tries:100_000 ~reproduces plan in
+      let shrink =
+        Fault_shrink.shrink ~max_tries:100_000 ~reproduces:(fun p _ ->
+            reproduces p)
+      in
+      let o = shrink plan in
       let p = o.Fault_shrink.plan in
       if not (reproduces p) then
         QCheck.Test.fail_report "shrunk plan lost the property";
       if not o.Fault_shrink.minimal then
         QCheck.Test.fail_report "try budget unexpectedly exhausted";
       check_one_minimal ~reproduces p;
-      let o2 = Fault_shrink.shrink ~max_tries:100_000 ~reproduces p in
+      let o2 = shrink p in
       if o2.Fault_shrink.plan <> p then
         QCheck.Test.fail_report "shrinking a shrunk plan changed it";
       true)
@@ -218,7 +222,7 @@ let test_shrink_joint_fixpoint () =
       p
   in
   let reproduces p = corrupt_atoms p >= 2 || strong_spike p in
-  let o = Fault_shrink.shrink ~reproduces plan in
+  let o = Fault_shrink.shrink ~reproduces:(fun p _ -> reproduces p) plan in
   let shrunk = o.Fault_shrink.plan in
   Alcotest.(check bool) "reproduces" true (reproduces shrunk);
   Alcotest.(check bool) "minimal" true o.Fault_shrink.minimal;
@@ -375,22 +379,20 @@ let test_explorer_rediscovers_mutants () =
           Alcotest.(check bool)
             (name ^ " violates " ^ invariant)
             true
-            (List.mem invariant cx.Explore.cx_invariants);
-          let got =
-            Explore.replay config ~plan:cx.Explore.cx_shrunk_plan
-              ~schedule:cx.Explore.cx_shrunk_schedule
-          in
+            (match cx.Case.verdict with
+            | Case.Violates invs -> List.mem invariant invs
+            | Case.Incomplete -> false);
           Alcotest.(check bool)
             (name ^ " shrunk repro replays")
             true
-            (List.for_all (fun i -> List.mem i got) cx.Explore.cx_invariants))
+            (Explore.replay cx = Ok true))
         r.Explore.counterexamples)
     [
       (Party.Non_contracting_update, "validity");
       (Party.Premature_output, "agreement");
     ]
 
-(* [cx_tries] counts every oracle call once. With no schedule to shrink
+(* [tries] counts every oracle call once. With no schedule to shrink
    (depth 0), the only calls are the plan shrinker's, so the count must
    equal what [Fault_shrink.shrink] reports for the same plan and a
    replay-backed oracle. *)
@@ -408,21 +410,20 @@ let test_explorer_cx_tries_counted_once () =
   in
   let r = Explore.explore config in
   Alcotest.(check bool) "counterexamples with a fault plan" true
-    (List.exists (fun cx -> cx.Explore.cx_plan <> []) r.Explore.counterexamples);
+    (List.exists (fun cx -> cx.Case.plan <> []) r.Explore.counterexamples);
   List.iter
     (fun cx ->
-      let reproduces plan =
-        List.for_all
-          (fun i ->
-            List.mem i
-              (Explore.replay config ~plan ~schedule:cx.Explore.cx_schedule))
-          cx.Explore.cx_invariants
+      let scen = Result.get_ok (Explore.scenario_of_spec cx.Case.spec) in
+      let reproduces plan schedule =
+        Case.reproduces scen cx.Case.verdict ~plan ~schedule
       in
-      let expected = (Fault_shrink.shrink ~reproduces cx.Explore.cx_plan).tries in
+      let expected =
+        (Fault_shrink.shrink ~reproduces ~schedule:cx.Case.schedule cx.Case.plan)
+          .Fault_shrink.tries
+      in
       Alcotest.(check int)
-        (Printf.sprintf "tries for plan %s"
-           (Fault_plan.to_repr cx.Explore.cx_plan))
-        expected cx.Explore.cx_tries)
+        (Printf.sprintf "tries for plan %s" (Fault_plan.to_repr cx.Case.plan))
+        expected cx.Case.tries)
     r.Explore.counterexamples
 
 let test_explorer_quarantine_roundtrip () =
@@ -442,8 +443,8 @@ let test_explorer_quarantine_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Explore.write_quarantine ~path config r;
-      match Explore.replay_quarantine ~path with
-      | Error e -> Alcotest.failf "replay_quarantine: %s" e
+      match Explore.replay_file ~path with
+      | Error e -> Alcotest.failf "replay_file: %s" e
       | Ok o ->
           Alcotest.(check int) "all cases reproduce" o.Explore.rp_total
             o.Explore.rp_reproduced;
@@ -457,7 +458,7 @@ let test_explorer_quarantine_rejects_garbage () =
       let oc = open_out path in
       output_string oc "not-a-quarantine\tfile\n";
       close_out oc;
-      match Explore.replay_quarantine ~path with
+      match Explore.replay_file ~path with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "garbage file accepted")
 
@@ -476,11 +477,11 @@ let test_explorer_quarantine_bad_escape () =
       let ic = open_in_bin path in
       let text = really_input_string ic (in_channel_length ic) in
       close_in ic;
-      let bad = "adversary=%zz" in
+      let bad = "mode=%zz" in
       let text =
         String.concat "\t"
           (List.map
-             (fun f -> if f = "adversary=honest" then bad else f)
+             (fun f -> if f = "mode=pruned" then bad else f)
              (String.split_on_char '\t' text))
       in
       Alcotest.(check bool) "header carries the bad escape" true
@@ -488,7 +489,7 @@ let test_explorer_quarantine_bad_escape () =
       let oc = open_out_bin path in
       output_string oc text;
       close_out oc;
-      match Explore.replay_quarantine ~path with
+      match Explore.replay_file ~path with
       | Ok _ -> Alcotest.fail "bad escape accepted"
       | Error e ->
           Alcotest.(check bool)
@@ -496,74 +497,131 @@ let test_explorer_quarantine_bad_escape () =
             true
             (String.length e > 7 && String.sub e 0 7 = "line 1:"))
 
-(* A quarantine file from before the update rule was fixed (schema /2,
-   with a kernel= column) is refused with a one-line error naming the
-   schema, not replayed under a guessed layout. *)
+(* A quarantine file of the previous schema (maaa-explore-quarantine/3,
+   written before soak and explore shared one case file) is refused with
+   a one-line error naming the schema, not replayed under a guessed
+   layout. *)
 let test_explorer_quarantine_old_schema () =
-  let config =
-    Explore.default_config ~max_schedule_depth:0 ~cfg:explore_cfg
-      ~inputs:explore_inputs ()
-  in
   let path = Filename.temp_file "explore-old" ".tsv" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Explore.write_quarantine ~path config (Explore.explore config);
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let text =
-        String.concat "\t"
-          (List.concat_map
-             (function
-               | "maaa-explore-quarantine/3" -> [ "maaa-explore-quarantine/2" ]
-               | "layer=interned" -> [ "layer=interned"; "kernel=safe-area" ]
-               | f -> [ f ])
-             (String.split_on_char '\t' text))
-      in
       let oc = open_out_bin path in
-      output_string oc text;
+      List.iter
+        (fun l ->
+          output_string oc (String.concat "\t" l);
+          output_char oc '\n')
+        [
+          [ "maaa-explore-quarantine/3"; "mode=pruned"; "n=3"; "d=1"; "ts=0";
+            "ta=0"; "eps=0x1p-2"; "delta=2"; "protocol=maaa";
+            "mutant=premature-output"; "layer=interned"; "adversary=honest";
+            "inputs=0x0p+0|0x1p-1|0x1p+0"; "max-events=50000";
+            "max-execs=20000"; "depth=1"; "max-cx=3"; "." ];
+          [ "stats"; "execs=1"; "points=0"; "truncated=0"; "cuts=0";
+            "states=0"; "exhausted=1"; "." ];
+          [ "case"; "invariants=agreement"; "plan=~"; "schedule=~";
+            "shrunk-plan=~"; "shrunk-schedule=~"; "tries=0"; "minimal=1"; "." ];
+        ];
       close_out oc;
-      match Explore.replay_quarantine ~path with
+      match Explore.replay_file ~path with
       | Ok _ -> Alcotest.fail "old schema accepted"
       | Error e ->
           Alcotest.(check string) "one line naming the schema"
-            "line 1: schema maaa-explore-quarantine/2, expected \
-             maaa-explore-quarantine/3"
-            e)
+            "line 1: schema maaa-explore-quarantine/3, expected maaa-case/1" e)
 
-(* A quarantine written while the seed message layer was selectable
-   (layer=reference, same schema) is refused with Spec's one-line error:
+let premature_config =
+  Explore.default_config
+    ~protocol:
+      (Scenario.Maaa { Party.default_opts with mutant = Some Party.Premature_output })
+    ~max_schedule_depth:1 ~cfg:explore_cfg ~inputs:explore_inputs ()
+
+(* A case whose spec was written while the seed message layer was
+   selectable (layer=reference) is refused with Spec's one-line error:
    that layer is no longer spelled. *)
 let test_explorer_quarantine_reference_layer () =
-  let config =
-    Explore.default_config ~max_schedule_depth:0 ~cfg:explore_cfg
-      ~inputs:explore_inputs ()
-  in
   let path = Filename.temp_file "explore-reference" ".tsv" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Explore.write_quarantine ~path config (Explore.explore config);
+      Explore.write_quarantine ~path premature_config
+        (Explore.explore premature_config);
       let ic = open_in_bin path in
       let text = really_input_string ic (in_channel_length ic) in
       close_in ic;
       let text =
-        String.concat "\t"
+        String.concat " "
           (List.map
              (fun f -> if f = "layer=interned" then "layer=reference" else f)
-             (String.split_on_char '\t' text))
+             (String.split_on_char ' ' text))
       in
       let oc = open_out_bin path in
       output_string oc text;
       close_out oc;
-      match Explore.replay_quarantine ~path with
+      match Explore.replay_file ~path with
       | Ok _ -> Alcotest.fail "layer=reference accepted"
       | Error e ->
           Alcotest.(check string) "Spec's one-line error"
-            "line 1: unknown message layer \"reference\" (expected \
+            "line 2: unknown message layer \"reference\" (expected \
              interned|batched)"
             e)
+
+(* The violating rows of a soak mutant sweep, and the quarantined row of
+   an injected stuck case, replay through the same dispatch as an explore
+   quarantine: one case file, one replay. *)
+let test_soak_rows_replay () =
+  let replay_journal config expect =
+    let path = Filename.temp_file "soak" ".journal" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let o = Soak.execute ~journal:path config in
+        (match Explore.replay_file ~path with
+        | Error e -> Alcotest.failf "replay_file: %s" e
+        | Ok r ->
+            Alcotest.(check int) "abnormal rows replayed" expect
+              r.Explore.rp_total;
+            Alcotest.(check (list string)) "all reproduce" []
+              r.Explore.rp_failures);
+        o)
+  in
+  let config =
+    {
+      Soak.default with
+      Soak.cases = 3;
+      seed = 3L;
+      protocol =
+        Scenario.Maaa
+          { Party.default_opts with mutant = Some Party.Premature_output };
+    }
+  in
+  let o = replay_journal config 3 in
+  (* each spec line rebuilds exactly its own case of the grid *)
+  let key (s : Scenario.t) =
+    ( s.Scenario.name,
+      s.Scenario.seed,
+      s.Scenario.sync_network,
+      s.Scenario.inputs,
+      s.Scenario.corruptions,
+      s.Scenario.chaos )
+  in
+  List.iter2
+    (fun (_, v) grid ->
+      match Explore.scenario_of_spec v.Soak.vd_case.Case.spec with
+      | Error e -> Alcotest.failf "spec does not rebuild: %s" e
+      | Ok s ->
+          Alcotest.(check bool) (s.Scenario.name ^ " rebuilt") true
+            (key s = key grid))
+    o.Soak.violating (Soak.build_scenarios config);
+  ignore
+    (replay_journal
+       {
+         Soak.default with
+         Soak.cases = 2;
+         seed = 11L;
+         case_events = 50_000;
+         stuck = Some 1;
+       }
+       1)
 
 let () =
   Alcotest.run "explore"
@@ -617,5 +675,7 @@ let () =
             test_explorer_quarantine_old_schema;
           Alcotest.test_case "quarantine with the reference layer is refused"
             `Quick test_explorer_quarantine_reference_layer;
+          Alcotest.test_case "soak row replays through explore" `Slow
+            test_soak_rows_replay;
         ] );
     ]
