@@ -142,10 +142,68 @@ let test_async_aa_history () =
         (List.length (Async_aa.value_history p)))
     parties
 
+
+(* --- golden: E12's two settings, pinned bit for bit --- *)
+
+(* E12's workload: n = 8, D = 2, ts = 2, ta = 1 (= the best a pure-async
+   protocol tolerates at this n, D), seeded uniform inputs. *)
+let e12_inputs () = Inputs.uniform_cube (Rng.create 777L) ~d:2 ~n:8 ~side:10.
+let e12_far = Vec.of_list [ 500.; -500. ]
+let e12_starve = Network.async_starve ~victims:(fun i -> i = 0) ~release:2000 ~fast:4
+
+let golden ~live ~valid ~agreement ~msgs outputs =
+  Printf.sprintf "live=%b valid=%b agreement=%b msgs=%d %s" live valid
+    agreement msgs
+    (String.concat " "
+       (List.map
+          (fun (i, v) ->
+            Printf.sprintf "%d:%s" i
+              (String.concat "," (List.map (Printf.sprintf "%h") (Vec.to_list v))))
+          outputs))
+
+let golden_of (r : Baseline_runner.result) =
+  golden ~live:r.live ~valid:r.valid ~agreement:r.agreement
+    ~msgs:r.stats.Engine.messages_sent r.outputs
+
+let e12_runs () =
+  let inputs = e12_inputs () in
+  let rounds = Baseline_runner.rounds_for ~eps:0.05 ~inputs in
+  let poison = [ (1, Baseline_runner.Poison e12_far); (5, Baseline_runner.Poison e12_far) ] in
+  let mute = [ (5, Baseline_runner.Mute) ] in
+  let sync policy corruptions =
+    Baseline_runner.run_sync_baseline ~n:8 ~t:2 ~rounds ~delta:10 ~eps:0.05
+      ~inputs ~policy ~corruptions ()
+  in
+  let async policy corruptions =
+    Baseline_runner.run_async_baseline ~n:8 ~t:1 ~iters:rounds ~delta:10
+      ~eps:0.05 ~inputs ~policy ~corruptions ()
+  in
+  [
+    ("A pure-sync", golden_of (sync (Network.sync_uniform ~delta:10) poison));
+    ("A pure-async", golden_of (async (Network.sync_uniform ~delta:10) poison));
+    ("B pure-sync", golden_of (sync e12_starve mute));
+    ("B pure-async", golden_of (async e12_starve mute));
+  ]
+
+let e12_pinned =
+  [
+    ("A pure-sync", "live=true valid=true agreement=true msgs=5056 0:0x1.ba487f34bc6ap+2,0x1.72ba3734cf1c7p+1 2:0x1.ba487f34bc6ap+2,0x1.72ba3734cf1c7p+1 3:0x1.ba487f34bc6ap+2,0x1.72ba3734cf1c7p+1 4:0x1.ba487f34bc6ap+2,0x1.72ba3734cf1c7p+1 6:0x1.ba487f34bc6ap+2,0x1.72ba3734cf1c7p+1 7:0x1.ba487f34bc6ap+2,0x1.72ba3734cf1c7p+1");
+    ("A pure-async", "live=true valid=false agreement=true msgs=171904 0:0x1.f8c267470bda5p+7,-0x1.ed795beb21534p+7 2:0x1.f8c267470bda5p+7,-0x1.ed795beb21534p+7 3:0x1.f8c267470bda5p+7,-0x1.ed795beb21534p+7 4:0x1.f8c267470bda5p+7,-0x1.ed795beb21534p+7 6:0x1.f8c267470bda5p+7,-0x1.ed795beb21534p+7 7:0x1.f8c267470bda5p+7,-0x1.ed795beb21534p+7");
+    ("B pure-sync", "live=true valid=true agreement=false msgs=4424 0:0x1.3099d1c2f693ap+2,0x1.a1a90537ab30ap+2 1:0x1.1c5eb39fb2d7fp+2,0x1.03a1484f479d4p+2 2:0x1.1c5eb39fb2d7fp+2,0x1.03a1484f479d4p+2 3:0x1.1c5eb39fb2d7fp+2,0x1.03a1484f479d4p+2 4:0x1.1c5eb39fb2d7fp+2,0x1.03a1484f479d4p+2 6:0x1.1c5eb39fb2d7fp+2,0x1.03a1484f479d4p+2 7:0x1.1c5eb39fb2d7fp+2,0x1.03a1484f479d4p+2");
+    ("B pure-async", "live=true valid=true agreement=true msgs=132720 0:0x1.43e41827e4a03p+2,0x1.3cf3cde3d7b69p+2 1:0x1.43e41827e4a03p+2,0x1.3cf3cde3d7b69p+2 2:0x1.43e41827e4a03p+2,0x1.3cf3cde3d7b69p+2 3:0x1.43e41827e4a03p+2,0x1.3cf3cde3d7b69p+2 4:0x1.43e41827e4a03p+2,0x1.3cf3cde3d7b69p+2 6:0x1.43e41827e4a03p+2,0x1.3cf3cde3d7b69p+2 7:0x1.43e41827e4a03p+2,0x1.3cf3cde3d7b69p+2");
+  ]
+
+let test_e12_golden () =
+  List.iter
+    (fun (name, got) ->
+      Alcotest.(check string) name (List.assoc name e12_pinned) got)
+    (e12_runs ())
+
 let () =
   Alcotest.run "baselines"
     [
       ("rounds", [ Alcotest.test_case "rounds_for" `Quick test_rounds_for ]);
+      ("e12", [ Alcotest.test_case "golden" `Quick test_e12_golden ]);
       ( "pure-sync",
         [
           Alcotest.test_case "home setting" `Quick test_sync_baseline_home_setting;
