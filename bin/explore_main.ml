@@ -12,7 +12,8 @@
    (schema maaa-case/1). --replay re-runs the shrunk repro of every case
    row of a case file — an explore quarantine or a soak journal — and
    verifies each verdict comes back: the same invariants violated, or
-   the run still not completing. --check runs the pinned CI gates: the
+   the run still not completing. Rows torn by a SIGKILL (no "." sentinel)
+   are skipped and counted, as soak's --resume drops them. --check runs the pinned CI gates: the
    honest n=3 D=1 space explores exhaustively clean, both protocol mutants
    are rediscovered with replay-verified shrunk repros, and DPOR pruning
    plus state dedup beat naive enumeration by the pinned factor.
@@ -271,9 +272,12 @@ let () =
   | Some path -> (
       match Explore.replay_file ~path with
       | Error msg -> die "--replay %s: %s" path msg
-      | Ok { Explore.rp_total; rp_reproduced; rp_failures } ->
+      | Ok { Explore.rp_total; rp_reproduced; rp_failures; rp_skipped } ->
           Printf.printf "replayed %d/%d shrunk counterexample(s)\n"
             rp_reproduced rp_total;
+          if rp_skipped > 0 then
+            Printf.printf "skipped %d torn row(s) with no \".\" sentinel\n"
+              rp_skipped;
           List.iter print_endline rp_failures;
           exit (if rp_reproduced = rp_total then 0 else 1))
   | None ->

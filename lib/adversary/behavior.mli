@@ -3,7 +3,12 @@
     A corrupted party may deviate arbitrarily; the strategies here cover
     the capabilities the paper's proofs attribute to the adversary, from
     simple omission to active equivocation. Channels remain authenticated:
-    a Byzantine party can lie about content but not about its identity. *)
+    a Byzantine party can lie about content but not about its identity.
+
+    Every behaviour but [Silent] runs ΠAA code ({!Party}), so all of them
+    apply to ΠAA scenarios only. Under the other protocols (EW and the
+    E12 baselines) the harness runs [Silent] and [Honest_with_input] itself
+    and [Scenario.make] rejects the rest. *)
 
 type t =
   | Silent
@@ -49,6 +54,6 @@ type t =
 
 val install :
   Message.t Engine.t -> cfg:Config.t -> me:int -> input:Vec.t -> t -> unit
-(** Installs the behaviour as party [me]'s handler and starts it. [input]
-    is the value the behaviour bases honest-looking traffic on (ignored by
-    [Silent] and overridden by [Honest_with_input]). *)
+(** Installs the behaviour as party [me]'s ΠAA handler and starts it.
+    [input] is the value the behaviour bases honest-looking traffic on
+    (ignored by [Silent] and overridden by [Honest_with_input]). *)

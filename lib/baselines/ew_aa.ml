@@ -24,11 +24,15 @@ type iter_state = {
   mutable sent_claims : bool;
 }
 
+type channel = Direct of { defence : bool } | Reliable
+
 type t = {
   n : int;
+  me : int;
   thr : int;
   iters : int;
   defence : bool;
+  mutable rbc : Rbc.t option;  (* [Some] iff the channel is [Reliable] *)
   now : unit -> int;
   send_all : Message.t -> unit;
   cbs : callbacks;
@@ -68,7 +72,20 @@ let state t it =
       s
 
 let broadcast_value t it v =
-  t.send_all (Message.Ew_value { iter = it; value = v })
+  match t.rbc with
+  | None -> t.send_all (Message.Ew_value { iter = it; value = v })
+  | Some rbc ->
+      Rbc.broadcast rbc
+        { Message.tag = Message.Async_value it; origin = t.me }
+        (Message.Pvec v)
+
+let broadcast_report t it pairs =
+  match t.rbc with
+  | None -> t.send_all (Message.Ew_report { iter = it; pairs })
+  | Some rbc ->
+      Rbc.broadcast rbc
+        { Message.tag = Message.Async_report it; origin = t.me }
+        (Message.Ppairs pairs)
 
 let rec step t =
   if t.output = None then begin
@@ -76,9 +93,7 @@ let rec step t =
     let s = state t it in
     if (not s.sent_report) && Pairset.cardinal s.m >= t.n - t.thr then begin
       s.sent_report <- true;
-      t.send_all
-        (Message.Ew_report
-           { iter = it; pairs = Pairset.bindings s.m })
+      broadcast_report t it (Pairset.bindings s.m)
     end;
     let validated, rest =
       IntMap.partition
@@ -107,8 +122,8 @@ let rec step t =
             step t
           end
       | None ->
-          (* corruption count beyond the (D+2)·t < n envelope: stall
-             rather than crash, as in the rBC-based baseline *)
+          (* corruption count beyond the (D+2)·t < n envelope (the E12
+             regime): stall rather than crash *)
           ()
     end
   end
@@ -145,37 +160,62 @@ let add_support t s ~voter ~p ~v =
   end
   else false
 
-(* Channels are authenticated, so [src] plays the role the rBC origin
-   field plays in the cubic baseline: a party's first value per iteration
-   wins and duplicates (chaos-layer re-deliveries included) are no-ops. *)
+let on_value t ~from it v =
+  if valid_party t from && it >= 1 then begin
+    let s = state t it in
+    s.m <- Pairset.add ~party:from v s.m;
+    if it = t.iter then step t
+  end
+
+let on_report t ~from it pairs =
+  if valid_party t from && it >= 1 then begin
+    let s = state t it in
+    if not (IntSet.mem from s.seen_report) then begin
+      s.seen_report <- IntSet.add from s.seen_report;
+      let report =
+        List.fold_left
+          (fun acc (p, v) ->
+            if valid_party t p then Pairset.add ~party:p v acc else acc)
+          Pairset.empty pairs
+      in
+      s.pending <- IntMap.add from report s.pending;
+      if it = t.iter then step t
+    end
+  end
+
+(* The defence's direct-value path: record the sender's first value and
+   echo it as a claim. *)
+let on_raw_value t ~from it v =
+  if valid_party t from && it >= 1 then begin
+    let s = state t it in
+    if not (Pairset.mem_party from s.raw) then begin
+      s.raw <- Pairset.add ~party:from v s.raw;
+      if s.sent_claims then
+        (* Late direct arrival: a delta claim, so slow senders still
+           gather their echo quorum. *)
+        t.send_all (Message.Ew_echo { iter = it; pairs = [ (from, v) ] })
+      else if Pairset.cardinal s.raw >= t.n - t.thr then begin
+        s.sent_claims <- true;
+        t.send_all
+          (Message.Ew_echo { iter = it; pairs = Pairset.bindings s.raw })
+      end
+    end
+  end
+
+(* Direct channels are authenticated, so [src] plays the role the rBC
+   origin field plays on the reliable channel: a party's first value per
+   iteration wins and duplicates (chaos-layer re-deliveries included) are
+   no-ops. Each channel ignores the other's messages. *)
 let handle t ev =
-  match ev with
-  | Transport.Deliver
-      { src; msg = Message.Ew_value { iter = it; value = v; _ } } ->
-      if valid_party t src && it >= 1 then
-        if not t.defence then begin
-          let s = state t it in
-          s.m <- Pairset.add ~party:src v s.m;
-          if it = t.iter then step t
-        end
-        else begin
-          let s = state t it in
-          if not (Pairset.mem_party src s.raw) then begin
-            s.raw <- Pairset.add ~party:src v s.raw;
-            if s.sent_claims then
-              (* Late direct arrival: a delta claim, so slow senders still
-                 gather their echo quorum. *)
-              t.send_all
-                (Message.Ew_echo { iter = it; pairs = [ (src, v) ] })
-            else if Pairset.cardinal s.raw >= t.n - t.thr then begin
-              s.sent_claims <- true;
-              t.send_all
-                (Message.Ew_echo
-                   { iter = it; pairs = Pairset.bindings s.raw })
-            end
-          end
-        end
-  | Transport.Deliver { src; msg = Message.Ew_echo { iter = it; pairs; _ } } ->
+  match (t.rbc, ev) with
+  | Some rbc, Transport.Deliver { src; msg = Message.Rbc (id, step, payload) }
+    ->
+      Rbc.on_message rbc ~from:src id step payload
+  | None, Transport.Deliver { src; msg = Message.Ew_value { iter; value } } ->
+      if t.defence then on_raw_value t ~from:src iter value
+      else on_value t ~from:src iter value
+  | None, Transport.Deliver { src; msg = Message.Ew_echo { iter = it; pairs } }
+    ->
       if t.defence && valid_party t src && it >= 1 then begin
         let s = state t it in
         let grew =
@@ -185,32 +225,28 @@ let handle t ev =
         in
         if grew && it = t.iter then step t
       end
-  | Transport.Deliver { src; msg = Message.Ew_report { iter = it; pairs; _ } }
-    ->
-      if valid_party t src && it >= 1 then begin
-        let s = state t it in
-        if not (IntSet.mem src s.seen_report) then begin
-          s.seen_report <- IntSet.add src s.seen_report;
-          let report =
-            List.fold_left
-              (fun acc (p, v) ->
-                if valid_party t p then Pairset.add ~party:p v acc else acc)
-              Pairset.empty pairs
-          in
-          s.pending <- IntMap.add src report s.pending;
-          if it = t.iter then step t
-        end
-      end
-  | Transport.Deliver _ | Transport.Timer _ -> ()
+  | None, Transport.Deliver { src; msg = Message.Ew_report { iter; pairs } } ->
+      on_report t ~from:src iter pairs
+  | _, (Transport.Deliver _ | Transport.Timer _) -> ()
 
-let attach_endpoint ?(callbacks = no_callbacks) ?(equivocation_defence = false)
-    ~t:thr ~iters (ep : Message.t Transport.endpoint) =
+(* The reliable channel's deliveries: the rBC origin is the sender. *)
+let on_deliver t (id : Message.rbc_id) payload =
+  match (id.tag, payload) with
+  | Message.Async_value it, Message.Pvec v -> on_value t ~from:id.origin it v
+  | Message.Async_report it, Message.Ppairs pairs ->
+      on_report t ~from:id.origin it pairs
+  | _ -> ()
+
+let attach_endpoint ?(callbacks = no_callbacks) ~channel ~t:thr ~iters
+    (ep : Message.t Transport.endpoint) =
   let t =
     {
       n = ep.n;
+      me = ep.me;
       thr;
       iters;
-      defence = equivocation_defence;
+      defence = channel = Direct { defence = true };
+      rbc = None;
       now = ep.now;
       send_all = ep.send_all;
       cbs = callbacks;
@@ -222,13 +258,13 @@ let attach_endpoint ?(callbacks = no_callbacks) ?(equivocation_defence = false)
       output_time = None;
     }
   in
+  if channel = Reliable then
+    t.rbc <-
+      Some
+        (Rbc.create ~n:ep.n ~t:thr
+           { Rbc.send_all = ep.send_all; deliver = on_deliver t });
   ep.set_handler (handle t);
   t
-
-let attach ?callbacks ?equivocation_defence ~n ~t:thr ~iters ~me engine =
-  let ep = Engine.endpoint engine ~me in
-  if ep.n <> n then invalid_arg "Ew_aa.attach: n mismatch";
-  attach_endpoint ?callbacks ?equivocation_defence ~t:thr ~iters ep
 
 let start t v =
   t.value <- Some v;

@@ -1,20 +1,18 @@
 type t = {
-  n : int;
   thr : int;
   rounds : int;
   delta : int;
-  me : int;
-  engine : Message.t Engine.t;
+  ep : Message.t Transport.endpoint;
   history : (int, Vec.t) Hashtbl.t;
   received : (int, Pairset.t) Hashtbl.t;  (* round -> values *)
   mutable round : int;
   mutable value : Vec.t option;
   mutable output : Vec.t option;
-  mutable starved : int;
+  mutable output_time : int option;
 }
 
 let output t = t.output
-let starved_rounds t = t.starved
+let output_time t = t.output_time
 
 let value_history t =
   Hashtbl.fold (fun r v acc -> (r, v) :: acc) t.history []
@@ -25,66 +23,66 @@ let round_set t r =
   | Some s -> s
   | None -> Pairset.empty
 
+let finish t =
+  t.output <- t.value;
+  t.output_time <- Some (t.ep.now ())
+
 (* Rounds last Δ + 1 ticks so that a message sent at a round boundary and
    delivered after exactly Δ is still counted for its round (the model
    treats "delivered within Δ" as included). *)
 let begin_round t =
   let v = Option.get t.value in
-  Engine.broadcast t.engine ~src:t.me
-    (Message.Sync_round { round = t.round; value = v });
-  Engine.set_timer t.engine ~party:t.me
-    ~at:((t.round + 1) * (t.delta + 1))
-    ~tag:t.round
+  t.ep.send_all (Message.Sync_round { round = t.round; value = v });
+  t.ep.set_timer ~at:((t.round + 1) * (t.delta + 1)) ~tag:t.round
 
 (* Round end: trim [k] outliers of what arrived. Under synchrony all honest
    values arrived, so at most [k = |M| - (n - t)] of them are corrupt; under
-   a broken network the trim level is silently wrong — by design. *)
+   a broken network the trim level is silently wrong — by design. A round
+   that gets fewer than [n − t] values, or no safe area, keeps the old
+   value and leaves no history entry. *)
 let end_round t =
   let m = round_set t t.round in
   let got = Pairset.cardinal m in
-  if got >= t.n - t.thr then begin
-    let k = got - (t.n - t.thr) in
-    match Safe_area.new_value_arr ~t:k (Pairset.values_arr m) with
-    | Some v -> t.value <- Some v
-    | None -> t.starved <- t.starved + 1 (* keep the old value *)
-  end
-  else t.starved <- t.starved + 1;
-  Hashtbl.replace t.history (t.round + 1) (Option.get t.value);
+  (if got >= t.ep.n - t.thr then
+     let k = got - (t.ep.n - t.thr) in
+     match Safe_area.new_value_arr ~t:k (Pairset.values_arr m) with
+     | Some v ->
+         t.value <- Some v;
+         Hashtbl.replace t.history (t.round + 1) v
+     | None -> ());
   t.round <- t.round + 1;
-  if t.round >= t.rounds then t.output <- t.value else begin_round t
+  if t.round >= t.rounds then finish t else begin_round t
 
 let handle t ev =
   match ev with
-  | Engine.Deliver { src; msg = Message.Sync_round { round; value } } ->
+  | Transport.Deliver { src; msg = Message.Sync_round { round; value } } ->
       (* accept only traffic for the round in progress: late messages are
          lost, which is the protocol's Achilles heel off-synchrony *)
       if round = t.round && t.output = None then
         Hashtbl.replace t.received round
           (Pairset.add ~party:src value (round_set t round))
-  | Engine.Deliver _ -> ()
-  | Engine.Timer r -> if r = t.round && t.output = None then end_round t
+  | Transport.Deliver _ -> ()
+  | Transport.Timer r -> if r = t.round && t.output = None then end_round t
 
-let attach ~n ~t:thr ~rounds ~delta ~me engine =
+let attach_endpoint ~t:thr ~rounds ~delta ep =
   let t =
     {
-      n;
       thr;
       rounds;
       delta;
-      me;
-      engine;
+      ep;
       history = Hashtbl.create 16;
       received = Hashtbl.create 16;
       round = 0;
       value = None;
       output = None;
-      starved = 0;
+      output_time = None;
     }
   in
-  Engine.set_party engine me (handle t);
+  ep.set_handler (handle t);
   t
 
 let start t v =
   t.value <- Some v;
   Hashtbl.replace t.history 0 v;
-  if t.rounds = 0 then t.output <- Some v else begin_round t
+  if t.rounds = 0 then finish t else begin_round t

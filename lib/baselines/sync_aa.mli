@@ -15,17 +15,22 @@
 
 type t
 
-val attach :
-  n:int -> t:int -> rounds:int -> delta:int -> me:int ->
-  Message.t Engine.t -> t
-(** Requires [(n > (D+1)·t)] for its guarantees, but this is not checked
-    here — the baseline is deliberately runnable outside its envelope. *)
+val attach_endpoint :
+  t:int -> rounds:int -> delta:int -> Message.t Transport.endpoint -> t
+(** Attach onto an arbitrary transport endpoint ([n] comes from the
+    endpoint). Requires [(n > (D+1)·t)] for its guarantees, but this is
+    not checked here — the baseline is deliberately runnable outside its
+    envelope. *)
 
 val start : t -> Vec.t -> unit
 val output : t -> Vec.t option
-val value_history : t -> (int * Vec.t) list
-(** [(round, value-after-round)] pairs, ascending; round 0 is the input. *)
 
-val starved_rounds : t -> int
-(** Number of rounds in which fewer than [n − t] values arrived — always 0
-    under synchrony, positive when the synchrony assumption broke. *)
+val output_time : t -> int option
+(** The end of the last round, once output. *)
+
+val value_history : t -> (int * Vec.t) list
+(** [(round, value-after-round)] pairs, ascending; round 0 is the input.
+    A {e starved} round — fewer than [n − t] values arrived, or they had
+    no safe area — keeps the old value and has no entry, so
+    [rounds + 1 − length] counts them: always 0 under synchrony,
+    positive when the synchrony assumption broke. *)

@@ -65,6 +65,9 @@ val install : Message.t Engine.t -> cfg:Config.t -> inputs:Vec.t array -> t -> u
     {!Behavior.install} replaces the victim). Call after parties are
     attached and static behaviours installed, before [Engine.run]. *)
 
+val behavior_to_string : Behavior.t -> string
+(** Human-readable: ["silent"], ["crash@5"], ["halt-liar:2"], … *)
+
 val atom_to_string : atom -> string
 val to_strings : t -> string list
 val pp : Format.formatter -> t -> unit

@@ -52,12 +52,11 @@ let default_config ?(mode = Pruned) ?(adversary = Honest)
     invalid_arg "Explore.default_config: need one input per party";
   (match plans_of_adversary cfg adversary with
   | [] | [ [] ] -> ()
-  | plan :: _ -> (
+  | plan :: _ ->
       (* One representative plan stands in for the whole domain: every
-         plan in it has the same corruption target. *)
-      match Fault_plan.validate ~cfg ~sync:true ~existing:[] plan with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("Explore.default_config: " ^ e)));
+         plan in it has the same corruption target and behaviour kind.
+         Scenario.make checks it against the cfg and the protocol. *)
+      ignore (Scenario.make ~protocol ~chaos:plan ~cfg ~inputs ()));
   {
     cfg;
     inputs;
@@ -396,6 +395,7 @@ type replay_outcome = {
   rp_total : int;
   rp_reproduced : int;
   rp_failures : string list;
+  rp_skipped : int;
 }
 
 let replay_file ~path =
@@ -413,21 +413,25 @@ let replay_file ~path =
         else at 1 (Error (Printf.sprintf "schema %s, expected %s" tag Case.schema))
       in
       (* every case row is parsed and rebuilt before any runs; soak's "ok"
-         rows carry no repro *)
+         rows carry no repro, and a row a SIGKILL tore before its "."
+         sentinel is skipped, as soak's --resume drops it *)
+      let whole, torn =
+        List.partition
+          (fun (_, l) -> String.ends_with ~suffix:"\t." l)
+          (List.filter (fun (_, l) -> l <> "") (List.mapi (fun i l -> (i + 2, l)) rest))
+      in
       let* cases =
         List.fold_left
           (fun acc (k, l) ->
             let* acc = acc in
             match at k (Case.parse_line l) with
-            | _ when l = "" -> Ok acc
             | Ok ("case", fields) ->
                 let* c = at k (Case.of_fields fields) in
                 let* run = at k (rebuild c) in
                 Ok ((k, c, run) :: acc)
             | Ok _ -> Ok acc
             | Error e -> Error e)
-          (Ok [])
-          (List.mapi (fun i l -> (i + 2, l)) rest)
+          (Ok []) whole
       in
       let failures =
         List.filter_map
@@ -448,4 +452,5 @@ let replay_file ~path =
           rp_total = total;
           rp_reproduced = total - List.length failures;
           rp_failures = failures;
+          rp_skipped = List.length torn;
         }

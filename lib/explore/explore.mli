@@ -95,8 +95,9 @@ val default_config :
   config
 (** Defaults: [Pruned], [Honest], {!Scenario.maaa}, 50_000 events,
     20_000 executions, depth 4, 3 counterexamples.
-    @raise Invalid_argument on input-count mismatch or an out-of-range /
-    budget-violating adversary party. *)
+    @raise Invalid_argument on input-count mismatch, an out-of-range /
+    budget-violating adversary party, or an adversary the protocol
+    cannot run (an equivocator outside ΠAA, see {!Scenario.protocol}). *)
 
 type report = {
   r_mode : mode;
@@ -145,13 +146,17 @@ type replay_outcome = {
   rp_total : int;
   rp_reproduced : int;
   rp_failures : string list;  (** one human-readable line per failure *)
+  rp_skipped : int;
+      (** rows torn before their ["."] sentinel (a SIGKILL mid-write),
+          skipped as soak's [--resume] drops them *)
 }
 
 val replay_file : path:string -> (replay_outcome, string) result
 (** {!replay}s every ["case"] row of a case file: an explore quarantine
-    or a soak journal (whose ["ok"] rows carry no repro). [Error] naming
-    the line on an unparsable file, one of another schema, or a case
-    whose scenario does not rebuild. *)
+    or a soak journal (whose ["ok"] rows carry no repro). Rows without
+    their ["."] sentinel are counted in [rp_skipped], not replayed.
+    [Error] naming the line on any other unparsable row, a header of
+    another schema, or a case whose scenario does not rebuild. *)
 
 (** {2 Reprs} — CLI spellings. *)
 

@@ -1,111 +1,4 @@
-type result = {
-  live : bool;
-  valid : bool;
-  agreement : bool;
-  diameter : float;
-  outputs : (int * Vec.t) list;
-  completion_rounds : float;
-  starved_rounds : int;
-  stats : Engine.stats;
-}
-
-type corruption = Poison of Vec.t | Mute
-
 let rounds_for ~eps ~inputs =
   let diam = Vec.diameter inputs in
   if diam <= eps then 1
   else max 1 (int_of_float (Float.ceil (log (eps /. diam) /. log Params.conv_factor)))
-
-let grade ~n ~eps ~delta ~inputs ~corruptions ~honest_count ~starved engine outputs =
-  let inputs = Array.of_list inputs in
-  let honest_inputs =
-    List.filter_map
-      (fun i -> if List.mem_assoc i corruptions then None else Some inputs.(i))
-      (List.init n Fun.id)
-  in
-  let live = List.length outputs = honest_count in
-  let valid =
-    outputs <> []
-    && List.for_all
-         (fun (_, v) -> Membership.in_hull ~eps:1e-6 honest_inputs v)
-         outputs
-  in
-  let diameter = Vec.diameter (List.map snd outputs) in
-  let stats = Engine.stats engine in
-  {
-    live;
-    valid;
-    agreement = live && diameter <= eps +. 1e-9;
-    diameter;
-    outputs;
-    completion_rounds = float_of_int stats.Engine.final_time /. float_of_int delta;
-    starved_rounds = starved;
-    stats;
-  }
-
-let effective_input inputs corruptions i =
-  match List.assoc_opt i corruptions with
-  | Some (Poison v) -> Some v
-  | Some Mute -> None
-  | None -> Some (List.nth inputs i)
-
-let run_sync_baseline ?(seed = 1L) ?policy ~n ~t ~rounds ~delta ~eps ~inputs
-    ~corruptions () =
-  let policy =
-    match policy with Some p -> p | None -> Network.lockstep ~delta
-  in
-  let engine = Engine.create ~seed ~size_of:Message.size_of ~n ~policy () in
-  let attached =
-    List.filter_map
-      (fun i ->
-        match effective_input inputs corruptions i with
-        | Some v ->
-            let p = Sync_aa.attach ~n ~t ~rounds ~delta ~me:i engine in
-            Some (i, p, v)
-        | None -> None)
-      (List.init n Fun.id)
-  in
-  List.iter (fun (_, p, v) -> Sync_aa.start p v) attached;
-  Engine.run engine;
-  let honest =
-    List.filter (fun (i, _, _) -> not (List.mem_assoc i corruptions)) attached
-  in
-  let outputs =
-    List.filter_map
-      (fun (i, p, _) -> Option.map (fun v -> (i, v)) (Sync_aa.output p))
-      honest
-  in
-  let starved =
-    List.fold_left (fun acc (_, p, _) -> acc + Sync_aa.starved_rounds p) 0 honest
-  in
-  grade ~n ~eps ~delta ~inputs ~corruptions ~honest_count:(List.length honest)
-    ~starved engine outputs
-
-let run_async_baseline ?(seed = 1L) ?policy ~n ~t ~iters ~delta ~eps ~inputs
-    ~corruptions () =
-  let policy =
-    match policy with Some p -> p | None -> Network.lockstep ~delta
-  in
-  let engine = Engine.create ~seed ~size_of:Message.size_of ~n ~policy () in
-  let attached =
-    List.filter_map
-      (fun i ->
-        match effective_input inputs corruptions i with
-        | Some v ->
-            let p = Async_aa.attach ~n ~t ~iters ~me:i engine in
-            Some (i, p, v)
-        | None -> None)
-      (List.init n Fun.id)
-  in
-  List.iter (fun (_, p, v) -> Async_aa.start p v) attached;
-  Engine.run engine;
-  let honest =
-    List.filter (fun (i, _, _) -> not (List.mem_assoc i corruptions)) attached
-  in
-  let outputs =
-    List.filter_map
-      (fun (i, p, _) -> Option.map (fun v -> (i, v)) (Async_aa.output p))
-      honest
-  in
-  grade ~n ~eps ~delta ~inputs ~corruptions ~honest_count:(List.length honest)
-    ~starved:0 engine outputs

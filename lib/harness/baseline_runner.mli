@@ -1,49 +1,8 @@
-(** Runs the two baseline protocols under the same grading as {!Runner},
-    for the comparison experiment (E12).
-
-    Corruptions here are value-poisoning or silence: the strongest attacks
-    expressible inside these simpler protocols. [rounds] is the iteration
-    budget; {!rounds_for} derives it from the (assumed-known) input spread
-    the way the baselines' original papers do. *)
-
-type result = {
-  live : bool;
-  valid : bool;
-  agreement : bool;
-  diameter : float;
-  outputs : (int * Vec.t) list;
-  completion_rounds : float;  (** completion time / Δ *)
-  starved_rounds : int;  (** sync baseline only: rounds with missing values *)
-  stats : Engine.stats;
-}
-
-type corruption = Poison of Vec.t | Mute
+(** The iteration budget of the baselines ({!Scenario.Pure_sync},
+    {!Scenario.Pure_async}) and of EW, which, unlike ΠAA, do not
+    estimate it themselves. *)
 
 val rounds_for : eps:float -> inputs:Vec.t list -> int
-(** [⌈log_{√(7/8)}(ε / δmax(inputs))⌉], clamped to ≥ 1. *)
-
-val run_sync_baseline :
-  ?seed:int64 ->
-  ?policy:Engine.delay_policy ->
-  n:int ->
-  t:int ->
-  rounds:int ->
-  delta:int ->
-  eps:float ->
-  inputs:Vec.t list ->
-  corruptions:(int * corruption) list ->
-  unit ->
-  result
-
-val run_async_baseline :
-  ?seed:int64 ->
-  ?policy:Engine.delay_policy ->
-  n:int ->
-  t:int ->
-  iters:int ->
-  delta:int ->
-  eps:float ->
-  inputs:Vec.t list ->
-  corruptions:(int * corruption) list ->
-  unit ->
-  result
+(** [⌈log_{√(7/8)}(ε / δmax(inputs))⌉], clamped to ≥ 1 — derived from the
+    (assumed-known) input spread the way the baselines' original papers
+    do. *)

@@ -56,6 +56,23 @@ type attached = {
 
 type hooks = (iter:int -> Vec.t -> unit) * (iter:int -> Vec.t -> unit)
 
+let ew_attached ?hooks ~channel ~t ~iters ep =
+  let callbacks =
+    match hooks with
+    | Some (on_iteration, on_output) -> { Ew_aa.on_iteration; on_output }
+    | None -> Ew_aa.no_callbacks
+  in
+  let p = Ew_aa.attach_endpoint ~callbacks ~channel ~t ~iters ep in
+  {
+    a_start = Ew_aa.start p;
+    a_output = (fun () -> Ew_aa.output p);
+    a_output_iter = (fun () -> Ew_aa.output_iteration p);
+    a_output_time = (fun () -> Ew_aa.output_time p);
+    a_t_estimate = (fun () -> None);
+    a_history = (fun () -> Ew_aa.value_history p);
+    a_intern = (fun () -> (0, 0, 0));
+  }
+
 (* Attach the scenario's protocol onto an arbitrary endpoint, sim or
    net alike. *)
 let attach_party ~(scenario : Scenario.t) ?hooks ~safe_cache ~ew_iters
@@ -82,22 +99,23 @@ let attach_party ~(scenario : Scenario.t) ?hooks ~safe_cache ~ew_iters
         a_intern = (fun () -> Party.intern_stats p);
       }
   | Scenario.Ew ->
-      let callbacks =
-        match hooks with
-        | Some (on_iteration, on_output) -> { Ew_aa.on_iteration; on_output }
-        | None -> Ew_aa.no_callbacks
-      in
+      ew_attached ?hooks ~channel:(Direct { defence = false })
+        ~t:cfg.Config.ta ~iters:(Lazy.force ew_iters) ep
+  | Scenario.Pure_async { iters } ->
+      ew_attached ?hooks ~channel:Reliable ~t:cfg.Config.ta ~iters ep
+  | Scenario.Pure_sync { rounds } ->
       let p =
-        Ew_aa.attach_endpoint ~callbacks ~t:cfg.Config.ta
-          ~iters:(Lazy.force ew_iters) ep
+        Sync_aa.attach_endpoint ~t:cfg.Config.ts ~rounds
+          ~delta:cfg.Config.delta ep
       in
       {
-        a_start = Ew_aa.start p;
-        a_output = (fun () -> Ew_aa.output p);
-        a_output_iter = (fun () -> Ew_aa.output_iteration p);
-        a_output_time = (fun () -> Ew_aa.output_time p);
+        a_start = Sync_aa.start p;
+        a_output = (fun () -> Sync_aa.output p);
+        a_output_iter =
+          (fun () -> Option.map (fun _ -> rounds) (Sync_aa.output p));
+        a_output_time = (fun () -> Sync_aa.output_time p);
         a_t_estimate = (fun () -> None);
-        a_history = (fun () -> Ew_aa.value_history p);
+        a_history = (fun () -> Sync_aa.value_history p);
         a_intern = (fun () -> (0, 0, 0));
       }
 
@@ -270,8 +288,21 @@ let run ?(monitor = false) ?tracer ?on_engine
             (Engine.endpoint engine ~me:i) ))
       honest_ids
   in
+  (* Outside ΠAA a poisoner runs the scenario's own protocol, started
+     here as {!Behavior.install} starts its ΠAA one, and a silent party
+     gets nothing. {!Scenario.make} admits no other behaviour there; a
+     record patched past it (soak's stuck-case spammer) installs as under
+     ΠAA. *)
   List.iter
-    (fun (i, b) -> Behavior.install engine ~cfg ~me:i ~input:inputs.(i) b)
+    (fun (i, b) ->
+      match (s.protocol, b) with
+      | (Scenario.Ew | Pure_sync _ | Pure_async _), Behavior.Silent -> ()
+      | (Scenario.Ew | Pure_sync _ | Pure_async _), Behavior.Honest_with_input v
+        ->
+          (attach_party ~scenario:s ~safe_cache ~ew_iters
+             (Engine.endpoint engine ~me:i))
+            .a_start v
+      | _ -> Behavior.install engine ~cfg ~me:i ~input:inputs.(i) b)
     s.corruptions;
   (match s.chaos with
   | None -> ()

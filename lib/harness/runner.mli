@@ -70,10 +70,11 @@ type attached = {
   a_t_estimate : unit -> int option;
   a_history : unit -> (int * Vec.t) list;
   a_intern : unit -> int * int * int;
-      (** (hits, misses, size) of the party's intern table; zeros for EW *)
+      (** (hits, misses, size) of the party's intern table; zeros outside
+          ΠAA *)
 }
 (** Uniform read-side view over whichever protocol an endpoint runs —
-    the interface {!grade} consumes, independent of [Maaa] vs [Ew]. *)
+    the interface {!grade} consumes, whatever the {!Scenario.protocol}. *)
 
 type hooks = (iter:int -> Vec.t -> unit) * (iter:int -> Vec.t -> unit)
 (** (on_iteration, on_output) monitor callbacks. *)
@@ -85,9 +86,12 @@ val attach_party :
   ew_iters:int Lazy.t ->
   Message.t Transport.endpoint ->
   attached
-(** Attaches the scenario's protocol ([Maaa opts] → {!Party} with
-    [opts], [Ew] → {!Ew_aa}) onto the endpoint. {!run} builds every party
-    through it, on the simulator and the net backend alike. *)
+(** Attaches the scenario's protocol onto the endpoint: [Maaa opts] →
+    {!Party} with [opts]; [Ew] → {!Ew_aa} on its direct channel for
+    [ew_iters] iterations at trim level [cfg.ta]; [Pure_async] → {!Ew_aa}
+    on its reliable channel at [cfg.ta]; [Pure_sync] → {!Sync_aa} at
+    [cfg.ts], whose [hooks] never fire. {!run} builds every party through
+    it, honest or poisoner, on the simulator and the net backend alike. *)
 
 val grade :
   scenario:Scenario.t ->
@@ -111,8 +115,11 @@ val run :
   ?on_engine:(Message.t Engine.t -> unit) ->
   Scenario.t ->
   result
-(** Runs ΠAA for every honest party and installs the scenario's Byzantine
-    behaviours for the rest; a chaos fault plan in the scenario is compiled
+(** Runs the scenario's protocol for every honest party and installs the
+    scenario's Byzantine behaviours for the rest — under [Maaa] through
+    {!Behavior.install}; under the other protocols a poisoner runs the
+    scenario's own protocol on its chosen input, ungraded, and a silent
+    party gets nothing. A chaos fault plan in the scenario is compiled
     into the delay policy and installed on the engine. With
     [~monitor:true] (default false) an online {!Monitor} watches the run
     and its summary lands in the result. Metrics are graded over the

@@ -2,7 +2,11 @@ type budget = { max_events : int option; wall_seconds : float option }
 
 let no_budget = { max_events = None; wall_seconds = None }
 
-type protocol = Maaa of Party.opts | Ew
+type protocol =
+  | Maaa of Party.opts
+  | Ew
+  | Pure_sync of { rounds : int }
+  | Pure_async of { iters : int }
 
 let maaa = Maaa Party.default_opts
 
@@ -41,6 +45,36 @@ let make ?(name = "scenario") ?(seed = 1L) ?policy ?(sync_network = true)
   let ids = List.map fst corruptions in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Scenario.make: duplicate corruption";
+  (* A non-ΠAA protocol runs a static poisoner itself and attaches nothing
+     for a silent party; every other behaviour, and every fault-plan one
+     but [Silent] (Fault_plan.install runs it through Behavior.install),
+     is ΠAA code, whose messages that protocol drops. *)
+  (match protocol with
+  | Maaa _ -> ()
+  | Ew | Pure_sync _ | Pure_async _ ->
+      let reject where b =
+        invalid_arg
+          (Printf.sprintf
+             "Scenario.make: %s behaviour %s runs ΠAA code, which protocol %s \
+              drops"
+             where
+             (Fault_plan.behavior_to_string b)
+             (match protocol with
+             | Pure_sync _ -> "pure-sync"
+             | Pure_async _ -> "pure-async"
+             | _ -> "ew"))
+      in
+      List.iter
+        (function
+          | _, (Behavior.Silent | Behavior.Honest_with_input _) -> ()
+          | _, b -> reject "static" b)
+        corruptions;
+      List.iter
+        (function
+          | Fault_plan.Corrupt_at { behavior = Behavior.Silent; _ } -> ()
+          | Fault_plan.Corrupt_at { behavior; _ } -> reject "fault-plan" behavior
+          | _ -> ())
+        (Option.value chaos ~default:[]));
   (match chaos with
   | None -> ()
   | Some plan -> (
@@ -145,7 +179,11 @@ module Spec = struct
 
   let protocol_fields p =
     let tag, (o : Party.opts) =
-      match p with Maaa o -> (`Maaa, o) | Ew -> (`Ew, Party.default_opts)
+      match p with
+      | Maaa o -> (`Maaa, o)
+      | Ew -> (`Ew, Party.default_opts)
+      | Pure_sync _ | Pure_async _ ->
+          invalid_arg "Scenario.Spec: no spelling for the E12 baselines"
     in
     if o.mode <> Party.Estimate then
       invalid_arg "Scenario.Spec: no spelling for the Fixed_t mode";

@@ -20,9 +20,21 @@ type protocol =
           (see {!Party.opts}) *)
   | Ew
       (** the Erbes–Wattenhofer quadratic-communication asynchronous AA
-          ({!Ew_aa}); it has no options, so a ΠAA-only setting under it
-          cannot be written down *)
-(** Which protocol the honest parties run. *)
+          ({!Ew_aa} on its direct channel); it has no options, so a
+          ΠAA-only setting under it cannot be written down *)
+  | Pure_sync of { rounds : int }
+      (** E12's pure-synchronous baseline ({!Sync_aa}) for [rounds] rounds
+          of Δ + 1 ticks, trimming at [cfg.ts] *)
+  | Pure_async of { iters : int }
+      (** E12's pure-asynchronous baseline ({!Ew_aa} on its reliable
+          channel) for [iters] iterations, trimming at [cfg.ta] *)
+(** Which protocol the honest parties run. Under [Maaa] every
+    {!Behavior.t} is allowed. Under the other three a static corruption
+    is [Silent] (nothing attached) or [Honest_with_input v] (the
+    scenario's own protocol, started on [v]), and a fault-plan
+    corruption is [Silent]: every other behaviour is ΠAA code, whose
+    messages these protocols drop, and {!make} rejects it. The two
+    baselines have no {!Spec} spelling. *)
 
 val maaa : protocol
 (** [Maaa Party.default_opts]: the paper's protocol on the fast path. *)
@@ -79,7 +91,8 @@ val make :
   t
 (** Defaults: worst-case synchronous lockstep policy, no corruptions, no
     chaos plan, {!maaa}, fail-fast engine, simulator transport.
-    @raise Invalid_argument on malformed inputs/corruptions,
+    @raise Invalid_argument on malformed inputs/corruptions, a
+    behaviour the protocol cannot run (naming it, see {!protocol}),
     [wire_chaos] under [`Sim], or when the fault plan
     fails {!Fault_plan.validate} (out-of-range or duplicate targets,
     corruption budget exceeded, bad windows). *)
@@ -136,7 +149,7 @@ module Spec : sig
   val protocol_fields : protocol -> (string * string) list
   (** [[("protocol", "maaa"|"ew"); ("mutant", _); ("layer", _)]]; under
       {!Ew} the two ΠAA keys read their defaults. @raise Invalid_argument for
-      the [Fixed_t] mode, which has no spelling. *)
+      the [Fixed_t] mode and the two baselines, which have no spelling. *)
 
   val protocol_of_fields : (string * string) list -> (protocol, string) result
   (** Inverse of {!protocol_fields}; an absent key reads its default.

@@ -129,8 +129,9 @@ let build_case ~config rng i =
   (* EW drops the chaos plan and runs every static corruption [Silent],
      after drawing both so every case draws the same RNG stream: adaptive
      corruption grading is calibrated against ΠAA's iteration structure,
-     and {!Behavior} has no EW arm — any other behaviour runs ΠAA, whose
-     messages EW parties drop. *)
+     and Scenario.make rejects every drawn behaviour but [Silent] and
+     [Honest_with_input] under EW (the rest are ΠAA code, whose messages
+     EW drops). *)
   let chaos, corruptions =
     if ew then
       (None, List.map (fun (p, _) -> (p, Behavior.Silent)) corruptions)

@@ -34,9 +34,9 @@ type config = {
           or another message layer); [Ew] caps the static corruption
           budget at the case config's [ta] (EW's resilience bound
           regardless of synchrony), drops the chaos plans and makes every
-          drawn static corruption [Silent] ({!Behavior} has no EW arm),
-          after the draws, so the grid's names, seeds and corrupted
-          parties are the ones drawn. It must have a
+          drawn static corruption [Silent] ({!Scenario.make} rejects the
+          ΠAA-only behaviours under EW), after the draws, so the grid's
+          names, seeds and corrupted parties are the ones drawn. It must have a
           {!Scenario.Spec.protocol_fields} spelling. *)
   transport : [ `Sim | `Net ];
       (** message backend every case runs on: [`Sim] (default) keeps

@@ -64,6 +64,7 @@ for bad in "--cases 0" "--cases x" "--domains 0" "--seed banana" \
     "--protocol bogus" "--message-layer" \
     "--protocol" "--transport bogus" "--transport" \
     "--protocol ew --mutant premature-output" \
+    "--n 4 --ts 1 --protocol ew --adversary equiv:3:1:0" \
     "--protocol ew --message-layer batched" \
     "--update-kernel centroid" \
     "--cases 6 --smoke" "--smoke --cases 6"; do
@@ -134,6 +135,20 @@ dune exec bin/explore_main.exe -- --replay _build/SOAK_mutant.journal \
   > _build/SOAK_mutant.replay
 cat _build/SOAK_mutant.replay
 grep -Eq '^replayed [1-9][0-9]*/[1-9]' _build/SOAK_mutant.replay
+# a row torn by a SIGKILL (cut mid-field, no "." sentinel) is skipped
+# and counted, as soak --resume drops it; a bad %-escape still exits 2
+sed '$ s/.\{5\}$//' _build/SOAK_mutant.journal > _build/SOAK_torn.journal
+dune exec bin/explore_main.exe -- --replay _build/SOAK_torn.journal \
+  > _build/SOAK_torn.replay
+grep -q '^skipped 1 torn row' _build/SOAK_torn.replay
+sed '2 s/\t\.$/\tx=%zz\t./' _build/SOAK_mutant.journal > _build/SOAK_bad.journal
+rc=0
+dune exec bin/explore_main.exe -- --replay _build/SOAK_bad.journal \
+  >/dev/null 2>_build/SOAK_bad.err || rc=$?
+if [ "$rc" -ne 2 ] || [ "$(wc -l < _build/SOAK_bad.err)" -ne 1 ]; then
+  echo "ci: explore --replay of a bad %-escape row should exit 2 with one line, got $rc" >&2
+  exit 1
+fi
 # a journal of the previous schema (maaa-soak-journal/2) is refused by
 # --resume with one line and exit 2
 sed '1s|^maaa-case/1|maaa-soak-journal/2|' _build/SOAK_mutant.journal \
@@ -153,6 +168,7 @@ for bad in "--mode bogus" "--mode" "--mutant bogus" "--adversary bogus" \
     "--eps x" "--delta 0" "--depth -1" "--max-execs 0" "--protocol bogus" \
     "--out" "--replay" "--frobnicate" "--n 3 --ts 1" \
     "--protocol ew --mutant premature-output" \
+    "--n 4 --ts 1 --protocol ew --adversary equiv:3:1:0" \
     "--check --mutant premature-output" "--replay x.tsv --protocol ew"; do
   rc=0
   dune exec bin/explore_main.exe -- $bad >/dev/null 2>&1 || rc=$?

@@ -5,10 +5,22 @@ let inputs_2d n =
   List.init n (fun i ->
       Vec.of_list [ float_of_int (i mod 3); float_of_int (i mod 5) ])
 
-let check_result name ~live ~valid ~agreement (r : Baseline_runner.result) =
-  Alcotest.(check bool) (name ^ " live") live r.Baseline_runner.live;
-  Alcotest.(check bool) (name ^ " valid") valid r.Baseline_runner.valid;
-  Alcotest.(check bool) (name ^ " agreement") agreement r.Baseline_runner.agreement
+let check_result name ~live ~valid ~agreement (r : Runner.result) =
+  Alcotest.(check bool) (name ^ " live") live r.Runner.live;
+  Alcotest.(check bool) (name ^ " valid") valid r.Runner.valid;
+  Alcotest.(check bool) (name ^ " agreement") agreement r.Runner.agreement
+
+let run ?(policy = Network.lockstep ~delta:10) ?(sync_network = true)
+    ?(corruptions = []) ~n ~ts ~ta ~d ~eps ~inputs protocol =
+  Runner.run
+    (Scenario.make ~cfg:(Config.make_exn ~n ~ts ~ta ~d ~eps ~delta:10) ~inputs
+       ~policy ~sync_network ~corruptions ~protocol ())
+
+(* A starved round adopts nothing, so it leaves no history entry. *)
+let starved_rounds ~rounds (r : Runner.result) =
+  List.fold_left
+    (fun acc (_, h) -> acc + rounds + 1 - List.length h)
+    0 r.Runner.histories
 
 let test_rounds_for () =
   let inputs = [ Vec.of_list [ 0. ]; Vec.of_list [ 10. ] ] in
@@ -24,38 +36,38 @@ let test_sync_baseline_home_setting () =
   let inputs = inputs_2d 8 in
   let rounds = Baseline_runner.rounds_for ~eps:0.05 ~inputs in
   let r =
-    Baseline_runner.run_sync_baseline ~n:8 ~t:2 ~rounds ~delta:10 ~eps:0.05
-      ~inputs
+    run ~n:8 ~ts:2 ~ta:1 ~d:2 ~eps:0.05 ~inputs
       ~policy:(Network.sync_uniform ~delta:10)
       ~corruptions:
         [
-          (1, Baseline_runner.Poison (Vec.of_list [ 1000.; 1000. ]));
-          (5, Baseline_runner.Mute);
+          (1, Behavior.Honest_with_input (Vec.of_list [ 1000.; 1000. ]));
+          (5, Behavior.Silent);
         ]
-      ()
+      (Scenario.Pure_sync { rounds })
   in
   check_result "sync baseline" ~live:true ~valid:true ~agreement:true r;
-  Alcotest.(check int) "no starvation under synchrony" 0 r.starved_rounds
+  Alcotest.(check int) "no starvation under synchrony" 0
+    (starved_rounds ~rounds r)
 
 let test_sync_baseline_breaks_off_synchrony () =
   let inputs = inputs_2d 8 in
   let rounds = Baseline_runner.rounds_for ~eps:0.05 ~inputs in
   let r =
-    Baseline_runner.run_sync_baseline ~n:8 ~t:2 ~rounds ~delta:10 ~eps:0.05
-      ~inputs
+    run ~n:8 ~ts:2 ~ta:1 ~d:2 ~eps:0.05 ~inputs
       ~policy:
         (Network.async_starve ~victims:(fun i -> i = 0) ~release:100_000 ~fast:4)
-      ~corruptions:[ (5, Baseline_runner.Mute) ]
-      ()
+      ~sync_network:false
+      ~corruptions:[ (5, Behavior.Silent) ]
+      (Scenario.Pure_sync { rounds })
   in
-  Alcotest.(check bool) "starved rounds observed" true (r.starved_rounds > 0);
+  Alcotest.(check bool) "starved rounds observed" true
+    (starved_rounds ~rounds r > 0);
   Alcotest.(check bool) "agreement lost" false r.agreement
 
 let test_sync_baseline_zero_rounds () =
-  let inputs = inputs_2d 4 in
   let r =
-    Baseline_runner.run_sync_baseline ~n:4 ~t:1 ~rounds:0 ~delta:10 ~eps:100.
-      ~inputs ~corruptions:[] ()
+    run ~n:4 ~ts:1 ~ta:0 ~d:2 ~eps:100. ~inputs:(inputs_2d 4)
+      (Scenario.Pure_sync { rounds = 0 })
   in
   (* with no rounds everyone outputs its input *)
   check_result "zero rounds" ~live:true ~valid:true ~agreement:true r
@@ -67,11 +79,11 @@ let test_async_baseline_home_setting () =
   let iters = Baseline_runner.rounds_for ~eps:0.05 ~inputs in
   (* n = 8, D = 2: tolerates t = 1 < n / (D + 2) *)
   let r =
-    Baseline_runner.run_async_baseline ~n:8 ~t:1 ~iters ~delta:10 ~eps:0.05
-      ~inputs
+    run ~n:8 ~ts:1 ~ta:1 ~d:2 ~eps:0.05 ~inputs
       ~policy:(Network.async_heavy_tail ~base:12)
-      ~corruptions:[ (3, Baseline_runner.Poison (Vec.of_list [ -500.; 500. ])) ]
-      ()
+      ~sync_network:false
+      ~corruptions:[ (3, Behavior.Honest_with_input (Vec.of_list [ -500.; 500. ])) ]
+      (Scenario.Pure_async { iters })
   in
   check_result "async baseline" ~live:true ~valid:true ~agreement:true r
 
@@ -82,66 +94,49 @@ let test_async_baseline_breaks_beyond_threshold () =
   let iters = Baseline_runner.rounds_for ~eps:0.05 ~inputs in
   let far = Vec.of_list [ 500.; -500. ] in
   let r =
-    Baseline_runner.run_async_baseline ~n:8 ~t:1 ~iters ~delta:10 ~eps:0.05
-      ~inputs
+    run ~n:8 ~ts:2 ~ta:1 ~d:2 ~eps:0.05 ~inputs
       ~policy:(Network.sync_uniform ~delta:10)
       ~corruptions:
-        [ (1, Baseline_runner.Poison far); (5, Baseline_runner.Poison far) ]
-      ()
+        [ (1, Behavior.Honest_with_input far); (5, Behavior.Honest_with_input far) ]
+      (Scenario.Pure_async { iters })
   in
   Alcotest.(check bool) "lives" true r.live;
   Alcotest.(check bool) "validity lost" false r.valid
 
 let test_async_baseline_no_clocks () =
   (* purely count-driven: an extreme scheduler only slows it down *)
-  let inputs = inputs_2d 7 in
   let r =
-    Baseline_runner.run_async_baseline ~n:7 ~t:1 ~iters:10 ~delta:10 ~eps:10.
-      ~inputs
+    run ~n:7 ~ts:1 ~ta:1 ~d:2 ~eps:10. ~inputs:(inputs_2d 7)
       ~policy:
         (Network.async_starve ~victims:(fun i -> i = 2) ~release:3000 ~fast:3)
-      ~corruptions:[ (6, Baseline_runner.Mute) ]
-      ()
+      ~sync_network:false
+      ~corruptions:[ (6, Behavior.Silent) ]
+      (Scenario.Pure_async { iters = 10 })
   in
   check_result "async no clocks" ~live:true ~valid:true ~agreement:true r
 
-(* --- direct module behaviour --- *)
+(* --- histories --- *)
+
+let inputs_1d n = List.init n (fun i -> Vec.of_list [ float_of_int i ])
+
+let check_histories ~len (r : Runner.result) =
+  Alcotest.(check int) "every party outputs" 4 (List.length r.Runner.outputs);
+  Alcotest.(check int) "output times recorded" 4
+    (List.length r.Runner.output_times);
+  List.iter
+    (fun (_, h) -> Alcotest.(check int) "history = rounds + 1" len (List.length h))
+    r.Runner.histories
 
 let test_sync_aa_history () =
-  let delta = 10 in
-  let engine = Engine.create ~n:4 ~policy:(Network.lockstep ~delta) () in
-  let parties =
-    List.init 4 (fun i -> Sync_aa.attach ~n:4 ~t:1 ~rounds:3 ~delta ~me:i engine)
-  in
-  List.iteri
-    (fun i p -> Sync_aa.start p (Vec.of_list [ float_of_int i ]))
-    parties;
-  Engine.run engine;
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "output" true (Sync_aa.output p <> None);
-      Alcotest.(check int) "history = rounds + 1" 4
-        (List.length (Sync_aa.value_history p)))
-    parties
+  check_histories ~len:4
+    (run ~n:4 ~ts:1 ~ta:1 ~d:1 ~eps:10. ~inputs:(inputs_1d 4)
+       (Scenario.Pure_sync { rounds = 3 }))
 
 let test_async_aa_history () =
-  let engine = Engine.create ~n:4 ~policy:Network.instant () in
-  let parties =
-    List.init 4 (fun i -> Async_aa.attach ~n:4 ~t:1 ~iters:3 ~me:i engine)
-  in
-  List.iteri
-    (fun i p -> Async_aa.start p (Vec.of_list [ float_of_int i ]))
-    parties;
-  Engine.run engine;
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "output" true (Async_aa.output p <> None);
-      Alcotest.(check bool) "output time recorded" true
-        (Async_aa.output_time p <> None);
-      Alcotest.(check int) "history = iters + 1" 4
-        (List.length (Async_aa.value_history p)))
-    parties
-
+  check_histories ~len:4
+    (run ~n:4 ~ts:1 ~ta:1 ~d:1 ~eps:10. ~inputs:(inputs_1d 4)
+       ~policy:Network.instant ~sync_network:false
+       (Scenario.Pure_async { iters = 3 }))
 
 (* --- golden: E12's two settings, pinned bit for bit --- *)
 
@@ -161,28 +156,30 @@ let golden ~live ~valid ~agreement ~msgs outputs =
               (String.concat "," (List.map (Printf.sprintf "%h") (Vec.to_list v))))
           outputs))
 
-let golden_of (r : Baseline_runner.result) =
+let golden_of (r : Runner.result) =
   golden ~live:r.live ~valid:r.valid ~agreement:r.agreement
     ~msgs:r.stats.Engine.messages_sent r.outputs
 
+(* E12's scenarios: every row of both settings, through Runner.run *)
 let e12_runs () =
   let inputs = e12_inputs () in
   let rounds = Baseline_runner.rounds_for ~eps:0.05 ~inputs in
-  let poison = [ (1, Baseline_runner.Poison e12_far); (5, Baseline_runner.Poison e12_far) ] in
-  let mute = [ (5, Baseline_runner.Mute) ] in
-  let sync policy corruptions =
-    Baseline_runner.run_sync_baseline ~n:8 ~t:2 ~rounds ~delta:10 ~eps:0.05
-      ~inputs ~policy ~corruptions ()
+  let poison =
+    [ (1, Behavior.Honest_with_input e12_far); (5, Behavior.Honest_with_input e12_far) ]
   in
-  let async policy corruptions =
-    Baseline_runner.run_async_baseline ~n:8 ~t:1 ~iters:rounds ~delta:10
-      ~eps:0.05 ~inputs ~policy ~corruptions ()
+  let mute = [ (5, Behavior.Silent) ] in
+  let run ~policy ~sync_network corruptions protocol =
+    golden_of
+      (run ~n:8 ~ts:2 ~ta:1 ~d:2 ~eps:0.05 ~inputs ~policy ~sync_network
+         ~corruptions protocol)
   in
+  let sync_a = run ~policy:(Network.sync_uniform ~delta:10) ~sync_network:true poison in
+  let starve_b = run ~policy:e12_starve ~sync_network:false mute in
   [
-    ("A pure-sync", golden_of (sync (Network.sync_uniform ~delta:10) poison));
-    ("A pure-async", golden_of (async (Network.sync_uniform ~delta:10) poison));
-    ("B pure-sync", golden_of (sync e12_starve mute));
-    ("B pure-async", golden_of (async e12_starve mute));
+    ("A pure-sync", sync_a (Scenario.Pure_sync { rounds }));
+    ("A pure-async", sync_a (Scenario.Pure_async { iters = rounds }));
+    ("B pure-sync", starve_b (Scenario.Pure_sync { rounds }));
+    ("B pure-async", starve_b (Scenario.Pure_async { iters = rounds }));
   ]
 
 let e12_pinned =

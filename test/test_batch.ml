@@ -260,6 +260,47 @@ let test_ew_quadratic () =
     true
     (ratio >= 8. && ratio <= 40.)
 
+(* A poisoner under EW runs EW on its chosen input: the party's own
+   sends are EW values and reports, never ΠAA traffic. *)
+let test_ew_poisoner_runs_ew () =
+  let sends = ref [] in
+  let far = Vec.of_list [ 50.; -50. ] in
+  ignore
+    (Runner.run
+       ~tracer:(function
+         | Engine.Sent { src = 3; msg; _ } -> sends := msg :: !sends
+         | _ -> ())
+       (scenario ~protocol:Scenario.Ew
+          ~corruptions:[ (3, Behavior.Honest_with_input far) ]
+          ~name:"ew poison" ~n:8 ~ts:2 ~ta:1 ~d:2 ()));
+  Alcotest.(check bool) "the poisoner broadcasts its input as an EW value"
+    true
+    (List.exists
+       (function
+         | Message.Ew_value { iter = 1; value } -> Vec.equal_exact value far
+         | _ -> false)
+       !sends);
+  Alcotest.(check bool) "and sends nothing but EW values and reports" true
+    (List.for_all
+       (function Message.Ew_value _ | Message.Ew_report _ -> true | _ -> false)
+       !sends)
+
+(* Every other behaviour is ΠAA code, whose messages EW drops: the
+   scenario cannot be built. *)
+let test_ew_rejects_equivocator () =
+  let v = Vec.of_list [ 0.; 0. ] in
+  match
+    scenario ~protocol:Scenario.Ew
+      ~corruptions:[ (3, Behavior.Equivocate (v, v)) ]
+      ~name:"ew equivocator" ~n:8 ~ts:2 ~ta:1 ~d:2 ()
+  with
+  | _ -> Alcotest.fail "an equivocator under EW was accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) ("names the behaviour: " ^ msg) true
+        (List.exists
+           (String.starts_with ~prefix:"equivocate")
+           (String.split_on_char ' ' msg))
+
 let () =
   Alcotest.run "batch"
     [
@@ -285,5 +326,8 @@ let () =
             test_ew_silent_corruption;
           Alcotest.test_case "quadratic message scaling" `Quick
             test_ew_quadratic;
+          Alcotest.test_case "poisoner runs EW" `Quick test_ew_poisoner_runs_ew;
+          Alcotest.test_case "equivocator rejected" `Quick
+            test_ew_rejects_equivocator;
         ] );
     ]

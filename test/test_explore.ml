@@ -259,8 +259,8 @@ let ew_equivocation_run ~defence =
     List.map
       (fun i ->
         ( i,
-          Ew_aa.attach ~equivocation_defence:defence ~n ~t:1 ~iters:1 ~me:i
-            engine ))
+          Ew_aa.attach_endpoint ~channel:(Ew_aa.Direct { defence }) ~t:1
+            ~iters:1 (Engine.endpoint engine ~me:i) ))
       honest
   in
   Engine.set_party engine 3 (fun _ -> ());
@@ -310,14 +310,16 @@ let test_ew_equivocation_defence_completes () =
   | [] -> Alcotest.fail "no outputs"
 
 (* The defence must not change the legacy wire behaviour when off: an
-   honest EW scenario produces byte-identical results either way (the
-   default is off; this pins that the new message type stays silent). *)
+   honest EW scenario produces byte-identical results either way (this
+   pins that the echo message type stays silent). *)
 let test_ew_defence_off_is_legacy () =
   let run () =
     let n = 4 in
     let engine = Engine.create ~n ~policy:(Network.lockstep ~delta:4) () in
     let parties =
-      List.init n (fun i -> Ew_aa.attach ~n ~t:1 ~iters:2 ~me:i engine)
+      List.init n (fun i ->
+          Ew_aa.attach_endpoint ~channel:(Ew_aa.Direct { defence = false })
+            ~t:1 ~iters:2 (Engine.endpoint engine ~me:i))
     in
     List.iteri
       (fun i p -> Ew_aa.start p (Vec.of_list [ float_of_int i ]))
@@ -623,6 +625,46 @@ let test_soak_rows_replay () =
        }
        1)
 
+(* A soak journal row a SIGKILL tore before its "." sentinel is skipped
+   and counted, as soak's --resume drops it; any other malformed row — a
+   bad %-escape — still refuses the whole file. *)
+let test_torn_journal_rows () =
+  let path = Filename.temp_file "soak" ".journal" in
+  let torn = path ^ ".torn" and bad = path ^ ".bad" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path; torn; bad ])
+    (fun () ->
+      ignore
+        (Soak.execute ~journal:path
+           {
+             Soak.default with
+             Soak.cases = 2;
+             seed = 3L;
+             protocol =
+               Scenario.Maaa
+                 { Party.default_opts with mutant = Some Party.Premature_output };
+           });
+      let lines = In_channel.with_open_text path In_channel.input_lines in
+      let header, rows = (List.hd lines, List.tl lines) in
+      let write p ls = Out_channel.with_open_text p (fun oc -> output_string oc (String.concat "\n" ls)) in
+      (* the last row cut mid-field, with no newline after it *)
+      let cut l = String.sub l 0 (String.length l - 5) in
+      write torn (header :: List.mapi (fun i l -> if i = List.length rows - 1 then cut l else l) rows);
+      (match Explore.replay_file ~path:torn with
+      | Error e -> Alcotest.failf "torn journal refused: %s" e
+      | Ok r ->
+          Alcotest.(check int) "torn row skipped" 1 r.Explore.rp_skipped;
+          Alcotest.(check int) "the whole rows replay" (List.length rows - 1)
+            r.Explore.rp_total;
+          Alcotest.(check (list string)) "and reproduce" [] r.Explore.rp_failures);
+      let escape l = String.sub l 0 (String.length l - 1) ^ "x=%zz\t." in
+      write bad (header :: List.mapi (fun i l -> if i = 0 then escape l else l) rows);
+      match Explore.replay_file ~path:bad with
+      | Ok _ -> Alcotest.fail "a bad %-escape was accepted"
+      | Error e ->
+          Alcotest.(check string) "one-line error" "line 2: bad %-escape in \"%zz\"" e)
+
 let () =
   Alcotest.run "explore"
     [
@@ -677,5 +719,7 @@ let () =
             `Quick test_explorer_quarantine_reference_layer;
           Alcotest.test_case "soak row replays through explore" `Slow
             test_soak_rows_replay;
+          Alcotest.test_case "torn journal row skipped" `Quick
+            test_torn_journal_rows;
         ] );
     ]

@@ -304,17 +304,20 @@ let test_broadcast_accounts_like_sends () =
       ("obc report", Message.Obc_report { iter = 1; pairs = [ (0, v); (2, v) ] });
     ]
 
-(* --- Baseline runner corruption plumbing --- *)
+(* --- Baseline corruption plumbing --- *)
 
 let test_baseline_runner_mute_excluded () =
   let inputs = List.init 4 (fun i -> Vec.of_list [ float_of_int i; 0. ]) in
   let r =
-    Baseline_runner.run_sync_baseline ~n:4 ~t:1 ~rounds:2 ~delta:10 ~eps:10.
-      ~inputs
-      ~corruptions:[ (3, Baseline_runner.Mute) ]
-      ()
+    Runner.run
+      (Scenario.make
+         ~cfg:(Config.make_exn ~n:4 ~ts:1 ~ta:0 ~d:2 ~eps:10. ~delta:10)
+         ~inputs
+         ~corruptions:[ (3, Behavior.Silent) ]
+         ~protocol:(Scenario.Pure_sync { rounds = 2 })
+         ())
   in
-  Alcotest.(check int) "3 honest outputs" 3 (List.length r.Baseline_runner.outputs)
+  Alcotest.(check int) "3 honest outputs" 3 (List.length r.Runner.outputs)
 
 let () =
   Alcotest.run "harness"
