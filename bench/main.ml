@@ -135,7 +135,7 @@ let b3_lp =
 
 let b4_hull =
   Test.make ~name:"B4 convex hull 2-D (100 pts)"
-    (Staged.stage (fun () -> ignore (Hull2d.hull pts_2d_100)))
+    (Staged.stage (fun () -> ignore (Polygon.of_points pts_2d_100)))
 
 (* B5: the hot path this PR targets. The seed line rebuilds the constraint
    system and redoes phase 1 for each of the ~2·(D+24) support queries of

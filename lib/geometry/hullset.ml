@@ -61,7 +61,6 @@ let of_arrays hulls =
   }
 
 let make hulls = of_arrays (Array.of_list (List.map Array.of_list hulls))
-let dim t = t.dim
 
 (* Shared constraint system: one convex-combination weight per generator
    point, each hull's weights sum to 1, and all hulls describe the same

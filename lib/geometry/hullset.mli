@@ -18,8 +18,6 @@ val of_arrays : Vec.t array array -> t
     arrays without copying, so they must not be mutated afterwards.
     Validation as in {!make}. *)
 
-val dim : t -> int
-
 val find_point : ?eps:float -> t -> Vec.t option
 (** Some point of [K], or [None] when [K = ∅]. *)
 

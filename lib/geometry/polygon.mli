@@ -14,7 +14,10 @@ type halfplane = { normal : Vec.t; offset : float }
     length so that tolerances are geometric distances. *)
 
 val of_points : Vec.t list -> t
-(** Convex hull of a non-empty list of 2-D points. *)
+(** Convex hull of a non-empty list of 2-D points (Andrew's monotone
+    chain). Points interior to an edge are dropped: collinear inputs give
+    their two extremes. @raise Invalid_argument on an empty list or
+    non-2-D points. *)
 
 val vertices : t -> Vec.t list
 (** Extreme points, CCW. *)

@@ -37,6 +37,14 @@ let yn b = if b then "yes" else "no"
 (* E1: Figure 1 / Theorem 3.1 — synchronous lower bound                *)
 (* ------------------------------------------------------------------ *)
 
+(* The region a party holding corner [d] is forced into: every candidate
+   honest hull convex({e_j : j <> i}) for a corrupted group i <> d. *)
+let forced_region corners d =
+  List.init (List.length corners) Fun.id
+  |> List.filter (fun i -> i <> d)
+  |> List.map (fun i -> Polygon.of_points (List.filteri (fun j _ -> j <> i) corners))
+  |> Polygon.inter_all
+
 let e1 () =
   header
     "E1  Figure 1 / Theorem 3.1: no sync D-AA at n = (D+1)*ts (D=2, ts=1)";
@@ -48,22 +56,7 @@ let e1 () =
   (* Party with input e_d cannot distinguish the scenarios in which any
      other group i is corrupted; its output must lie in every candidate
      honest hull convex({e_j : j <> i}). *)
-  let forced =
-    List.mapi
-      (fun d ed ->
-        let candidate_hulls =
-          List.concat
-            (List.mapi
-               (fun i _ ->
-                 if i = d then []
-                 else
-                   [ Polygon.of_points (List.filteri (fun j _ -> j <> i) corners) ])
-               corners)
-        in
-        let region = Polygon.inter_all candidate_hulls in
-        (d, ed, region))
-      corners
-  in
+  let forced = List.mapi (fun d ed -> (d, ed, forced_region corners d)) corners in
   let rows =
     List.map
       (fun (d, ed, region) ->
@@ -155,16 +148,7 @@ let e2 () =
   let all_ok = ref true in
   List.iteri
     (fun d ed ->
-      let candidate_hulls =
-        List.concat
-          (List.mapi
-             (fun i _ ->
-               if i = d then []
-               else
-                 [ Polygon.of_points (List.filteri (fun j _ -> j <> i) corners) ])
-             corners)
-      in
-      match Polygon.inter_all candidate_hulls with
+      match forced_region corners d with
       | Some r when Polygon.diameter r <= 1e-9 && Polygon.contains r ed -> ()
       | _ -> all_ok := false)
     corners;

@@ -86,8 +86,17 @@ let midpoint_value area =
   let a, b = diameter_pair area in
   Vec.midpoint a b
 
-let new_value ~t vs = Option.map midpoint_value (compute ~t vs)
-let new_value_arr ~t vs = Option.map midpoint_value (compute_arr ~t vs)
+(* Rank 0: the safe area of one repeated point is that point, at every D,
+   so no kernel runs once the arguments are valid (invalid ones raise in
+   [compute_arr]). [midpoint p p] is what the D ≤ 2 arms return, also where
+   [p + p] overflows; 0. and -0. differ here, as those arms may keep either. *)
+let new_value_arr ~t vs =
+  let m = Array.length vs in
+  if m > 0 && t >= 0 && t < m && Array.for_all (Vec.same_bits vs.(0)) vs then
+    Some (Vec.midpoint vs.(0) vs.(0))
+  else Option.map midpoint_value (compute_arr ~t vs)
+
+let new_value ~t vs = new_value_arr ~t (Array.of_list vs)
 
 let interior_point = function
   | Interval { lo; hi } -> Vec.of_list [ (lo +. hi) /. 2. ]

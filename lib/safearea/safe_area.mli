@@ -49,7 +49,10 @@ val midpoint_value : t -> Vec.t
 
 val new_value : t:int -> Vec.t list -> Vec.t option
 (** [new_value ~t vs = Option.map midpoint_value (compute ~t vs)]:
-    the complete "trim and average" step of one iteration. *)
+    the complete "trim and average" step of one iteration. When every
+    value of [vs] has the same bits, the result is [Some (midpoint p p)]
+    for that value [p] and no kernel runs, so {!Restrict.max_subsets}
+    does not apply; the other checks of {!compute} still raise. *)
 
 val new_value_arr : t:int -> Vec.t array -> Vec.t option
 (** Array-native {!new_value}, over {!compute_arr}. *)

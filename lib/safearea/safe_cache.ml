@@ -58,8 +58,3 @@ let new_value_arr cache ~t vs =
       let r = Safe_area.new_value_arr ~t vs in
       H.add cache.tbl key r;
       r
-
-let reset t =
-  H.reset t.tbl;
-  t.hits <- 0;
-  t.misses <- 0

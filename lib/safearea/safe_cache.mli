@@ -20,8 +20,6 @@ val new_value_arr : t -> t:int -> Vec.t array -> Vec.t option
 (** Same contract as {!Safe_area.new_value_arr}; the multiset is
     canonicalised, so permutations of one multiset hit one entry. *)
 
-val reset : t -> unit
-
 (* -- lookup accounting (surfaced in Runner.result) -- *)
 
 val hits : t -> int

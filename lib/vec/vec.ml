@@ -74,16 +74,20 @@ let compare (u : t) (v : t) =
   let c = Stdlib.compare (Array.length u) (Array.length v) in
   if c <> 0 then c else compare_from u v 0
 
-let equal ?(eps = 1e-9) u v =
-  Array.length u = Array.length v
-  && Array.for_all2 (fun a b -> Float.abs (a -. b) <= eps) u v
-
 let rec equal_from (u : t) (v : t) i =
   i = Array.length u
   || (Float.compare u.(i) v.(i) = 0 && equal_from u v (i + 1))
 
 let equal_exact (u : t) (v : t) =
   Array.length u = Array.length v && equal_from u v 0
+
+let rec same_bits_from (u : t) (v : t) i =
+  i = Array.length u
+  || Int64.bits_of_float u.(i) = Int64.bits_of_float v.(i)
+     && same_bits_from u v (i + 1)
+
+let same_bits (u : t) (v : t) =
+  Array.length u = Array.length v && same_bits_from u v 0
 
 (* Bit-level FNV-style hash. Every NaN is folded to one canonical word so
    the hash agrees with [equal_exact] (Float.compare puts all NaNs in one

@@ -62,14 +62,14 @@ val compare : t -> t -> int
 (** Total lexicographic order on [R^D], used for the deterministic
     tie-breaking the protocol relies on. Shorter vectors come first. *)
 
-val equal : ?eps:float -> t -> t -> bool
-(** Coordinate-wise equality up to [eps] (default [1e-9]). *)
-
 val equal_exact : t -> t -> bool
 (** [equal_exact u v] iff [compare u v = 0]: same dimension and every
     coordinate equal under [Float.compare] (so NaNs compare equal to NaNs,
     and [0.] = [-0.]). The exact-identity relation the message-layer
     interning uses — no tolerance. *)
+
+val same_bits : t -> t -> bool
+(** Bitwise equality: as {!equal_exact}, but [0.] and [-0.] differ. *)
 
 val hash : t -> int
 (** A structural hash of the coordinate bits, consistent with

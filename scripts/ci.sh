@@ -15,6 +15,18 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+echo "== lib/ size gate (.ml + .mli lines) =="
+# lib/ should shrink, not grow: the ceiling is the count when the gate
+# went in, lowered as lib/ shrinks. A change that raises it says why in
+# CHANGES.md.
+lib_ceiling=15558
+lib_lines=$(find lib \( -name '*.ml' -o -name '*.mli' \) -type f -exec cat {} + | wc -l)
+echo "lib/: $lib_lines lines (ceiling $lib_ceiling)"
+if [ "$lib_lines" -gt "$lib_ceiling" ]; then
+  echo "ci: lib/ has $lib_lines lines, above the ceiling $lib_ceiling" >&2
+  exit 1
+fi
+
 echo "== determinism gate: committed experiment report and soak (2 worker domains) =="
 # the full report and the 500-case seed-7 soak must regenerate byte for
 # byte: a change to the RNG streams or to the engine's event order shows
