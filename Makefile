@@ -110,7 +110,8 @@ serve-smoke:
 
 # The agreement front door: a line-oriented TCP service that batches
 # client agreement requests per connection and runs each on its own
-# engine over the worker-domain pool (protocol in lib/harness/serve.mli).
+# engine, over --domains N worker domains (protocol in
+# lib/harness/serve.mli).
 # --port 0 binds an ephemeral port and prints "listening <port>".
 serve:
 	dune exec bin/serve_main.exe -- --port 7171

@@ -32,15 +32,14 @@ let () =
     | a :: rest -> parse domains (a :: ids) rest
   in
   let domains, ids = parse default_domains [] (List.tl (Array.to_list Sys.argv)) in
-  Experiments.set_domains domains;
   let ok =
     match ids with
-    | [] -> Experiments.run_all ()
+    | [] -> Experiments.run_all ~domains
     | ids ->
         List.for_all
           (fun id ->
             match Experiments.find_opt (String.lowercase_ascii id) with
-            | Some run -> run ()
+            | Some run -> run ~domains
             | None ->
                 prerr_endline
                   ("unknown experiment '" ^ id ^ "'; known: e1 .. e16");

@@ -1,9 +1,14 @@
 (* Agreement front-door daemon.
    Usage: serve.exe [--port N] [--host ADDR] [--domains N] [--max-conns N]
+                    [--throughput-smoke N]
    Listens for line-oriented agreement requests (protocol in
-   lib/harness/serve.mli) and runs each connection's batch over the
-   worker-domain pool, one engine per request. --port 0 binds an ephemeral port; the bound
-   port is printed as "listening <port>" so scripts can handshake.
+   lib/harness/serve.mli) and runs each connection's batch over N worker
+   domains (default 1, in the accepting domain; with N > 1 each
+   connection spawns and joins its own workers), one engine per request.
+   --port 0 binds an ephemeral port; the bound port is printed as
+   "listening <port>" so scripts can handshake. --throughput-smoke N
+   pushes N requests through the batch core over --domains workers and
+   prints requests/sec, without sockets.
    All argument errors are one line on stderr and exit code 2. *)
 
 let die fmt =

@@ -1,16 +1,14 @@
 (* Each experiment prints a report and returns whether all its checks
    passed. Seeds are fixed: reports are reproducible bit for bit.
 
-   Independent scenario batches go through [run_batch] below, which fans
-   them out to [domains] worker domains. Reports stay byte-identical for
-   any domain count because (a) scenarios are constructed — and any
-   shared input-generation Rng is consumed — before submission, (b)
-   Runner.run owns all its mutable state and never prints, and (c) all
-   formatting happens after the join, from the ordered result list. *)
-
-let domains = ref 1
-let set_domains n = domains := max 1 n
-let run_batch scenarios = Runner.run_batch ~domains:!domains scenarios
+   Independent scenario batches go through [Runner.run_batch ~domains],
+   which fans them out to [domains] worker domains; each experiment that
+   runs a batch takes the count as its [~domains] argument. Reports stay
+   byte-identical for any domain count because (a) scenarios are
+   constructed — and any shared input-generation Rng is consumed —
+   before submission, (b) Runner.run owns all its mutable state and
+   never prints, and (c) all formatting happens after the join, from the
+   ordered result list. *)
 
 let check ok msg failures =
   if not ok then failures := msg :: !failures;
@@ -45,7 +43,7 @@ let forced_region corners d =
   |> List.map (fun i -> Polygon.of_points (List.filteri (fun j _ -> j <> i) corners))
   |> Polygon.inter_all
 
-let e1 () =
+let e1 ~domains =
   header
     "E1  Figure 1 / Theorem 3.1: no sync D-AA at n = (D+1)*ts (D=2, ts=1)";
   let failures = ref [] in
@@ -103,7 +101,7 @@ let e1 () =
   let inputs = corners @ [ Vec.of_list [ 0.3; 0.3 ] ] in
   let corrupts = [ 0; 1; 2 ] in
   let results =
-    run_batch
+    Runner.run_batch ~domains
       (List.map
          (fun corrupt ->
            Scenario.make ~name:"e1-control" ~cfg ~inputs
@@ -571,7 +569,7 @@ let e6 () =
 (* E7: Lemma 5.15 — contraction factor sqrt(7/8)                       *)
 (* ------------------------------------------------------------------ *)
 
-let e7 () =
+let e7 ~domains =
   header "E7  Lemma 5.15: per-iteration contraction <= sqrt(7/8) = 0.9354";
   let failures = ref [] in
 
@@ -763,7 +761,7 @@ let e7 () =
           f3 Params.conv_factor;
           yn (ratios = [] || worst <= Params.conv_factor +. 1e-6);
         ])
-      (run_batch cases)
+      (Runner.run_batch ~domains cases)
   in
   Table.print
     ~header:[ "case"; "iterations"; "max ratio"; "bound"; "ok" ]
@@ -858,9 +856,9 @@ let e8 () =
 (* E9 / E10: Theorem 5.19 end-to-end sweeps                            *)
 (* ------------------------------------------------------------------ *)
 
-let sweep_rows failures cases =
+let sweep_rows ~domains failures cases =
   let results =
-    run_batch
+    Runner.run_batch ~domains
       (List.map
          (fun (name, cfg, policy, sync, corruptions, inputs, seed) ->
            Scenario.make ~name ~seed ~cfg ~policy ~sync_network:sync
@@ -891,7 +889,7 @@ let table_sweep rows =
 let poison d scale =
   Behavior.Honest_with_input (Vec.scale scale (Vec.make d 1.))
 
-let e9 () =
+let e9 ~domains =
   header "E9  Theorem 5.19 (synchronous, ts corruptions)";
   let failures = ref [] in
   let mk n ts ta d eps = Config.make_exn ~n ~ts ~ta ~d ~eps ~delta:10 in
@@ -931,10 +929,10 @@ let e9 () =
          Inputs.uniform_cube rng ~d:2 ~n:11 ~side:5., 6L ));
     ]
   in
-  table_sweep (sweep_rows failures cases);
+  table_sweep (sweep_rows ~domains failures cases);
   verdict failures
 
-let e10 () =
+let e10 ~domains =
   header "E10  Theorem 5.19 (asynchronous, ta corruptions)";
   let failures = ref [] in
   let mk n ts ta d eps = Config.make_exn ~n ~ts ~ta ~d ~eps ~delta:10 in
@@ -963,7 +961,7 @@ let e10 () =
          Inputs.uniform_cube rng ~d:3 ~n:6 ~side:6., 4L ));
     ]
   in
-  table_sweep (sweep_rows failures cases);
+  table_sweep (sweep_rows ~domains failures cases);
 
   (* Statistical widening: one adversarial case replayed over six engine
      seeds (Scenario.replicate), so the claim rests on a distribution of
@@ -981,7 +979,7 @@ let e10 () =
       ()
   in
   let reps =
-    run_batch
+    Runner.run_batch ~domains
       (Scenario.replicate ~seeds:[ 1L; 2L; 3L; 4L; 5L; 6L ] rep_base)
   in
   let all_ok =
@@ -1088,7 +1086,7 @@ let e11 () =
 (* E12: comparison with the pure-sync and pure-async baselines          *)
 (* ------------------------------------------------------------------ *)
 
-let e12 () =
+let e12 ~domains =
   header "E12  Hybrid vs pure-synchronous vs pure-asynchronous";
   let failures = ref [] in
   let n = 8 and d = 2 and delta = 10 and eps = 0.05 in
@@ -1103,7 +1101,7 @@ let e12 () =
   (* the three protocols of one setting, in table order *)
   let setting ~policy ~sync_network ~corruptions =
     match
-      run_batch
+      Runner.run_batch ~domains
         (List.map
            (fun (name, protocol) ->
              Scenario.make ~name ~cfg ~inputs ~policy ~sync_network
@@ -1196,7 +1194,7 @@ let e12 () =
 (* E13: scaling of the iteration estimate T with eps                   *)
 (* ------------------------------------------------------------------ *)
 
-let e13 () =
+let e13 ~domains =
   header "E13  Iteration estimate: T scales as log_{sqrt(7/8)}(eps / diam)";
   let failures = ref [] in
   (* One poisoned party keeps delta_max(I_e) large and fixed while eps
@@ -1215,7 +1213,7 @@ let e13 () =
   in
   let eps_points = [ 1e-1; 1e-2; 1e-3; 1e-4 ] in
   let results =
-    run_batch
+    Runner.run_batch ~domains
       (List.map
          (fun eps ->
            let cfg = Config.make_exn ~n:8 ~ts:2 ~ta:1 ~d:2 ~eps ~delta:10 in
@@ -1364,7 +1362,7 @@ let e14 () =
 (* E15: scalability sweep                                              *)
 (* ------------------------------------------------------------------ *)
 
-let e15 () =
+let e15 ~domains =
   header "E15  Scalability: cost vs n and vs D";
   let failures = ref [] in
   (* Sweep n at D = 2 with a proportional adversary, random synchronous
@@ -1382,7 +1380,7 @@ let e15 () =
         let cfg = Config.make_exn ~n ~ts ~ta ~d:2 ~eps:0.05 ~delta:10 in
         let seeds = [ 1; 2; 3 ] in
         let runs =
-          run_batch
+          Runner.run_batch ~domains
             (List.map
                (fun seed ->
                  let rng = Rng.create (Int64.of_int (seed * 31)) in
@@ -1450,7 +1448,7 @@ let e15 () =
   print_endline "Sweep over D (n = 10, ts = 2, ta = 1, lockstep, honest):";
   let dims = [ 1; 2; 3 ] in
   let results_d =
-    run_batch
+    Runner.run_batch ~domains
       (List.map
          (fun d ->
            let cfg = Config.make_exn ~n:10 ~ts:2 ~ta:1 ~d ~eps:0.05 ~delta:10 in
@@ -1497,9 +1495,11 @@ let e15 () =
       ~protocol:(Scenario.Maaa { Party.default_opts with layer })
       ~policy:(Network.lockstep ~delta:10) ()
   in
-  let ref_runs = run_batch (List.map (scen_layer Party.Interned) batched_ns) in
+  let ref_runs =
+    Runner.run_batch ~domains (List.map (scen_layer Party.Interned) batched_ns)
+  in
   let bat_runs =
-    run_batch (List.map (scen_layer Party.Batched) batched_ns)
+    Runner.run_batch ~domains (List.map (scen_layer Party.Batched) batched_ns)
   in
   let reductions = ref [] in
   let rows_b =
@@ -1542,7 +1542,7 @@ let e15 () =
   print_endline "EW quadratic protocol (D = 2, ta = 1, lockstep, honest):";
   let ew_ns = [ 8; 16; 32 ] in
   let ew_runs =
-    run_batch
+    Runner.run_batch ~domains
       (List.map
          (fun n ->
            let cfg =
@@ -1593,7 +1593,7 @@ let e15 () =
 (* E16: what the Pi_init estimation round buys                         *)
 (* ------------------------------------------------------------------ *)
 
-let e16 () =
+let e16 ~domains =
   header "E16  Ablation: Pi_init vs the known-input-bounds variant";
   let failures = ref [] in
   let cfg = Config.make_exn ~n:8 ~ts:2 ~ta:1 ~d:2 ~eps:0.05 ~delta:10 in
@@ -1654,7 +1654,7 @@ let e16 () =
     List.fold_left
       (fun acc r -> Float.max acc r.Runner.diameter)
       0.
-      (run_batch
+      (Runner.run_batch ~domains
          (List.map
             (fun seed ->
               fixed ~tt:1 ~policy:(Network.async_heavy_tail ~base:60) ~seed)
@@ -1668,7 +1668,7 @@ let e16 () =
            (rp.Runner.live && rp.Runner.valid && rp.Runner.agreement)
            "paper variant failed under heavy tail" failures);
       worst_paper := Float.max !worst_paper rp.Runner.diameter)
-    (run_batch
+    (Runner.run_batch ~domains
        (List.map
           (fun seed ->
             Scenario.make ~name:"e16a" ~seed ~cfg ~inputs ~sync_network:false
@@ -1697,22 +1697,25 @@ let e16 () =
 
 (* ------------------------------------------------------------------ *)
 
+(* an experiment that runs no scenario batch ignores the domain count *)
+let seq f ~domains:_ = f ()
+
 let all =
   [
     ("e1", "Figure 1 / Theorem 3.1 lower bound", e1);
-    ("e2", "Theorem 3.2 async lower bound", e2);
-    ("e3", "Figure 2 safe-area worked example", e3_run);
-    ("e4", "Theorem 4.2 reliable broadcast", e4);
-    ("e5", "Theorem 4.4 overlap broadcast", e5);
-    ("e6", "Lemmas 5.5-5.8 safe-area invariants", e6);
+    ("e2", "Theorem 3.2 async lower bound", seq e2);
+    ("e3", "Figure 2 safe-area worked example", seq e3_run);
+    ("e4", "Theorem 4.2 reliable broadcast", seq e4);
+    ("e5", "Theorem 4.4 overlap broadcast", seq e5);
+    ("e6", "Lemmas 5.5-5.8 safe-area invariants", seq e6);
     ("e7", "Lemma 5.15 contraction", e7);
-    ("e8", "Theorem 5.18 Pi_init", e8);
+    ("e8", "Theorem 5.18 Pi_init", seq e8);
     ("e9", "Theorem 5.19 sync end-to-end", e9);
     ("e10", "Theorem 5.19 async end-to-end", e10);
-    ("e11", "Resilience boundary", e11);
+    ("e11", "Resilience boundary", seq e11);
     ("e12", "Baseline comparison", e12);
     ("e13", "Iteration-estimate scaling", e13);
-    ("e14", "Message-complexity breakdown", e14);
+    ("e14", "Message-complexity breakdown", seq e14);
     ("e15", "Scalability sweep", e15);
     ("e16", "Pi_init ablation", e16);
   ]
@@ -1721,13 +1724,8 @@ let find_opt id =
   List.find_opt (fun (i, _, _) -> i = id) all
   |> Option.map (fun (_, _, f) -> f)
 
-let run_one id =
-  match find_opt id with
-  | Some f -> f ()
-  | None -> raise Not_found
-
-let run_all () =
-  let results = List.map (fun (id, _, f) -> (id, f ())) all in
+let run_all ~domains =
+  let results = List.map (fun (id, _, f) -> (id, f ~domains)) all in
   print_newline ();
   print_endline "=== SUMMARY ===";
   List.iter

@@ -4,23 +4,17 @@
     [true] when every checked property held. [EXPERIMENTS.md] records the
     reference output. *)
 
-val set_domains : int -> unit
-(** Worker-domain count for the independent scenario batches inside the
-    experiments (they go through {!Runner.run_batch}). Default [1]
-    (sequential). Reports are byte-identical for any value — scenarios are
-    built before submission, results are joined back into submission
-    order, and all printing happens after the join. *)
+val all : (string * string * (domains:int -> bool)) list
+(** [(id, title, run)] for e1 … e16, in order. [run ~domains] fans the
+    experiment's independent scenario batches out to [domains] worker
+    domains ({!Runner.run_batch}). Reports are byte-identical for any
+    value — scenarios are built before submission, results are joined
+    back into submission order, and all printing happens after the
+    join. *)
 
-val all : (string * string * (unit -> bool)) list
-(** [(id, title, run)] for e1 … e16, in order. *)
-
-val find_opt : string -> (unit -> bool) option
+val find_opt : string -> (domains:int -> bool) option
 (** The runner for the experiment with the given id ([e1] … [e16]), or
     [None] for an unknown id. *)
 
-val run_one : string -> bool
-(** Runs the experiment with the given id ([e1] … [e16]).
-    @raise Not_found for an unknown id (prefer {!find_opt}). *)
-
-val run_all : unit -> bool
+val run_all : domains:int -> bool
 (** Runs every experiment; [true] iff all passed. *)

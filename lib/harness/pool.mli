@@ -1,74 +1,44 @@
-(** A fixed-size pool of worker domains for embarrassingly parallel
-    scenario sweeps (stdlib [Domain]/[Mutex]/[Condition] only).
+(** The domain scheduler for embarrassingly parallel sweeps (stdlib
+    only). It adds no randomness: as long as every job owns its mutable
+    state (the harness gives each scenario its own {!Engine.t}, {!Rng.t}
+    and LP workspaces) and nothing prints from inside a job, the outcomes
+    of [map] are bit-identical for any domain count. *)
 
-    Determinism: the pool adds no randomness of its own. As long as every
-    job owns its mutable state (the harness gives each scenario its own
-    {!Engine.t}, {!Rng.t} and LP workspaces) and nothing prints from
-    inside a job, [map pool f xs] is bit-identical to [List.map f xs] for
-    any pool size — only wall-clock interleaving changes. *)
+type 'b outcome =
+  | Done of 'b
+  | Crashed of {
+      attempts : int;  (** [max_retries + 1]: every try raised *)
+      exn : exn;  (** the final try's exception *)
+      backtrace : Printexc.raw_backtrace;
+    }
 
-type t
+val map :
+  domains:int ->
+  ?max_retries:int ->
+  ?on_done:(int -> 'b outcome -> unit) ->
+  ('a -> 'b) ->
+  'a list ->
+  'b outcome list
+(** [map ~domains job xs] runs [job] over [xs] on [min domains n] worker
+    domains, which claim items from one shared counter, and returns one
+    outcome per item in submission order. A job that raises is retried in
+    place up to [max_retries] times (default [0]), then reported as
+    [Crashed]; its siblings are unaffected. OCaml 5 delivers
+    [Out_of_memory] and [Stack_overflow] to the job's own handler, so
+    fatal errors are caught the same way. With one domain or at most one
+    item the jobs run in the calling domain and nothing is spawned.
 
-val create : ?domains:int -> unit -> t
-(** Spawns [domains] worker domains (default
-    [Domain.recommended_domain_count ()], clamped to ≥ 1). *)
+    [on_done], if given, runs in the {e calling} domain once per item as
+    its outcome becomes final (completion order, not submission order):
+    the hook for journaling progress to disk. Every spawned domain is
+    joined before [map] returns. *)
 
-val size : t -> int
-(** Number of worker domains. *)
+val get : 'b outcome -> 'b
+(** The value of a [Done] outcome; a [Crashed] one re-raises its
+    exception with its backtrace. [List.map get (map ...)] therefore
+    raises the lowest-indexed failure, after every job has run. *)
 
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Fans the list out to the pool as one job per {e contiguous chunk} of
-    ⌈length/size⌉ items (one chunk per worker) and blocks until every
-    element is done; results come back in submission order. If jobs
-    raise, every job still runs to completion and the exception of the
-    {e lowest-indexed} failing element is re-raised (with its backtrace);
-    the pool stays usable. *)
-
-val submit : t -> (unit -> unit) -> unit
-(** Low-level enqueue of one fire-and-forget job.
-    @raise Invalid_argument after {!shutdown}. *)
-
-val shutdown : t -> unit
-(** Lets queued jobs drain, then stops and joins every worker.
-    Idempotent. *)
-
-val with_pool : ?domains:int -> (t -> 'b) -> 'b
-(** [create], run, then [shutdown] (also on exceptions). *)
-
-(** Crash-tolerant sweeps. Where {!map} captures job exceptions in-slot,
-    [Supervised.map] treats {e any} exception escaping a job — including
-    fatal ones like [Out_of_memory] — as the death of its worker domain:
-    the worker exits, the supervising (calling) domain joins it, spawns a
-    replacement and requeues the in-flight item with a bounded retry
-    count, so the sweep degrades gracefully instead of dying. *)
-module Supervised : sig
-  type 'b outcome =
-    | Done of 'b
-    | Crashed of { attempts : int; last_error : string }
-        (** the item crashed its worker on every one of [attempts]
-            ([= max_retries + 1]) tries; [last_error] is the final
-            exception, printed *)
-
-  val map :
-    ?domains:int ->
-    ?max_retries:int ->
-    ?on_done:(int -> 'b outcome -> unit) ->
-    ('a -> 'b) ->
-    'a list ->
-    'b outcome list
-  (** Runs [job] over the list on [domains] worker domains (default
-      [Domain.recommended_domain_count ()], capped at the item count) and
-      returns one outcome per item in submission order. A job exception
-      kills its worker; the item is requeued up to [max_retries] times
-      (default [1]) onto a freshly spawned replacement, then reported as
-      [Crashed]. [on_done] — if given — is invoked in the {e calling}
-      domain, without any pool lock held, once per item as its outcome
-      becomes final (completion order, not submission order): the hook for
-      journaling incremental progress to disk. Every spawned domain is
-      joined before [map] returns, crash or no crash. *)
-
-  val active_domains : unit -> int
-  (** Domains spawned by [Supervised.map] and not yet joined, across the
-      whole process — [0] whenever no supervised sweep is in flight (the
-      no-leaked-domains test probe). *)
-end
+val active_domains : unit -> int
+(** Domains spawned by [map] and not yet joined, across the whole
+    process: [0] whenever no sweep is in flight (the no-leaked-domains
+    test probe). *)

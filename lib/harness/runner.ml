@@ -340,17 +340,12 @@ let run ?(monitor = false) ?tracer ?on_engine
 (* Parallel sweeps. [run] touches no state outside its own scenario: the
    engine, its Rng, the traffic counters and every LP workspace (inside
    the parties' Hullsets) are created per call, and nothing in lib/ holds
-   top-level mutable state. So fanning scenarios out to a domain pool is
-   bit-identical to running them in sequence — the pool only changes
+   top-level mutable state. So fanning scenarios out over worker domains
+   is bit-identical to running them in sequence: [Pool.map] only changes
    wall-clock interleaving. [run] also never prints; experiment reports
    must be emitted from the ordered result list after the join. *)
 let run_batch ?(domains = 1) ?(monitor = false) scenarios =
-  let run s = run ~monitor s in
-  if domains <= 1 then List.map run scenarios
-  else
-    match scenarios with
-    | [] | [ _ ] -> List.map run scenarios
-    | _ -> Pool.with_pool ~domains (fun pool -> Pool.map pool run scenarios)
+  List.map Pool.get (Pool.map ~domains (fun s -> run ~monitor s) scenarios)
 
 (* I_it = the honest values adopted in iteration [it]; only iterations every
    honest party reached are meaningful for Lemma 5.15. *)

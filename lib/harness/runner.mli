@@ -142,12 +142,14 @@ val run :
     explorer installs an {!Engine.set_chooser} schedule strategy. *)
 
 val run_batch : ?domains:int -> ?monitor:bool -> Scenario.t list -> result list
-(** Runs the scenarios on a {!Pool} of [domains] worker domains (default
-    [1] = plain sequential [List.map run]) and returns the results in
-    submission order. Because every scenario owns its engine, RNG, LP
-    workspaces and monitor, the results are {e bit-identical} to the
-    sequential run for any [domains] — property-tested in [test_pool.ml]
-    and [test_chaos.ml]. *)
+(** Runs the scenarios over [domains] worker domains ({!Pool.map};
+    default [1] runs them in the calling domain) and returns the results
+    in submission order. If runs raise, every scenario still runs and the
+    exception of the lowest-indexed failing one is re-raised with its
+    backtrace. Because every scenario owns its engine, RNG, LP workspaces
+    and monitor, the results are {e bit-identical} to the sequential run
+    for any [domains] — property-tested in [test_pool.ml] and
+    [test_chaos.ml]. *)
 
 val contraction_ratios : result -> (int * float) list
 (** For each iteration [it ≥ 1] completed by {e all} honest parties, the

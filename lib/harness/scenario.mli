@@ -106,9 +106,6 @@ val honest : t -> int list
 (** Parties without a static corruption (adaptive chaos targets are still
     listed — they start the run honest). *)
 
-val chaos_corrupted : t -> int list
-(** Targets of the fault plan's adaptive corruptions, sorted. *)
-
 val graded_honest : t -> int list
 (** The parties the run's properties are graded against: honest {e and}
     never adaptively corrupted. Equals {!honest} when [chaos] is absent. *)

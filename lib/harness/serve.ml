@@ -49,7 +49,7 @@ let render_result (res : Runner.result) =
     Printf.sprintf "ok diameter=%.17g rounds=%.17g outputs=%s"
       res.Runner.diameter res.Runner.completion_rounds outputs
 
-let handle_batch ?pool lines =
+let handle_batch ?domains lines =
   let parsed =
     List.map
       (fun line ->
@@ -59,14 +59,9 @@ let handle_batch ?pool lines =
       lines
   in
   let scens = List.filter_map Result.to_option parsed in
-  (* every well-formed request runs on its own engine, spread over the
-     pool's workers when there is one *)
-  let results =
-    ref
-      (match pool with
-      | Some pool -> Pool.map pool Runner.run scens
-      | None -> List.map Runner.run scens)
-  in
+  (* every well-formed request runs on its own engine, spread over
+     [domains] workers when there are several *)
+  let results = ref (Runner.run_batch ?domains scens) in
   List.map
     (fun p ->
       match p with
@@ -88,11 +83,7 @@ let throughput_smoke ?(domains = 1) n =
           (i + 1))
   in
   let t0 = Unix.gettimeofday () in
-  let resps =
-    if domains > 1 then
-      Pool.with_pool ~domains (fun pool -> handle_batch ~pool lines)
-    else handle_batch lines
-  in
+  let resps = handle_batch ~domains lines in
   let dt = Unix.gettimeofday () -. t0 in
   List.iter
     (fun r ->
@@ -120,13 +111,7 @@ let serve ?(host = "127.0.0.1") ?(domains = 1) ?max_conns ?announce ~port () =
   let continue () =
     match max_conns with None -> true | Some m -> !conns < m
   in
-  (* the worker pool is created once and survives across connections —
-     per-request engine/pool construction was the serve-throughput wall *)
-  let pool = if domains > 1 then Some (Pool.create ~domains ()) else None in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close sock with _ -> ());
-      Option.iter Pool.shutdown pool)
+  Fun.protect ~finally:(fun () -> try Unix.close sock with _ -> ())
   @@ fun () ->
   while continue () do
     let fd, _ = Unix.accept sock in
@@ -143,7 +128,7 @@ let serve ?(host = "127.0.0.1") ?(domains = 1) ?max_conns ?announce ~port () =
          | exception End_of_file -> List.rev acc
        in
        let lines = read [] in
-       let resps = handle_batch ?pool lines in
+       let resps = handle_batch ~domains lines in
        List.iter
          (fun r ->
            output_string oc r;

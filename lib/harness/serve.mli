@@ -1,6 +1,6 @@
 (** The agreement front door: a line-oriented TCP service that accepts
     batches of client agreement requests and runs each on its own engine,
-    spread over the {!Pool} worker domains.
+    spread over worker domains ({!Runner.run_batch}).
 
     Protocol (one request per line, LF-terminated ASCII):
 
@@ -12,7 +12,7 @@
     optional, and any other key, or a key given twice, is an [err]
     naming it. [n] is the number of [;]-separated input vectors. A connection sends any number of
     request lines and half-closes (or sends an empty line); the server
-    runs the whole batch on the domain pool and answers with exactly one
+    runs the whole batch over its worker domains and answers with exactly one
     line per request, in order:
 
     {v ok diameter=<float> rounds=<float> outputs=<x,y;...> v}
@@ -43,13 +43,12 @@ val render_result : Runner.result -> string
 (** The reply line for one finished run: [ok ...] as above, or
     [err liveness failure ...] when no honest party output. *)
 
-val handle_batch : ?pool:Pool.t -> string list -> string list
+val handle_batch : ?domains:int -> string list -> string list
 (** Pure core of the service: one response line per request line, in
-    order. Every well-formed request runs on its own engine
-    ({!Runner.run}), over [pool]'s workers when given (the socket loop
-    hoists one pool across connections), else sequentially; the replies
-    are the same either way. Malformed requests answer [err ...] without
-    running anything. *)
+    order. Every well-formed request runs on its own engine, over
+    [domains] worker domains ({!Runner.run_batch}; default [1], in the
+    calling domain); the replies are the same for any [domains].
+    Malformed requests answer [err ...] without running anything. *)
 
 val throughput_smoke : ?domains:int -> int -> float
 (** Runs [n] canonical small agreement requests (n=4, D=1) through
@@ -67,5 +66,7 @@ val serve :
 (** Binds [host] (default 127.0.0.1) on [port] ([0] = ephemeral),
     reports the bound port through [announce] (default: prints
     ["listening <port>"] on stdout, flushed — the handshake scripts wait
-    for), then accepts connections sequentially, [handle_batch]-ing each.
-    Stops after [max_conns] connections (default: serve forever). *)
+    for), then accepts connections sequentially, [handle_batch]-ing each
+    over [domains] worker domains (default [1]; with more, each
+    connection spawns and joins its own workers). Stops after
+    [max_conns] connections (default: serve forever). *)

@@ -306,10 +306,10 @@ let run_case config ((idx, scen) as item : int * Scenario.t) : case_record =
            (Runner.termination_to_string t)
            r.Runner.stats.Engine.events_processed)
 
-(* A worker-domain crash (Out_of_memory-style fatal, retried
-   [config.retries] times by the supervised pool) is quarantined without
+(* A crashed case (any exception, Out_of_memory-style fatals included,
+   retried [config.retries] times by [Pool.map]) is quarantined without
    re-running anything — the repro "shrink" would risk crashing the
-   supervisor itself, so the unshrunk plan is the artifact. *)
+   calling domain itself, so the unshrunk plan is the artifact. *)
 let crashed_record config ((idx, scen) as item) ~attempts ~last_error =
   let plan = Option.value scen.Scenario.chaos ~default:[] in
   quarantined item
@@ -329,7 +329,7 @@ let crashed_record config ((idx, scen) as item) ~attempts ~last_error =
 
    Append-only checkpoint file in the case-file format ({!Case}): a header
    line binding the journal to the exact sweep configuration, then one
-   line per completed case, written and flushed by the supervising domain
+   line per completed case, written and flushed by the calling domain
    as each case's outcome becomes final. A clean case is an "ok" line
    with the aggregation fields only; a violating or quarantined case is a
    "case" line — replayable by [explore_main --replay] — with the same
@@ -543,16 +543,17 @@ let execute ?journal ?(resume = false) config =
     ~finally:(fun () -> Option.iter close_out oc)
     (fun () ->
       if Array.length remaining > 0 then begin
-        (* on_done runs in this (supervising) domain, case by case as the
-           pool finishes them — the journal records progress even if the
+        (* on_done runs in this (calling) domain, case by case as the
+           workers finish them — the journal records progress even if the
            process is killed mid-sweep. *)
         let on_done pos outcome =
           let ((idx, _) as item) = remaining.(pos) in
           let record =
             match outcome with
-            | Pool.Supervised.Done r -> r
-            | Pool.Supervised.Crashed { attempts; last_error } ->
-                crashed_record config item ~attempts ~last_error
+            | Pool.Done r -> r
+            | Pool.Crashed { attempts; exn; _ } ->
+                crashed_record config item ~attempts
+                  ~last_error:(Printexc.to_string exn)
           in
           Hashtbl.replace records_tbl idx record;
           match oc with
@@ -563,7 +564,7 @@ let execute ?journal ?(resume = false) config =
               flush oc
         in
         ignore
-          (Pool.Supervised.map ~domains:config.domains
+          (Pool.map ~domains:config.domains
              ~max_retries:config.retries ~on_done (run_case config)
              (Array.to_list remaining))
       end);

@@ -1,9 +1,9 @@
 (** Randomized chaos soak: thousands of seeded (scenario × fault-plan)
-    cases fanned across supervised worker domains, each watched by the
+    cases fanned across worker domains ({!Pool.map}), each watched by the
     online {!Monitor} and by a per-case watchdog (event budget + wall
     deadline), with deterministic counterexample shrinking on any
     violation and quarantine (plus shrunk repro) for any case the
-    watchdog had to abort or whose worker domain crashed.
+    watchdog had to abort or whose run crashed.
 
     Everything in the report is a pure function of {!config}: the case
     grid is generated up front from one RNG stream, per-case records are
@@ -22,8 +22,8 @@ type config = {
       (** per-case wall-clock deadline in seconds ([None] = no deadline) —
           the non-reproducible hang safety net *)
   retries : int;
-      (** requeues allowed per case after a worker-domain crash before the
-          case is quarantined *)
+      (** retries allowed per case after its run raises, before the case
+          is quarantined *)
   stuck : int option;
       (** test/CI hook: replace case [i]'s faults with an unbounded
           spammer so the case livelocks and must be caught by the
@@ -65,7 +65,7 @@ type quarantine_detail = {
   qd_seed : int64;
   qd_case : Case.t;
       (** verdict [Incomplete]; for a crash the plan is not shrunk
-          (re-running a crasher under the supervisor is unsafe) *)
+          (re-running a crasher in the calling domain is unsafe) *)
   qd_reason : string;
       (** ["budget-exhausted(N events)"], ["timed-out(N events)"] or
           ["crashed: <exn> (attempts=K)"] *)
@@ -137,10 +137,11 @@ val parse_case : string -> (case_record, string) result
 val execute : ?journal:string -> ?resume:bool -> config -> outcome
 (** Build the grid, run every case not already recorded, aggregate.
 
-    Each case runs inside a {!Pool.Supervised} worker under its watchdog;
-    a case the watchdog stops is quarantined with a shrunk repro (oracle:
-    the sub-plan still prevents completion), a case whose worker crashes
-    is requeued up to [retries] times and then quarantined unshrunk.
+    Each case runs on a {!Pool.map} worker under its watchdog; a case the
+    watchdog stops is quarantined with a shrunk repro (oracle: the
+    sub-plan still prevents completion), a case that raises is retried in
+    place up to [retries] times and then quarantined unshrunk, its reason
+    naming the final exception ([Printexc.to_string]).
 
     With [~journal:path], completed case records are appended (and
     flushed) to [path] as they finish, after a header binding the journal

@@ -24,5 +24,3 @@ let digest_sub bytes ~off ~len =
     crc := update !crc (Char.code (Bytes.unsafe_get bytes i))
   done;
   !crc lxor 0xFFFFFFFF
-
-let digest bytes = digest_sub bytes ~off:0 ~len:(Bytes.length bytes)

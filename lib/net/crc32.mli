@@ -3,9 +3,6 @@
     The frame layer's integrity check for {e accidental} corruption; the
     keyed MAC ({!Auth}) handles adversarial frames. *)
 
-val digest : Bytes.t -> int
-(** CRC-32 of the whole buffer, in [\[0, 2^32)]. *)
-
 val digest_sub : Bytes.t -> off:int -> len:int -> int
-(** CRC-32 of [len] bytes starting at [off]. Raises [Invalid_argument] on
-    an out-of-bounds slice. *)
+(** CRC-32 of [len] bytes starting at [off], in [\[0, 2^32)]. Raises
+    [Invalid_argument] on an out-of-bounds slice. *)

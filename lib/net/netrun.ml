@@ -668,5 +668,3 @@ let stats t =
     backpressure_stalls = t.backpressure_stalls;
     decode_errors = t.decode_errors;
   }
-
-let in_flight t = t.in_flight

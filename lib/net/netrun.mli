@@ -56,7 +56,3 @@ val close : t -> unit
     socket. Idempotent. *)
 
 val stats : t -> wire_stats
-
-val in_flight : t -> int
-(** Logical messages currently in custody of the wire. [0] whenever the
-    engine is between events — the pump drains fully. *)

@@ -7,7 +7,9 @@
    canonically-sorted multiset collapses those to one computation. The
    cached vector is exactly what the uncached call would have returned
    (same inputs, deterministic kernel), so results are bit-identical;
-   sharing the physical vector is safe because [Vec.t] is immutable. *)
+   sharing the physical vector is safe because [Vec.t] is immutable.
+   Keys match on [Vec.same_bits], not [Vec.compare]: a multiset of -0.
+   and one of 0. compare equal but their new values differ in sign. *)
 
 type key = {
   trim : int;
@@ -22,7 +24,7 @@ module H = Hashtbl.Make (struct
     && Array.length a.vs = Array.length b.vs
     &&
     let n = Array.length a.vs in
-    let rec go i = i = n || (Vec.equal_exact a.vs.(i) b.vs.(i) && go (i + 1)) in
+    let rec go i = i = n || (Vec.same_bits a.vs.(i) b.vs.(i) && go (i + 1)) in
     go 0
 
   let hash k =

@@ -19,7 +19,7 @@ echo "== lib/ size gate (.ml + .mli lines) =="
 # lib/ should shrink, not grow: the ceiling is the count when the gate
 # went in, lowered as lib/ shrinks. A change that raises it says why in
 # CHANGES.md.
-lib_ceiling=15558
+lib_ceiling=15290
 lib_lines=$(find lib \( -name '*.ml' -o -name '*.mli' \) -type f -exec cat {} + | wc -l)
 echo "lib/: $lib_lines lines (ceiling $lib_ceiling)"
 if [ "$lib_lines" -gt "$lib_ceiling" ]; then
@@ -220,6 +220,9 @@ echo "== serve throughput smoke (printed, not gated) =="
 # visibility only: requests/sec through the batch core, one engine per
 # request; any failed request makes the smoke itself exit non-zero
 dune exec bin/serve_main.exe -- --throughput-smoke 64
+# the same batch over 2 worker domains, so the multi-domain Pool.map path
+# runs in CI too
+dune exec bin/serve_main.exe -- --throughput-smoke 64 --domains 2
 
 echo "== bench smoke run =="
 dune exec bench/main.exe -- --smoke --json _build/BENCH_smoke.json

@@ -792,13 +792,11 @@ let test_handle_batch_own_engines () =
   Alcotest.(check int) "four ok replies" 4
     (List.length
        (List.filter (fun r -> String.length r > 2 && String.sub r 0 2 = "ok") plain));
-  let first, second =
-    Pool.with_pool ~domains:2 (fun pool ->
-        let first = Serve.handle_batch ~pool lines in
-        (first, Serve.handle_batch ~pool lines))
-  in
-  Alcotest.(check (list string)) "pooled batch = pool-less batch" plain first;
-  Alcotest.(check (list string)) "the pool survives a second batch" plain second
+  let first = Serve.handle_batch ~domains:2 lines in
+  let second = Serve.handle_batch ~domains:2 lines in
+  Alcotest.(check (list string)) "2-domain batch = 1-domain batch" plain first;
+  Alcotest.(check (list string)) "a second 2-domain batch agrees" plain second;
+  Alcotest.(check int) "no leaked domains" 0 (Pool.active_domains ())
 
 let test_serve_e2e () =
   let port = Atomic.make 0 in

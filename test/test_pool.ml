@@ -1,213 +1,161 @@
-(* Tests for the domain pool and the parallel scenario sweep path: task
-   ordering and overflow, failure isolation, and the bit-identical-replay
-   contract of Runner.run_batch. *)
+(* Tests for the domain scheduler and the parallel scenario sweep path:
+   ordering and overflow, failure isolation, retries, the calling-domain
+   completion hook, and the bit-identical-replay contract of
+   Runner.run_batch. *)
 
-(* --- Pool --- *)
+let values outs = List.map Pool.get outs
+
+(* --- Pool.map --- *)
 
 let test_pool_order_and_overflow () =
-  (* many more tasks than workers: all run, results in submission order *)
-  Pool.with_pool ~domains:3 (fun pool ->
-      Alcotest.(check int) "size" 3 (Pool.size pool);
-      let out = Pool.map pool (fun i -> i * i) (List.init 50 Fun.id) in
-      Alcotest.(check (list int))
-        "order preserved"
-        (List.init 50 (fun i -> i * i))
-        out)
+  (* many more items than workers: all run, results in submission order *)
+  let out = Pool.map ~domains:3 (fun i -> i * i) (List.init 50 Fun.id) in
+  Alcotest.(check (list int))
+    "order preserved"
+    (List.init 50 (fun i -> i * i))
+    (values out)
 
 let test_pool_empty_map () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      Alcotest.(check (list int)) "empty" [] (Pool.map pool Fun.id []))
+  Alcotest.(check (list int)) "empty" [] (values (Pool.map ~domains:2 Fun.id []))
 
 let test_pool_exception_does_not_wedge () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      (* two failing tasks: every task still runs, the lowest-indexed
-         failure is the one re-raised *)
-      (match
-         Pool.map pool
-           (fun i -> if i = 3 || i = 7 then failwith (Printf.sprintf "boom%d" i) else i)
-           (List.init 16 Fun.id)
-       with
-      | _ -> Alcotest.fail "expected a failure to propagate"
-      | exception Failure m ->
-          Alcotest.(check string) "first failing index wins" "boom3" m);
-      (* the pool is still fully usable afterwards *)
-      let out = Pool.map pool string_of_int [ 1; 2; 3 ] in
-      Alcotest.(check (list string)) "usable after failure" [ "1"; "2"; "3" ] out)
+  (* two failing items: every item still runs, both are Crashed in their
+     own slots, and unwrapping re-raises the lowest-indexed failure *)
+  let ran = Array.make 16 false in
+  let out =
+    Pool.map ~domains:2
+      (fun i ->
+        ran.(i) <- true;
+        if i = 3 || i = 7 then failwith (Printf.sprintf "boom%d" i) else i)
+      (List.init 16 Fun.id)
+  in
+  Alcotest.(check bool) "every item ran" true (Array.for_all Fun.id ran);
+  List.iteri
+    (fun i o ->
+      match o with
+      | Pool.Crashed { exn = Failure m; _ } when i = 3 || i = 7 ->
+          Alcotest.(check string) "own failure" (Printf.sprintf "boom%d" i) m
+      | Pool.Done v when i <> 3 && i <> 7 -> Alcotest.(check int) "sibling" i v
+      | _ -> Alcotest.failf "item %d has the wrong outcome" i)
+    out;
+  match values out with
+  | _ -> Alcotest.fail "expected a failure to propagate"
+  | exception Failure m ->
+      Alcotest.(check string) "first failing index wins" "boom3" m
 
-let test_pool_shutdown () =
-  let pool = Pool.create ~domains:2 () in
-  Pool.shutdown pool;
-  Pool.shutdown pool (* idempotent *);
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
-      Pool.submit pool (fun () -> ()))
-
-(* --- map: one contiguous chunk per worker --- *)
-
-(* Over every list length up to 64 and pool size up to 4 (so chunks of
-   one item, ragged last chunks and more workers than items all occur):
-   [map] is [List.map], and with failing jobs every job still runs, the
-   lowest-indexed failure is re-raised and the pool stays usable. *)
+(* Over every list length up to 64 and domain count up to 4 (so more
+   workers than items occurs): [map] is [List.map], and with failing
+   jobs every job still runs and the lowest-indexed failure is the one
+   unwrapping re-raises. *)
 let prop_map_is_list_map =
   QCheck.Test.make ~count:100
     ~name:"map = List.map, lowest failure wins"
     QCheck.(pair (int_range 1 4) (list_of_size Gen.(0 -- 64) small_nat))
     (fun (domains, xs) ->
-      Pool.with_pool ~domains (fun pool ->
-          let f x = (x * 7) - 3 in
-          let ran = Atomic.make 0 in
-          let g (i, x) =
-            Atomic.incr ran;
-            if x mod 5 = 0 then failwith (string_of_int i) else f x
-          in
-          let indexed = List.mapi (fun i x -> (i, x)) xs in
-          let expected =
-            match List.find_opt (fun (_, x) -> x mod 5 = 0) indexed with
-            | Some (i, _) -> Error (string_of_int i)
-            | None -> Ok (List.map f xs)
-          in
-          let got = try Ok (Pool.map pool g indexed) with Failure m -> Error m in
-          got = expected
-          && Atomic.get ran = List.length xs
-          && Pool.map pool f xs = List.map f xs))
+      let f x = (x * 7) - 3 in
+      let ran = Atomic.make 0 in
+      let g (i, x) =
+        Atomic.incr ran;
+        if x mod 5 = 0 then failwith (string_of_int i) else f x
+      in
+      let indexed = List.mapi (fun i x -> (i, x)) xs in
+      let expected =
+        match List.find_opt (fun (_, x) -> x mod 5 = 0) indexed with
+        | Some (i, _) -> Error (string_of_int i)
+        | None -> Ok (List.map f xs)
+      in
+      let got =
+        try Ok (values (Pool.map ~domains g indexed)) with Failure m -> Error m
+      in
+      got = expected
+      && Atomic.get ran = List.length xs
+      && values (Pool.map ~domains f xs) = List.map f xs)
 
-(* The chunked dispatch that [map] does itself: across pool sizes, so
-   one-item chunks, ragged last chunks and a single chunk all occur, the
-   result is [List.map]. *)
-let test_map_chunked_matches_map () =
-  let xs = List.init 53 Fun.id in
-  let f i = (i * 7) - 3 in
-  let expected = List.map f xs in
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "domains=%d" domains)
-            expected (Pool.map pool f xs);
-          Alcotest.(check (list int))
-            (Printf.sprintf "domains=%d, fewer items than workers" domains)
-            [ f 0 ] (Pool.map pool f [ 0 ]);
-          Alcotest.(check (list int)) "empty list" [] (Pool.map pool f [])))
-    [ 1; 2; 3; 7 ]
+let test_pool_one_domain_inline () =
+  (* one domain, or one item on many: every job runs in the calling
+     domain, in order, and no domain is spawned *)
+  let caller = Domain.self () in
+  let order = ref [] in
+  let job i =
+    Alcotest.(check bool) "job in the calling domain" true
+      (Domain.self () = caller);
+    Alcotest.(check int) "nothing spawned" 0 (Pool.active_domains ());
+    order := i :: !order;
+    i + 1
+  in
+  Alcotest.(check (list int)) "one domain" [ 1; 2; 3; 4 ]
+    (values (Pool.map ~domains:1 job [ 0; 1; 2; 3 ]));
+  Alcotest.(check (list int)) "in order" [ 3; 2; 1; 0 ] !order;
+  Alcotest.(check (list int)) "one item on four domains" [ 10 ]
+    (values (Pool.map ~domains:4 job [ 9 ]))
 
-let test_map_chunked_exception_isolation () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      (* 16 items on 2 workers: chunks [0..7] and [8..15]. Two failures in
-         the first chunk and one in the second: the rest of each chunk
-         still runs, and the lowest-indexed failure is re-raised *)
-      let ran = Array.make 16 false in
-      (match
-         Pool.map pool
-           (fun i ->
-             ran.(i) <- true;
-             if i = 5 || i = 6 || i = 11 then
-               failwith (Printf.sprintf "chunk%d" i)
-             else i)
-           (List.init 16 Fun.id)
-       with
-      | _ -> Alcotest.fail "expected a failure to propagate"
-      | exception Failure m ->
-          Alcotest.(check string) "first failing index wins" "chunk5" m);
-      Alcotest.(check bool) "every item ran" true (Array.for_all Fun.id ran);
-      let out = Pool.map pool string_of_int [ 4; 5; 6 ] in
-      Alcotest.(check (list string)) "usable after failure" [ "4"; "5"; "6" ] out)
-
-(* Contention check for the signal-one wakeup path: thousands of
-   sub-microsecond jobs submitted one by one. With broadcast-on-submit
-   this thrashes; with the waiting-counter signal every job must still
-   run (no lost wakeups) before shutdown's drain returns. *)
-let test_pool_contention_many_tiny_jobs () =
-  let pool = Pool.create ~domains:4 () in
-  let n = 4000 in
-  let sum = Atomic.make 0 in
-  for i = 1 to n do
-    Pool.submit pool (fun () -> ignore (Atomic.fetch_and_add sum i))
-  done;
-  Pool.shutdown pool;
-  Alcotest.(check int) "every job ran once" (n * (n + 1) / 2) (Atomic.get sum)
-
-let test_with_pool_exception_cleanup () =
-  (* with_pool shuts the pool down even when the body raises: no leaked
-     domains, and the escaped pool handle is unusable *)
-  let captured = ref None in
-  (try
-     Pool.with_pool ~domains:2 (fun pool ->
-         captured := Some pool;
-         failwith "body blew up")
-   with Failure _ -> ());
-  match !captured with
-  | None -> Alcotest.fail "body never ran"
-  | Some pool ->
-      Alcotest.check_raises "pool shut down on the exception path"
-        (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
-          Pool.submit pool (fun () -> ()))
-
-(* --- Supervised: worker-domain crash recovery --- *)
+(* --- retries and the completion hook --- *)
 
 let outcome_int =
   Alcotest.testable
     (fun ppf -> function
-      | Pool.Supervised.Done v -> Format.fprintf ppf "Done %d" v
-      | Pool.Supervised.Crashed { attempts; last_error } ->
-          Format.fprintf ppf "Crashed{attempts=%d; %s}" attempts last_error)
-    ( = )
+      | Pool.Done v -> Format.fprintf ppf "Done %d" v
+      | Pool.Crashed { attempts; exn; _ } ->
+          Format.fprintf ppf "Crashed{attempts=%d; %s}" attempts
+            (Printexc.to_string exn))
+    (fun a b ->
+      match (a, b) with
+      | Pool.Done x, Pool.Done y -> x = y
+      | Pool.Crashed a, Pool.Crashed b ->
+          a.attempts = b.attempts && a.exn = b.exn
+      | _ -> false)
 
 let test_supervised_clean_sweep () =
   let xs = List.init 25 Fun.id in
-  let out = Pool.Supervised.map ~domains:3 (fun i -> i * i) xs in
+  let out = Pool.map ~domains:3 (fun i -> i * i) xs in
   Alcotest.(check (list outcome_int))
     "all done, submission order"
-    (List.map (fun i -> Pool.Supervised.Done (i * i)) xs)
+    (List.map (fun i -> Pool.Done (i * i)) xs)
     out;
-  Alcotest.(check int) "no leaked domains" 0 (Pool.Supervised.active_domains ())
+  Alcotest.(check int) "no leaked domains" 0 (Pool.active_domains ())
 
 let test_supervised_empty_and_oversized () =
   Alcotest.(check (list outcome_int))
-    "empty" [] (Pool.Supervised.map ~domains:4 (fun i -> i) []);
+    "empty" [] (Pool.map ~domains:4 (fun i -> i) []);
   (* more domains than items: the pool clamps, completes, and joins every
      spawned domain — independent of Domain.recommended_domain_count *)
-  let out = Pool.Supervised.map ~domains:16 (fun i -> i + 1) [ 10; 20; 30 ] in
+  let out = Pool.map ~domains:16 (fun i -> i + 1) [ 10; 20; 30 ] in
   Alcotest.(check (list outcome_int))
-    "clamped pool" (List.map (fun v -> Pool.Supervised.Done v) [ 11; 21; 31 ])
+    "clamped pool" (List.map (fun v -> Pool.Done v) [ 11; 21; 31 ])
     out;
-  Alcotest.(check int) "no leaked domains" 0 (Pool.Supervised.active_domains ())
+  Alcotest.(check int) "no leaked domains" 0 (Pool.active_domains ())
 
 let test_supervised_fatal_crash_is_bounded () =
-  (* item 5 kills its worker with an Out_of_memory-style fatal every time:
-     it must be retried max_retries times, then reported Crashed — and the
-     rest of the sweep must complete on replacement domains *)
+  (* item 5 raises an Out_of_memory-style fatal every time: it must be
+     retried max_retries times, then reported Crashed — and the rest of
+     the sweep must complete *)
   let job i = if i = 5 then raise Out_of_memory else i * 10 in
-  let out =
-    Pool.Supervised.map ~domains:2 ~max_retries:2 job (List.init 12 Fun.id)
-  in
+  let out = Pool.map ~domains:2 ~max_retries:2 job (List.init 12 Fun.id) in
   List.iteri
     (fun i o ->
       match (i, o) with
-      | 5, Pool.Supervised.Crashed { attempts; last_error } ->
+      | 5, Pool.Crashed { attempts; exn; _ } ->
           Alcotest.(check int) "retry budget exhausted" 3 attempts;
-          Alcotest.(check bool) "exception preserved" true
-            (String.length last_error > 0)
-      | 5, Pool.Supervised.Done _ -> Alcotest.fail "crasher reported Done"
-      | _, Pool.Supervised.Done v -> Alcotest.(check int) "sibling result" (i * 10) v
-      | _, Pool.Supervised.Crashed _ ->
-          Alcotest.failf "healthy item %d reported Crashed" i)
+          Alcotest.(check bool) "exception preserved" true (exn = Out_of_memory)
+      | 5, Pool.Done _ -> Alcotest.fail "crasher reported Done"
+      | _, Pool.Done v -> Alcotest.(check int) "sibling result" (i * 10) v
+      | _, Pool.Crashed _ -> Alcotest.failf "healthy item %d reported Crashed" i)
     out;
-  Alcotest.(check int) "every domain joined" 0 (Pool.Supervised.active_domains ())
+  Alcotest.(check int) "every domain joined" 0 (Pool.active_domains ())
 
 let test_supervised_transient_crash_retries () =
-  (* first attempt dies, the requeued attempt succeeds: the item must come
+  (* the first attempt raises, the retry succeeds: the item must come
      back Done with no Crashed report *)
   let first = Atomic.make true in
   let job i =
-    if i = 2 && Atomic.exchange first false then failwith "transient"
-    else i
+    if i = 2 && Atomic.exchange first false then failwith "transient" else i
   in
-  let out = Pool.Supervised.map ~domains:2 ~max_retries:1 job (List.init 6 Fun.id) in
+  let out = Pool.map ~domains:2 ~max_retries:1 job (List.init 6 Fun.id) in
   Alcotest.(check (list outcome_int))
     "transient crash recovered"
-    (List.map (fun i -> Pool.Supervised.Done i) (List.init 6 Fun.id))
+    (List.map (fun i -> Pool.Done i) (List.init 6 Fun.id))
     out;
-  Alcotest.(check int) "no leaked domains" 0 (Pool.Supervised.active_domains ())
+  Alcotest.(check int) "no leaked domains" 0 (Pool.active_domains ())
 
 let test_supervised_on_done_once_per_item () =
   (* on_done runs in the calling domain, exactly once per item, crash or
@@ -217,7 +165,7 @@ let test_supervised_on_done_once_per_item () =
   let caller = Domain.self () in
   let job i = if i = 4 then raise Stack_overflow else i in
   let out =
-    Pool.Supervised.map ~domains:3 ~max_retries:0
+    Pool.map ~domains:3
       ~on_done:(fun i _ ->
         Alcotest.(check bool) "on_done in the calling domain" true
           (Domain.self () = caller);
@@ -228,10 +176,10 @@ let test_supervised_on_done_once_per_item () =
     (fun i c -> Alcotest.(check int) (Printf.sprintf "item %d seen once" i) 1 c)
     seen;
   (match List.nth out 4 with
-  | Pool.Supervised.Crashed { attempts; _ } ->
-      Alcotest.(check int) "max_retries=0: one attempt" 1 attempts
-  | Pool.Supervised.Done _ -> Alcotest.fail "crasher reported Done");
-  Alcotest.(check int) "no leaked domains" 0 (Pool.Supervised.active_domains ())
+  | Pool.Crashed { attempts; _ } ->
+      Alcotest.(check int) "max_retries defaults to 0: one attempt" 1 attempts
+  | Pool.Done _ -> Alcotest.fail "crasher reported Done");
+  Alcotest.(check int) "no leaked domains" 0 (Pool.active_domains ())
 
 (* --- Runner.run_batch: bit-identical parallel replay --- *)
 
@@ -329,16 +277,9 @@ let () =
           Alcotest.test_case "empty map" `Quick test_pool_empty_map;
           Alcotest.test_case "exception isolation" `Quick
             test_pool_exception_does_not_wedge;
-          Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
           QCheck_alcotest.to_alcotest prop_map_is_list_map;
-          Alcotest.test_case "map_chunked = map" `Quick
-            test_map_chunked_matches_map;
-          Alcotest.test_case "map_chunked exception isolation" `Quick
-            test_map_chunked_exception_isolation;
-          Alcotest.test_case "contention: tiny-job storm" `Quick
-            test_pool_contention_many_tiny_jobs;
-          Alcotest.test_case "with_pool exception cleanup" `Quick
-            test_with_pool_exception_cleanup;
+          Alcotest.test_case "one domain runs inline and spawns nothing"
+            `Quick test_pool_one_domain_inline;
         ] );
       ( "supervised",
         [

@@ -243,6 +243,41 @@ let test_alloc_rank0 () =
   if words > 100. then
     Alcotest.failf "%.0f minor words per rank-0 new value, budget 100" words
 
+(* --- the run-scoped memo --- *)
+
+let bits r = Option.map (fun u -> Printf.sprintf "%h" (Vec.get u 0)) r
+
+(* A hit must return exactly the kernel's answer. Multisets of -0. and of
+   0. compare equal under [Vec.compare] but their new values differ in
+   the sign bit, so they must be different keys. *)
+let test_cache_signed_zero () =
+  let ones xs = Array.map (fun x -> v [ x ]) xs in
+  let neg = ones [| -0.; -0.; -0.; -0.; 1. |]
+  and pos = ones [| 0.; 0.; 0.; 0.; 1. |] in
+  let c = Safe_cache.create () in
+  Alcotest.(check (option string))
+    "-0. primes its own entry" (Some "-0x0p+0")
+    (bits (Safe_cache.new_value_arr c ~t:1 neg));
+  Alcotest.(check (option string))
+    "0. is a miss with the uncached bits"
+    (bits (Safe_area.new_value_arr ~t:1 pos))
+    (bits (Safe_cache.new_value_arr c ~t:1 pos));
+  Alcotest.(check int) "two misses" 2 (Safe_cache.misses c)
+
+(* A hit copies and sorts the multiset and builds its key: about 80
+   words for these eight D = 3 points. Comparing the key against the
+   stored one allocates nothing; a compare that boxed each coordinate's
+   bits would add at least 6 words per coordinate, 144 here. *)
+let test_alloc_cache_hit () =
+  let vs =
+    Array.init 8 (fun i -> v [ float_of_int i; 0.5; float_of_int (i * i) ])
+  in
+  let c = Safe_cache.create () in
+  let words = minor_words (fun () -> Safe_cache.new_value_arr c ~t:1 vs) in
+  Alcotest.(check int) "one miss" 1 (Safe_cache.misses c);
+  if words > 100. then
+    Alcotest.failf "%.0f minor words per cache hit, budget 100" words
+
 (* --- properties --- *)
 
 let gen_pts ~d ~m =
@@ -488,6 +523,12 @@ let () =
         [
           Alcotest.test_case "D=2 new value" `Quick test_alloc_2d;
           Alcotest.test_case "rank-0 new value" `Quick test_alloc_rank0;
+          Alcotest.test_case "safe-cache hit" `Quick test_alloc_cache_hit;
+        ] );
+      ( "safe-cache",
+        [
+          Alcotest.test_case "0. and -0. are distinct keys" `Quick
+            test_cache_signed_zero;
         ] );
       ( "properties",
         q
