@@ -70,10 +70,10 @@ soak-resume:
 	sh scripts/soak_resume.sh
 
 # Exact per-class message-count check on one pinned configuration
-# (n=8, ts=2, ta=1, D=2, lockstep, honest) across the reference rBC
+# (n=8, ts=2, ta=1, D=2, lockstep, honest) across the unbatched rBC
 # stack (closed-form model), the batched message layer (pinned packet
 # counts, identical logical votes) and the EW quadratic protocol
-# (2n^2 per iteration). Deterministic; any drift fails.
+# ((3 + ta)n^2 per iteration). Deterministic; any drift fails.
 msgs-check:
 	dune exec bin/msgs_check.exe
 

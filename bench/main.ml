@@ -20,7 +20,7 @@
        accounting and instance lookup, interned vs the seed
        Rbc.Reference
    B12 deterministic message-count sweeps (not timed — exact counts):
-       reference vs batched message layer, and the EW quadratic
+       unbatched vs batched message layer, and the EW quadratic
        protocol, out to n = 128
 
    Run with:  dune exec bench/main.exe
@@ -548,7 +548,7 @@ let b12_run ?protocol ~n () =
   assert (r.Runner.live && r.Runner.valid && r.Runner.agreement);
   (r.Runner.stats.Engine.messages_sent, r.Runner.stats.Engine.bytes_sent)
 
-(* The reference path stops at n = 12 (Theta(n^3) packets make larger
+(* The unbatched path stops at n = 12 (Theta(n^3) packets make larger
    points pointlessly slow); batched Pi_AA runs to n = 64 (the safe-area
    subset count C(n, 2) bounds it) and EW — which trims only ta = 1 — out
    to n = 128. *)
@@ -560,7 +560,7 @@ let b12_sweeps () =
         (path, n, m, b))
       ns
   in
-  sweep "reference" [ 8; 12 ]
+  sweep "unbatched" [ 8; 12 ]
   @ sweep "batched" ~protocol:(Scenario.Maaa batched) [ 8; 12; 16; 24; 32; 48; 64 ]
   @ sweep "ew" ~protocol:Scenario.Ew [ 8; 16; 32; 64; 96; 128 ]
 
@@ -773,8 +773,8 @@ let write_json ~oc ~quota ~calibration ~sweeps rows =
           ~target:"B9 16 objectives, one system/workspace warm start (warm:true)"
       );
       ( "b12_reduction_batched_n12",
-        (match (b12_msgs sweeps "reference" 12, b12_msgs sweeps "batched" 12) with
-        | Some r, Some b when b > 0 -> Some (float_of_int r /. float_of_int b)
+        (match (b12_msgs sweeps "unbatched" 12, b12_msgs sweeps "batched" 12) with
+        | Some u, Some b when b > 0 -> Some (float_of_int u /. float_of_int b)
         | _ -> None) );
       ("b12_batched_exponent", b12_exponent sweeps "batched");
       ("b12_ew_exponent", b12_exponent sweeps "ew");
@@ -861,7 +861,7 @@ let () =
   (match (b12_exponent sweeps "batched", b12_exponent sweeps "ew") with
   | Some b, Some e ->
       Format.printf
-        "B12 fitted exponents: batched %.2f, EW %.2f (reference is ~3)@.@." b e
+        "B12 fitted exponents: batched %.2f, EW %.2f (unbatched is ~3)@.@." b e
   | _ -> ());
   let before = calibrate 3 in
   let results = benchmark ~quota:!quota () in

@@ -4,14 +4,14 @@
    lockstep, all honest, the E14 input pattern — run through all three
    communication paths:
 
-     reference  the unbatched rBC stack, checked against the closed-form
+     unbatched  the per-packet rBC stack, checked against the closed-form
                 E14 cost model (exact, not approximate)
      batched    the combined-packet layer; its logical step rows must
-                equal the reference run's exactly (same votes, different
+                equal the unbatched run's exactly (same votes, different
                 packaging) and its physical packet counts are pinned
      ew         the quadratic-communication protocol; only the "EW
-                direct" class may be non-zero, at exactly 2n^2 per
-                iteration
+                direct" class may be non-zero, at exactly (3 + ta)·n^2
+                per iteration (value, claim, delta and report waves)
 
    Counts here are deterministic (lockstep drains by (time, seq) order,
    no RNG), so any drift is a protocol or accounting change — the point
@@ -56,7 +56,7 @@ let check_table ~title rows expected =
   print_newline ()
 
 let () =
-  let r_ref = run "msgs-reference" in
+  let r_unb = run "msgs-unbatched" in
   let r_bat =
     run
       ~protocol:
@@ -66,13 +66,13 @@ let () =
   in
   let r_ew = run ~protocol:Scenario.Ew "msgs-ew" in
 
-  (* Reference: the E14 closed-form model. *)
+  (* Unbatched: the E14 closed-form model. *)
   let iterations =
-    1 + List.fold_left (fun acc (_, it) -> max acc it) 0 r_ref.Runner.output_iters
+    1 + List.fold_left (fun acc (_, it) -> max acc it) 0 r_unb.Runner.output_iters
   in
   let per_instance = n + (2 * n * n) in
   let instances = (2 * n) + (iterations * n) + n in
-  let expected_ref =
+  let expected_unb =
     [
       ("Pi_init rBC", 2 * n * per_instance);
       ("iteration rBC", iterations * n * per_instance);
@@ -90,17 +90,17 @@ let () =
   in
   check_table
     ~title:
-      (Printf.sprintf "reference (closed form, %d iterations, %d instances)"
+      (Printf.sprintf "unbatched (closed form, %d iterations, %d instances)"
          iterations instances)
-    r_ref.Runner.traffic expected_ref;
+    r_unb.Runner.traffic expected_unb;
 
   (* Batched: identical logical votes (step rows copied from the
-     reference run's measured table), pinned physical packet counts.
+     unbatched run's measured table), pinned physical packet counts.
      Plain rBC rows stay non-zero: a tick in which a party has exactly
      one vote for one receiver goes out unbatched. *)
-  let ref_row name =
+  let unb_row name =
     match
-      List.find_opt (fun (name', _, _) -> name' = name) r_ref.Runner.traffic
+      List.find_opt (fun (name', _, _) -> name' = name) r_unb.Runner.traffic
     with
     | Some (_, m, _) -> m
     | None -> -1
@@ -116,30 +116,39 @@ let () =
       ("junk", 0);
       ("batched rBC", 576);
       ("EW direct", 0);
-      ("rBC step: init", ref_row "rBC step: init");
-      ("rBC step: echo", ref_row "rBC step: echo");
-      ("rBC step: ready", ref_row "rBC step: ready");
+      ("rBC step: init", unb_row "rBC step: init");
+      ("rBC step: echo", unb_row "rBC step: echo");
+      ("rBC step: ready", unb_row "rBC step: ready");
     ]
   in
   check_table
-    ~title:"batched (pinned packets; step rows must equal reference)"
+    ~title:"batched (pinned packets; step rows must equal unbatched)"
     r_bat.Runner.traffic expected_bat;
 
-  (* EW: every message is a direct one-to-all send — 2n^2 per iteration
-     (a value wave and a report wave), nothing else on the wire. *)
+  (* EW: every message is a direct one-to-all send, nothing else on the
+     wire. Under lockstep each party's iteration is one wave of each:
+     its value; its claim, echoing the first n − ta values that arrive;
+     one delta claim per value arriving after that (ta of them); its
+     report. Each wave is n sends per party. *)
   let ew_iters =
     match r_ew.Runner.output_iters with
     | (_, it) :: _ -> it
     | [] -> 0
   in
+  let ta = cfg.Config.ta in
+  let waves =
+    1 (* value *) + 1 (* claim *) + ta (* deltas *) + 1 (* report *)
+  in
   let expected_ew =
     List.map
       (fun (name, _, _) ->
-        (name, if name = "EW direct" then 2 * n * n * ew_iters else 0))
+        (name, if name = "EW direct" then waves * n * n * ew_iters else 0))
       r_ew.Runner.traffic
   in
   check_table
-    ~title:(Printf.sprintf "ew (2n^2 per iteration, %d iterations)" ew_iters)
+    ~title:
+      (Printf.sprintf "ew ((3 + ta)n^2 = %dn^2 per iteration, %d iterations)"
+         waves ew_iters)
     r_ew.Runner.traffic expected_ew;
 
   if !failures > 0 then (

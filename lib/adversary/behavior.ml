@@ -24,23 +24,72 @@ let equivocate_towards engine ~cfg ~me ~va ~vb ~lied_to =
       done)
     [ Message.Init_value; Message.Obc_value 1 ]
 
+(* The behaviours that need ΠAA internals; every other one acts on the
+   party's endpoint alone and so applies to any protocol. *)
+let needs_maaa = function
+  | Equivocate _ | Equivocate_split _ | Halt_liar _ | Garbage _ -> true
+  | Silent | Honest_with_input _ | Crash_at _ | Spam _ | Lagger _ -> false
+
+(* The lag gate's timer tag: negative, which no protocol arms, so the
+   gate never fires a protocol's own timer. *)
+let gate = -1
+
+let on_endpoint (ep : Message.t Transport.endpoint) ~input ~honest b =
+  match b with
+  | Silent -> ()
+  | Honest_with_input v -> honest ep v
+  | Crash_at tick ->
+      honest
+        {
+          ep with
+          set_handler =
+            (fun h ->
+              ep.set_handler (fun ev -> if ep.now () <= tick then h ev));
+        }
+        input
+  | Lagger delay ->
+      (* Deliveries before [delay] queue up, as on a real socket; the
+         first event at or after it starts the party and replays the
+         queue. The gate timer itself never reaches the party. *)
+      let handler = ref ignore in
+      let started = ref false in
+      let backlog = ref [] in
+      let start () =
+        started := true;
+        honest { ep with set_handler = (fun h -> handler := h) } input;
+        List.iter !handler (List.rev !backlog)
+      in
+      ep.set_handler (fun ev ->
+          match ev with
+          | Transport.Timer tag when tag = gate ->
+              if not !started then start ()
+          | _ when !started -> !handler ev
+          | Transport.Deliver _ when ep.now () >= delay ->
+              start ();
+              !handler ev
+          | Transport.Deliver _ -> backlog := ev :: !backlog
+          | Transport.Timer _ -> ());
+      ep.set_timer ~at:delay ~tag:gate
+  | Spam { period; payload_bytes; until } ->
+      (* Periodic junk to every party, bounded by [until] so that the
+         run's event queue still drains. *)
+      ep.set_handler (function
+        | Transport.Timer _ ->
+            ep.send_all (Message.Junk payload_bytes);
+            let next = ep.now () + period in
+            if next <= until then ep.set_timer ~at:next ~tag:0
+        | Transport.Deliver _ -> ());
+      ep.set_timer ~at:period ~tag:0
+  | Equivocate _ | Equivocate_split _ | Halt_liar _ | Garbage _ ->
+      invalid_arg "Behavior.on_endpoint: this behaviour needs ΠAA internals"
+
 let install engine ~cfg ~me ~input behavior =
   match behavior with
   | Silent -> Engine.clear_party engine me
-  | Honest_with_input v ->
-      let p = Party.attach ~cfg ~me engine in
-      Party.start p v
-  | Crash_at tick ->
-      let p =
-        Party.create ~cfg ~me
-          ~now:(fun () -> Engine.now engine)
-          ~send_all:(fun msg -> Engine.broadcast engine ~src:me msg)
-          ~set_timer:(fun ~at -> Engine.set_timer engine ~party:me ~at ~tag:0)
-          ()
-      in
-      Engine.set_party engine me (fun ev ->
-          if Engine.now engine <= tick then Party.handle p ev);
-      Party.start p input
+  | Honest_with_input _ | Crash_at _ | Spam _ | Lagger _ ->
+      on_endpoint (Engine.endpoint engine ~me) ~input
+        ~honest:(fun ep v -> Party.start (Party.attach_endpoint ~cfg ep) v)
+        behavior
   | Equivocate (va, vb) ->
       (* Honest machinery runs on [va]; at the same instant, conflicting
          Init messages carrying [vb] go to the upper half for the two
@@ -64,20 +113,6 @@ let install engine ~cfg ~me ~input behavior =
            ( { Message.tag = Message.Halt it; origin = me },
              Message.Init,
              Message.Pint it ))
-  | Spam { period; payload_bytes; until } ->
-      (* Periodic junk to every party. Bounded by [until] so that the
-         simulation's event queue still drains. *)
-      let handler ev =
-        match ev with
-        | Engine.Timer _ ->
-            Engine.broadcast engine ~src:me (Message.Junk payload_bytes);
-            let next = Engine.now engine + period in
-            if next <= until then
-              Engine.set_timer engine ~party:me ~at:next ~tag:0
-        | Engine.Deliver _ -> ()
-      in
-      Engine.set_party engine me handler;
-      Engine.set_timer engine ~party:me ~at:period ~tag:0
   | Garbage at ->
       let p = Party.attach ~cfg ~me engine in
       Party.start p input;
@@ -124,26 +159,3 @@ let install engine ~cfg ~me ~input behavior =
           | _ -> ());
           base_handler ev);
       Engine.set_timer engine ~party:me ~at:at ~tag:99
-  | Lagger delay ->
-      let p =
-        Party.create ~cfg ~me
-          ~now:(fun () -> Engine.now engine)
-          ~send_all:(fun msg -> Engine.broadcast engine ~src:me msg)
-          ~set_timer:(fun ~at -> Engine.set_timer engine ~party:me ~at ~tag:0)
-          ()
-      in
-      let started = ref false in
-      let backlog = ref [] in
-      Engine.set_party engine me (fun ev ->
-          if !started then Party.handle p ev
-          else if Engine.now engine >= delay then begin
-            started := true;
-            Party.start p input;
-            List.iter (Party.handle p) (List.rev !backlog);
-            Party.handle p ev
-          end
-          else
-            match ev with
-            | Engine.Deliver _ -> backlog := ev :: !backlog
-            | Engine.Timer _ -> ());
-      Engine.set_timer engine ~party:me ~at:delay ~tag:0

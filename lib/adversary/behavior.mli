@@ -5,10 +5,10 @@
     simple omission to active equivocation. Channels remain authenticated:
     a Byzantine party can lie about content but not about its identity.
 
-    Every behaviour but [Silent] runs ΠAA code ({!Party}), so all of them
-    apply to ΠAA scenarios only. Under the other protocols (EW and the
-    E12 baselines) the harness runs [Silent] and [Honest_with_input] itself
-    and [Scenario.make] rejects the rest. *)
+    [Equivocate], [Equivocate_split], [Halt_liar] and [Garbage] forge ΠAA
+    messages, so they apply to ΠAA scenarios only ({!needs_maaa}). The
+    others act on the party's transport endpoint alone and apply to every
+    protocol ({!on_endpoint}). *)
 
 type t =
   | Silent
@@ -52,8 +52,31 @@ type t =
           asymmetry across honest parties, so Πinit estimations (and hence
           iteration counts) spread out. *)
 
+val needs_maaa : t -> bool
+(** [true] for [Equivocate], [Equivocate_split], [Halt_liar] and
+    [Garbage]: the behaviours that need ΠAA internals. The one place that
+    decides which behaviours a non-ΠAA scenario may hold. *)
+
+val on_endpoint :
+  Message.t Transport.endpoint ->
+  input:Vec.t ->
+  honest:(Message.t Transport.endpoint -> Vec.t -> unit) ->
+  t ->
+  unit
+(** Runs a protocol-free behaviour on the party's endpoint, where
+    [honest ep v] attaches an honest party of the run's protocol to [ep]
+    and starts it on [v]. [Silent] attaches nothing; [Honest_with_input v]
+    starts the honest party on [v]; [Crash_at tick] starts it on [input]
+    and drops every event after [tick]; [Lagger delay] queues deliveries
+    until [delay], then starts it on [input] and replays the queue (its
+    gate timer carries a negative tag and never reaches the party);
+    [Spam] arms a timer that [send_all]s junk. Raises [Invalid_argument]
+    when {!needs_maaa}. *)
+
 val install :
   Message.t Engine.t -> cfg:Config.t -> me:int -> input:Vec.t -> t -> unit
-(** Installs the behaviour as party [me]'s ΠAA handler and starts it.
+(** Installs the behaviour as party [me]'s ΠAA handler and starts it:
+    [Silent] clears the party's handler, the other protocol-free
+    behaviours run {!on_endpoint} around {!Party.attach_endpoint}.
     [input] is the value the behaviour bases honest-looking traffic on
-    (ignored by [Silent] and overridden by [Honest_with_input]). *)
+    (ignored by [Silent], [Spam] and [Honest_with_input]). *)

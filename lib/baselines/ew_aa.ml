@@ -15,23 +15,21 @@ type iter_state = {
   mutable pending : Pairset.t IntMap.t;
   mutable seen_report : IntSet.t;
   mutable sent_report : bool;
-  (* Equivocation-defence state, untouched when the defence is off. [raw]
-     holds the first value received directly from each sender; [support]
-     maps a claimed sender to the echo-supporter set of each value claimed
-     for it. *)
+  (* Echo-confirmation state of the direct channel. [raw] holds the first
+     value received directly from each sender; [support] maps a claimed
+     sender to the echo-supporter set of each value claimed for it. *)
   mutable raw : Pairset.t;
   mutable support : (Vec.t * IntSet.t) list IntMap.t;
   mutable sent_claims : bool;
 }
 
-type channel = Direct of { defence : bool } | Reliable
+type channel = Direct | Reliable
 
 type t = {
   n : int;
   me : int;
   thr : int;
   iters : int;
-  defence : bool;
   mutable rbc : Rbc.t option;  (* [Some] iff the channel is [Reliable] *)
   now : unit -> int;
   send_all : Message.t -> unit;
@@ -130,7 +128,7 @@ let rec step t =
 
 let valid_party t p = p >= 0 && p < t.n
 
-(* Equivocation defence: fold one echo vote from [voter] for the claim
+(* Echo confirmation: fold one echo vote from [voter] for the claim
    "party [p] sent value [v]". A pair is confirmed into [s.m] once n − t
    distinct parties echo it. Honest parties echo at most one value per
    claimed sender (their [raw] binding is first-wins), so two conflicting
@@ -183,9 +181,9 @@ let on_report t ~from it pairs =
     end
   end
 
-(* The defence's direct-value path: record the sender's first value and
-   echo it as a claim. *)
-let on_raw_value t ~from it v =
+(* A direct value: record the sender's first value and echo it as a
+   claim. *)
+let on_direct_value t ~from it v =
   if valid_party t from && it >= 1 then begin
     let s = state t it in
     if not (Pairset.mem_party from s.raw) then begin
@@ -212,11 +210,10 @@ let handle t ev =
     ->
       Rbc.on_message rbc ~from:src id step payload
   | None, Transport.Deliver { src; msg = Message.Ew_value { iter; value } } ->
-      if t.defence then on_raw_value t ~from:src iter value
-      else on_value t ~from:src iter value
+      on_direct_value t ~from:src iter value
   | None, Transport.Deliver { src; msg = Message.Ew_echo { iter = it; pairs } }
     ->
-      if t.defence && valid_party t src && it >= 1 then begin
+      if valid_party t src && it >= 1 then begin
         let s = state t it in
         let grew =
           List.fold_left
@@ -245,7 +242,6 @@ let attach_endpoint ?(callbacks = no_callbacks) ~channel ~t:thr ~iters
       me = ep.me;
       thr;
       iters;
-      defence = channel = Direct { defence = true };
       rbc = None;
       now = ep.now;
       send_all = ep.send_all;

@@ -16,21 +16,18 @@
     give, keeping the comparison fair).
 
     On the [Direct] channel values and witness reports travel as
-    one-to-all messages over the authenticated channels, so one
-    iteration costs [2·n] sends per party — Θ(n²) messages per iteration
-    in total, versus the Θ(n³) the [Reliable] channel pays ([n] Bracha
-    rBC instances × [n + 2n²] sends each). Against at most [t] corruptions
-    the protocol is correct in {e any} network; with [ts > t] corruptions
-    under synchrony — the regime the hybrid protocol exploits — its trim
-    level is too low and validity breaks, which experiment E12 measures.
+    one-to-all messages over the authenticated channels — Θ(n²) messages
+    per iteration in total, versus the Θ(n³) the [Reliable] channel pays
+    ([n] Bracha rBC instances × [n + 2n²] sends each). Against at most
+    [t] corruptions the protocol is correct in {e any} network; with
+    [ts > t] corruptions under synchrony — the regime the hybrid
+    protocol exploits — its trim level is too low and validity breaks,
+    which experiment E12 measures.
 
     With rBC gone, nothing intrinsically forces a Byzantine sender to
     show the same value to everyone; the paper layers a lightweight
-    consistency mechanism over the direct channels to restore that. This
-    module implements an {e echo-confirmation} defence in that role,
-    enabled by [Direct { defence = true }] ([false] keeps the legacy wire
-    behaviour byte-identical for the pinned message-count and
-    differential gates):
+    consistency mechanism over the direct channels to restore that. The
+    [Direct] channel implements it as {e echo confirmation}:
 
     - each party records the first value received directly from each
       sender ([raw], first-wins per sender);
@@ -46,20 +43,13 @@
     honest echoers — impossible for [n > 3t]. An equivocating value
     therefore either confirms to a single vector everywhere or confirms
     nowhere, which is exactly the guarantee rBC provides on the
-    [Reliable] channel. Liveness: every honest pair is eventually echoed by all
-    [n − t] honest parties (in their batch claim or a delta), so it
-    confirms everywhere. Cost: one claim broadcast per party plus at most
-    [t + 1] deltas — Θ(n²) messages per iteration in the common case,
-    preserving the quadratic bound (worst case Θ(t·n²) with maximally
-    staggered deliveries).
-
-    Without the defence, an equivocating sender can split honest value
-    sets so that no honest report ever passes another party's subset
-    test: witness counts stall below [n − t] and {e no honest party
-    outputs} — the failure mode pinned by [test_explore]'s equivocation
-    test. The monitor grades the defence-off configuration only under
-    this repository's non-equivocating adversary universe; see DESIGN.md
-    §7. *)
+    [Reliable] channel. Liveness: every honest pair is eventually echoed
+    by all [n − t] honest parties (in their batch claim or a delta), so
+    it confirms everywhere. Cost per party and iteration: one value, one
+    claim broadcast plus at most [t + 1] deltas, and one report —
+    Θ(n²) messages per iteration in the common case, preserving the
+    quadratic bound (worst case Θ(t·n²) with maximally staggered
+    deliveries). *)
 
 type t
 
@@ -73,15 +63,15 @@ type callbacks = {
 val no_callbacks : callbacks
 
 type channel =
-  | Direct of { defence : bool }
+  | Direct
       (** values and reports as direct {!Message.Ew_value} /
-          {!Message.Ew_report} messages, with or without the
-          echo-confirmation defence *)
+          {!Message.Ew_report} messages, values confirmed by
+          {!Message.Ew_echo} claims *)
   | Reliable
       (** values and reports reliably broadcast ({!Rbc}, tags
           {!Message.Async_value} / {!Message.Async_report}): the
-          pure-asynchronous baseline. rBC already gives the defence's
-          guarantee, so the two cannot be combined. *)
+          pure-asynchronous baseline. rBC already gives echo
+          confirmation's guarantee, so the two cannot be combined. *)
 
 val attach_endpoint :
   ?callbacks:callbacks ->

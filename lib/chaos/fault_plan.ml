@@ -166,9 +166,6 @@ let atom_to_string = function
 
 let to_strings = List.map atom_to_string
 
-let pp ppf plan =
-  Format.fprintf ppf "[%s]" (String.concat "; " (to_strings plan))
-
 (* -- Machine-readable round-trip encoding -------------------------------
 
    [atom_to_string] above is for humans; the explorer's quarantine files

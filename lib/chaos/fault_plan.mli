@@ -70,7 +70,6 @@ val behavior_to_string : Behavior.t -> string
 
 val atom_to_string : atom -> string
 val to_strings : t -> string list
-val pp : Format.formatter -> t -> unit
 
 val to_repr : t -> string
 (** Machine-readable plan encoding: atoms joined by [';'], fields by

@@ -9,7 +9,12 @@
 type verdict =
   | Violates of string list
       (** these invariants are violated (names as {!violated} gives them) *)
-  | Incomplete  (** the run does not complete within its budgets *)
+  | Incomplete
+      (** the run does not complete within its budgets. Only a
+          [budget-exhausted] row (the event budget) replays
+          deterministically; a [timed-out] row replays only under its
+          spec's [wall=] budget, so whether it reproduces depends on the
+          host's speed *)
 
 type t = {
   spec : string;

@@ -99,8 +99,8 @@ let attach_party ~(scenario : Scenario.t) ?hooks ~safe_cache ~ew_iters
         a_intern = (fun () -> Party.intern_stats p);
       }
   | Scenario.Ew ->
-      ew_attached ?hooks ~channel:(Direct { defence = false })
-        ~t:cfg.Config.ta ~iters:(Lazy.force ew_iters) ep
+      ew_attached ?hooks ~channel:Direct ~t:cfg.Config.ta
+        ~iters:(Lazy.force ew_iters) ep
   | Scenario.Pure_async { iters } ->
       ew_attached ?hooks ~channel:Reliable ~t:cfg.Config.ta ~iters ep
   | Scenario.Pure_sync { rounds } ->
@@ -288,20 +288,19 @@ let run ?(monitor = false) ?tracer ?on_engine
             (Engine.endpoint engine ~me:i) ))
       honest_ids
   in
-  (* Outside ΠAA a poisoner runs the scenario's own protocol, started
-     here as {!Behavior.install} starts its ΠAA one, and a silent party
-     gets nothing. {!Scenario.make} admits no other behaviour there; a
-     record patched past it (soak's stuck-case spammer) installs as under
-     ΠAA. *)
+  (* Outside ΠAA a protocol-free behaviour wraps the scenario's own
+     protocol on the party's endpoint, as {!Behavior.install} wraps ΠAA;
+     {!Scenario.make} admits no other behaviour there. *)
   List.iter
     (fun (i, b) ->
-      match (s.protocol, b) with
-      | (Scenario.Ew | Pure_sync _ | Pure_async _), Behavior.Silent -> ()
-      | (Scenario.Ew | Pure_sync _ | Pure_async _), Behavior.Honest_with_input v
-        ->
-          (attach_party ~scenario:s ~safe_cache ~ew_iters
-             (Engine.endpoint engine ~me:i))
-            .a_start v
+      match s.protocol with
+      | (Scenario.Ew | Pure_sync _ | Pure_async _)
+        when not (Behavior.needs_maaa b) ->
+          Behavior.on_endpoint (Engine.endpoint engine ~me:i)
+            ~input:inputs.(i)
+            ~honest:(fun ep v ->
+              (attach_party ~scenario:s ~safe_cache ~ew_iters ep).a_start v)
+            b
       | _ -> Behavior.install engine ~cfg ~me:i ~input:inputs.(i) b)
     s.corruptions;
   (match s.chaos with

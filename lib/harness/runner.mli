@@ -117,9 +117,9 @@ val run :
   result
 (** Runs the scenario's protocol for every honest party and installs the
     scenario's Byzantine behaviours for the rest — under [Maaa] through
-    {!Behavior.install}; under the other protocols a poisoner runs the
-    scenario's own protocol on its chosen input, ungraded, and a silent
-    party gets nothing. A chaos fault plan in the scenario is compiled
+    {!Behavior.install}; under the other protocols through
+    {!Behavior.on_endpoint} around {!attach_party}, so a poisoner, a
+    crashed party or a lagger runs the scenario's own protocol, ungraded. A chaos fault plan in the scenario is compiled
     into the delay policy and installed on the engine. With
     [~monitor:true] (default false) an online {!Monitor} watches the run
     and its summary lands in the result. Metrics are graded over the

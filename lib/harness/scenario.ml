@@ -45,29 +45,21 @@ let make ?(name = "scenario") ?(seed = 1L) ?policy ?(sync_network = true)
   let ids = List.map fst corruptions in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Scenario.make: duplicate corruption";
-  (* A non-ΠAA protocol runs a static poisoner itself and attaches nothing
-     for a silent party; every other behaviour, and every fault-plan one
-     but [Silent] (Fault_plan.install runs it through Behavior.install),
-     is ΠAA code, whose messages that protocol drops. *)
+  (* Outside ΠAA a static corruption must be protocol-free (it wraps the
+     scenario's own protocol on the endpoint) and a fault-plan one must be
+     [Silent]: Fault_plan.install runs every other one through
+     Behavior.install, which starts ΠAA code. *)
   (match protocol with
   | Maaa _ -> ()
   | Ew | Pure_sync _ | Pure_async _ ->
       let reject where b =
         invalid_arg
-          (Printf.sprintf
-             "Scenario.make: %s behaviour %s runs ΠAA code, which protocol %s \
-              drops"
+          (Printf.sprintf "Scenario.make: %s behaviour %s needs protocol maaa"
              where
-             (Fault_plan.behavior_to_string b)
-             (match protocol with
-             | Pure_sync _ -> "pure-sync"
-             | Pure_async _ -> "pure-async"
-             | _ -> "ew"))
+             (Fault_plan.behavior_to_string b))
       in
       List.iter
-        (function
-          | _, (Behavior.Silent | Behavior.Honest_with_input _) -> ()
-          | _, b -> reject "static" b)
+        (fun (_, b) -> if Behavior.needs_maaa b then reject "static" b)
         corruptions;
       List.iter
         (function

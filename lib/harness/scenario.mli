@@ -20,8 +20,8 @@ type protocol =
           (see {!Party.opts}) *)
   | Ew
       (** the Erbes–Wattenhofer quadratic-communication asynchronous AA
-          ({!Ew_aa} on its direct channel); it has no options, so a
-          ΠAA-only setting under it cannot be written down *)
+          ({!Ew_aa} on its echo-confirmed direct channel); it has no
+          options, so a ΠAA-only setting under it cannot be written down *)
   | Pure_sync of { rounds : int }
       (** E12's pure-synchronous baseline ({!Sync_aa}) for [rounds] rounds
           of Δ + 1 ticks, trimming at [cfg.ts] *)
@@ -30,10 +30,10 @@ type protocol =
           channel) for [iters] iterations, trimming at [cfg.ta] *)
 (** Which protocol the honest parties run. Under [Maaa] every
     {!Behavior.t} is allowed. Under the other three a static corruption
-    is [Silent] (nothing attached) or [Honest_with_input v] (the
-    scenario's own protocol, started on [v]), and a fault-plan
-    corruption is [Silent]: every other behaviour is ΠAA code, whose
-    messages these protocols drop, and {!make} rejects it. The two
+    is any behaviour but the ΠAA-only ones ({!Behavior.needs_maaa}:
+    [Equivocate], [Equivocate_split], [Halt_liar], [Garbage]), run on
+    the scenario's own protocol ({!Behavior.on_endpoint}), and a
+    fault-plan corruption is [Silent]; {!make} rejects the rest. The two
     baselines have no {!Spec} spelling. *)
 
 val maaa : protocol

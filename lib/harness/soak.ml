@@ -126,15 +126,18 @@ let build_case ~config rng i =
   let chaos = Fault_gen.sample rng ~cfg ~sync ~existing:static ~horizon in
   let policy = sample_policy rng ~sync ~static cfg in
   let seed = Rng.next_int64 rng in
-  (* EW drops the chaos plan and runs every static corruption [Silent],
-     after drawing both so every case draws the same RNG stream: adaptive
-     corruption grading is calibrated against ΠAA's iteration structure,
-     and Scenario.make rejects every drawn behaviour but [Silent] and
-     [Honest_with_input] under EW (the rest are ΠAA code, whose messages
-     EW drops). *)
+  (* EW drops the chaos plan and runs a ΠAA-only static corruption
+     [Silent], after drawing both so every case draws the same RNG
+     stream: adaptive corruption grading is calibrated against ΠAA's
+     iteration structure, and Scenario.make rejects the ΠAA-only
+     behaviours under EW. *)
   let chaos, corruptions =
     if ew then
-      (None, List.map (fun (p, _) -> (p, Behavior.Silent)) corruptions)
+      ( None,
+        List.map
+          (fun (p, b) ->
+            (p, if Behavior.needs_maaa b then Behavior.Silent else b))
+          corruptions )
     else (Some chaos, corruptions)
   in
   let scen =

@@ -33,10 +33,11 @@ type config = {
           same grid under [opts] (a mutant the monitor must then flag,
           or another message layer); [Ew] caps the static corruption
           budget at the case config's [ta] (EW's resilience bound
-          regardless of synchrony), drops the chaos plans and makes every
-          drawn static corruption [Silent] ({!Scenario.make} rejects the
-          ΠAA-only behaviours under EW), after the draws, so the grid's
-          names, seeds and corrupted parties are the ones drawn. It must have a
+          regardless of synchrony), drops the chaos plans and makes each
+          drawn ΠAA-only static corruption ({!Behavior.needs_maaa})
+          [Silent], after the draws, so the grid's names, seeds and
+          corrupted parties are the ones drawn; drawn crash, lag, poison
+          and spam corruptions run on EW itself. It must have a
           {!Scenario.Spec.protocol_fields} spelling. *)
   transport : [ `Sim | `Net ];
       (** message backend every case runs on: [`Sim] (default) keeps

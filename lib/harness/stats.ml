@@ -38,7 +38,3 @@ let summarize xs =
     max = List.fold_left Float.max neg_infinity xs;
     median = percentile xs 50.;
   }
-
-let pp ppf s =
-  Format.fprintf ppf "n=%d mean=%.3g sd=%.3g min=%.3g med=%.3g max=%.3g"
-    s.count s.mean s.stddev s.min s.median s.max

@@ -15,5 +15,3 @@ val summarize : float list -> summary
 val percentile : float list -> float -> float
 (** [percentile xs p] for [p ∈ [0, 100]], linear interpolation between
     order statistics. @raise Invalid_argument on an empty list. *)
-
-val pp : Format.formatter -> summary -> unit

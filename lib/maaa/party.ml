@@ -54,7 +54,6 @@ type t = {
   mutable started : bool;
 }
 
-let me t = t.me
 let output t = t.output
 let output_iteration t = t.output_iter
 let output_time t = t.output_time
@@ -217,84 +216,6 @@ let on_rbc_deliver t (id : Message.rbc_id) payload =
       try_halt_output t
   | _ -> ()
 
-let create ?(callbacks = no_callbacks) ?(opts = default_opts) ?register_flush
-    ?safe_cache ~cfg ~me ~now ~send_all ~set_timer () =
-  let batch =
-    match opts.layer with
-    | Interned -> None
-    | Batched -> Some (Batch.create ~send_all)
-  in
-  (match (batch, register_flush) with
-  | Some b, Some reg -> reg (fun ~final:_ -> Batch.flush b)
-  | Some _, None ->
-      invalid_arg "Party.create: Batched needs an end-of-tick register_flush"
-  | None, _ -> ());
-  let t =
-    {
-      cfg;
-      me;
-      opts;
-      batch;
-      intern = Intern.create ();
-      safe_cache =
-        (match safe_cache with Some c -> c | None -> Safe_cache.create ());
-      cbs = callbacks;
-      now;
-      send_all;
-      set_timer;
-      rbc = None;
-      init = None;
-      obcs = Hashtbl.create 8;
-      history = Hashtbl.create 16;
-      halts = Hashtbl.create 8;
-      buffered_values = Hashtbl.create 8;
-      buffered_reports = Hashtbl.create 8;
-      iter = 0;
-      iter_start = 0;
-      pending_value = None;
-      t_estimate = None;
-      output = None;
-      output_iter = None;
-      output_time = None;
-      sent_halt = false;
-      started = false;
-    }
-  in
-  (* With a batch buffer, every rBC vote the sub-protocols emit is
-     diverted into it; the buffer's end-of-tick flush re-broadcasts the
-     votes as one combined packet. Non-rBC traffic (oBC reports, witness
-     sets) keeps its per-packet path. *)
-  let rbc_send_all =
-    match batch with
-    | None -> send_all
-    | Some b -> (
-        function
-        | Message.Rbc (id, step, payload) -> Batch.add b id step payload
-        | m -> send_all m)
-  in
-  t.rbc <-
-    Some
-      (Rbc.create ~intern:t.intern ~n:cfg.Config.n ~t:cfg.Config.ts
-         {
-           Rbc.send_all = rbc_send_all;
-           deliver = (fun id payload -> on_rbc_deliver t id payload);
-         });
-  t.init <-
-    Some
-      (Init_round.create ~safe_cache:t.safe_cache ~n:cfg.Config.n
-         ~ts:cfg.Config.ts ~ta:cfg.Config.ta ~delta:cfg.Config.delta
-         ~eps:cfg.Config.eps
-         {
-           Init_round.now;
-           set_timer;
-           rbc_broadcast =
-             (fun tag payload ->
-               Rbc.broadcast (rbc t) { Message.tag; origin = me } payload);
-           send_all;
-           output = (fun tt v0 -> on_init_output t tt v0);
-         });
-  t
-
 let start t v =
   if t.started then invalid_arg "Party.start: already started";
   if Vec.dim v <> t.cfg.d then invalid_arg "Party.start: wrong dimension";
@@ -361,18 +282,85 @@ let handle t (ev : Message.t Transport.event) =
    endpoint record exposes — this is the whole-protocol seam between
    [lib/maaa] and whichever backend (simulator engine, or the engine
    driving the loopback TCP wire) carries the traffic. *)
-let attach_endpoint ?callbacks ?opts ?safe_cache ~cfg
-    (ep : Message.t Transport.endpoint) =
-  if ep.Transport.n <> cfg.Config.n then
+let attach_endpoint ?(callbacks = no_callbacks) ?(opts = default_opts)
+    ?safe_cache ~cfg (ep : Message.t Transport.endpoint) =
+  if ep.n <> cfg.Config.n then
     invalid_arg "Party.attach_endpoint: endpoint/config n mismatch";
-  let t =
-    create ?callbacks ?opts ?safe_cache ~cfg ~me:ep.Transport.me
-      ~register_flush:ep.Transport.register_flush ~now:ep.Transport.now
-      ~send_all:ep.Transport.send_all
-      ~set_timer:(fun ~at -> ep.Transport.set_timer ~at ~tag:0)
-      ()
+  let me = ep.me and now = ep.now and send_all = ep.send_all in
+  let set_timer ~at = ep.set_timer ~at ~tag:0 in
+  let batch =
+    match opts.layer with
+    | Interned -> None
+    | Batched ->
+        let b = Batch.create ~send_all in
+        ep.register_flush (fun ~final:_ -> Batch.flush b);
+        Some b
   in
-  ep.Transport.set_handler (handle t);
+  let t =
+    {
+      cfg;
+      me;
+      opts;
+      batch;
+      intern = Intern.create ();
+      safe_cache =
+        (match safe_cache with Some c -> c | None -> Safe_cache.create ());
+      cbs = callbacks;
+      now;
+      send_all;
+      set_timer;
+      rbc = None;
+      init = None;
+      obcs = Hashtbl.create 8;
+      history = Hashtbl.create 16;
+      halts = Hashtbl.create 8;
+      buffered_values = Hashtbl.create 8;
+      buffered_reports = Hashtbl.create 8;
+      iter = 0;
+      iter_start = 0;
+      pending_value = None;
+      t_estimate = None;
+      output = None;
+      output_iter = None;
+      output_time = None;
+      sent_halt = false;
+      started = false;
+    }
+  in
+  (* With a batch buffer, every rBC vote the sub-protocols emit is
+     diverted into it; the buffer's end-of-tick flush re-broadcasts the
+     votes as one combined packet. Non-rBC traffic (oBC reports, witness
+     sets) keeps its per-packet path. *)
+  let rbc_send_all =
+    match batch with
+    | None -> send_all
+    | Some b -> (
+        function
+        | Message.Rbc (id, step, payload) -> Batch.add b id step payload
+        | m -> send_all m)
+  in
+  t.rbc <-
+    Some
+      (Rbc.create ~intern:t.intern ~n:cfg.Config.n ~t:cfg.Config.ts
+         {
+           Rbc.send_all = rbc_send_all;
+           deliver = (fun id payload -> on_rbc_deliver t id payload);
+         });
+  t.init <-
+    Some
+      (Init_round.create ~safe_cache:t.safe_cache ~n:cfg.Config.n
+         ~ts:cfg.Config.ts ~ta:cfg.Config.ta ~delta:cfg.Config.delta
+         ~eps:cfg.Config.eps
+         {
+           Init_round.now;
+           set_timer;
+           rbc_broadcast =
+             (fun tag payload ->
+               Rbc.broadcast (rbc t) { Message.tag; origin = me } payload);
+           send_all;
+           output = (fun tt v0 -> on_init_output t tt v0);
+         });
+  ep.set_handler (handle t);
   t
 
 let attach ?callbacks ?opts ?safe_cache ~cfg ~me engine =

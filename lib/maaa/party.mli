@@ -11,8 +11,8 @@
     other parties retain its echo/ready amplification, which the paper's
     Conditional Liveness arguments rely on.
 
-    The party is driven entirely by simulator events: wire {!handle} into
-    an {!Engine} with [Engine.set_party] (or use {!attach}) and call
+    The party is driven entirely through a transport endpoint: attach it
+    with {!attach_endpoint} (or {!attach} on a simulator engine) and call
     {!start} at the party's (local) starting time. *)
 
 type t
@@ -72,25 +72,6 @@ val default_opts : opts
 (** [{ mode = Estimate; mutant = None; layer = Interned }]: the paper's
     protocol on the fast path. *)
 
-val create :
-  ?callbacks:callbacks ->
-  ?opts:opts ->
-  ?register_flush:(((final:bool -> unit) -> unit)) ->
-  ?safe_cache:Safe_cache.t ->
-  cfg:Config.t ->
-  me:int ->
-  now:(unit -> int) ->
-  send_all:(Message.t -> unit) ->
-  set_timer:(at:int -> unit) ->
-  unit ->
-  t
-(** [opts] defaults to {!default_opts}. [register_flush] must be provided
-    when the layer is [Batched]: it receives the party's end-of-tick
-    flush closure and is expected to arrange for it to run once per tick
-    ({!attach} wires it to [Engine.set_flusher]; the closure ignores the
-    engine's [~final] flag). Raises
-    [Invalid_argument] if [Batched] is requested without it. *)
-
 val attach_endpoint :
   ?callbacks:callbacks ->
   ?opts:opts ->
@@ -101,8 +82,10 @@ val attach_endpoint :
 (** Creates the party against an abstract transport endpoint and installs
     its handler through it — the backend-independent form of {!attach}
     (the simulator engine and the networked runtime both present
-    themselves as endpoints). Raises [Invalid_argument] when the
-    endpoint's [n] disagrees with the config. *)
+    themselves as endpoints). Under the [Batched] layer the egress
+    buffer's flush is registered through the endpoint's
+    [register_flush]. Raises [Invalid_argument] when the endpoint's [n]
+    disagrees with the config. *)
 
 val attach :
   ?callbacks:callbacks ->
@@ -127,7 +110,6 @@ val handle : t -> Message.t Transport.event -> unit
 
 (* -- observers, used by the harness and the experiments -- *)
 
-val me : t -> int
 val output : t -> Vec.t option
 val output_iteration : t -> int option
 val output_time : t -> int option

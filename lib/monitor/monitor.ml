@@ -263,20 +263,3 @@ let summary t =
     honest_outputs = List.length outs;
     honest_expected = Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 t.honest;
   }
-
-let pp_summary ppf s =
-  let total = total_violations s in
-  if total = 0 then
-    Format.fprintf ppf "monitor: ok (%d checks, diam %.3g <= eps %g, %d/%d outputs)"
-      s.checks s.final_diameter s.eps s.honest_outputs s.honest_expected
-  else begin
-    Format.fprintf ppf "monitor: %d VIOLATIONS (%d checks):" total s.checks;
-    List.iter
-      (fun (name, c) -> if c > 0 then Format.fprintf ppf " %s=%d" name c)
-      s.counts;
-    List.iter
-      (fun v ->
-        Format.fprintf ppf "@\n  [%s] t=%d party=%d %s"
-          (invariant_name v.invariant) v.time v.party v.detail)
-      s.violations
-  end

@@ -75,4 +75,3 @@ val summary : t -> summary
     Idempotent; call after [Engine.run] returns. *)
 
 val total_violations : summary -> int
-val pp_summary : Format.formatter -> summary -> unit

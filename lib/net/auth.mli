@@ -5,7 +5,7 @@
     directed link [(src, dst)] MACs its frames under its own derived key,
     so corrupted, cross-link, or reflected frames never verify. The MAC
     is a keyed integrity check against the chaos the harness injects —
-    {e not} a defence against a party that holds the master key (see the
+    {e not} a safeguard against a party that holds the master key (see the
     implementation header). *)
 
 type key = { k0 : int64; k1 : int64 }

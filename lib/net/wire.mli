@@ -13,10 +13,6 @@
     trustworthy); the caller drops the connection and relies on the
     perfect link's replay. *)
 
-val header_len : int
-val trailer_len : int
-val max_payload : int
-
 type ftype = Hello | Data | Ack
 
 type frame = {
@@ -41,8 +37,8 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 val encode : key:Auth.key -> frame -> Bytes.t
-(** Raises [Invalid_argument] when the payload exceeds {!max_payload} —
-    a sender bug, not a wire condition. *)
+(** Raises [Invalid_argument] when the payload exceeds 4 MiB — a sender
+    bug, not a wire condition. *)
 
 type decoder
 
@@ -52,8 +48,6 @@ val decoder : n:int -> key_of:(src:int -> dst:int -> Auth.key) -> decoder
 
 val feed : decoder -> Bytes.t -> off:int -> len:int -> unit
 (** Append raw received bytes. *)
-
-val buffered : decoder -> int
 
 val next : decoder -> (frame option, error) result
 (** [Ok None]: a frame is still incomplete — feed more bytes. [Ok (Some

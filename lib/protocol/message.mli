@@ -41,7 +41,7 @@ type t =
   | Ew_value of { iter : int; value : Vec.t }
       (** Erbes–Wattenhofer quadratic AA: direct iteration-[iter] value *)
   | Ew_echo of { iter : int; pairs : (int * Vec.t) list }
-      (** Erbes–Wattenhofer quadratic AA, equivocation defence: the sender
+      (** Erbes–Wattenhofer quadratic AA, echo confirmation: the sender
           vouches that it received value [v] directly from party [p], for
           each listed pair. A pair enters a receiver's value set only once
           [n − t] distinct parties echo the same [(p, v)] — the

@@ -19,7 +19,7 @@ echo "== lib/ size gate (.ml + .mli lines) =="
 # lib/ should shrink, not grow: the ceiling is the count when the gate
 # went in, lowered as lib/ shrinks. A change that raises it says why in
 # CHANGES.md.
-lib_ceiling=15290
+lib_ceiling=15246
 lib_lines=$(find lib \( -name '*.ml' -o -name '*.mli' \) -type f -exec cat {} + | wc -l)
 echo "lib/: $lib_lines lines (ceiling $lib_ceiling)"
 if [ "$lib_lines" -gt "$lib_ceiling" ]; then
@@ -53,6 +53,8 @@ grep -q '"violations_total": 0' _build/SOAK_batched.json
 grep -q '"quarantined": 0' _build/SOAK_batched.json
 
 echo "== soak smoke: EW quadratic protocol =="
+# drawn crash, lag, poison and spam corruptions run on EW itself; the
+# ΠAA-only draws run silent
 dune exec bin/soak_main.exe -- --smoke --domains 2 --protocol ew \
   --out _build/SOAK_ew.json
 grep -q '"protocol": "ew"' _build/SOAK_ew.json

@@ -261,7 +261,7 @@ let test_ew_quadratic () =
     (ratio >= 8. && ratio <= 40.)
 
 (* A poisoner under EW runs EW on its chosen input: the party's own
-   sends are EW values and reports, never ΠAA traffic. *)
+   sends are EW values, echo claims and reports, never ΠAA traffic. *)
 let test_ew_poisoner_runs_ew () =
   let sends = ref [] in
   let far = Vec.of_list [ 50.; -50. ] in
@@ -280,12 +280,15 @@ let test_ew_poisoner_runs_ew () =
          | Message.Ew_value { iter = 1; value } -> Vec.equal_exact value far
          | _ -> false)
        !sends);
-  Alcotest.(check bool) "and sends nothing but EW values and reports" true
+  Alcotest.(check bool) "and sends nothing but EW values, echoes and reports"
+    true
     (List.for_all
-       (function Message.Ew_value _ | Message.Ew_report _ -> true | _ -> false)
+       (function
+         | Message.Ew_value _ | Message.Ew_echo _ | Message.Ew_report _ -> true
+         | _ -> false)
        !sends)
 
-(* Every other behaviour is ΠAA code, whose messages EW drops: the
+(* A behaviour that needs ΠAA internals cannot run under EW: the
    scenario cannot be built. *)
 let test_ew_rejects_equivocator () =
   let v = Vec.of_list [ 0.; 0. ] in

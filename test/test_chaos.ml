@@ -376,9 +376,11 @@ let test_soak_scenarios_reproducible () =
   in
   Alcotest.(check bool) "different seed, different grid" true (a <> c)
 
-(* Behavior has no EW arm, so an EW sweep makes every drawn static
-   corruption Silent — after the draws: names, seeds, sync flags and the
-   corrupted parties are pinned to the grid drawn before that rule. *)
+(* An EW sweep silences only the ΠAA-only draws ({!Behavior.needs_maaa});
+   crash, lag, poison and spam run on EW itself. The silencing happens
+   after the draws: names, seeds, sync flags and the corrupted parties
+   are pinned to the grid drawn before that rule, and the behaviours to
+   the draws that survive it. *)
 let test_soak_ew_corruptions_silent () =
   let config =
     { Soak.default with Soak.cases = 12; seed = 5L; protocol = Scenario.Ew }
@@ -389,10 +391,22 @@ let test_soak_ew_corruptions_silent () =
       List.iter
         (fun (p, b) ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s party %d silent" s.Scenario.name p)
-            true (b = Behavior.Silent))
+            (Printf.sprintf "%s party %d protocol-free" s.Scenario.name p)
+            false (Behavior.needs_maaa b))
         s.Scenario.corruptions)
     grid;
+  Alcotest.(check (list (list string)))
+    "drawn behaviours, ΠAA-only ones silenced"
+    [
+      []; [ "spam:period=3,bytes=102,until=222" ]; []; [ "lagger:350" ];
+      [ "silent" ]; [ "spam:period=4,bytes=245,until=118" ]; [];
+      [ "lagger:133"; "silent" ]; []; [ "silent"; "silent" ]; [];
+      [ "lagger:224"; "crash@255" ];
+    ]
+    (List.map
+       (fun (s : Scenario.t) ->
+         List.map (fun (_, b) -> Fault_plan.behavior_to_string b) s.Scenario.corruptions)
+       grid);
   let pinned =
     [
       (-1775295754246911067L, []); (4526775184652458095L, [ 0 ]);

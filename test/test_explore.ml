@@ -1,10 +1,10 @@
 (* Tests for the bounded model-checking explorer and its supporting
    seams: the engine chooser hook is byte-invisible at its default on
    both the sim and the net backend, Fault_plan reprs round-trip, the
-   shrinker is 1-minimal and idempotent against its own move set, the EW
-   equivocation defence rejects an explicitly equivocating adversary the
-   legacy protocol accepts, and the explorer rediscovers both protocol
-   mutants with replayable shrunk repros. *)
+   shrinker is 1-minimal and idempotent against its own move set, EW's
+   echo confirmation contains an explicitly equivocating adversary, and
+   the explorer rediscovers both protocol mutants with replayable shrunk
+   repros. *)
 
 let zero_chooser engine = Engine.set_chooser engine (fun _ -> 0)
 
@@ -239,18 +239,18 @@ let test_shrink_joint_fixpoint () =
     true
     (weight shrunk <= 5)
 
-(* --- EW equivocation: legacy accepts, the defence rejects --- *)
+(* --- EW equivocation: echo confirmation contains it --- *)
 
 (* n = 4, t = 1. Party 2's links are slow (3 ticks), everyone else's are
    fast (1 tick). The Byzantine party 3 shows value [va] to {0, 1} and
    [vb] to {2}: the fast parties' value sets close over (3, va) while
    party 2's closes over (3, vb), so without a consistency mechanism no
-   honest report ever passes another party's subset test — witness
-   counts stall at 2 < n − t and NOBODY outputs. The echo-confirmation
-   defence denies party 3 a confirmation quorum for either value and the
-   honest pairs confirm everywhere, so the protocol completes on the
+   honest report would ever pass another party's subset test — witness
+   counts would stall at 2 < n − t and NOBODY would output. Echo
+   confirmation denies party 3 a confirmation quorum for either value and
+   the honest pairs confirm everywhere, so the protocol completes on the
    honest inputs alone. *)
-let ew_equivocation_run ~defence =
+let ew_equivocation_run () =
   let n = 4 in
   let policy ~rng:_ ~now:_ ~src ~dst:_ = if src = 2 then 3 else 1 in
   let engine = Engine.create ~n ~policy () in
@@ -259,7 +259,7 @@ let ew_equivocation_run ~defence =
     List.map
       (fun i ->
         ( i,
-          Ew_aa.attach_endpoint ~channel:(Ew_aa.Direct { defence }) ~t:1
+          Ew_aa.attach_endpoint ~channel:Ew_aa.Direct ~t:1
             ~iters:1 (Engine.endpoint engine ~me:i) ))
       honest
   in
@@ -278,21 +278,13 @@ let ew_equivocation_run ~defence =
   Engine.run engine;
   List.map (fun (i, p) -> (i, Ew_aa.output p)) parties
 
-let test_ew_equivocation_legacy_stalls () =
-  List.iter
-    (fun (i, out) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "legacy party %d stalls under equivocation" i)
-        true (out = None))
-    (ew_equivocation_run ~defence:false)
-
 let test_ew_equivocation_defence_completes () =
-  let outs = ew_equivocation_run ~defence:true in
+  let outs = ew_equivocation_run () in
   let values =
     List.map
       (fun (i, out) ->
         match out with
-        | None -> Alcotest.failf "defence party %d failed to output" i
+        | None -> Alcotest.failf "party %d failed to output" i
         | Some v -> (Vec.to_array v).(0))
       outs
   in
@@ -309,17 +301,15 @@ let test_ew_equivocation_defence_completes () =
         rest
   | [] -> Alcotest.fail "no outputs"
 
-(* The defence must not change the legacy wire behaviour when off: an
-   honest EW scenario produces byte-identical results either way (this
-   pins that the echo message type stays silent). *)
+(* An honest EW run on the direct channel is reproducible: two runs give
+   the same outputs and engine statistics. *)
 let test_ew_defence_off_is_legacy () =
   let run () =
     let n = 4 in
     let engine = Engine.create ~n ~policy:(Network.lockstep ~delta:4) () in
     let parties =
       List.init n (fun i ->
-          Ew_aa.attach_endpoint ~channel:(Ew_aa.Direct { defence = false })
-            ~t:1 ~iters:2 (Engine.endpoint engine ~me:i))
+          Ew_aa.attach_endpoint ~channel:Ew_aa.Direct ~t:1 ~iters:2 (Engine.endpoint engine ~me:i))
     in
     List.iteri
       (fun i p -> Ew_aa.start p (Vec.of_list [ float_of_int i ]))
@@ -690,8 +680,6 @@ let () =
         ] );
       ( "ew equivocation",
         [
-          Alcotest.test_case "legacy stalls" `Quick
-            test_ew_equivocation_legacy_stalls;
           Alcotest.test_case "defence completes" `Quick
             test_ew_equivocation_defence_completes;
           Alcotest.test_case "defence off is legacy" `Quick
