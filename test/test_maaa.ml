@@ -280,6 +280,171 @@ let test_party_start_validation () =
     (Invalid_argument "Party.start: already started") (fun () ->
       Party.start p (Vec.zero 2))
 
+(* --- golden pins: ΠAA runs and Πinit alone --- *)
+
+(* Every bit a run produces, for a seeded grid of ΠAA runs under each
+   corruption that reaches ΠAA's internals: outputs and histories as hex
+   floats, the T estimates, the message count and the run's safe-area
+   memo hits and misses (which pin the sequence of update-rule calls).
+   Inputs carry -0. components, so a change that swaps a signed zero for
+   its twin shows. *)
+let hex v = String.concat "," (List.map (Printf.sprintf "%h") (Vec.to_list v))
+
+let golden_digest r =
+  let outputs =
+    List.map (fun (i, v) -> Printf.sprintf "%d:%s" i (hex v)) r.Runner.outputs
+  and histories =
+    List.map
+      (fun (i, h) ->
+        Printf.sprintf "%d:%s" i
+          (String.concat "|"
+             (List.map (fun (it, v) -> Printf.sprintf "%d=%s" it (hex v)) h)))
+      r.Runner.histories
+  and estimates =
+    List.map (fun (i, t) -> Printf.sprintf "%d:%d" i t) r.Runner.t_estimates
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          [
+            String.concat ";" outputs;
+            String.concat ";" histories;
+            String.concat ";" estimates;
+            Printf.sprintf "msgs=%d safe=%d/%d" r.Runner.stats.Engine.messages_sent
+              r.Runner.caches.Runner.safe_hits r.Runner.caches.Runner.safe_misses;
+          ]))
+
+let golden_inputs n d =
+  List.init n (fun i ->
+      Vec.of_list
+        (List.init d (fun c ->
+             if (i + c) mod 3 = 0 then -0. else float_of_int ((i * (c + 2)) mod 5) /. 4.)))
+
+let golden_runs () =
+  List.concat_map
+    (fun sync ->
+      List.concat_map
+        (fun d ->
+          let n = d + 4 in
+          let cfg = Config.make_exn ~n ~ts:1 ~ta:1 ~d ~eps:0.05 ~delta:10 in
+          let far = Vec.of_list (List.init d (fun c -> if c = 0 then 40. else -0.)) in
+          let other = Vec.of_list (List.init d (fun c -> float_of_int (-30 - c))) in
+          List.map
+            (fun (bname, b) ->
+              let name =
+                Printf.sprintf "%s d%d %s" (if sync then "sync" else "async") d bname
+              in
+              let r =
+                if sync then
+                  run ~cfg ~seed:(Int64.of_int (d + 40))
+                    ~policy:(Network.sync_uniform ~delta:10)
+                    ~corruptions:[ (1, b) ] (golden_inputs n d)
+                else
+                  run ~cfg ~seed:(Int64.of_int (d + 50))
+                    ~policy:(Network.async_heavy_tail ~base:10)
+                    ~sync_network:false ~corruptions:[ (1, b) ]
+                    (golden_inputs n d)
+              in
+              (name, golden_digest r))
+            [
+              ("silent", Behavior.Silent);
+              ("poison", Behavior.Honest_with_input far);
+              ("equivocate", Behavior.Equivocate (far, other));
+              ( "split",
+                Behavior.Equivocate_split
+                  { values = (other, far); assign = Array.init n (fun i -> i mod 2) } );
+              ("halt liar", Behavior.Halt_liar 1);
+              ("garbage", Behavior.Garbage 15);
+            ])
+        [ 1; 2; 3 ])
+    [ true; false ]
+
+(* Πinit in isolation (the E8 fixture), with and without double
+   witnessing: every output and every estimation set, bit for bit. *)
+let golden_init_runs () =
+  List.concat_map
+    (fun double_witnessing ->
+      List.map
+        (fun (pname, policy, seed) ->
+          let n = 7 in
+          let inputs = List.tl (List.combine (List.init n Fun.id) (golden_inputs n 2)) in
+          let o =
+            Fixtures.run_init ~seed ~double_witnessing ~n ~ts:2 ~ta:1 ~delta:10
+              ~eps:0.01 ~policy ~inputs ()
+          in
+          let results =
+            List.map
+              (fun (i, tt, v, time) -> Printf.sprintf "%d:%d:%s@%d" i tt (hex v) time)
+              (List.sort compare o.Fixtures.init_results)
+          and estimations =
+            List.map
+              (fun (i, ie) ->
+                Printf.sprintf "%d:{%s}" i
+                  (String.concat ","
+                     (List.map
+                        (fun (p, v) -> Printf.sprintf "%d=%s" p (hex v))
+                        (Pairset.bindings ie))))
+              (List.sort compare o.Fixtures.init_estimations)
+          in
+          ( Printf.sprintf "init %s dw=%b" pname double_witnessing,
+            Digest.to_hex
+              (Digest.string
+                 (String.concat ";" results ^ "\n" ^ String.concat ";" estimations)) ))
+        [
+          ("sync", Network.sync_uniform ~delta:10, 3L);
+          ("async", Network.async_heavy_tail ~base:10, 4L);
+        ])
+    [ true; false ]
+
+let golden_expected =
+  [
+    ("sync d1 silent", "4fc980d5ff46fefb2b62a04d567e0fe1");
+    ("sync d1 poison", "344df8c98b909dbd1f974e41db53df34");
+    ("sync d1 equivocate", "6abb1c04fe380e98050e69a4a80cc500");
+    ("sync d1 split", "9c34e4142ee849f6eedce3732cb530e2");
+    ("sync d1 halt liar", "068f811553c9176920edf39ccad7a5fc");
+    ("sync d1 garbage", "0b2aefb37f93c399bdc593eb355e2679");
+    ("sync d2 silent", "02e6f73fa8dd7d92a3388648f0efc125");
+    ("sync d2 poison", "08fc660e2fc84068c677fe2c13157ce0");
+    ("sync d2 equivocate", "23f8939adde04bd3769649d45d6f1f5f");
+    ("sync d2 split", "bbd5fea52bba0a32e5fd08c602c32112");
+    ("sync d2 halt liar", "d055fb864271a8d74f940b975a4ac067");
+    ("sync d2 garbage", "31fdd35eab9f0d1e4af531f29885e4b9");
+    ("sync d3 silent", "a0baa013af8abafd1ca885b7a67c0ea4");
+    ("sync d3 poison", "6fd4d5a20448f7ad59a83a97874971d7");
+    ("sync d3 equivocate", "32ff4b5e5fdcc89f8749f0b6b1c5b6c9");
+    ("sync d3 split", "29e9a995774861154294755e3d1242b5");
+    ("sync d3 halt liar", "d3ef8e07b571fe2b68476e3c1eed0a73");
+    ("sync d3 garbage", "fbb210871c6af04b61ead9b42e7da968");
+    ("async d1 silent", "fcb1ccd1ed2ed2af82aaa4a7caf97347");
+    ("async d1 poison", "72da02061b4e6bb7f3455f541bccbd6a");
+    ("async d1 equivocate", "e92e0df8b01c565a955da2ac44af102f");
+    ("async d1 split", "73e25d7348f6e80fb10fdea393477a06");
+    ("async d1 halt liar", "eab9ca486588c131a129039d2e559292");
+    ("async d1 garbage", "0acebab243b3329aff35b43a3407d4fe");
+    ("async d2 silent", "02e6f73fa8dd7d92a3388648f0efc125");
+    ("async d2 poison", "b5418738cfeb91fcbd19e6ca5fcebba0");
+    ("async d2 equivocate", "149ba0e2bd434e0b63b64f136b1a85f6");
+    ("async d2 split", "aa3031e7d07eecd03d4a2d3ececae824");
+    ("async d2 halt liar", "2bc687ccae27fd9dd6774c9d1019f2c7");
+    ("async d2 garbage", "ddc86a43b8af9100993c4d6e484cd597");
+    ("async d3 silent", "b0ae205d60dce0ed2217ae493adf1e2d");
+    ("async d3 poison", "03e7c270ef229df9c6c41f27359cd443");
+    ("async d3 equivocate", "2eb84e4132952579d287ac0b9ab5b457");
+    ("async d3 split", "710b5c1768dff2ed67670cf2abeac3be");
+    ("async d3 halt liar", "09fdd28a99d597de8802fe0a518074d4");
+    ("async d3 garbage", "ec0de937528b3325dc9ef256b943e49c");
+    ("init sync dw=true", "fb4dad57ad5c3e5bfd52f516d5d0b670");
+    ("init async dw=true", "f17386fe529b0f11f0fb026f6ef52228");
+    ("init sync dw=false", "fb4dad57ad5c3e5bfd52f516d5d0b670");
+    ("init async dw=false", "13358fb77412556a17955289ba12d349");
+  ]
+
+let test_golden () =
+  Alcotest.(check (list (pair string string)))
+    "golden digests" golden_expected
+    (golden_runs () @ golden_init_runs ())
+
 (* --- property: random scenarios stay correct --- *)
 
 let prop_random_scenarios =
@@ -365,6 +530,7 @@ let () =
           Alcotest.test_case "hull membership" `Quick
             test_validity_exact_hull_membership;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "golden: ΠAA grid and Πinit" `Quick test_golden;
         ] );
       ( "properties",
         q [ prop_random_scenarios; prop_random_async_scenarios ] );
