@@ -16,11 +16,12 @@
     [(ts, ta)]-Overlap guarantee under asynchrony.
 
     The collected set and every pending report are flat party-indexed
-    arrays of {!Intern} value ids, so report verification is O(n) int
-    compares instead of a [Pairset.subset] of float vectors on every event.
-    The seed Pairset/Map code survives as {!Reference}, a test oracle: on
-    every input stream both make callback calls that [compare] equal
-    ([test_obc.ml]). *)
+    arrays of {!Intern} value ids, checked by {!Reports}, so report
+    verification is O(n) int compares instead of a [Pairset.subset] of
+    float vectors on every event, and taking a report in allocates
+    nothing. The seed Pairset/Map code survives in [test/] as a test
+    oracle: on every input stream both make callback calls that [compare]
+    equal ([test_obc.ml]). *)
 
 type t
 
@@ -60,18 +61,3 @@ val on_report : t -> from:int -> (int * Vec.t) list -> unit
 
 val poke : t -> unit
 (** Re-evaluate all guards (call on timer wake-ups). *)
-
-(** The seed Pairset/Map implementation, verbatim — a test oracle only;
-    protocol code goes through {!create}. *)
-module Reference : sig
-  type t
-
-  val create :
-    ?witnessing:bool -> n:int -> ts:int -> delta:int -> iter:int ->
-    callbacks -> t
-
-  val start : t -> Vec.t -> unit
-  val on_value : t -> origin:int -> Vec.t -> unit
-  val on_report : t -> from:int -> (int * Vec.t) list -> unit
-  val poke : t -> unit
-end

@@ -1,6 +1,3 @@
-module IntSet = Set.Make (Int)
-module IntMap = Map.Make (Int)
-
 type callbacks = {
   now : unit -> int;
   set_timer : at:int -> unit;
@@ -9,6 +6,12 @@ type callbacks = {
   output : int -> Vec.t -> unit;
 }
 
+(* Party-indexed arrays throughout, as in Obc: M holds interned value ids
+   (compared by [Reports]) next to the vectors rBC delivered; a report
+   row holds ids for the check and the report's own vectors for the
+   estimate, since ids tie ±0 and the estimate must see the report's own
+   bits. W is an id array too (0 for a witness, -1 otherwise), so witness
+   sets verify against it through the same [Reports] check. *)
 type t = {
   n : int;
   ts : int;
@@ -17,23 +20,29 @@ type t = {
   eps : float;
   double_witnessing : bool;
   cache : Safe_cache.t;
+  intern : Intern.t;
   cb : callbacks;
   mutable started : bool;
   mutable tau_start : int;
-  mutable m : Pairset.t;
-  mutable i_e : Pairset.t;  (* estimation per witness *)
-  mutable witnesses : IntSet.t;
-  mutable double_witnesses : IntSet.t;
-  mutable pending_reports : Pairset.t IntMap.t;
-  mutable pending_wsets : IntSet.t IntMap.t;
-  mutable seen_report : IntSet.t;
-  mutable seen_wset : IntSet.t;
+  m_pid : int array;  (* party -> interned value id, -1 absent *)
+  m_vec : Vec.t array;  (* party -> its rBC'd value, where m_pid >= 0 *)
+  mutable m_count : int;
+  reports : Reports.t;  (* rBC'd reports against M *)
+  rep_vec : Vec.t array;  (* n × n: each report's own vectors *)
+  w_id : int array;  (* witness -> 0, others -1 *)
+  mutable w_count : int;
+  i_e : Vec.t array;  (* witness -> its estimation *)
+  wsets : Reports.t;  (* witness sets against W *)
+  mutable dw_count : int;  (* double witnesses *)
   mutable sent_report : bool;
   mutable sent_wset : bool;
   mutable done_ : bool;
 }
 
-let create ?(double_witnessing = true) ?safe_cache ~n ~ts ~ta ~delta ~eps cb =
+let no_vec = Vec.zero 0
+
+let create ?(double_witnessing = true) ?safe_cache ?intern ~n ~ts ~ta ~delta
+    ~eps cb =
   {
     n;
     ts;
@@ -43,69 +52,70 @@ let create ?(double_witnessing = true) ?safe_cache ~n ~ts ~ta ~delta ~eps cb =
     double_witnessing;
     cache =
       (match safe_cache with Some c -> c | None -> Safe_cache.create ());
+    intern =
+      (match intern with
+      | Some i -> i
+      | None -> Intern.create ~initial_size:16 ());
     cb;
     started = false;
     tau_start = 0;
-    m = Pairset.empty;
-    i_e = Pairset.empty;
-    witnesses = IntSet.empty;
-    double_witnesses = IntSet.empty;
-    pending_reports = IntMap.empty;
-    pending_wsets = IntMap.empty;
-    seen_report = IntSet.empty;
-    seen_wset = IntSet.empty;
+    m_pid = Array.make n (-1);
+    m_vec = Array.make n no_vec;
+    m_count = 0;
+    reports = Reports.create ~n ~need:(n - ts);
+    rep_vec = Array.make (n * n) no_vec;
+    w_id = Array.make n (-1);
+    w_count = 0;
+    i_e = Array.make n no_vec;
+    wsets = Reports.create ~n ~need:(n - ts);
+    dw_count = 0;
     sent_report = false;
     sent_wset = false;
     done_ = false;
   }
 
 let has_output t = t.done_
-let estimations t = t.i_e
+
+(* ascending party order: Pairset.bindings of the same set *)
+let bindings ids vecs =
+  let acc = ref [] in
+  for p = Array.length ids - 1 downto 0 do
+    if ids.(p) >= 0 then acc := (p, vecs.(p)) :: !acc
+  done;
+  !acc
+
+let estimations t = Pairset.of_bindings (bindings t.w_id t.i_e)
 
 (* The estimation rule (lines 7-10 of Πinit): identical to the update rule
-   of ΠAA-it, computed deterministically
-   from the reported set so that every honest party derives the same
-   estimate for the same witness. *)
-let estimate t report =
-  let k = Pairset.cardinal report - (t.n - t.ts) in
-  let trim = max t.ta k in
-  Safe_cache.new_value_arr t.cache ~t:trim (Pairset.values_arr report)
-
-let promote_witness t from report =
-  match estimate t report with
+   of ΠAA-it, computed deterministically from the reported set (its
+   values in ascending party order) so that every honest party derives
+   the same estimate for the same witness. *)
+let promote_witness t s =
+  let count = Reports.count t.reports s in
+  let vs = Array.make count no_vec and k = ref 0 in
+  for p = 0 to t.n - 1 do
+    if Reports.id t.reports s p >= 0 then begin
+      vs.(!k) <- t.rep_vec.((s * t.n) + p);
+      incr k
+    end
+  done;
+  match
+    Safe_cache.new_value_arr t.cache ~t:(max t.ta (count - (t.n - t.ts))) vs
+  with
   | Some v ->
-      t.witnesses <- IntSet.add from t.witnesses;
-      t.i_e <- Pairset.add ~party:from v t.i_e
+      t.w_id.(s) <- 0;
+      t.w_count <- t.w_count + 1;
+      t.i_e.(s) <- v
   | None ->
       (* Cannot happen for honest reports (Lemma 5.5); a malformed
          adversarial report simply never yields a witness. *)
       ()
 
-let recheck_reports t =
-  let validated, rest =
-    IntMap.partition
-      (fun _ report ->
-        Pairset.cardinal report >= t.n - t.ts && Pairset.subset report t.m)
-      t.pending_reports
-  in
-  t.pending_reports <- rest;
-  IntMap.iter (fun from report -> promote_witness t from report) validated
-
-let recheck_wsets t =
-  let validated, rest =
-    IntMap.partition
-      (fun _ ws ->
-        IntSet.cardinal ws >= t.n - t.ts && IntSet.subset ws t.witnesses)
-      t.pending_wsets
-  in
-  t.pending_wsets <- rest;
-  IntMap.iter
-    (fun from _ -> t.double_witnesses <- IntSet.add from t.double_witnesses)
-    validated
+let double_witness t _ = t.dw_count <- t.dw_count + 1
 
 (* T := ⌈log_{√(7/8)}(ε / δmax(I_e))⌉, clamped to at least one iteration. *)
-let iteration_estimate t =
-  let diam = Pairset.diameter t.i_e in
+let iteration_estimate t estimates =
+  let diam = Vec.diameter estimates in
   if diam <= t.eps then 1
   else
     let raw = log (t.eps /. diam) /. log Params.conv_factor in
@@ -113,42 +123,42 @@ let iteration_estimate t =
 
 let try_fire t =
   if t.started && not t.done_ then begin
-    let now = t.cb.now () in
+    let now = t.cb.now () and quorum = t.n - t.ts in
     if
       (not t.sent_report)
       && now > t.tau_start + (Params.c_rbc * t.delta)
-      && Pairset.cardinal t.m >= t.n - t.ts
+      && t.m_count >= quorum
     then begin
       t.sent_report <- true;
       t.cb.rbc_broadcast Message.Init_report
-        (Message.Ppairs (Pairset.bindings t.m))
+        (Message.Ppairs (bindings t.m_pid t.m_vec))
     end;
-    recheck_reports t;
+    Reports.verify t.reports t.m_pid promote_witness t;
     if
       (not t.sent_wset)
       && now > t.tau_start + (2 * Params.c_rbc * t.delta)
-      && IntSet.cardinal t.witnesses >= t.n - t.ts
+      && t.w_count >= quorum
     then begin
       t.sent_wset <- true;
       t.cb.send_all
-        (Message.Witness_set { parties = IntSet.elements t.witnesses })
+        (Message.Witness_set
+           { parties = List.map fst (bindings t.w_id t.i_e) })
     end;
-    recheck_wsets t;
-    let gate =
-      if t.double_witnessing then t.double_witnesses else t.witnesses
-    in
+    Reports.verify t.wsets t.w_id double_witness t;
+    let gate = if t.double_witnessing then t.dw_count else t.w_count in
     if
       now > t.tau_start + (((2 * Params.c_rbc) + Params.c_rbc') * t.delta)
-      && IntSet.cardinal gate >= t.n - t.ts
+      && gate >= quorum
     then begin
-      let k = IntSet.cardinal t.witnesses - (t.n - t.ts) in
-      let trim = max t.ta k in
+      let estimates = List.map snd (bindings t.w_id t.i_e) in
       match
-        Safe_cache.new_value_arr t.cache ~t:trim (Pairset.values_arr t.i_e)
+        Safe_cache.new_value_arr t.cache
+          ~t:(max t.ta (t.w_count - quorum))
+          (Array.of_list estimates)
       with
       | Some v0 ->
           t.done_ <- true;
-          t.cb.output (iteration_estimate t) v0
+          t.cb.output (iteration_estimate t estimates) v0
       | None ->
           (* Impossible for honest executions (Lemma 5.5): |I_e| = |W| and
              the trim level matches the lemma's hypothesis. *)
@@ -166,32 +176,41 @@ let start t v =
     [ Params.c_rbc; 2 * Params.c_rbc; (2 * Params.c_rbc) + Params.c_rbc' ];
   try_fire t
 
-let valid_party t p = p >= 0 && p < t.n
-
 let on_value t ~origin v =
-  if valid_party t origin then begin
-    t.m <- Pairset.add ~party:origin v t.m;
+  if origin >= 0 && origin < t.n then begin
+    (* first value per origin wins, as in Pairset.add *)
+    if t.m_pid.(origin) < 0 then begin
+      t.m_pid.(origin) <- Intern.intern_vec t.intern v;
+      t.m_vec.(origin) <- v;
+      t.m_count <- t.m_count + 1
+    end;
     try_fire t
   end
+
+let rec fill_report t s = function
+  | [] -> ()
+  | (p, v) :: rest ->
+      if Reports.free t.reports s p then begin
+        Reports.set t.reports s p (Intern.intern_vec t.intern v);
+        t.rep_vec.((s * t.n) + p) <- v
+      end;
+      fill_report t s rest
 
 let on_report t ~origin pairs =
-  if valid_party t origin && not (IntSet.mem origin t.seen_report) then begin
-    t.seen_report <- IntSet.add origin t.seen_report;
-    let report =
-      List.fold_left
-        (fun acc (p, v) ->
-          if valid_party t p then Pairset.add ~party:p v acc else acc)
-        Pairset.empty pairs
-    in
-    t.pending_reports <- IntMap.add origin report t.pending_reports;
+  if Reports.accept t.reports origin then begin
+    fill_report t origin pairs;
     try_fire t
   end
 
+let rec fill_wset ws s = function
+  | [] -> ()
+  | p :: rest ->
+      if Reports.free ws s p then Reports.set ws s p 0;
+      fill_wset ws s rest
+
 let on_witness_set t ~from ws =
-  if valid_party t from && not (IntSet.mem from t.seen_wset) then begin
-    t.seen_wset <- IntSet.add from t.seen_wset;
-    let ws = IntSet.of_list (List.filter (valid_party t) ws) in
-    t.pending_wsets <- IntMap.add from ws t.pending_wsets;
+  if Reports.accept t.wsets from then begin
+    fill_wset t.wsets from ws;
     try_fire t
   end
 

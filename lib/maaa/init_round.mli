@@ -9,7 +9,13 @@
     senders become double-witnesses, guaranteeing [n − ts] common
     estimations between any two honest parties even under asynchrony.
 
-    The [double_witnessing] flag exists only for the E8 ablation. *)
+    The [double_witnessing] flag exists only for the E8 ablation.
+
+    State is party-indexed arrays, as in {!Obc}: M and each report are
+    rows of interned value ids, checked by {!Reports} (a report keeps its
+    own vectors too, for the estimate); the witnesses are an id row that
+    witness sets are checked against the same way. A poke or delivery
+    that verifies nothing allocates nothing. *)
 
 type t
 
@@ -25,10 +31,13 @@ type callbacks = {
 val create :
   ?double_witnessing:bool ->
   ?safe_cache:Safe_cache.t ->
+  ?intern:Intern.t ->
   n:int -> ts:int -> ta:int -> delta:int -> eps:float ->
   callbacks -> t
 (** [safe_cache] memoises the estimation rule's update values (per-witness
-    and final); see {!Party.attach}. Fresh per instance when omitted. *)
+    and final); see {!Party.attach}. [intern] shares the party's interning
+    table, as {!Obc.create}'s does. Each is fresh per instance when
+    omitted. *)
 
 val start : t -> Vec.t -> unit
 
@@ -45,4 +54,5 @@ val poke : t -> unit
 val has_output : t -> bool
 
 val estimations : t -> Pairset.t
-(** The current estimation set [I_e] (exposed for the E8 experiment). *)
+(** The current estimation set [I_e], built on each call (for the E8
+    experiment). *)

@@ -348,9 +348,9 @@ let attach_endpoint ?(callbacks = no_callbacks) ?(opts = default_opts)
          });
   t.init <-
     Some
-      (Init_round.create ~safe_cache:t.safe_cache ~n:cfg.Config.n
-         ~ts:cfg.Config.ts ~ta:cfg.Config.ta ~delta:cfg.Config.delta
-         ~eps:cfg.Config.eps
+      (Init_round.create ~safe_cache:t.safe_cache ~intern:t.intern
+         ~n:cfg.Config.n ~ts:cfg.Config.ts ~ta:cfg.Config.ta
+         ~delta:cfg.Config.delta ~eps:cfg.Config.eps
          {
            Init_round.now;
            set_timer;

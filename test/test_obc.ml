@@ -248,12 +248,50 @@ let test_ablation_no_witnessing_loses_overlap_guarantee () =
       Alcotest.(check bool) "outputs at the first deadline" true
         ((time <= (Params.c_rbc * delta) + 2))
 
-(* --- stream differential against the seed Obc.Reference --- *)
+(* A report is a row of the instance's preallocated matrix, so taking
+   one in allocates nothing, whether it stays pending or verifies: here
+   party 2's report names party 3, whose value never arrives, and party
+   3's report verifies against the three values in M. *)
+let test_report_alloc_free () =
+  let n = 4 in
+  let sends = ref 0 in
+  let obc =
+    Obc.create ~n ~ts:1 ~delta:10 ~iter:1
+      {
+        Obc.now = (fun () -> 0);
+        set_timer = (fun ~at:_ -> ());
+        rbc_broadcast = (fun _ -> incr sends);
+        send_all = (fun _ -> incr sends);
+        output = (fun _ _ -> incr sends);
+      }
+  in
+  let a = Vec.of_list [ 1.; 2. ] and b = Vec.of_list [ 3.; -0. ] in
+  Obc.start obc a;
+  Obc.on_value obc ~origin:0 a;
+  Obc.on_value obc ~origin:1 b;
+  Obc.on_value obc ~origin:2 a;
+  let pending = [ (0, a); (1, b); (3, a); (7, b) ]
+  and verifies = [ (0, a); (1, b); (2, a) ] in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (name, f) -> Alcotest.(check (float 0.)) (name ^ " words") 0. (words f))
+    [
+      ("pending report", fun () -> Obc.on_report obc ~from:2 pending);
+      ("verified report", fun () -> Obc.on_report obc ~from:3 verifies);
+      ("repeated report", fun () -> Obc.on_report obc ~from:3 verifies);
+    ];
+  Alcotest.(check int) "one send: our own value" 1 !sends
+
+(* --- stream differential against the seed Obc_reference --- *)
 
 (* An oBC instance reacts only to its inputs ([start], [on_value],
    [on_report], [poke]) and the clock, and speaks only through its
    callbacks. So if, on every input stream under one fake clock, the
-   interned path and Obc.Reference make callback calls that [compare]
+   interned path and Obc_reference make callback calls that [compare]
    equal, a party built on either one runs identically, by induction over
    the engine's event order. The streams are Byzantine: values race the
    deadlines, reports lie, repeat parties and name parties out of range,
@@ -424,19 +462,19 @@ let interned_obc ~witnessing ~n ~ts ~delta cb =
   }
 
 let reference_obc ~witnessing ~n ~ts ~delta cb =
-  let o = Obc.Reference.create ~witnessing ~n ~ts ~delta ~iter:1 cb in
+  let o = Obc_reference.create ~witnessing ~n ~ts ~delta ~iter:1 cb in
   {
-    start = Obc.Reference.start o;
-    on_value = Obc.Reference.on_value o;
-    on_report = Obc.Reference.on_report o;
-    poke = (fun () -> Obc.Reference.poke o);
+    start = Obc_reference.start o;
+    on_value = Obc_reference.on_value o;
+    on_report = Obc_reference.on_report o;
+    poke = (fun () -> Obc_reference.poke o);
   }
 
 let obc_cases = ref 0
 let obc_outputs = ref 0
 
 let prop_obc_stream =
-  QCheck.Test.make ~name:"interned = Obc.Reference" ~count:500
+  QCheck.Test.make ~name:"interned = Obc_reference" ~count:500
     arb_obc_case (fun c ->
       let a = obc_log c interned_obc in
       let b = obc_log c reference_obc in
@@ -475,6 +513,8 @@ let () =
             test_async_validity_consistency;
           Alcotest.test_case "ablation: no witnessing" `Quick
             test_ablation_no_witnessing_loses_overlap_guarantee;
+          Alcotest.test_case "report allocates nothing" `Quick
+            test_report_alloc_free;
         ] );
       ("differential", [ test_obc_stream ]);
     ]
