@@ -43,8 +43,13 @@ type t = {
 }
 
 let create () =
-  { tbl = H.create 64; probe = { trim = 0; vs = [||] }; scratch = [||];
-    hits = 0; misses = 0 }
+  {
+    tbl = H.create 64;
+    probe = { trim = 0; vs = [||] };
+    scratch = [||];
+    hits = 0;
+    misses = 0;
+  }
 
 let hits t = t.hits
 let misses t = t.misses
