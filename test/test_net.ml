@@ -10,9 +10,16 @@ let key_a = Auth.of_master 0x5EED_0001L
 let keys_of_master master ~src:_ ~dst:_ = Auth.of_master master
 let key_of = keys_of_master 0x5EED_0001L
 
-let frame ?(ftype = Wire.Data) ?(src = 0) ?(dst = 1) ?(seq = 7L) ?(ack = 3L)
+let frame ?(ftype = Wire.Data) ?(src = 0) ?(dst = 1) ?(seq = 7) ?(ack = 3)
     payload =
-  { Wire.ftype; src; dst; seq; ack; payload = Bytes.of_string payload }
+  {
+    Wire.ftype;
+    src;
+    dst;
+    seq = Int64.of_int seq;
+    ack = Int64.of_int ack;
+    payload = Bytes.of_string payload;
+  }
 
 let frame_eq (a : Wire.frame) (b : Wire.frame) =
   a.Wire.ftype = b.Wire.ftype && a.src = b.src && a.dst = b.dst
@@ -26,8 +33,8 @@ let gen_frame =
     let* ft = oneofl [ Wire.Hello; Wire.Data; Wire.Ack ] in
     let* src = int_range 0 7 in
     let* dst = int_range 0 7 in
-    let* seq = map Int64.of_int (int_range 0 1_000_000) in
-    let* ack = map Int64.of_int (int_range 0 1_000_000) in
+    let* seq = int_range 0 1_000_000 in
+    let* ack = int_range 0 1_000_000 in
     let* payload = string_size (int_range 0 2048) in
     return (frame ~ftype:ft ~src ~dst ~seq ~ack payload))
 
@@ -217,6 +224,67 @@ let test_codec_golden () =
         (compare (Codec.decode (Codec.encode m)) m = 0))
     golden_messages
 
+(* The net backend's DATA payload: engine sequence number and delivery
+   tick as little-endian int64s, then the message. Both values are above
+   2^32, so a 32-bit truncation anywhere would show. *)
+let record_prefix = "0500000001000000" ^ "0700000002000000"
+
+let test_record_golden () =
+  List.iter
+    (fun (m, msg_hex) ->
+      let name = Format.asprintf "%a" Message.pp m in
+      let b =
+        Codec.encode_record ~engine_seq:0x1_0000_0005 ~deliver_at:0x2_0000_0007 m
+      in
+      Alcotest.(check string) name (record_prefix ^ msg_hex) (hex b);
+      let engine_seq, deliver_at, m' = Codec.decode_record b in
+      Alcotest.(check bool) (name ^ " decodes") true
+        (engine_seq = 0x1_0000_0005 && deliver_at = 0x2_0000_0007
+        && compare m' m = 0))
+    golden_messages
+
+(* Whole frames under [key_a]: header, payload, CRC-32 and MAC. The
+   300-byte payload needs the length field's second byte. *)
+let golden_frames =
+  [
+    ( "hello",
+      frame ~ftype:Wire.Hello ~src:0 ~dst:3 ~seq:2 ~ack:0 "",
+      "aa0201" ^ "0003" ^ "00000000" ^ "0200000000000000" ^ "0000000000000000"
+      ^ "514550f6" ^ "44062c77c64f11c8" );
+    ( "data",
+      frame ~ftype:Wire.Data ~src:2 ~dst:1 ~seq:0x1_0000_0002
+        ~ack:0x3_0000_0001 "vote",
+      "aa0202" ^ "0201" ^ "04000000" ^ "0200000001000000" ^ "0100000003000000"
+      ^ "766f7465" ^ "46ac6955" ^ "0df11669c323f1d2" );
+    ( "ack",
+      frame ~ftype:Wire.Ack ~src:1 ~dst:2 ~seq:0 ~ack:41 "",
+      "aa0203" ^ "0102" ^ "00000000" ^ "0000000000000000" ^ "2900000000000000"
+      ^ "f82dadf2" ^ "0cc75264d0d11679" );
+    ( "data, 300-byte payload",
+      frame ~src:5 ~dst:4 ~seq:9 ~ack:8
+        (String.init 300 (fun i -> Char.chr (i land 0xff))),
+      "aa0202" ^ "0504" ^ "2c010000" ^ "0900000000000000" ^ "0800000000000000"
+      ^ ".." ^ "44922a90" ^ "cbcdeb576f596f7f" );
+  ]
+
+let test_frame_golden () =
+  List.iter
+    (fun (name, f, want) ->
+      let b = Wire.encode ~key:key_a f in
+      let got = hex b in
+      (* the 300-byte payload's hex is elided: pin header and trailer *)
+      let got =
+        if Bytes.length b <= 64 then got
+        else
+          String.sub got 0 50 ^ ".." ^ String.sub got (String.length got - 24) 24
+      in
+      Alcotest.(check string) name want got;
+      match Wire.decode_exact ~n:8 ~key_of b with
+      | Ok g -> Alcotest.(check bool) (name ^ " decodes") true (frame_eq f g)
+      | Error e ->
+          Alcotest.failf "%s: %s" name (Format.asprintf "%a" Wire.pp_error e))
+    golden_frames
+
 let test_bad_magic () =
   let b = Wire.encode ~key:key_a (frame "m") in
   Bytes.set b 0 '\x00';
@@ -235,8 +303,8 @@ let test_version_1_refused () =
 
 let test_chunked_stream () =
   let frames =
-    [ frame ~seq:1L "alpha"; frame ~ftype:Wire.Ack ~seq:0L ~ack:9L "";
-      frame ~seq:2L (String.make 600 'z') ]
+    [ frame ~seq:1 "alpha"; frame ~ftype:Wire.Ack ~seq:0 ~ack:9 "";
+      frame ~seq:2 (String.make 600 'z') ]
   in
   let stream =
     Bytes.concat Bytes.empty (List.map (Wire.encode ~key:key_a) frames)
@@ -857,6 +925,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
           Alcotest.test_case "golden bytes per constructor" `Quick
             test_codec_golden;
+          Alcotest.test_case "golden record bytes, ints above 2^32" `Quick
+            test_record_golden;
+          Alcotest.test_case "golden HELLO, DATA and ACK frames" `Quick
+            test_frame_golden;
         ] );
       ( "siphash",
         [
