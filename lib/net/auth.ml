@@ -24,11 +24,12 @@ let rotl x b =
   Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b))
 
 (* Hot: every frame is MACed twice. Refs no closure captures stay
-   unboxed, so a call allocates only its result. Round [r < 2 * words]
-   compresses message word [r / 2]; the last four rounds finalise. *)
-let siphash24 { k0; k1 } bytes ~off ~len =
+   unboxed, and the tag is stored rather than returned, so a call
+   allocates nothing. Round [r < 2 * words] compresses message word
+   [r / 2]; the last four rounds finalise. *)
+let mac_into { k0; k1 } bytes ~off ~len out pos =
   if off < 0 || len < 0 || off + len > Bytes.length bytes then
-    invalid_arg "Auth.siphash24";
+    invalid_arg "Auth.mac";
   let v0 = ref (k0 ^% 0x736f6d6570736575L)
   and v1 = ref (k1 ^% 0x646f72616e646f6dL)
   and v2 = ref (k0 ^% 0x6c7967656e657261L)
@@ -70,9 +71,12 @@ let siphash24 { k0; k1 } bytes ~off ~len =
     v2 := rotl !v2 32;
     if r < 2 * words && r land 1 = 1 then v0 := !v0 ^% !m
   done;
-  !v0 ^% !v1 ^% !v2 ^% !v3
+  Bytes.set_int64_le out pos (!v0 ^% !v1 ^% !v2 ^% !v3)
 
-let mac key bytes ~off ~len = siphash24 key bytes ~off ~len
+let mac key bytes ~off ~len =
+  let out = Bytes.create 8 in
+  mac_into key bytes ~off ~len out 0;
+  Bytes.get_int64_le out 0
 
 (* Link keys: hash a tiny directed-link descriptor under the master key,
    twice with distinct domain separators, to get the two key halves.
@@ -84,7 +88,7 @@ let derive master ~src ~dst =
     Bytes.set buf 0 (Char.chr sep);
     Bytes.set_int32_le buf 1 (Int32.of_int src);
     Bytes.set_int32_le buf 5 (Int32.of_int dst);
-    siphash24 master buf ~off:0 ~len:9
+    mac master buf ~off:0 ~len:9
   in
   { k0 = fill 0x4c (* 'L' *); k1 = fill 0x4b (* 'K' *) }
 

@@ -19,3 +19,7 @@ val derive : key -> src:int -> dst:int -> key
 val mac : key -> Bytes.t -> off:int -> len:int -> int64
 (** SipHash-2-4 tag of the slice. Raises [Invalid_argument] on an
     out-of-bounds slice. *)
+
+val mac_into : key -> Bytes.t -> off:int -> len:int -> Bytes.t -> int -> unit
+(** [mac_into key b ~off ~len out pos] stores {!mac}'s tag little-endian
+    at [pos] of [out], allocating nothing. *)

@@ -13,26 +13,29 @@ type sender
 
 val sender :
   ?window:int -> ?rto0:int -> ?rto_max:int -> rng:Rng.t -> unit -> sender
-(** [window] (default 64) bounds in-flight entries — {!submit} applies
-    backpressure beyond it. [rto0] (default 8) is the initial
-    retransmission timeout in ticks; it doubles per retransmission up to
-    [rto_max] (default 256), plus jitter in [0, rto/4] drawn from [rng].
-    Raises [Invalid_argument] on a non-positive window or a bad rto
-    pair. *)
+(** [window] (default 64) bounds in-flight entries. [rto0] (default 8)
+    is the initial retransmission timeout in ticks; it doubles per
+    retransmission up to [rto_max] (default 256), plus jitter in
+    [0, rto/4] drawn from [rng]. Raises [Invalid_argument] on a
+    non-positive window or a bad rto pair. *)
 
-val submit : sender -> now:int -> Bytes.t -> [ `Accepted of int | `Backpressure ]
-(** Queue a payload; on [`Accepted seq] the first transmission is
-    harvested by the next {!due}. [`Backpressure] when the window is
-    full — the caller must hold the payload and retry after ACKs. *)
+val full : sender -> bool
+(** The window is full: the caller must hold further payloads and
+    submit them after ACKs (backpressure). *)
 
-val due : sender -> now:int -> (int * Bytes.t) list
-(** Entries whose (re)transmission timer has expired: [(seq, payload)]
-    to put on the wire now. Each harvested entry's timer is re-armed
-    with backoff. *)
+val submit : sender -> now:int -> Bytes.t -> int
+(** Queue a payload, kept until acknowledged, and return its sequence
+    number; the next {!due} harvests its first transmission. Raises
+    [Invalid_argument] when {!full}. *)
 
-val next_due : sender -> int option
-(** The earliest tick at which {!due} will harvest an entry, [None] when
-    nothing is unacked. *)
+val due : sender -> now:int -> (int -> Bytes.t -> unit) -> unit
+(** [due s ~now f] calls [f seq payload], in ascending [seq], for every
+    entry whose (re)transmission timer has expired, and re-arms each
+    with backoff. [f] must not submit to or acknowledge [s]. *)
+
+val next_due : sender -> int
+(** The earliest tick at which {!due} will harvest an entry, [max_int]
+    when nothing is unacked. *)
 
 val on_ack : sender -> ack:int -> int
 (** Cumulative: retires every entry with [seq <= ack], cancelling its
@@ -54,11 +57,15 @@ val receiver : ?window:int -> unit -> receiver
 (** [window] (default 256) bounds the out-of-order buffer; frames beyond
     it are dropped for later retry. *)
 
-val on_data : receiver -> seq:int -> Bytes.t -> Bytes.t list
-(** Payloads now deliverable in order (possibly none — an out-of-order
-    arrival waits in the buffer, a duplicate or beyond-window frame
-    yields nothing). After any call, send {!cumulative_ack} back —
-    duplicates in particular must be re-ACKed. *)
+val on_data :
+  receiver -> seq:int -> Bytes.t -> off:int -> len:int ->
+  (Bytes.t -> int -> int -> unit) -> unit
+(** Takes the payload in that slice of the buffer and calls [f] on the
+    slice of each payload now deliverable in order: the arrival itself,
+    passed straight through when next in sequence, then any buffered
+    successors. An early arrival is copied into the reorder buffer; a
+    duplicate or beyond-window frame yields nothing. After any call,
+    send {!cumulative_ack} back — duplicates must be re-ACKed too. *)
 
 val cumulative_ack : receiver -> int
 (** Highest in-order sequence delivered. *)

@@ -21,13 +21,13 @@
    port; for each unordered pair the lower id dials the higher id's
    listener and opens the connection with a HELLO frame naming itself
    and the connection epoch. Both endpoints of every connection live in
-   this process (all parties share it), so a connection is a pair of
-   [endp] records — one per side — each with its own fd, decoder and
-   write queue. A dead connection (EOF, write error, decode error,
-   chaos flap, or the kill test hook) takes both sides down; the dialer
-   re-dials after a capped exponential backoff and both directions
-   replay their unacked backlog ([Link.mark_replay]) — cumulative ACKs
-   make the replay idempotent.
+   this process: a connection is a pair of [endp]s, each with its own
+   fd, decoder and output buffer, and frames are coded in place in
+   those. A dead connection (EOF, write error,
+   decode error, chaos flap, or the kill test hook) takes both sides
+   down; the dialer re-dials after a capped exponential backoff and both
+   directions replay their unacked backlog ([Link.mark_replay]) —
+   cumulative ACKs make the replay idempotent.
 
    Wire time is a tick counter advanced once per pump iteration, and
    jumped to the next scheduled wire event when an I/O round finds the
@@ -54,20 +54,12 @@ type wire_stats = {
   decode_errors : int;
 }
 
-(* one directed link's perfect-link state *)
-type dlink = {
-  snd : Link.sender;
-  rcv : Link.receiver;
-  overflow : Bytes.t Queue.t;  (* payloads the sender window rejected *)
-  mutable ack_pending : bool;  (* receiver owes a (re-)ACK *)
-}
-
 (* one side of a TCP connection *)
 type endp = {
   owner : int;  (* party holding this side *)
   mutable fd : Unix.file_descr option;
   mutable dec : Wire.decoder;
-  outq : (Bytes.t * int ref) Queue.t;  (* encoded frames, write offset *)
+  out : Wire.out;  (* encoded frames awaiting the socket *)
 }
 
 type conn = {
@@ -80,22 +72,35 @@ type conn = {
   mutable epoch : int;  (* successful establishments *)
 }
 
+(* one directed link; its callbacks are made once, not per frame *)
+type dlink = {
+  snd : Link.sender;
+  rcv : Link.receiver;
+  overflow : Bytes.t Queue.t;  (* payloads the sender window rejected *)
+  mutable ack_pending : bool;  (* receiver owes a (re-)ACK *)
+  transmit : int -> Bytes.t -> unit;  (* [Link.due]'s: one DATA frame out *)
+  deliver : Bytes.t -> int -> int -> unit;  (* [Link.on_data]'s: inject *)
+}
+
 type t = {
   engine : Message.t Engine.t;
   n : int;
   keys : Auth.key array array;
-  links : dlink array array;
-  conns : conn option array array;  (* upper triangle: [a].[b], a < b *)
+  mutable links : dlink array array;  (* [src].[dst]; set once by attach *)
+  conns : conn array;  (* pair (a, b) at [pair_index] *)
   listeners : Unix.file_descr array;
   ports : int array;
   mutable pending : (int * Unix.file_descr * Wire.decoder) list;
       (* accepted, awaiting HELLO: (host party, fd, decoder) *)
+  mutable reads : Unix.file_descr list;  (* the select read set *)
+  mutable reads_stale : bool;  (* a descriptor came or went since *)
   chaos : Wire_chaos.t option;
-  mutable holds : (int * endp * Bytes.t) list;  (* (release tick, via, frame) *)
+  mutable holds : (int * endp * Auth.key * Wire.frame) list;
+      (* chaos-held frames: (release tick, via, key, frame) *)
   mutable tick : int;
   mutable in_flight : int;  (* logical msgs handed to us, not yet injected *)
   pump_budget : float;  (* seconds of wall per pump call *)
-  scratch : Bytes.t;
+  reader : Codec.reader;
   mutable logical_sent : int;
   mutable logical_delivered : int;
   mutable frames_sent : int;
@@ -112,24 +117,28 @@ let max_backoff = 64
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let conn_of t i j =
-  let a = min i j and b = max i j in
-  match t.conns.(a).(b) with
-  | Some c -> c
-  | None -> invalid_arg "Netrun: no connection for pair"
+(* the pairs a < b in row-major order *)
+let pair_index n a b = (a * ((2 * n) - a - 1) / 2) + (b - a - 1)
+let conn_of t i j = t.conns.(pair_index t.n (min i j) (max i j))
+let dead c = c.ea.fd = None && c.eb.fd = None
 
-let fresh_decoder t =
-  Wire.decoder ~n:t.n ~key_of:(fun ~src ~dst -> t.keys.(src).(dst))
+(* every fd change goes through these, to rebuild the cached read set *)
+let set_fd t (e : endp) fd =
+  (match e.fd with Some old -> close_quiet old | None -> ());
+  e.fd <- fd;
+  t.reads_stale <- true
+
+let set_pending t pending =
+  t.pending <- pending;
+  t.reads_stale <- true
 
 let take_down t c =
-  (match c.ea.fd with Some fd -> close_quiet fd | None -> ());
-  (match c.eb.fd with Some fd -> close_quiet fd | None -> ());
-  c.ea.fd <- None;
-  c.eb.fd <- None;
-  Queue.clear c.ea.outq;
-  Queue.clear c.eb.outq;
-  c.ea.dec <- fresh_decoder t;
-  c.eb.dec <- fresh_decoder t;
+  List.iter
+    (fun e ->
+      set_fd t e None;
+      Wire.clear e.out;
+      Wire.reset e.dec)
+    [ c.ea; c.eb ];
   c.down_until <- t.tick + c.backoff;
   c.backoff <- min (c.backoff * 2) max_backoff
 
@@ -142,26 +151,31 @@ let mark_established t c =
   Link.mark_replay t.links.(c.a).(c.b).snd;
   Link.mark_replay t.links.(c.b).(c.a).snd
 
-let enqueue_frame t (e : endp) bytes =
-  if e.fd <> None then begin
+(* With no fd the frame is dropped: retransmission covers DATA,
+   receivers re-ACK on the duplicate, the dialer re-sends HELLO. *)
+let put t (via : endp) ~key ftype ~src ~dst ~seq ~ack payload =
+  if via.fd <> None then begin
     t.frames_sent <- t.frames_sent + 1;
-    Queue.push (bytes, ref 0) e.outq
+    Wire.put via.out ~key ftype ~src ~dst ~seq ~ack payload
   end
-(* no fd: the frame is dropped — retransmission covers DATA, receivers
-   re-ACK on the duplicate, HELLO is re-sent by the dialer *)
 
-(* route one encoded frame through chaos; [via] is the sending side *)
-let route t ~src ~dst ~ftype (via : endp) bytes =
+(* one frame of the directed link (src, dst) through chaos; [via] is the
+   sending side. A held frame keeps its fields, the ack included, and is
+   encoded when released. *)
+let route t ~src ~dst ftype (via : endp) ~seq ~ack payload =
+  let key = t.keys.(src).(dst) in
   match t.chaos with
-  | None -> enqueue_frame t via bytes
+  | None -> put t via ~key ftype ~src ~dst ~seq ~ack payload
   | Some ch -> (
       match Wire_chaos.on_frame ch ~src ~dst ~ftype ~tick:t.tick with
       | Wire_chaos.Drop_frame -> ()
       | Wire_chaos.Deliver delays ->
           List.iter
             (fun d ->
-              if d <= 0 then enqueue_frame t via bytes
-              else t.holds <- (t.tick + d, via, bytes) :: t.holds)
+              if d <= 0 then put t via ~key ftype ~src ~dst ~seq ~ack payload
+              else
+                let frame = { Wire.ftype; src; dst; seq; ack; payload } in
+                t.holds <- (t.tick + d, via, key, frame) :: t.holds)
             delays)
 
 let endp_for t ~src ~dst =
@@ -172,60 +186,28 @@ let endp_for t ~src ~dst =
    cumulative ack for the reverse direction, which settles an owed ACK
    (if lost, the peer retransmits and the duplicate is re-ACKed) *)
 let send_data t ~src ~dst ~seq payload =
-  t.links.(dst).(src).ack_pending <- false;
-  let frame =
-    {
-      Wire.ftype = Wire.Data;
-      src;
-      dst;
-      seq = Int64.of_int seq;
-      ack = Int64.of_int (Link.cumulative_ack t.links.(dst).(src).rcv);
-      payload;
-    }
-  in
-  route t ~src ~dst ~ftype:Wire.Data (endp_for t ~src ~dst)
-    (Wire.encode ~key:t.keys.(src).(dst) frame)
+  let back = t.links.(dst).(src) in
+  back.ack_pending <- false;
+  route t ~src ~dst Wire.Data (endp_for t ~src ~dst) ~seq
+    ~ack:(Link.cumulative_ack back.rcv) payload
 
+(* acknowledges data received at [src] over link (dst → src) *)
 let send_ack t ~src ~dst =
-  (* acknowledges data received at [src] over link (dst → src) *)
-  let frame =
-    {
-      Wire.ftype = Wire.Ack;
-      src;
-      dst;
-      seq = 0L;
-      ack = Int64.of_int (Link.cumulative_ack t.links.(dst).(src).rcv);
-      payload = Bytes.empty;
-    }
-  in
-  route t ~src ~dst ~ftype:Wire.Ack (endp_for t ~src ~dst)
-    (Wire.encode ~key:t.keys.(src).(dst) frame)
+  route t ~src ~dst Wire.Ack (endp_for t ~src ~dst) ~seq:0
+    ~ack:(Link.cumulative_ack t.links.(dst).(src).rcv)
+    Bytes.empty
 
-let send_hello t c =
-  let frame =
-    {
-      Wire.ftype = Wire.Hello;
-      src = c.a;
-      dst = c.b;
-      seq = Int64.of_int c.epoch;
-      ack = 0L;
-      payload = Bytes.empty;
-    }
-  in
-  route t ~src:c.a ~dst:c.b ~ftype:Wire.Hello c.ea
-    (Wire.encode ~key:t.keys.(c.a).(c.b) frame)
+let nonblocking fd =
+  Unix.set_nonblock fd;
+  Unix.setsockopt fd Unix.TCP_NODELAY true
 
 let dial t c =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, t.ports.(c.b)))
-  with
+  match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, t.ports.(c.b))) with
   | () ->
-      Unix.set_nonblock fd;
-      Unix.setsockopt fd Unix.TCP_NODELAY true;
-      c.ea.fd <- Some fd;
-      c.ea.dec <- fresh_decoder t;
-      send_hello t c
+      nonblocking fd;
+      set_fd t c.ea (Some fd);
+      route t ~src:c.a ~dst:c.b Wire.Hello c.ea ~seq:c.epoch ~ack:0 Bytes.empty
   | exception Unix.Unix_error _ ->
       close_quiet fd;
       c.down_until <- t.tick + c.backoff;
@@ -235,199 +217,193 @@ let dial t c =
 
 exception Conn_poisoned
 
-let on_frame t (e : endp) (f : Wire.frame) =
+let poisoned t =
+  t.decode_errors <- t.decode_errors + 1;
+  raise Conn_poisoned
+
+(* [Link.on_data]'s callback for link (src, dst): one in-order record *)
+let deliver t ~src ~dst buf off len =
+  match Codec.read_record t.reader buf ~off ~len with
+  | exception Codec.Malformed _ -> poisoned t
+  | msg ->
+      Engine.inject t.engine ~src ~dst ~seq:(Codec.engine_seq t.reader)
+        ~deliver_at:(Codec.deliver_at t.reader) msg;
+      t.logical_delivered <- t.logical_delivered + 1;
+      t.in_flight <- t.in_flight - 1
+
+(* the decoder's current frame *)
+let on_frame t (e : endp) =
+  let d = e.dec in
   t.frames_received <- t.frames_received + 1;
-  (* any frame's ack field credits the sender of the (dst → src) data
-     direction — for DATA that is the piggyback, for ACK the point *)
-  (match f.ftype with
-  | Wire.Data | Wire.Ack ->
-      ignore (Link.on_ack t.links.(f.dst).(f.src).snd ~ack:(Int64.to_int f.ack))
-  | Wire.Hello -> ());
-  match f.ftype with
-  | Wire.Hello -> ()  (* re-handshake on a live side: nothing to do *)
-  | Wire.Ack -> ()
-  | Wire.Data ->
-      if f.dst <> e.owner then begin
-        (* authenticated frame addressed to the wrong side: a wiring
-           bug, not a wire fault — poison the connection *)
-        t.decode_errors <- t.decode_errors + 1;
-        raise Conn_poisoned
-      end;
-      let dl = t.links.(f.src).(f.dst) in
-      let deliveries = Link.on_data dl.rcv ~seq:(Int64.to_int f.seq) f.payload in
-      dl.ack_pending <- true;
-      List.iter
-        (fun payload ->
-          match Codec.decode_record payload with
-          | exception Codec.Malformed _ ->
-              t.decode_errors <- t.decode_errors + 1;
-              raise Conn_poisoned
-          | engine_seq, deliver_at, msg ->
-              Engine.inject t.engine ~src:f.src ~dst:f.dst ~seq:engine_seq
-                ~deliver_at msg;
-              t.logical_delivered <- t.logical_delivered + 1;
-              t.in_flight <- t.in_flight - 1)
-        deliveries
+  let src = Wire.src d and dst = Wire.dst d in
+  (* an ACK, or a DATA frame's piggybacked ack, credits the sender of
+     the (dst → src) data direction *)
+  if Wire.ftype d <> Wire.Hello then
+    ignore (Link.on_ack t.links.(dst).(src).snd ~ack:(Wire.ack d));
+  if Wire.ftype d = Wire.Data then begin
+    (* authenticated but addressed to the wrong side: a wiring bug, not
+       a wire fault *)
+    if dst <> e.owner then poisoned t;
+    let dl = t.links.(src).(dst) in
+    dl.ack_pending <- true;
+    Link.on_data dl.rcv ~seq:(Wire.seq d) (Wire.payload d) ~off:(Wire.payload_off d)
+      ~len:(Wire.payload_len d) dl.deliver
+  end
 
-let drain_decoder t (e : endp) =
-  let rec go () =
-    match Wire.next e.dec with
-    | Ok None -> ()
-    | Ok (Some f) ->
-        on_frame t e f;
-        go ()
-    | Error _err ->
-        t.decode_errors <- t.decode_errors + 1;
-        raise Conn_poisoned
-  in
-  go ()
+let rec drain_decoder t (e : endp) =
+  match Wire.next e.dec with
+  | Ok false -> ()
+  | Ok true ->
+      on_frame t e;
+      drain_decoder t e
+  | Error _ -> poisoned t
 
-let read_endp t c (e : endp) =
+let read_endp t c (e : endp) readable =
   match e.fd with
-  | None -> ()
-  | Some fd -> (
-      match Unix.read fd t.scratch 0 (Bytes.length t.scratch) with
+  | Some fd when List.memq fd readable -> (
+      match Wire.read_from e.dec fd with
       | 0 -> take_down t c  (* peer closed *)
-      | len -> (
-          Wire.feed e.dec t.scratch ~off:0 ~len;
-          try drain_decoder t e with Conn_poisoned -> take_down t c)
+      | _ -> ( try drain_decoder t e with Conn_poisoned -> take_down t c)
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
       | exception Unix.Unix_error _ -> take_down t c)
+  | _ -> ()
 
+(* one write of everything queued; what a full socket buffer held back
+   goes out in the next iteration's write-through *)
 let write_endp t c (e : endp) =
   match e.fd with
-  | None -> ()
-  | Some fd -> (
-      try
-        while not (Queue.is_empty e.outq) do
-          let bytes, off = Queue.peek e.outq in
-          let len = Bytes.length bytes - !off in
-          let n = Unix.write fd bytes !off len in
-          off := !off + n;
-          if !off = Bytes.length bytes then ignore (Queue.pop e.outq)
-          else raise Exit  (* partial write: socket buffer full *)
-        done
-      with
-      | Exit -> ()
+  | Some fd when Wire.pending e.out > 0 -> (
+      try Wire.write_to e.out fd with
       | Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
       | Unix.Unix_error _ -> take_down t c)
+  | _ -> ()
 
-(* an accepted fd delivers its HELLO: bind it to its connection *)
-let adopt_pending t host fd dec =
-  match Wire.next dec with
-  | Ok None -> `Wait
-  | Ok (Some { Wire.ftype = Wire.Hello; src; dst; _ })
-    when dst = host && src < host -> (
-      match t.conns.(src).(host) with
-      | Some c ->
-          (match c.eb.fd with Some old -> close_quiet old | None -> ());
-          c.eb.fd <- Some fd;
-          c.eb.dec <- dec;
-          mark_established t c;
-          (* bytes that followed HELLO in the same read *)
-          (try drain_decoder t c.eb with Conn_poisoned -> take_down t c);
-          `Adopted
-      | None -> `Reject)
-  | Ok (Some _) | Error _ ->
-      t.decode_errors <- t.decode_errors + 1;
-      `Reject
+(* a socket buffer that is full: select waits for it to drain *)
+let blocked (e : endp) writes =
+  match e.fd with Some fd when Wire.pending e.out > 0 -> fd :: writes | _ -> writes
+
+(* An accepted fd awaiting its HELLO, which binds it to its connection:
+   [false] once it is adopted or closed. *)
+let keep_pending t readable (host, fd, dec) =
+  let drop () =
+    close_quiet fd;
+    false
+  in
+  if not (List.memq fd readable) then true
+  else
+    match Wire.read_from dec fd with
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> true
+    | exception Unix.Unix_error _ -> drop ()
+    | 0 -> drop ()
+    | _ -> (
+        match Wire.next dec with
+        | Ok false -> true
+        | Ok true when Wire.(ftype dec = Hello && dst dec = host && src dec < host) ->
+            let c = conn_of t (Wire.src dec) host in
+            set_fd t c.eb (Some fd);
+            c.eb.dec <- dec;
+            mark_established t c;
+            (* bytes that followed HELLO in the same read *)
+            (try drain_decoder t c.eb with Conn_poisoned -> take_down t c);
+            false
+        | Ok true | Error _ ->
+            t.decode_errors <- t.decode_errors + 1;
+            drop ())
 
 (* -- the pump -- *)
 
-let iter_conns t f =
-  for a = 0 to t.n - 1 do
-    for b = a + 1 to t.n - 1 do
-      match t.conns.(a).(b) with Some c -> f c | None -> ()
-    done
-  done
+let read_set t =
+  if t.reads_stale then begin
+    let fds = List.concat_map (fun c -> [ c.ea.fd; c.eb.fd ]) (Array.to_list t.conns) in
+    t.reads <-
+      Array.to_list t.listeners
+      @ List.map (fun (_, fd, _) -> fd) t.pending
+      @ List.filter_map Fun.id fds;
+    t.reads_stale <- false
+  end;
+  t.reads
 
-let live_pairs t f =
-  for src = 0 to t.n - 1 do
-    for dst = 0 to t.n - 1 do
-      if src <> dst then f src dst
-    done
-  done
+let rec earliest_release next = function
+  | [] -> next
+  | (release, _, _, _) :: rest -> earliest_release (min next release) rest
 
 (* The earliest tick of a scheduled wire event — a (re)transmission, a
    chaos hold release, a re-dial or a flap — or [max_int] if none. *)
 let next_event t =
-  let next = ref max_int in
-  let consider tick = if tick < !next then next := tick in
-  live_pairs t (fun src dst ->
-      Option.iter consider (Link.next_due t.links.(src).(dst).snd));
-  List.iter (fun (release, _, _) -> consider release) t.holds;
-  iter_conns t (fun c ->
-      if c.ea.fd = None && c.eb.fd = None then consider c.down_until);
-  Option.iter
-    (fun ch -> Option.iter consider (Wire_chaos.next_flap ch ~after:t.tick))
-    t.chaos;
-  !next
+  let next = ref (earliest_release max_int t.holds) in
+  for src = 0 to t.n - 1 do
+    for dst = 0 to t.n - 1 do
+      if src <> dst then next := min !next (Link.next_due t.links.(src).(dst).snd)
+    done
+  done;
+  for i = 0 to Array.length t.conns - 1 do
+    if dead t.conns.(i) then next := min !next t.conns.(i).down_until
+  done;
+  match t.chaos with
+  | Some ch -> (
+      match Wire_chaos.next_flap ch ~after:t.tick with
+      | Some flap -> min !next flap
+      | None -> !next)
+  | None -> !next
+
+(* chaos link flaps, then the release of chaos-held frames *)
+let chaos_round t ch =
+  List.iter
+    (fun (src, dst, down_for) ->
+      let c = conn_of t src dst in
+      if not (dead c) then begin
+        take_down t c;
+        c.down_until <- max c.down_until (t.tick + down_for)
+      end)
+    (Wire_chaos.flaps_due ch ~tick:t.tick);
+  let due, later = List.partition (fun (r, _, _, _) -> r <= t.tick) t.holds in
+  t.holds <- later;
+  List.iter
+    (fun (_, via, key, (f : Wire.frame)) ->
+      put t via ~key f.ftype ~src:f.src ~dst:f.dst ~seq:f.seq ~ack:f.ack f.payload)
+    (List.rev due)
 
 let pump_once t =
   t.tick <- t.tick + 1;
-  (* chaos link flaps *)
-  (match t.chaos with
-  | None -> ()
-  | Some ch ->
-      List.iter
-        (fun (src, dst, down_for) ->
-          let c = conn_of t src dst in
-          if c.ea.fd <> None || c.eb.fd <> None then begin
-            take_down t c;
-            c.down_until <- max c.down_until (t.tick + down_for)
-          end)
-        (Wire_chaos.flaps_due ch ~tick:t.tick));
-  (* release chaos-held frames *)
-  (match t.holds with
-  | [] -> ()
-  | holds ->
-      let due, later = List.partition (fun (r, _, _) -> r <= t.tick) holds in
-      t.holds <- later;
-      List.iter (fun (_, via, bytes) -> enqueue_frame t via bytes) (List.rev due));
+  (match t.chaos with Some ch -> chaos_round t ch | None -> ());
   (* re-dial dead connections whose backoff has expired *)
-  iter_conns t (fun c ->
-      if c.ea.fd = None && c.eb.fd = None && t.tick >= c.down_until then
-        dial t c);
-  (* move overflow into freed sender windows *)
-  live_pairs t (fun src dst ->
+  for i = 0 to Array.length t.conns - 1 do
+    let c = t.conns.(i) in
+    if dead c && t.tick >= c.down_until then dial t c
+  done;
+  (* move overflow into freed sender windows, harvest due
+     (re)transmissions, then owed ACKs *)
+  for src = 0 to t.n - 1 do
+    for dst = 0 to t.n - 1 do
+      if src <> dst then begin
+        let dl = t.links.(src).(dst) in
+        while (not (Queue.is_empty dl.overflow)) && not (Link.full dl.snd) do
+          ignore (Link.submit dl.snd ~now:t.tick (Queue.pop dl.overflow))
+        done;
+        Link.due dl.snd ~now:t.tick dl.transmit
+      end
+    done
+  done;
+  for src = 0 to t.n - 1 do
+    for dst = 0 to t.n - 1 do
       let dl = t.links.(src).(dst) in
-      let continue = ref true in
-      while !continue && not (Queue.is_empty dl.overflow) do
-        match Link.submit dl.snd ~now:t.tick (Queue.peek dl.overflow) with
-        | `Accepted _ -> ignore (Queue.pop dl.overflow)
-        | `Backpressure -> continue := false
-      done);
-  (* harvest due (re)transmissions *)
-  live_pairs t (fun src dst ->
-      List.iter
-        (fun (seq, payload) -> send_data t ~src ~dst ~seq payload)
-        (Link.due t.links.(src).(dst).snd ~now:t.tick));
-  (* owed ACKs *)
-  live_pairs t (fun src dst ->
-      let dl = t.links.(src).(dst) in
-      if dl.ack_pending then begin
+      if src <> dst && dl.ack_pending then begin
         dl.ack_pending <- false;
         send_ack t ~src:dst ~dst:src
-      end);
+      end
+    done
+  done;
   (* write-through, so the select below can see the peers' answers *)
-  iter_conns t (fun c ->
-      write_endp t c c.ea;
-      write_endp t c c.eb);
+  let writes = ref [] in
+  for i = 0 to Array.length t.conns - 1 do
+    let c = t.conns.(i) in
+    write_endp t c c.ea;
+    write_endp t c c.eb;
+    writes := blocked c.eb (blocked c.ea !writes)
+  done;
   (* I/O round *)
-  let reads = ref [] and writes = ref [] in
-  Array.iter (fun fd -> reads := fd :: !reads) t.listeners;
-  List.iter (fun (_, fd, _) -> reads := fd :: !reads) t.pending;
-  iter_conns t (fun c ->
-      List.iter
-        (fun e ->
-          match e.fd with
-          | None -> ()
-          | Some fd ->
-              reads := fd :: !reads;
-              if not (Queue.is_empty e.outq) then writes := fd :: !writes)
-        [ c.ea; c.eb ]);
   let readable, writable, _ =
-    try Unix.select !reads !writes [] 0.001
+    try Unix.select (read_set t) !writes [] 0.001
     with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
   in
   (* idle wire: land on the next event, not one select timeout per tick *)
@@ -435,62 +411,33 @@ let pump_once t =
     let next = next_event t in
     if next < max_int then t.tick <- max t.tick (next - 1)
   end;
-  (* accepts *)
-  Array.iteri
-    (fun host lfd ->
-      if List.memq lfd readable then
-        match Unix.accept lfd with
+  if readable <> [] then begin
+    for host = 0 to t.n - 1 do
+      if List.memq t.listeners.(host) readable then
+        match Unix.accept t.listeners.(host) with
         | fd, _ ->
-            Unix.set_nonblock fd;
-            Unix.setsockopt fd Unix.TCP_NODELAY true;
-            t.pending <- (host, fd, fresh_decoder t) :: t.pending
-        | exception Unix.Unix_error _ -> ())
-    t.listeners;
-  (* pending HELLOs *)
-  t.pending <-
-    List.filter
-      (fun (host, fd, dec) ->
-        if not (List.memq fd readable) then true
-        else
-          match Unix.read fd t.scratch 0 (Bytes.length t.scratch) with
-          | 0 ->
-              close_quiet fd;
-              false
-          | len -> (
-              Wire.feed dec t.scratch ~off:0 ~len;
-              match adopt_pending t host fd dec with
-              | `Wait -> true
-              | `Adopted -> false
-              | `Reject ->
-                  close_quiet fd;
-                  false)
-          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-              true
-          | exception Unix.Unix_error _ ->
-              close_quiet fd;
-              false)
-      t.pending;
-  (* established reads; frames a full socket buffer held back go out in
-     the next iteration's write-through *)
-  iter_conns t (fun c ->
-      List.iter
-        (fun e ->
-          match e.fd with
-          | Some fd when List.memq fd readable -> read_endp t c e
-          | _ -> ())
-        [ c.ea; c.eb ])
+            nonblocking fd;
+            let dec = Wire.decoder ~n:t.n ~key_of:(fun ~src ~dst -> t.keys.(src).(dst)) in
+            set_pending t ((host, fd, dec) :: t.pending)
+        | exception Unix.Unix_error _ -> ()
+    done;
+    if t.pending <> [] then set_pending t (List.filter (keep_pending t readable) t.pending);
+    for i = 0 to Array.length t.conns - 1 do
+      read_endp t t.conns.(i) t.conns.(i).ea readable;
+      read_endp t t.conns.(i) t.conns.(i).eb readable
+    done
+  end
 
-let wire_pump t () =
-  if t.closed then false
-  else if t.in_flight = 0 then false
+let wire_pump t =
+  if t.closed || t.in_flight = 0 then false
   else begin
     let deadline = Unix.gettimeofday () +. t.pump_budget in
     while t.in_flight > 0 do
       if Unix.gettimeofday () > deadline then
         failwith
           (Format.asprintf
-             "Netrun: wire stalled — %d logical message(s) undelivered after \
-              %.1fs (tick %d)"
+             "Netrun: wire stalled — %d logical message(s) undelivered after %.1fs \
+              (tick %d)"
              t.in_flight t.pump_budget t.tick);
       pump_once t
     done;
@@ -506,45 +453,29 @@ let wire_send t ~src ~dst ~seq ~deliver_at msg =
     t.logical_delivered <- t.logical_delivered + 1
   end
   else begin
+    (* the one allocation the wire keeps: the payload, until acked *)
     let payload = Codec.encode_record ~engine_seq:seq ~deliver_at msg in
     t.in_flight <- t.in_flight + 1;
     let dl = t.links.(src).(dst) in
-    if not (Queue.is_empty dl.overflow) then begin
-      (* keep submission order: behind earlier overflow *)
+    (* behind earlier overflow, to keep submission order *)
+    if Queue.is_empty dl.overflow && not (Link.full dl.snd) then
+      ignore (Link.submit dl.snd ~now:t.tick payload)
+    else begin
       t.backpressure_stalls <- t.backpressure_stalls + 1;
       Queue.push payload dl.overflow
     end
-    else
-      match Link.submit dl.snd ~now:t.tick payload with
-      | `Accepted _ -> ()
-      | `Backpressure ->
-          t.backpressure_stalls <- t.backpressure_stalls + 1;
-          Queue.push payload dl.overflow
   end
 
 (* -- lifecycle -- *)
 
 let master_key = 0x6e65742d6d616161L
 
-let attach ?chaos ?(rto0 = 8) ?(pump_budget = 30.) ?(chaos_seed = 0x77697265L)
-    engine =
+let attach ?chaos ?(rto0 = 8) ?(pump_budget = 30.) ?(chaos_seed = 0x77697265L) engine =
   let n = Engine.n engine in
   if n < 1 || n > 255 then invalid_arg "Netrun.attach: n out of frame range";
   let master = Auth.of_master master_key in
   let keys =
-    Array.init n (fun src ->
-        Array.init n (fun dst -> Auth.derive master ~src ~dst))
-  in
-  let link_rng = Rng.create (Int64.lognot master_key) in
-  let links =
-    Array.init n (fun _ ->
-        Array.init n (fun _ ->
-            {
-              snd = Link.sender ~rto0 ~rng:(Rng.split link_rng) ();
-              rcv = Link.receiver ();
-              overflow = Queue.create ();
-              ack_pending = false;
-            }))
+    Array.init n (fun src -> Array.init n (fun dst -> Auth.derive master ~src ~dst))
   in
   let listeners =
     Array.init n (fun _ ->
@@ -555,33 +486,33 @@ let attach ?chaos ?(rto0 = 8) ?(pump_budget = 30.) ?(chaos_seed = 0x77697265L)
         Unix.set_nonblock fd;
         fd)
   in
-  let ports =
-    Array.map
-      (fun fd ->
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, port) -> port
-        | _ -> assert false)
-      listeners
+  let port fd =
+    match Unix.getsockname fd with Unix.ADDR_INET (_, port) -> port | _ -> assert false
   in
-  let chaos =
-    Option.map (fun plan -> Wire_chaos.create ~seed:chaos_seed ~n plan) chaos
+  let key_of ~src ~dst = keys.(src).(dst) in
+  let endp owner = { owner; fd = None; dec = Wire.decoder ~n ~key_of; out = Wire.out () } in
+  let pairs = List.init n (fun a -> List.init (n - a - 1) (fun k -> (a, a + 1 + k))) in
+  let conn (a, b) =
+    { a; b; ea = endp a; eb = endp b; down_until = 0; backoff = 1; epoch = 0 }
   in
   let t =
     {
       engine;
       n;
       keys;
-      links;
-      conns = Array.make_matrix n n None;
+      links = [||];
+      conns = Array.of_list (List.map conn (List.concat pairs));
       listeners;
-      ports;
+      ports = Array.map port listeners;
       pending = [];
-      chaos;
+      reads = [];
+      reads_stale = true;
+      chaos = Option.map (fun plan -> Wire_chaos.create ~seed:chaos_seed ~n plan) chaos;
       holds = [];
       tick = 0;
       in_flight = 0;
       pump_budget;
-      scratch = Bytes.create 65536;
+      reader = Codec.reader ();
       logical_sent = 0;
       logical_delivered = 0;
       frames_sent = 0;
@@ -592,32 +523,21 @@ let attach ?chaos ?(rto0 = 8) ?(pump_budget = 30.) ?(chaos_seed = 0x77697265L)
       closed = false;
     }
   in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      let mk owner =
-        { owner; fd = None; dec = fresh_decoder t; outq = Queue.create () }
-      in
-      t.conns.(a).(b) <-
-        Some
-          {
-            a;
-            b;
-            ea = mk a;
-            eb = mk b;
-            down_until = 0;
-            backoff = 1;
-            epoch = 0;
-          }
-    done
-  done;
+  let link_rng = Rng.create (Int64.lognot master_key) in
+  t.links <-
+    Array.init n (fun src ->
+        Array.init n (fun dst ->
+            {
+              snd = Link.sender ~rto0 ~rng:(Rng.split link_rng) ();
+              rcv = Link.receiver ();
+              overflow = Queue.create ();
+              ack_pending = false;
+              transmit = (fun seq payload -> send_data t ~src ~dst ~seq payload);
+              deliver = (fun buf off len -> deliver t ~src ~dst buf off len);
+            }));
   (* establish the full mesh before the first logical send *)
   let deadline = Unix.gettimeofday () +. 10. in
-  let all_up () =
-    let up = ref true in
-    iter_conns t (fun c -> if c.ea.fd = None || c.eb.fd = None then up := false);
-    !up
-  in
-  while not (all_up ()) do
+  while Array.exists (fun c -> c.ea.fd = None || c.eb.fd = None) t.conns do
     if Unix.gettimeofday () > deadline then
       failwith "Netrun.attach: could not establish the loopback mesh";
     pump_once t
@@ -626,44 +546,36 @@ let attach ?chaos ?(rto0 = 8) ?(pump_budget = 30.) ?(chaos_seed = 0x77697265L)
     {
       Engine.wire_send = (fun ~src ~dst ~seq ~deliver_at msg ->
           wire_send t ~src ~dst ~seq ~deliver_at msg);
-      wire_pump = (fun () -> wire_pump t ());
+      wire_pump = (fun () -> wire_pump t);
     };
   t
 
 let kill_connection t ~a ~b =
   let c = conn_of t a b in
-  if c.ea.fd <> None || c.eb.fd <> None then take_down t c
+  if not (dead c) then take_down t c
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
     Engine.clear_wire t.engine;
-    iter_conns t (fun c ->
-        (match c.ea.fd with Some fd -> close_quiet fd | None -> ());
-        (match c.eb.fd with Some fd -> close_quiet fd | None -> ());
-        c.ea.fd <- None;
-        c.eb.fd <- None);
+    Array.iter (take_down t) t.conns;
     List.iter (fun (_, fd, _) -> close_quiet fd) t.pending;
-    t.pending <- [];
+    set_pending t [];
     Array.iter close_quiet t.listeners
   end
 
 let stats t =
-  let retransmits = ref 0 and dups = ref 0 in
-  live_pairs t (fun src dst ->
-      retransmits := !retransmits + Link.retransmits t.links.(src).(dst).snd;
-      dups := !dups + Link.duplicates t.links.(src).(dst).rcv);
+  let sum f = Array.fold_left (Array.fold_left (fun acc dl -> acc + f dl)) 0 t.links in
   {
     logical_sent = t.logical_sent;
     logical_delivered = t.logical_delivered;
     frames_sent = t.frames_sent;
     frames_received = t.frames_received;
-    retransmits = !retransmits;
-    dup_frames = !dups;
-    chaos_dropped = (match t.chaos with Some c -> Wire_chaos.dropped c | None -> 0);
-    chaos_duplicated =
-      (match t.chaos with Some c -> Wire_chaos.duplicated c | None -> 0);
-    chaos_held = (match t.chaos with Some c -> Wire_chaos.held c | None -> 0);
+    retransmits = sum (fun dl -> Link.retransmits dl.snd);
+    dup_frames = sum (fun dl -> Link.duplicates dl.rcv);
+    chaos_dropped = Option.fold ~none:0 ~some:Wire_chaos.dropped t.chaos;
+    chaos_duplicated = Option.fold ~none:0 ~some:Wire_chaos.duplicated t.chaos;
+    chaos_held = Option.fold ~none:0 ~some:Wire_chaos.held t.chaos;
     reconnects = t.reconnects;
     backpressure_stalls = t.backpressure_stalls;
     decode_errors = t.decode_errors;

@@ -12,7 +12,10 @@
     sim is an exact oracle, and any frame-level chaos the perfect link
     fails to mask shows up as a differential mismatch. Wall-clock
     nondeterminism (retransmission counts, reconnect timing) perturbs
-    {!wire_stats} only, never logical results. *)
+    {!wire_stats} only, never logical results.
+
+    On a clean wire a message allocates only its encoded record (kept
+    until acked), the decoded message and the engine's event. *)
 
 type t
 

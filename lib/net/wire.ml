@@ -39,8 +39,8 @@ type frame = {
   ftype : ftype;
   src : int;
   dst : int;
-  seq : int64;
-  ack : int64;
+  seq : int;
+  ack : int;
   payload : Bytes.t;
 }
 
@@ -66,123 +66,152 @@ let pp_error ppf = function
   | Bad_mac -> Format.fprintf ppf "mac verification failed"
   | Short_frame -> Format.fprintf ppf "truncated frame"
 
-let ftype_code = function Hello -> 1 | Data -> 2 | Ack -> 3
+(* -- byte queues: the live bytes are [start, stop) of [buf] -- *)
 
-let encode ~key f =
-  let plen = Bytes.length f.payload in
-  if plen > max_payload then invalid_arg "Wire.encode: payload too large";
-  let buf = Bytes.create (header_len + plen + trailer_len) in
-  Bytes.set buf 0 (Char.chr magic);
-  Bytes.set buf 1 (Char.chr version);
-  Bytes.set buf 2 (Char.chr (ftype_code f.ftype));
-  Bytes.set buf 3 (Char.chr f.src);
-  Bytes.set buf 4 (Char.chr f.dst);
-  Bytes.set_int32_le buf 5 (Int32.of_int plen);
-  Bytes.set_int64_le buf 9 f.seq;
-  Bytes.set_int64_le buf 17 f.ack;
-  Bytes.blit f.payload 0 buf header_len plen;
-  let body = header_len + plen in
-  Bytes.set_int32_le buf body (Int32.of_int (Crc32.digest_sub buf ~off:0 ~len:body));
-  Bytes.set_int64_le buf (body + 4) (Auth.mac key buf ~off:0 ~len:body);
-  buf
+type queue = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
+
+let queue () = { buf = Bytes.create 4096; start = 0; stop = 0 }
+let buffered q = q.stop - q.start
+
+(* Room for [len] more bytes at [stop]: compact to the front, growing
+   the buffer first if compaction alone is not enough. *)
+let reserve q len =
+  if Bytes.length q.buf - q.stop < len then begin
+    let live = buffered q in
+    let cap = ref (Bytes.length q.buf) in
+    while !cap < live + len do
+      cap := 2 * !cap
+    done;
+    let nb = if !cap > Bytes.length q.buf then Bytes.create !cap else q.buf in
+    Bytes.blit q.buf q.start nb 0 live;
+    q.buf <- nb;
+    q.start <- 0;
+    q.stop <- live
+  end
+
+let consume q n =
+  q.start <- q.start + n;
+  if q.start = q.stop then begin
+    q.start <- 0;
+    q.stop <- 0
+  end
+
+(* -- the writer -- *)
+
+let frame_len payload =
+  if Bytes.length payload > max_payload then invalid_arg "Wire: payload too large";
+  header_len + Bytes.length payload + trailer_len
+
+type out = queue
+
+let out = queue
+let pending = buffered
+
+(* The one frame writer: appends the frame at [o.stop]. *)
+let put o ~key ftype ~src ~dst ~seq ~ack payload =
+  let len = frame_len payload in
+  reserve o len;
+  let buf = o.buf and off = o.stop and body = len - trailer_len in
+  Bytes.set_uint8 buf off magic;
+  Bytes.set_uint8 buf (off + 1) version;
+  Bytes.set_uint8 buf (off + 2) (match ftype with Hello -> 1 | Data -> 2 | Ack -> 3);
+  Bytes.set_uint8 buf (off + 3) src;
+  Bytes.set_uint8 buf (off + 4) dst;
+  Bytes.set_int32_le buf (off + 5) (Int32.of_int (Bytes.length payload));
+  Bytes.set_int64_le buf (off + 9) (Int64.of_int seq);
+  Bytes.set_int64_le buf (off + 17) (Int64.of_int ack);
+  Bytes.blit payload 0 buf (off + header_len) (Bytes.length payload);
+  Bytes.set_int32_le buf (off + body)
+    (Int32.of_int (Crc32.digest_sub buf ~off ~len:body));
+  Auth.mac_into key buf ~off ~len:body buf (off + body + 4);
+  o.stop <- off + len
+
+let clear o = consume o (buffered o)
+let write_to o fd = consume o (Unix.write fd o.buf o.start (buffered o))
 
 (* -- incremental decoder -- *)
 
 type decoder = {
-  mutable buf : Bytes.t;  (* accumulated unparsed bytes *)
-  mutable start : int;  (* parse position *)
-  mutable stop : int;  (* end of valid data *)
+  q : queue;  (* accumulated unparsed bytes *)
   n : int;  (* party count, for src/dst range checks *)
   key_of : src:int -> dst:int -> Auth.key;
+  tag : Bytes.t;  (* the recomputed MAC *)
+  mutable cur : int;  (* offset in [q.buf] of the frame [next] looked at *)
 }
 
-let decoder ~n ~key_of =
-  { buf = Bytes.create 4096; start = 0; stop = 0; n; key_of }
-
-let buffered d = d.stop - d.start
+let decoder ~n ~key_of = { q = queue (); n; key_of; tag = Bytes.create 8; cur = 0 }
+let reset d = clear d.q
 
 let feed d bytes ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length bytes then
     invalid_arg "Wire.feed";
-  let avail = Bytes.length d.buf - d.stop in
-  if avail < len then begin
-    let live = buffered d in
-    let need = live + len in
-    if Bytes.length d.buf - live >= len && d.start > 0 then begin
-      (* compact in place *)
-      Bytes.blit d.buf d.start d.buf 0 live;
-      d.start <- 0;
-      d.stop <- live
-    end
-    else begin
-      let cap = ref (max 4096 (2 * Bytes.length d.buf)) in
-      while !cap < need do
-        cap := !cap * 2
-      done;
-      let nb = Bytes.create !cap in
-      Bytes.blit d.buf d.start nb 0 live;
-      d.buf <- nb;
-      d.start <- 0;
-      d.stop <- live
-    end
-  end;
-  Bytes.blit bytes off d.buf d.stop len;
-  d.stop <- d.stop + len
+  reserve d.q len;
+  Bytes.blit bytes off d.q.buf d.q.stop len;
+  d.q.stop <- d.q.stop + len
 
-let u8 d i = Char.code (Bytes.get d.buf (d.start + i))
+(* Reads land straight in the decoder's buffer, with 4 KiB of room. *)
+let read_from d fd =
+  let q = d.q in
+  reserve q 4096;
+  let len = Unix.read fd q.buf q.stop (Bytes.length q.buf - q.stop) in
+  q.stop <- q.stop + len;
+  len
 
-(* [Ok None] = need more bytes; [Ok (Some f)] = one frame consumed;
-   [Error e] = stream poisoned, caller must drop the connection. *)
+(* the current frame's header fields, read in place *)
+let u8 d i = Bytes.get_uint8 d.q.buf (d.cur + i)
+let i64 d i = Int64.to_int (Bytes.get_int64_le d.q.buf (d.cur + i))
+let ftype d = match u8 d 2 with 1 -> Hello | 2 -> Data | _ -> Ack
+let src d = u8 d 3
+let dst d = u8 d 4
+let seq d = i64 d 9
+let ack d = i64 d 17
+let payload d = d.q.buf
+let payload_off d = d.cur + header_len
+let payload_len d = Int32.to_int (Bytes.get_int32_le d.q.buf (d.cur + 5))
+
+(* [Ok false] = need more bytes; [Ok true] = one frame verified and
+   consumed, now the current frame; [Error e] = stream poisoned, caller
+   must drop the connection. *)
 let next d =
-  if buffered d < header_len then Ok None
-  else begin
-    let m = u8 d 0 in
-    if m <> magic then Error (Bad_magic m)
-    else
-      let v = u8 d 1 in
-      if v <> version then Error (Bad_version v)
-      else
-        let tc = u8 d 2 in
-        if tc < 1 || tc > 3 then Error (Bad_type tc)
-        else
-          let src = u8 d 3 and dst = u8 d 4 in
-          if src >= d.n then Error (Bad_party src)
-          else if dst >= d.n then Error (Bad_party dst)
-          else
-            let plen = Int32.to_int (Bytes.get_int32_le d.buf (d.start + 5)) in
-            if plen < 0 || plen > max_payload then Error (Oversize plen)
-            else if buffered d < header_len + plen + trailer_len then Ok None
-            else begin
-              let body = header_len + plen in
-              let crc_got =
-                Int32.to_int (Bytes.get_int32_le d.buf (d.start + body))
-                land 0xFFFFFFFF
-              in
-              let crc_want = Crc32.digest_sub d.buf ~off:d.start ~len:body in
-              if crc_got <> crc_want then
-                Error (Bad_crc { expected = crc_want; got = crc_got })
-              else
-                let mac_got = Bytes.get_int64_le d.buf (d.start + body + 4) in
-                let mac_want =
-                  Auth.mac (d.key_of ~src ~dst) d.buf ~off:d.start ~len:body
-                in
-                if not (Int64.equal mac_got mac_want) then Error Bad_mac
-                else begin
-                  let ftype =
-                    match tc with 1 -> Hello | 2 -> Data | _ -> Ack
-                  in
-                  let seq = Bytes.get_int64_le d.buf (d.start + 9) in
-                  let ack = Bytes.get_int64_le d.buf (d.start + 17) in
-                  let payload = Bytes.sub d.buf (d.start + header_len) plen in
-                  d.start <- d.start + body + trailer_len;
-                  if d.start = d.stop then begin
-                    d.start <- 0;
-                    d.stop <- 0
-                  end;
-                  Ok (Some { ftype; src; dst; seq; ack; payload })
-                end
-            end
-  end
+  let q = d.q in
+  d.cur <- q.start;
+  if buffered q < header_len then Ok false
+  else if u8 d 0 <> magic then Error (Bad_magic (u8 d 0))
+  else if u8 d 1 <> version then Error (Bad_version (u8 d 1))
+  else if u8 d 2 < 1 || u8 d 2 > 3 then Error (Bad_type (u8 d 2))
+  else if src d >= d.n then Error (Bad_party (src d))
+  else if dst d >= d.n then Error (Bad_party (dst d))
+  else
+    let plen = payload_len d in
+    if plen < 0 || plen > max_payload then Error (Oversize plen)
+    else if buffered q < header_len + plen + trailer_len then Ok false
+    else begin
+      let body = header_len + plen in
+      let got = Int32.to_int (Bytes.get_int32_le q.buf (d.cur + body)) land 0xFFFFFFFF in
+      let expected = Crc32.digest_sub q.buf ~off:d.cur ~len:body in
+      if got <> expected then Error (Bad_crc { expected; got })
+      else begin
+        Auth.mac_into (d.key_of ~src:(src d) ~dst:(dst d)) q.buf ~off:d.cur
+          ~len:body d.tag 0;
+        if Bytes.get_int64_le q.buf (d.cur + body + 4) <> Bytes.get_int64_le d.tag 0
+        then Error Bad_mac
+        else begin
+          consume q (body + trailer_len);
+          Ok true
+        end
+      end
+    end
+
+(* -- whole frames: views over the writer and the decoder -- *)
+
+let encode ~key f =
+  let o = { buf = Bytes.create (frame_len f.payload); start = 0; stop = 0 } in
+  put o ~key f.ftype ~src:f.src ~dst:f.dst ~seq:f.seq ~ack:f.ack f.payload;
+  o.buf
+
+let current d =
+  let payload = Bytes.sub d.q.buf (payload_off d) (payload_len d) in
+  { ftype = ftype d; src = src d; dst = dst d; seq = seq d; ack = ack d; payload }
 
 (* One-shot decode of a complete frame image — the property tests' entry
    point, where a torn tail must be an error rather than a wait. *)
@@ -190,7 +219,6 @@ let decode_exact ~n ~key_of bytes =
   let d = decoder ~n ~key_of in
   feed d bytes ~off:0 ~len:(Bytes.length bytes);
   match next d with
-  | Ok (Some f) when buffered d = 0 -> Ok f
-  | Ok (Some _) -> Error Short_frame  (* trailing garbage *)
-  | Ok None -> Error Short_frame
+  | Ok true when buffered d.q = 0 -> Ok (current d)
+  | Ok _ -> Error Short_frame  (* torn, or trailing garbage *)
   | Error e -> Error e
