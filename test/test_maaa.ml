@@ -280,6 +280,109 @@ let test_party_start_validation () =
     (Invalid_argument "Party.start: already started") (fun () ->
       Party.start p (Vec.zero 2))
 
+(* --- the halt rule, message by message --- *)
+
+(* One honest party 0 (n = 4, ts = 1, Δ = 1, started in [Fixed_t] mode so
+   iteration 1 begins at once) on a hand-driven endpoint. The test plays
+   parties 1–3: it delivers their rBC readies, three per instance (n − ts,
+   enough to deliver), and their oBC reports, and it moves the clock. *)
+let halt_cfg = Config.make_exn ~n:4 ~ts:1 ~ta:0 ~d:1 ~eps:0.01 ~delta:1
+
+type driven = { party : Party.t; clock : int ref }
+
+let driven_party () =
+  let clock = ref 0 in
+  let party =
+    Party.attach_endpoint
+      ~opts:{ Party.default_opts with mode = Party.Fixed_t 100 }
+      ~cfg:halt_cfg
+      {
+        Transport.me = 0;
+        n = 4;
+        now = (fun () -> !clock);
+        send_all = ignore;
+        set_timer = (fun ~at:_ ~tag:_ -> ());
+        register_flush = ignore;
+        set_handler = ignore;
+      }
+  in
+  Party.start party (Vec.of_list [ 0.5 ]);
+  { party; clock }
+
+let deliver_rbc d tag ~origin payload =
+  List.iter
+    (fun src ->
+      Party.handle d.party
+        (Transport.Deliver
+           { src; msg = Message.Rbc ({ Message.tag; origin }, Message.Ready, payload) }))
+    [ 1; 2; 3 ]
+
+let halt d ~origin it = deliver_rbc d (Message.Halt it) ~origin (Message.Pint it)
+
+(* Parties 1–3 all hold [x] in iteration [it], so the party adopts [x]. *)
+let complete_iteration d it x =
+  let v = Vec.of_list [ x ] in
+  List.iter
+    (fun origin -> deliver_rbc d (Message.Obc_value it) ~origin (Message.Pvec v))
+    [ 1; 2; 3 ];
+  List.iter
+    (fun src ->
+      Party.handle d.party
+        (Transport.Deliver
+           {
+             src;
+             msg = Message.Obc_report { iter = it; pairs = [ (1, v); (2, v); (3, v) ] };
+           }))
+    [ 1; 2; 3 ];
+  d.clock := !(d.clock) + (Params.c_aa_it * halt_cfg.Config.delta) + 1;
+  Party.handle d.party (Transport.Timer 0)
+
+let check_halt_output name d expected =
+  Alcotest.(check (option (pair int (float 0.))))
+    name expected
+    (match (Party.output_iteration d.party, Party.output d.party) with
+    | Some it, Some v -> Some (it, Vec.get v 0)
+    | _ -> None)
+
+(* Only an origin's first halt counts, however low a later one is; a
+   halt for iteration 0 names Πinit's value; equal iterations tie at the
+   (ts + 1)-th smallest. *)
+let test_halt_one_per_origin () =
+  let d = driven_party () in
+  halt d ~origin:3 7;
+  halt d ~origin:3 0;
+  halt d ~origin:3 (-5);
+  check_halt_output "origin 3's later halts ignored" d None;
+  halt d ~origin:2 0;
+  check_halt_output "one halt below iteration 1" d None;
+  halt d ~origin:1 0;
+  check_halt_output "tie at 0: v0" d (Some (0, 0.5))
+
+(* Halts at or above the current iteration wait until the party has
+   passed them; then the (ts + 1)-th smallest below it names the value,
+   not the smallest. *)
+let test_halt_waits_for_iteration () =
+  let d = driven_party () in
+  halt d ~origin:1 2;
+  halt d ~origin:2 3;
+  check_halt_output "halts at 2 and 3 from iteration 1" d None;
+  complete_iteration d 1 10.;
+  check_halt_output "none below iteration 2" d None;
+  complete_iteration d 2 20.;
+  check_halt_output "one below iteration 3" d None;
+  halt d ~origin:3 0;
+  check_halt_output "halts 0 and 2 below 3: v2" d (Some (2, 20.));
+  Alcotest.(check (list int))
+    "iterations 0–2 adopted" [ 0; 1; 2 ]
+    (List.map fst (Party.value_history d.party))
+
+let test_halt_tie_at_current () =
+  let d = driven_party () in
+  List.iter (fun origin -> halt d ~origin 1) [ 1; 2; 3 ];
+  check_halt_output "three halts at iteration 1, in iteration 1" d None;
+  complete_iteration d 1 10.;
+  check_halt_output "tie at 1: v1" d (Some (1, 10.))
+
 (* --- golden pins: ΠAA runs and Πinit alone --- *)
 
 (* Every bit a run produces, for a seeded grid of ΠAA runs under each
@@ -522,6 +625,14 @@ let () =
           Alcotest.test_case "fixed T" `Quick test_fixed_t_mode;
           Alcotest.test_case "fixed T validation" `Quick test_fixed_t_validation;
           Alcotest.test_case "start validation" `Quick test_party_start_validation;
+        ] );
+      ( "halt rule",
+        [
+          Alcotest.test_case "one halt per origin" `Quick test_halt_one_per_origin;
+          Alcotest.test_case "waits for the iteration" `Quick
+            test_halt_waits_for_iteration;
+          Alcotest.test_case "tie at the current iteration" `Quick
+            test_halt_tie_at_current;
         ] );
       ( "quantitative",
         [
