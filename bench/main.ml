@@ -18,7 +18,7 @@
        bit-identical by construction)
    B11 message layer in isolation: intern hit/miss cost, rBC vote
        accounting and instance lookup, interned vs the seed
-       Rbc.Reference
+       Rbc_reference
    B12 deterministic message-count sweeps (not timed — exact counts):
        unbatched vs batched message layer, and the EW quadratic
        protocol, out to n = 128
@@ -388,7 +388,7 @@ let b11_storm_payload = Message.Pvec (Vec.of_list [ 1.; 2. ])
    [on_message]. *)
 let interned ~n ~t cb = Rbc.on_message (Rbc.create ~n ~t cb)
 let reference ~n ~t cb =
-  Rbc.Reference.on_message (Rbc.Reference.create ~n ~t cb)
+  Rbc_reference.on_message (Rbc_reference.create ~n ~t cb)
 
 (* One instance, every step: init + n echoes + n readies, one delivery. *)
 let b11_vote_storm create () =

@@ -18,7 +18,7 @@ type t = {
   n : int;
   ts : int;
   delta : int;
-  iter : int;
+  mutable iter : int;
   witnessing : bool;
   cb : callbacks;
   intern : Intern.t;
@@ -111,6 +111,17 @@ let on_report t ~from pairs =
     fill t from pairs;
     try_fire t
   end
+
+let restart t ~iter =
+  t.iter <- iter;
+  Array.fill t.m_pid 0 t.n (-1);
+  t.m_count <- 0;
+  Reports.reset t.reports;
+  t.witness_count <- 0;
+  t.started <- false;
+  t.tau_start <- 0;
+  t.sent_report <- false;
+  t.done_ <- false
 
 let create ?intern ?(witnessing = true) ~n ~ts ~delta ~iter cb =
   let intern =

@@ -1,5 +1,6 @@
-(** Overlap All-to-All Broadcast (ΠoBC, Section 4.2) — one instance, for one
-    party and one iteration.
+(** Overlap All-to-All Broadcast (ΠoBC, Section 4.2) — one party's
+    instance, for one iteration at a time: {!restart} reuses it for the
+    next, so a ΠAA party builds one value and one callback record per run.
 
     Every party reliably broadcasts its value; after [c_rBC·Δ], once
     [n − ts] values are in, the party reports its collected set best-effort;
@@ -48,6 +49,11 @@ val create :
 (** [intern] shares the owning party's interning table (fresh private
     table when omitted) — pass the same table as the party's {!Rbc} so
     value ids agree across the layers. *)
+
+val restart : t -> iter:int -> unit
+(** Make [t] a fresh instance for iteration [iter], as {!create} would,
+    reusing its rows: the collected set, the reports, the witnesses and
+    the timing state are cleared. *)
 
 val start : t -> Vec.t -> unit
 (** Join the protocol with our value; records the local start time. *)

@@ -3,117 +3,11 @@ type callbacks = {
   deliver : Message.rbc_id -> Message.payload -> unit;
 }
 
-(* The seed implementation, kept verbatim (including its
-   exception-as-control-flow [votes] lookup) as a test oracle and the
-   B11 baseline: on every input stream, the interned path below must
-   make [send_all]/[deliver] calls that [compare] equal (test_rbc.ml). *)
-module Reference = struct
-  module IdMap = Map.Make (struct
-    type t = Message.rbc_id
-
-    let compare = Stdlib.compare
-  end)
-
-  module PayloadMap = Map.Make (struct
-    type t = Message.payload
-
-    let compare = Stdlib.compare
-  end)
-
-  module IntSet = Set.Make (Int)
-
-  type instance = {
-    mutable echoed : bool;  (* sent our echo (for some value) *)
-    mutable readied : bool;  (* sent our ready (for some value) *)
-    mutable output : Message.payload option;
-    mutable echo_votes : IntSet.t PayloadMap.t;  (* value -> echo senders *)
-    mutable ready_votes : IntSet.t PayloadMap.t;  (* value -> ready senders *)
-  }
-
-  type t = {
-    n : int;
-    thr : int;
-    cb : callbacks;
-    mutable instances : instance IdMap.t;
-  }
-
-  let create ~n ~t cb =
-    if n <= 3 * t then invalid_arg "Rbc.create: requires n > 3t";
-    { n; thr = t; cb; instances = IdMap.empty }
-
-  let instance t id =
-    match IdMap.find_opt id t.instances with
-    | Some inst -> inst
-    | None ->
-        let inst =
-          {
-            echoed = false;
-            readied = false;
-            output = None;
-            echo_votes = PayloadMap.empty;
-            ready_votes = PayloadMap.empty;
-          }
-        in
-        t.instances <- IdMap.add id inst t.instances;
-        inst
-
-  let votes map v =
-    try IntSet.cardinal (PayloadMap.find v map) with Not_found -> 0
-
-  let add_vote map ~from v =
-    PayloadMap.update v
-      (function
-        | None -> Some (IntSet.singleton from)
-        | Some s -> Some (IntSet.add from s))
-      map
-
-  let send_echo t id v inst =
-    if not inst.echoed then begin
-      inst.echoed <- true;
-      t.cb.send_all (Message.Rbc (id, Message.Echo, v))
-    end
-
-  let send_ready t id v inst =
-    if not inst.readied then begin
-      inst.readied <- true;
-      t.cb.send_all (Message.Rbc (id, Message.Ready, v))
-    end
-
-  let check_progress t id inst v =
-    (* n - t echoes, or t + 1 readies: send our ready for v *)
-    if
-      (not inst.readied)
-      && (votes inst.echo_votes v >= t.n - t.thr
-         || votes inst.ready_votes v >= t.thr + 1)
-    then send_ready t id v inst;
-    (* n - t readies: deliver v *)
-    if inst.output = None && votes inst.ready_votes v >= t.n - t.thr then begin
-      inst.output <- Some v;
-      t.cb.deliver id v
-    end
-
-  let broadcast t id v = t.cb.send_all (Message.Rbc (id, Message.Init, v))
-
-  let on_message t ~from id step v =
-    let inst = instance t id in
-    match step with
-    | Message.Init ->
-        (* only the designated origin may initiate *)
-        if from = id.origin then send_echo t id v inst
-    | Message.Echo ->
-        inst.echo_votes <- add_vote inst.echo_votes ~from v;
-        check_progress t id inst v
-    | Message.Ready ->
-        inst.ready_votes <- add_vote inst.ready_votes ~from v;
-        check_progress t id inst v
-end
-
-(* ------------------------------------------------------------------ *)
-(* The protocol path: payloads become dense ids at receipt (one
-   structural hash each — see Intern), instances live in a hashtable
-   keyed by a per-constructor rbc_id code, and echo/ready accounting is
-   an int counter plus a per-(payload, sender) bitset. No polymorphic
-   compare or hash anywhere below. *)
+(* Payloads become dense ids at receipt (one structural hash each — see
+   Intern), instances are rows found through a hashtable keyed by a
+   per-constructor rbc_id code, and echo/ready accounting is an int
+   counter plus a per-(payload, sender) bitset. No polymorphic compare
+   or hash on the hot path. *)
 
 (* Injective over (tag kind, iteration); used for hashing only, so a
    pathological iteration value can at worst cause a chain, never a
@@ -150,26 +44,23 @@ module IdTbl = Hashtbl.Make (struct
     land max_int
 end)
 
-(* One slot per distinct payload an instance has seen votes for; honest
-   executions have exactly one, equivocation a handful, so a linear scan
-   over the slot list beats any keyed structure. *)
-type slot = {
-  pid : int;  (* interned payload id *)
-  payload : Message.payload;  (* canonical representative *)
-  echo_seen : Bytes.t;  (* sender bitsets, in-range senders *)
-  ready_seen : Bytes.t;
-  mutable echo_count : int;
-  mutable ready_count : int;
-  mutable echo_extra : int list;  (* out-of-range senders, deduped *)
-  mutable ready_extra : int list;
-}
+(* Each distinct payload an instance has seen votes for is one row of
+   the flat arrays in [t]. An instance's first row is its head: it takes
+   the first payload, holds the instance's flags and chains the
+   instance's other payloads through [next]. Honest executions give an
+   instance one row, equivocation a handful, so a walk along the chain
+   beats any keyed structure, and both share one code path.
 
-type instance = {
-  mutable echoed : bool;
-  mutable readied : bool;
-  mutable output : Message.payload option;
-  mutable slots : slot list;
-}
+   An instance that has echoed, readied and delivered can make no further
+   callback, whatever arrives for it: its rows go back on the free list
+   (chained through [next] too) and the id table maps it to [retired].
+   The rows in use are the instances still in flight, so the arrays stay
+   narrow; the id table keeps one cell per instance. *)
+
+let echoed = 1
+let readied = 2
+let delivered = 4
+let retired = -1
 
 type t = {
   n : int;
@@ -177,122 +68,160 @@ type t = {
   bpp : int;  (* bytes per sender bitset *)
   cb : callbacks;
   intern : Intern.t;
-  instances : instance IdTbl.t;
+  heads : int IdTbl.t;  (* instance -> head row, or [retired] *)
+  mutable pid : int array;  (* row -> interned payload id, -1 for a bare head *)
+  mutable next : int array;  (* row -> next row of its chain, -1 at the end *)
+  mutable votes : int array;  (* cell 2·row + kind (0 echo, 1 ready) -> count *)
+  mutable seen : Bytes.t;  (* cell -> its senders' bitset, [bpp] bytes *)
+  mutable flags : Bytes.t;  (* head row -> echoed/readied/delivered bits *)
+  mutable free : int;  (* first free row, -1 when none is left *)
+  mutable extra : (int * int) list;
+      (* (cell, sender) for senders outside [0, n), deduped *)
   (* 1-entry lookup memo: deliveries arrive in per-instance bursts (all
      echoes, then all readies), so remembering the last id skips the
      hashtable on the common path. Empty while [last_id] is [no_id]. *)
   mutable last_id : Message.rbc_id;
-  mutable last_inst : instance;
+  mutable last_head : int;
 }
 
 (* The empty memo: [no_id] is recognised physically, so no id a peer
    sends can alias it. *)
 let no_id = { Message.tag = Message.Init_value; origin = -1 }
-let no_instance = { echoed = false; readied = false; output = None; slots = [] }
 
-let bit_mem b i = Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+(* Doubles every row array; the new rows become the free list. *)
+let grow t =
+  let cap = Array.length t.pid in
+  let cap' = max 16 (2 * cap) in
+  let ints a per =
+    let b = Array.make (per * cap') (-1) in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.pid <- ints t.pid 1;
+  t.next <- ints t.next 1;
+  t.votes <- ints t.votes 2;
+  t.seen <- Bytes.extend t.seen 0 (2 * t.bpp * (cap' - cap));
+  t.flags <- Bytes.extend t.flags 0 (cap' - cap);
+  for r = cap to cap' - 2 do
+    t.next.(r) <- r + 1
+  done;
+  t.free <- cap
 
-let bit_set b i =
-  Bytes.set b (i lsr 3)
-    (Char.chr (Char.code (Bytes.get b (i lsr 3)) lor (1 lsl (i land 7))))
+let alloc_row t =
+  if t.free < 0 then grow t;
+  let r = t.free in
+  t.free <- t.next.(r);
+  t.pid.(r) <- -1;
+  t.next.(r) <- -1;
+  t.votes.(2 * r) <- 0;
+  t.votes.((2 * r) + 1) <- 0;
+  Bytes.fill t.seen (2 * r * t.bpp) (2 * t.bpp) '\000';
+  Bytes.set t.flags r '\000';
+  r
 
-let instance t id =
-  if t.last_id != no_id && id_equal t.last_id id then t.last_inst
+let rec free_chain t r =
+  (match t.extra with
+  | [] -> ()
+  | l -> t.extra <- List.filter (fun (c, _) -> c lsr 1 <> r) l);
+  let next = t.next.(r) in
+  t.next.(r) <- t.free;
+  t.free <- r;
+  if next >= 0 then free_chain t next
+
+let flag t h f = Char.code (Bytes.get t.flags h) land f <> 0
+
+let set_flag t h f =
+  Bytes.set t.flags h (Char.chr (Char.code (Bytes.get t.flags h) lor f))
+
+let head t id =
+  if t.last_id != no_id && id_equal t.last_id id then t.last_head
   else begin
     (* [find], not [find_opt]: a hit must not box its result *)
-    let inst =
-      match IdTbl.find t.instances id with
-      | inst -> inst
+    let h =
+      match IdTbl.find t.heads id with
+      | h -> h
       | exception Not_found ->
-          let inst =
-            { echoed = false; readied = false; output = None; slots = [] }
-          in
-          IdTbl.add t.instances id inst;
-          inst
+          let h = alloc_row t in
+          IdTbl.add t.heads id h;
+          h
     in
     t.last_id <- id;
-    t.last_inst <- inst;
-    inst
+    t.last_head <- h;
+    h
   end
 
-let rec slot_for t inst pid payload = function
-  | [] ->
-      let s =
-        {
-          pid;
-          payload;
-          echo_seen = Bytes.make t.bpp '\000';
-          ready_seen = Bytes.make t.bpp '\000';
-          echo_count = 0;
-          ready_count = 0;
-          echo_extra = [];
-          ready_extra = [];
-        }
-      in
-      inst.slots <- s :: inst.slots;
-      s
-  | s :: rest -> if s.pid = pid then s else slot_for t inst pid payload rest
+(* The row of payload [pid] in the chain through [r]: a bare head takes
+   it; a payload the chain lacks gets a new row at its end. *)
+let rec row_for t r pid =
+  let p = t.pid.(r) in
+  if p = pid then r
+  else if p < 0 then begin
+    t.pid.(r) <- pid;
+    r
+  end
+  else if t.next.(r) >= 0 then row_for t t.next.(r) pid
+  else begin
+    let s = alloc_row t in
+    t.pid.(s) <- pid;
+    t.next.(r) <- s;
+    s
+  end
 
 (* Count a vote at most once per (sender, value). Senders outside
    [0, n) cannot index the bitset; they go to a deduped side list so the
    totals still match the reference IntSet semantics exactly. *)
-let add_echo t s ~from =
+let add_vote t c ~from =
   if from >= 0 && from < t.n then begin
-    if not (bit_mem s.echo_seen from) then begin
-      bit_set s.echo_seen from;
-      s.echo_count <- s.echo_count + 1
+    let byte = (c * t.bpp) + (from lsr 3) and bit = 1 lsl (from land 7) in
+    let b = Char.code (Bytes.get t.seen byte) in
+    if b land bit = 0 then begin
+      Bytes.set t.seen byte (Char.chr (b lor bit));
+      t.votes.(c) <- t.votes.(c) + 1
     end
   end
-  else if not (List.mem from s.echo_extra) then begin
-    s.echo_extra <- from :: s.echo_extra;
-    s.echo_count <- s.echo_count + 1
+  else if not (List.mem (c, from) t.extra) then begin
+    t.extra <- (c, from) :: t.extra;
+    t.votes.(c) <- t.votes.(c) + 1
   end
 
-let add_ready t s ~from =
-  if from >= 0 && from < t.n then begin
-    if not (bit_mem s.ready_seen from) then begin
-      bit_set s.ready_seen from;
-      s.ready_count <- s.ready_count + 1
-    end
-  end
-  else if not (List.mem from s.ready_extra) then begin
-    s.ready_extra <- from :: s.ready_extra;
-    s.ready_count <- s.ready_count + 1
-  end
-
-let check_progress t id inst (s : slot) =
+let vote t id h pid kind ~from =
+  let r = row_for t h pid in
+  add_vote t ((2 * r) + kind) ~from;
+  let echoes = t.votes.(2 * r) and readies = t.votes.((2 * r) + 1) in
   (* n - t echoes, or t + 1 readies: send our ready for this value *)
   if
-    (not inst.readied)
-    && (s.echo_count >= t.n - t.thr || s.ready_count >= t.thr + 1)
+    (not (flag t h readied))
+    && (echoes >= t.n - t.thr || readies >= t.thr + 1)
   then begin
-    inst.readied <- true;
-    t.cb.send_all (Message.Rbc (id, Message.Ready, s.payload))
+    set_flag t h readied;
+    t.cb.send_all (Message.Rbc (id, Message.Ready, Intern.payload t.intern pid))
   end;
   (* n - t readies: deliver *)
-  if Option.is_none inst.output && s.ready_count >= t.n - t.thr then begin
-    inst.output <- Some s.payload;
-    t.cb.deliver id s.payload
+  if (not (flag t h delivered)) && readies >= t.n - t.thr then begin
+    set_flag t h delivered;
+    t.cb.deliver id (Intern.payload t.intern pid)
   end
 
 let on_message t ~from id step v =
-  let inst = instance t id in
+  let h = head t id in
   (* one structural hash per receipt; everything after is int-keyed *)
   let pid = Intern.intern t.intern v in
-  match step with
-  | Message.Init ->
-      if from = id.origin && not inst.echoed then begin
-        inst.echoed <- true;
-        t.cb.send_all (Message.Rbc (id, Message.Echo, Intern.payload t.intern pid))
-      end
-  | Message.Echo ->
-      let s = slot_for t inst pid (Intern.payload t.intern pid) inst.slots in
-      add_echo t s ~from;
-      check_progress t id inst s
-  | Message.Ready ->
-      let s = slot_for t inst pid (Intern.payload t.intern pid) inst.slots in
-      add_ready t s ~from;
-      check_progress t id inst s
+  if h <> retired then begin
+    (match step with
+    | Message.Init ->
+        if from = id.origin && not (flag t h echoed) then begin
+          set_flag t h echoed;
+          t.cb.send_all
+            (Message.Rbc (id, Message.Echo, Intern.payload t.intern pid))
+        end
+    | Message.Echo -> vote t id h pid 0 ~from
+    | Message.Ready -> vote t id h pid 1 ~from);
+    if flag t h echoed && flag t h readied && flag t h delivered then begin
+      IdTbl.replace t.heads id retired;
+      t.last_head <- retired;
+      free_chain t h
+    end
+  end
 
 let create ?intern ~n ~t cb =
   if n <= 3 * t then invalid_arg "Rbc.create: requires n > 3t";
@@ -307,9 +236,16 @@ let create ?intern ~n ~t cb =
     bpp = (n + 7) / 8;
     cb;
     intern;
-    instances = IdTbl.create 16;
+    heads = IdTbl.create 16;
+    pid = [||];
+    next = [||];
+    votes = [||];
+    seen = Bytes.empty;
+    flags = Bytes.empty;
+    free = -1;
+    extra = [];
     last_id = no_id;
-    last_inst = no_instance;
+    last_head = retired;
   }
 
 let broadcast t id v =

@@ -12,11 +12,18 @@
     honest party delivers, all do within 2Δ).
 
     Every received payload is hash-consed through an {!Intern} table once
-    at receipt, instances live in a hashtable with a specialized [rbc_id]
-    hash, and votes are flat counters plus per-(payload, sender) bitsets —
-    no polymorphic compare on the hot path. The seed [PayloadMap]/[IntSet]
-    implementation survives as {!Reference}, a test oracle: on every input
-    stream both make callback calls that [compare] equal ([test_rbc.ml]). *)
+    at receipt, and an id table with a specialized [rbc_id] hash maps
+    each instance to an int row of flat arrays: one row per distinct
+    payload, holding its vote counters and per-sender bitsets, chained
+    from the instance's first row, which also holds its flags. No
+    polymorphic compare on the hot path. An instance that has echoed,
+    readied and delivered can make no further callback; its rows are
+    reused for new instances, so the arrays stay as wide as the
+    instances in flight, and a vote that creates an instance allocates
+    only the id table's cell, amortised. The seed [PayloadMap]/[IntSet]
+    implementation survives in [test/oracle] as [Rbc_reference], a test
+    oracle: on every input stream both make callback calls that
+    [compare] equal ([test_rbc.ml]). *)
 
 type t
 
@@ -41,17 +48,6 @@ val on_message :
   t -> from:int -> Message.rbc_id -> Message.step -> Message.payload -> unit
 (** Feed an incoming [Rbc] message. Init steps are only accepted from the
     instance's origin (authenticated channels); echo and ready votes are
-    counted at most once per (sender, value). *)
-
-(** The seed message layer, verbatim — [Map]s keyed by polymorphic
-    compare over full payloads. A test oracle and bench baseline only;
-    protocol code goes through {!create}. *)
-module Reference : sig
-  type t
-
-  val create : n:int -> t:int -> callbacks -> t
-  val broadcast : t -> Message.rbc_id -> Message.payload -> unit
-
-  val on_message :
-    t -> from:int -> Message.rbc_id -> Message.step -> Message.payload -> unit
-end
+    counted at most once per (sender, value). The callbacks it fires must
+    not feed [t] a message before they return (every transport queues
+    what [send_all] sends). *)

@@ -17,6 +17,12 @@ let create ~n ~need =
     n_pending = 0;
   }
 
+let reset t =
+  Array.fill t.rows 0 (Array.length t.rows) (-1);
+  Array.fill t.count 0 t.n (-1);
+  Bytes.fill t.pending 0 t.n '\000';
+  t.n_pending <- 0
+
 let accept t s =
   s >= 0 && s < t.n && t.count.(s) < 0
   && begin

@@ -13,6 +13,9 @@ type t
 val create : n:int -> need:int -> t
 (** Rows for senders [0 … n−1]; a report verifies with [need] entries. *)
 
+val reset : t -> unit
+(** Forget every row, as if fresh from {!create}. *)
+
 val accept : t -> int -> bool
 (** [accept t s] opens [s]'s row if [s] is in range and sent no report
     before, and says whether it did: one report per sender. *)

@@ -38,9 +38,12 @@ type t = {
   set_timer : at:int -> unit;
   mutable rbc : Rbc.t option;  (* set right after creation; never None in use *)
   mutable init : Init_round.t option;
-  obcs : (int, Obc.t) Hashtbl.t;
-  history : (int, Vec.t) Hashtbl.t;
-  halts : (int, int) Hashtbl.t;  (* origin -> halt iteration (first per origin) *)
+  mutable obc : Obc.t option;  (* set right after creation, restarted per iteration *)
+  mutable history : Vec.t array;  (* v_0 … v_{adopted-1} *)
+  mutable adopted : int;
+  halted : Bytes.t;  (* origin -> '\001' once its first halt is in *)
+  halt_its : int array;  (* those first halts' iterations, ascending *)
+  mutable n_halts : int;
   buffered_values : (int, (int * Vec.t) list ref) Hashtbl.t;
   buffered_reports : (int, (int * (int * Vec.t) list) list ref) Hashtbl.t;
   mutable iter : int;  (* 0 while in Πinit *)
@@ -59,52 +62,73 @@ let output_iteration t = t.output_iter
 let output_time t = t.output_time
 let iteration_estimate t = t.t_estimate
 
-let value_history t =
-  Hashtbl.fold (fun it v acc -> (it, v) :: acc) t.history []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let value_history t = List.init t.adopted (fun it -> (it, t.history.(it)))
 
 let intern_stats t =
   (Intern.hits t.intern, Intern.misses t.intern, Intern.count t.intern)
 
 let rbc t = Option.get t.rbc
+let obc t = Option.get t.obc
+
+(* Iterations complete in order, each once: v_it lands at index it. *)
+let adopt t v =
+  if t.adopted = Array.length t.history then begin
+    let h = Array.make (2 * t.adopted) v in
+    Array.blit t.history 0 h 0 t.adopted;
+    t.history <- h
+  end;
+  t.history.(t.adopted) <- v;
+  t.adopted <- t.adopted + 1
 
 let buffer tbl key item =
   match Hashtbl.find_opt tbl key with
   | Some l -> l := item :: !l
   | None -> Hashtbl.add tbl key (ref [ item ])
 
-let drain tbl key =
+(* Feeds what [tbl] buffered under [key] to [f obc], oldest first. [f]
+   takes [obc] as an argument so that the caller's closure is static:
+   nothing is allocated when nothing was buffered. *)
+let drain tbl key obc f =
   match Hashtbl.find_opt tbl key with
   | Some l ->
       Hashtbl.remove tbl key;
-      List.rev !l
-  | None -> []
+      List.iter (f obc) (List.rev !l)
+  | None -> ()
 
 (* One halt per origin: a Byzantine party must not be able to inject
-   several low-iteration halts and control the (ts+1)-th smallest. *)
+   several low-iteration halts and control the (ts+1)-th smallest. An
+   instance whose origin is no party never delivers (no honest party
+   echoes or readies it, and ts readies are fewer than n − ts), so
+   [origin] is in range in every execution within the thresholds. The
+   iteration goes into [halt_its] by one insertion step. *)
 let record_halt t ~origin it =
-  if not (Hashtbl.mem t.halts origin) then Hashtbl.add t.halts origin it
+  if origin >= 0 && origin < t.cfg.n && Bytes.get t.halted origin = '\000'
+  then begin
+    Bytes.set t.halted origin '\001';
+    let j = ref t.n_halts in
+    while !j > 0 && t.halt_its.(!j - 1) > it do
+      t.halt_its.(!j) <- t.halt_its.(!j - 1);
+      decr j
+    done;
+    t.halt_its.(!j) <- it;
+    t.n_halts <- t.n_halts + 1
+  end
 
 (* Outputs once ts+1 recorded halts name an iteration below the current
-   one. Depends only on [halts], [iter] and [history], so it runs exactly
-   where those change — after [record_halt], at the end of
-   [join_iteration], after adopting a value — and is idempotent in
-   between; a per-delivery call would fold and sort [halts] for nothing. *)
+   one, i.e. once the (ts+1)-th smallest halt does; it is then also the
+   (ts+1)-th smallest of those below. Depends only on the halts,
+   [iter] and [history], so it runs exactly where those change — after
+   [record_halt], at the end of [join_iteration], after adopting a value
+   — and is idempotent in between. A halt below 0 names no value. *)
 let try_halt_output t =
-  if Option.is_none t.output && t.iter >= 1 then begin
-    let earlier =
-      Hashtbl.fold (fun _ it acc -> if it < t.iter then it :: acc else acc) t.halts []
-      |> List.sort compare
-    in
-    if List.length earlier >= t.cfg.ts + 1 then begin
-      let it_h = List.nth earlier t.cfg.ts in
-      match Hashtbl.find_opt t.history it_h with
-      | Some v ->
-          t.output <- Some v;
-          t.output_iter <- Some it_h;
-          t.output_time <- Some (t.now ());
-          t.cbs.on_output ~iter:it_h v
-      | None -> ()
+  if Option.is_none t.output && t.iter >= 1 && t.n_halts > t.cfg.ts then begin
+    let it_h = t.halt_its.(t.cfg.ts) in
+    if it_h >= 0 && it_h < t.iter then begin
+      let v = t.history.(it_h) in
+      t.output <- Some v;
+      t.output_iter <- Some it_h;
+      t.output_time <- Some (t.now ());
+      t.cbs.on_output ~iter:it_h v
     end
   end
 
@@ -112,36 +136,20 @@ let rec join_iteration t it =
   t.iter <- it;
   t.iter_start <- t.now ();
   t.pending_value <- None;
-  let obc =
-    Obc.create ~intern:t.intern ~n:t.cfg.n ~ts:t.cfg.ts
-      ~delta:t.cfg.delta ~iter:it
-      {
-        Obc.now = t.now;
-        set_timer = t.set_timer;
-        rbc_broadcast =
-          (fun payload ->
-            Rbc.broadcast (rbc t)
-              { Message.tag = Message.Obc_value it; origin = t.me }
-              payload);
-        send_all = t.send_all;
-        output = (fun _ values -> on_obc_output t it values);
-      }
-  in
-  Hashtbl.replace t.obcs it obc;
-  List.iter (fun (origin, v) -> Obc.on_value obc ~origin v) (drain t.buffered_values it);
-  List.iter (fun (from, pairs) -> Obc.on_report obc ~from pairs) (drain t.buffered_reports it);
-  (match Hashtbl.find_opt t.history (it - 1) with
-  | Some v -> Obc.start obc v
-  | None -> assert false (* join_iteration it requires v_{it-1} recorded *));
+  let obc = obc t in
+  Obc.restart obc ~iter:it;
+  drain t.buffered_values it obc (fun obc (origin, v) -> Obc.on_value obc ~origin v);
+  drain t.buffered_reports it obc (fun obc (from, pairs) ->
+      Obc.on_report obc ~from pairs);
+  (* join_iteration it requires v_{it-1} adopted *)
+  Obc.start obc t.history.(it - 1);
   t.set_timer ~at:(t.iter_start + (Params.c_aa_it * t.cfg.delta) + 1);
   (* no value can be pending yet: the fresh oBC cannot output before
      local time moves past [iter_start] *)
   try_halt_output t
 
-and on_obc_output t it values =
-  if
-    Option.is_none t.output && t.iter = it && Option.is_none t.pending_value
-  then begin
+and on_obc_output t values =
+  if Option.is_none t.output && Option.is_none t.pending_value then begin
     let k = Array.length values - (t.cfg.n - t.cfg.ts) in
     let trim = max k t.cfg.ta in
     match Safe_cache.new_value_arr t.safe_cache ~t:trim values with
@@ -171,7 +179,7 @@ and try_advance t =
         when t.iter >= 1
              && t.now () > t.iter_start + (Params.c_aa_it * t.cfg.delta) -> (
           let completed = t.iter in
-          Hashtbl.replace t.history completed v;
+          adopt t v;
           t.cbs.on_iteration ~iter:completed v;
           (match t.t_estimate with
           | Some tt when tt = completed && not t.sent_halt ->
@@ -187,7 +195,7 @@ and try_advance t =
       | _ -> ())
 
 let on_init_output t tt v0 =
-  Hashtbl.replace t.history 0 v0;
+  adopt t v0;
   t.t_estimate <- Some tt;
   t.cbs.on_iteration ~iter:0 v0;
   join_iteration t 1
@@ -207,9 +215,9 @@ let on_rbc_deliver t (id : Message.rbc_id) payload =
       | _ -> ())
   | Message.Obc_value it, Message.Pvec v ->
       if Option.is_none t.output then begin
-        match Hashtbl.find_opt t.obcs it with
-        | Some obc -> Obc.on_value obc ~origin:id.origin v
-        | None -> if it > t.iter then buffer t.buffered_values it (id.origin, v)
+        if it > t.iter then buffer t.buffered_values it (id.origin, v)
+        else if it = t.iter && it >= 1 then
+          Obc.on_value (obc t) ~origin:id.origin v
       end
   | Message.Halt it, _ ->
       record_halt t ~origin:id.origin it;
@@ -238,10 +246,7 @@ let poke t =
   (match t.init with
   | Some i when not (Init_round.has_output i) -> Init_round.poke i
   | _ -> ());
-  (if Option.is_none t.output && t.iter >= 1 then
-     match Hashtbl.find_opt t.obcs t.iter with
-     | Some obc -> Obc.poke obc
-     | None -> ());
+  if Option.is_none t.output && t.iter >= 1 then Obc.poke (obc t);
   if t.iter >= 1 then try_advance t
 
 let handle t (ev : Message.t Transport.event) =
@@ -263,10 +268,9 @@ let handle t (ev : Message.t Transport.event) =
           if t.iter >= 1 then try_advance t
       | Message.Obc_report { iter; pairs; _ } ->
           if Option.is_none t.output then begin
-            match Hashtbl.find_opt t.obcs iter with
-            | Some obc -> Obc.on_report obc ~from:src pairs
-            | None ->
-                if iter > t.iter then buffer t.buffered_reports iter (src, pairs)
+            if iter > t.iter then buffer t.buffered_reports iter (src, pairs)
+            else if iter = t.iter && iter >= 1 then
+              Obc.on_report (obc t) ~from:src pairs
           end
       | Message.Witness_set { parties; _ } -> (
           match t.init with
@@ -311,9 +315,12 @@ let attach_endpoint ?(callbacks = no_callbacks) ?(opts = default_opts)
       set_timer;
       rbc = None;
       init = None;
-      obcs = Hashtbl.create 8;
-      history = Hashtbl.create 16;
-      halts = Hashtbl.create 8;
+      obc = None;
+      history = Array.make 16 (Vec.zero 0);
+      adopted = 0;
+      halted = Bytes.make cfg.Config.n '\000';
+      halt_its = Array.make cfg.Config.n 0;
+      n_halts = 0;
       buffered_values = Hashtbl.create 8;
       buffered_reports = Hashtbl.create 8;
       iter = 0;
@@ -345,6 +352,21 @@ let attach_endpoint ?(callbacks = no_callbacks) ?(opts = default_opts)
          {
            Rbc.send_all = rbc_send_all;
            deliver = (fun id payload -> on_rbc_deliver t id payload);
+         });
+  t.obc <-
+    Some
+      (Obc.create ~intern:t.intern ~n:cfg.Config.n ~ts:cfg.Config.ts
+         ~delta:cfg.Config.delta ~iter:1
+         {
+           Obc.now;
+           set_timer;
+           rbc_broadcast =
+             (fun payload ->
+               Rbc.broadcast (rbc t)
+                 { Message.tag = Message.Obc_value t.iter; origin = me }
+                 payload);
+           send_all;
+           output = (fun _ values -> on_obc_output t values);
          });
   t.init <-
     Some

@@ -7,7 +7,14 @@
     [(halt, T)]; it outputs [v_{it_h}] — where [it_h] is the [(ts+1)]-th
     smallest halt iteration received (counting one halt per origin) — once
     [ts + 1] halts from earlier iterations are in, and then stops joining
-    iterations. The reliable-broadcast layer keeps running after output so
+    iterations.
+
+    A party builds one {!Obc} value with its callbacks once and restarts
+    it for each iteration it joins; oBC values and reports for an
+    iteration it has finished are dropped, since that iteration's oBC has
+    output and can make no further call. The adopted values and the
+    first halt per origin (kept sorted) live in flat arrays, so the halt
+    rule is one array read. The reliable-broadcast layer keeps running after output so
     other parties retain its echo/ready amplification, which the paper's
     Conditional Liveness arguments rely on.
 
@@ -49,9 +56,8 @@ type mutant = Non_contracting_update | Premature_output
 type layer =
   | Interned
       (** one packet per vote (default): one {!Intern} hash-consing table per
-          party, shared by its rBC multiplexer and every per-iteration oBC
-          instance, created fresh per party — so a run never sees another
-          run's payload ids *)
+          party, shared by its rBC multiplexer and its oBC, created fresh
+          per party — so a run never sees another run's payload ids *)
   | Batched
       (** the interned vote tables behind a {!Batch} egress buffer: the rBC
           votes emitted within a tick leave as one combined packet per

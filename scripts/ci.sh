@@ -19,7 +19,7 @@ echo "== lib/ size gate (.ml + .mli lines) =="
 # lib/ should shrink, not grow: the ceiling is the count when the gate
 # went in, lowered as lib/ shrinks. A change that raises it says why in
 # CHANGES.md.
-lib_ceiling=15206
+lib_ceiling=15192
 lib_lines=$(find lib \( -name '*.ml' -o -name '*.mli' \) -type f -exec cat {} + | wc -l)
 echo "lib/: $lib_lines lines (ceiling $lib_ceiling)"
 if [ "$lib_lines" -gt "$lib_ceiling" ]; then

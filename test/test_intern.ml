@@ -1,6 +1,6 @@
 (* Unit tests for the Intern hash-consing table. The guarantee the
    interned message layer is built on — same callback calls as the seed
-   Rbc.Reference and Obc_reference on every input stream — is checked by
+   Rbc_reference and Obc_reference on every input stream — is checked by
    the stream differentials in test_rbc.ml and test_obc.ml. *)
 
 let vec l = Vec.of_list l

@@ -383,6 +383,72 @@ let test_halt_tie_at_current () =
   complete_iteration d 1 10.;
   check_halt_output "tie at 1: v1" d (Some (1, 10.))
 
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Recording a halt and re-running the halt rule allocate nothing: the
+   vote that delivers each halt below is measured whole (the rBC layer's
+   counting is allocation-free too), with none of the halts yet below the
+   current iteration. *)
+let test_halt_alloc_free () =
+  let d = driven_party () in
+  List.iter
+    (fun origin ->
+      let it = origin + 4 in
+      let id = { Message.tag = Message.Halt it; origin } and p = Message.Pint it in
+      let ready src = Transport.Deliver { src; msg = Message.Rbc (id, Message.Ready, p) } in
+      Party.handle d.party (ready 1);
+      Party.handle d.party (ready 2);
+      let last = ready 3 in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "halt %d from %d words" it origin)
+        0.
+        (words (fun () -> Party.handle d.party last)))
+    [ 1; 2; 3 ];
+  check_halt_output "no halt below iteration 1" d None
+
+(* Moving to the next iteration restarts the party's one oBC in place: it
+   allocates only the new iteration's own broadcast — the [Pvec] box (2
+   words), the [Obc_value] tag (2), the rBC id (3) and the [Rbc] message
+   (4) — and its timers, which this endpoint ignores. Measured from the
+   [on_iteration] callback, i.e. after the oBC output and the update rule,
+   to the end of the event. *)
+let test_transition_alloc () =
+  let clock = ref 0 and mark = ref nan in
+  let on_iteration ~iter:_ _ = mark := Gc.minor_words () in
+  let party =
+    Party.attach_endpoint
+      ~callbacks:{ Party.no_callbacks with on_iteration }
+      ~opts:{ Party.default_opts with mode = Party.Fixed_t 100 }
+      ~cfg:halt_cfg
+      {
+        Transport.me = 0;
+        n = 4;
+        now = (fun () -> !clock);
+        send_all = ignore;
+        set_timer = (fun ~at:_ ~tag:_ -> ());
+        register_flush = ignore;
+        set_handler = ignore;
+      }
+  in
+  Party.start party (Vec.of_list [ 0.5 ]);
+  let d = { party; clock } in
+  (* the mark itself: a boxed float stored in [mark] *)
+  let overhead =
+    mark := Gc.minor_words ();
+    Gc.minor_words () -. !mark
+  in
+  for it = 1 to 4 do
+    mark := nan;
+    complete_iteration d it (float_of_int (10 * it));
+    let w = Gc.minor_words () -. !mark -. overhead in
+    Alcotest.(check bool)
+      (Printf.sprintf "transition %d -> %d: %.0f words <= 11" it (it + 1) w)
+      true (w <= 11.)
+  done
+
 (* --- golden pins: ΠAA runs and Πinit alone --- *)
 
 (* Every bit a run produces, for a seeded grid of ΠAA runs under each
@@ -633,6 +699,10 @@ let () =
             test_halt_waits_for_iteration;
           Alcotest.test_case "tie at the current iteration" `Quick
             test_halt_tie_at_current;
+          Alcotest.test_case "recording a halt allocates nothing" `Quick
+            test_halt_alloc_free;
+          Alcotest.test_case "a transition allocates its broadcast" `Quick
+            test_transition_alloc;
         ] );
       ( "quantitative",
         [

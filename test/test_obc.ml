@@ -311,11 +311,11 @@ type obc_op =
   | Tick of int
   | Poke
 
-type obc_case = {
+type 'op case = {
   n : int;
   delta : int;
   witnessing : bool;
-  ops : obc_op list;
+  ops : 'op list;
 }
 
 let print_obc_op = function
@@ -336,11 +336,8 @@ let print_obc_case c =
 (* Each party has a true value, delivered and reported as itself or as
    its ±0 / NaN twin, so most reports verify against the collected set;
    the rest lie, drop parties, repeat a party or name one out of range. *)
-let gen_obc_case =
+let gen_obc_ops ~n ~delta =
   let open QCheck.Gen in
-  let* n = int_range 4 8 in
-  let* delta = int_range 1 3 in
-  let* witnessing = bool in
   let* truth = array_repeat n (int_bound 3) in
   let any_value = int_bound (Array.length value_pool - 1) in
   let true_value p =
@@ -395,7 +392,14 @@ let gen_obc_case =
         @ List.init 6 (fun _ -> return (Tick delta)))
   in
   let* noise = list_size (int_range n (8 * n)) op in
-  let* ops = shuffle_l (backbone @ noise) in
+  shuffle_l (backbone @ noise)
+
+let gen_obc_case =
+  let open QCheck.Gen in
+  let* n = int_range 4 8 in
+  let* delta = int_range 1 3 in
+  let* witnessing = bool in
+  let* ops = gen_obc_ops ~n ~delta in
   return { n; delta; witnessing; ops }
 
 let arb_obc_case =
@@ -418,42 +422,47 @@ type obc_impl = {
   poke : unit -> unit;
 }
 
-(* Feeds one stream to one implementation under a fake clock; returns
-   the callback log, with any exception an input raised. *)
-let obc_log c make =
+(* The logging callbacks under a fake clock, for one stream. *)
+let logging () =
   let log = ref [] and clock = ref 0 in
   let add e = log := e :: !log in
+  ( log,
+    clock,
+    add,
+    {
+      Obc.now = (fun () -> !clock);
+      set_timer = (fun ~at -> add (Timer at));
+      rbc_broadcast = (fun p -> add (Rbc_broadcast p));
+      send_all = (fun m -> add (Sent m));
+      output = (fun parties values -> add (Output (parties, values)));
+    } )
+
+let vec i fresh =
+  if fresh then Vec.of_array (Vec.to_array value_pool.(i)) else value_pool.(i)
+
+(* One input, logging any exception it raised. *)
+let apply ~clock ~add impl op =
+  try
+    match op with
+    | Start v -> impl.start value_pool.(v)
+    | Value { origin; value; fresh } -> impl.on_value ~origin (vec value fresh)
+    | Report { from; pairs } ->
+        impl.on_report ~from (List.map (fun (p, v) -> (p, vec v true)) pairs)
+    | Tick k -> clock := !clock + k
+    | Poke -> impl.poke ()
+  with Invalid_argument s -> add (Raised s)
+
+(* Feeds one stream to one implementation; returns the callback log. *)
+let obc_log c make =
+  let log, clock, add, cb = logging () in
   let impl =
-    make ~witnessing:c.witnessing ~n:c.n ~ts:((c.n - 1) / 3) ~delta:c.delta
-      {
-        Obc.now = (fun () -> !clock);
-        set_timer = (fun ~at -> add (Timer at));
-        rbc_broadcast = (fun p -> add (Rbc_broadcast p));
-        send_all = (fun m -> add (Sent m));
-        output = (fun parties values -> add (Output (parties, values)));
-      }
+    make ~iter:1 ~witnessing:c.witnessing ~n:c.n ~ts:((c.n - 1) / 3)
+      ~delta:c.delta cb
   in
-  let vec i fresh =
-    if fresh then Vec.of_array (Vec.to_array value_pool.(i)) else value_pool.(i)
-  in
-  List.iter
-    (fun op ->
-      try
-        match op with
-        | Start v -> impl.start value_pool.(v)
-        | Value { origin; value; fresh } ->
-            impl.on_value ~origin (vec value fresh)
-        | Report { from; pairs } ->
-            impl.on_report ~from
-              (List.map (fun (p, v) -> (p, vec v true)) pairs)
-        | Tick k -> clock := !clock + k
-        | Poke -> impl.poke ()
-      with Invalid_argument s -> add (Raised s))
-    c.ops;
+  List.iter (apply ~clock ~add impl) c.ops;
   List.rev !log
 
-let interned_obc ~witnessing ~n ~ts ~delta cb =
-  let o = Obc.create ~witnessing ~n ~ts ~delta ~iter:1 cb in
+let interned_impl o =
   {
     start = Obc.start o;
     on_value = Obc.on_value o;
@@ -461,8 +470,11 @@ let interned_obc ~witnessing ~n ~ts ~delta cb =
     poke = (fun () -> Obc.poke o);
   }
 
-let reference_obc ~witnessing ~n ~ts ~delta cb =
-  let o = Obc_reference.create ~witnessing ~n ~ts ~delta ~iter:1 cb in
+let interned_obc ~iter ~witnessing ~n ~ts ~delta cb =
+  interned_impl (Obc.create ~witnessing ~n ~ts ~delta ~iter cb)
+
+let reference_obc ~iter ~witnessing ~n ~ts ~delta cb =
+  let o = Obc_reference.create ~witnessing ~n ~ts ~delta ~iter cb in
   {
     start = Obc_reference.start o;
     on_value = Obc_reference.on_value o;
@@ -498,6 +510,133 @@ let test_obc_stream =
         true
         (4 * !obc_outputs >= !obc_cases))
 
+(* --- one restarted oBC = a fresh Obc_reference per iteration --- *)
+
+(* A ΠAA party keeps one oBC and restarts it for the next iteration once
+   the current one has output; values and reports that arrive later for
+   a finished iteration it drops. A fresh seed oBC per iteration takes
+   those late inputs and, being done, makes no call. So on every stream
+   of 2–4 iterations, late inputs mixed in, the restarted value must make
+   the calls a fresh Obc_reference per iteration makes. *)
+
+type multi_op =
+  | At of int * obc_op  (* an input for the iteration this many back *)
+  | Next  (* move on, if the current iteration has output *)
+
+let print_multi_case c =
+  Printf.sprintf "n=%d delta=%d witnessing=%b [%s]" c.n c.delta c.witnessing
+    (String.concat "; "
+       (List.map
+          (function
+            | At (0, op) -> print_obc_op op
+            | At (b, op) -> Printf.sprintf "[-%d] %s" b (print_obc_op op)
+            | Next -> "next")
+          c.ops))
+
+(* Each iteration's segment is a one-instance stream, shuffled with up to
+   six values and reports for the one to three iterations before it. *)
+let gen_multi_case =
+  let open QCheck.Gen in
+  let* n = int_range 4 8 in
+  let* delta = int_range 1 3 in
+  let* witnessing = bool in
+  let segment =
+    let* ops = gen_obc_ops ~n ~delta and* extra = gen_obc_ops ~n ~delta in
+    let* m = int_bound 6 in
+    let inputs =
+      List.filteri (fun i _ -> i < m)
+        (List.filter (function Value _ | Report _ -> true | _ -> false) extra)
+    in
+    let* late =
+      flatten_l
+        (List.map (fun op -> map (fun b -> At (b, op)) (int_range 1 3)) inputs)
+    in
+    shuffle_l (List.map (fun op -> At (0, op)) ops @ late)
+  in
+  let* k = int_range 2 4 in
+  let* segments = list_repeat k segment in
+  return
+    { n; delta; witnessing; ops = List.concat_map (fun s -> s @ [ Next ]) segments }
+
+let arb_multi_case =
+  QCheck.make ~print:print_multi_case
+    ~shrink:(fun c yield ->
+      QCheck.Shrink.list c.ops (fun ops -> yield { c with ops }))
+    gen_multi_case
+
+(* [make] gives the implementation for the iteration [back] iterations
+   before the current one, if there is one to feed, and a function that
+   moves to the next iteration. Returns the log, the iterations moved on
+   and the late inputs that reached a finished iteration. *)
+let multi_log c make =
+  let log, clock, add, cb = logging () in
+  let outputs = ref 0 in
+  let cb = { cb with output = (fun p v -> incr outputs; cb.output p v) } in
+  let impl_for, next =
+    make ~witnessing:c.witnessing ~n:c.n ~ts:((c.n - 1) / 3) ~delta:c.delta cb
+  in
+  let iter = ref 0 and late = ref 0 in
+  List.iter
+    (function
+      | At (back, op) ->
+          if back > 0 && back <= !iter then incr late;
+          Option.iter (fun impl -> apply ~clock ~add impl op) (impl_for back)
+      | Next ->
+          if !outputs > !iter then begin
+            incr iter;
+            next ()
+          end)
+    c.ops;
+  (List.rev !log, !iter, !late)
+
+let restarted_obc ~witnessing ~n ~ts ~delta cb =
+  let o = Obc.create ~witnessing ~n ~ts ~delta ~iter:1 cb in
+  let impl = interned_impl o and iter = ref 1 in
+  ( (fun back -> if back = 0 then Some impl else None),
+    fun () ->
+      incr iter;
+      Obc.restart o ~iter:!iter )
+
+let fresh_references ~witnessing ~n ~ts ~delta cb =
+  let fresh iter = reference_obc ~iter ~witnessing ~n ~ts ~delta cb in
+  let made = ref [ fresh 1 ] in
+  ( (fun back -> List.nth_opt !made back),
+    fun () -> made := fresh (List.length !made + 1) :: !made )
+
+let multi_cases = ref 0
+let multi_restarting = ref 0
+let multi_late = ref 0
+
+let prop_obc_restart =
+  QCheck.Test.make ~name:"restarted = Obc_reference per iteration" ~count:300
+    arb_multi_case (fun c ->
+      let a, _, _ = multi_log c restarted_obc in
+      let b, restarts, late = multi_log c fresh_references in
+      incr multi_cases;
+      if restarts > 0 then incr multi_restarting;
+      if late > 0 then incr multi_late;
+      compare a b = 0)
+
+(* The property, plus floors: streams must often move on to a later
+   iteration, and often send a finished one late inputs. *)
+let test_obc_restart =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_obc_restart in
+  Alcotest.test_case name speed (fun () ->
+      multi_cases := 0;
+      multi_restarting := 0;
+      multi_late := 0;
+      run ();
+      List.iter
+        (fun (what, k) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d of %d cases %s (>= 25%%)" k !multi_cases what)
+            true
+            (4 * k >= !multi_cases))
+        [
+          ("restart", !multi_restarting);
+          ("feed a finished iteration", !multi_late);
+        ])
+
 
 let () =
   Alcotest.run "obc"
@@ -516,5 +655,5 @@ let () =
           Alcotest.test_case "report allocates nothing" `Quick
             test_report_alloc_free;
         ] );
-      ("differential", [ test_obc_stream ]);
+      ("differential", [ test_obc_stream; test_obc_restart ]);
     ]

@@ -245,11 +245,48 @@ let test_vote_alloc_free () =
     [ ("echo", Message.Echo); ("ready", Message.Ready) ];
   Alcotest.(check int) "no threshold crossed" 0 !sends
 
-(* --- stream differential against the seed Rbc.Reference --- *)
+(* A vote that creates an instance allocates only the id table's cell (4
+   words) and its share of the table's doublings (two arrays per
+   doubling: about 2 words per instance here); the instance's row is one
+   that a finished instance gave back. Each of 4096 instances is created
+   by an echo, measured, then run to delivery (init, echoes, readies),
+   which retires it. The table's larger bucket arrays go straight to the
+   major heap, so those words are counted over the whole loop: nothing
+   else in it is that large. *)
+let test_create_alloc () =
+  let n = 4 and t = 1 and count = 4096 in
+  let rbc =
+    Rbc.create ~n ~t { Rbc.send_all = ignore; deliver = (fun _ _ -> ()) }
+  in
+  let ids =
+    Array.init count (fun i -> { Message.tag = Message.Obc_value i; origin = 0 })
+  and v = pvec 1. in
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let minor = ref 0. and major = direct_major () in
+  Array.iter
+    (fun id ->
+      let before = Gc.minor_words () in
+      Rbc.on_message rbc ~from:1 id Message.Echo v;
+      minor := !minor +. (Gc.minor_words () -. before);
+      Rbc.on_message rbc ~from:0 id Message.Init v;
+      List.iter
+        (fun (from, step) -> Rbc.on_message rbc ~from id step v)
+        [ (2, Message.Echo); (3, Message.Echo); (1, Message.Ready);
+          (2, Message.Ready); (3, Message.Ready) ])
+    ids;
+  let per = (!minor +. direct_major () -. major) /. float_of_int count in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per created instance <= 7" per)
+    true (per <= 7.)
+
+(* --- stream differential against the seed Rbc_reference --- *)
 
 (* An rBC value reacts only to its inputs ([broadcast], [on_message]) and
    speaks only through its callbacks ([send_all], [deliver]). So if, on
-   every input stream, the interned path and Rbc.Reference make callback
+   every input stream, the interned path and Rbc_reference make callback
    calls that [compare] equal, a party built on either one runs
    identically, by induction over the engine's event order. The streams
    below are Byzantine: any sender votes for any payload on any of a few
@@ -283,7 +320,15 @@ let copy_payload = function
   | Message.Pint i -> Message.Pint i
   | Message.Pparties ps -> Message.Pparties (List.map Fun.id ps)
 
-let stream_tags = [| Message.Init_value; Message.Obc_value 1; Message.Halt 1 |]
+(* Πinit's two tags and 41 iterations of oBC values and halts, so a
+   stream can touch many instances at once. *)
+let stream_tags =
+  Array.concat
+    [
+      [| Message.Init_value; Message.Init_report |];
+      Array.init 41 (fun it -> Message.Obc_value it);
+      Array.init 41 (fun it -> Message.Halt it);
+    ]
 
 type rbc_op =
   | Broadcast of { origin : int; tag : int; payload : int }
@@ -318,13 +363,21 @@ let print_rbc_case c =
 
 (* Per case: one or two live instances, and a favourite payload that
    most votes carry, drawn from the ±0 / NaN classes, so votes pile up on
-   one class and the t + 1 and n − t thresholds are crossed. *)
+   one class and the t + 1 and n − t thresholds are crossed. A third of
+   the cases are wide instead: every origin, 12–24 tags and a long stream,
+   so dozens of instances are live at once and the vote rows must grow. *)
 let gen_rbc_case =
   let open QCheck.Gen in
   let* n = int_range 4 8 in
-  let* origins = list_size (int_range 1 2) (int_bound (n - 1)) in
+  let* wide = frequencyl [ (2, false); (1, true) ] in
+  let* origins =
+    if wide then return (List.init n Fun.id)
+    else list_size (int_range 1 2) (int_bound (n - 1))
+  in
   let* tags =
-    list_size (int_range 1 2) (int_bound (Array.length stream_tags - 1))
+    list_size
+      (if wide then int_range 12 24 else int_range 1 2)
+      (int_bound (Array.length stream_tags - 1))
   in
   let* favourite = int_bound 3 in
   let payload =
@@ -355,7 +408,11 @@ let gen_rbc_case =
         (1, return Again);
       ]
   in
-  let* ops = list_size (int_range n (8 * n)) op in
+  let* ops =
+    list_size
+      (if wide then int_range (24 * n) (40 * n) else int_range n (8 * n))
+      op
+  in
   return { n; ops }
 
 let arb_rbc_case =
@@ -405,36 +462,80 @@ let interned_rbc ~n ~t cb =
   (Rbc.broadcast r, Rbc.on_message r)
 
 let reference_rbc ~n ~t cb =
-  let r = Rbc.Reference.create ~n ~t cb in
-  (Rbc.Reference.broadcast r, Rbc.Reference.on_message r)
+  let r = Rbc_reference.create ~n ~t cb in
+  (Rbc_reference.broadcast r, Rbc_reference.on_message r)
 
 let rbc_cases = ref 0
 let rbc_delivering = ref 0
+let rbc_wide = ref 0  (* cases with >= 64 instances that never deliver *)
+let rbc_multi = ref 0  (* cases with >= 3 payloads voted on one instance *)
+
+(* An instance that never delivers is never retired, so it holds its row
+   to the end: 64 of them force the rows to double from 16 at least
+   twice. Payloads are told apart as the interner does. *)
+let coverage c log =
+  let touched = Hashtbl.create 64 and payloads = Hashtbl.create 64 in
+  let classes = Intern.create () in
+  List.iter
+    (function
+      | Msg { origin; tag; step; payload; _ } ->
+          Hashtbl.replace touched (origin, tag) ();
+          if step <> Message.Init then
+            Hashtbl.replace payloads
+              (origin, tag, Intern.intern classes stream_pool.(payload))
+              ()
+      | Broadcast _ | Again -> ())
+    c.ops;
+  let delivered =
+    List.length
+      (List.filter (function Delivered _ -> true | Sent _ -> false) log)
+  in
+  let per_instance = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun (o, t, _) () ->
+      Hashtbl.replace per_instance (o, t)
+        (1 + Option.value ~default:0 (Hashtbl.find_opt per_instance (o, t))))
+    payloads;
+  ( Hashtbl.length touched - delivered >= 64,
+    Hashtbl.fold (fun _ k acc -> acc || k >= 3) per_instance false )
 
 let prop_rbc_stream =
-  QCheck.Test.make ~name:"interned = Rbc.Reference" ~count:500
+  QCheck.Test.make ~name:"interned = Rbc_reference" ~count:500
     arb_rbc_case (fun c ->
       let a = rbc_log c interned_rbc in
       let b = rbc_log c reference_rbc in
       incr rbc_cases;
       if List.exists (function Delivered _ -> true | Sent _ -> false) b then
         incr rbc_delivering;
+      let wide, multi = coverage c b in
+      if wide then incr rbc_wide;
+      if multi then incr rbc_multi;
       compare a b = 0)
 
-(* The property, plus a floor on how often its streams deliver: a
-   generator that never crossed the n − t ready threshold would leave
-   delivery untested. *)
+(* The property, plus floors on what its streams cover: a generator that
+   never crossed the n − t ready threshold would leave delivery untested,
+   one that kept few instances live would never grow the vote rows, and
+   one that never split an instance's votes three ways would test only
+   the honest and the plain equivocating chain. *)
 let test_rbc_stream =
   let name, speed, run = QCheck_alcotest.to_alcotest prop_rbc_stream in
   Alcotest.test_case name speed (fun () ->
       rbc_cases := 0;
       rbc_delivering := 0;
+      rbc_wide := 0;
+      rbc_multi := 0;
       run ();
-      Alcotest.(check bool)
-        (Printf.sprintf "%d of %d cases deliver (>= 25%%)" !rbc_delivering
-           !rbc_cases)
-        true
-        (4 * !rbc_delivering >= !rbc_cases))
+      List.iter
+        (fun (what, k, pct) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d of %d cases %s (>= %d%%)" k !rbc_cases what pct)
+            true
+            (100 * k >= pct * !rbc_cases))
+        [
+          ("deliver", !rbc_delivering, 25);
+          ("keep >= 64 instances live", !rbc_wide, 10);
+          ("vote >= 3 payloads on one instance", !rbc_multi, 10);
+        ])
 
 
 let () =
@@ -464,6 +565,8 @@ let () =
             test_threshold_validation;
           Alcotest.test_case "vote without send allocates nothing" `Quick
             test_vote_alloc_free;
+          Alcotest.test_case "creating an instance allocates its cell" `Quick
+            test_create_alloc;
         ] );
       ("differential", [ test_rbc_stream ]);
     ]
