@@ -20,10 +20,10 @@
     readied and delivered can make no further callback; its rows are
     reused for new instances, so the arrays stay as wide as the
     instances in flight, and a vote that creates an instance allocates
-    only the id table's cell, amortised. The seed [PayloadMap]/[IntSet]
-    implementation survives in [test/oracle] as [Rbc_reference], a test
-    oracle: on every input stream both make callback calls that
-    [compare] equal ([test_rbc.ml]). *)
+    only the id table's cell and its share of the table's growth. The
+    seed [PayloadMap]/[IntSet] implementation survives in [test/oracle]
+    as [Rbc_reference], a test oracle: on every input stream both make
+    callback calls that [compare] equal ([test_rbc.ml]). *)
 
 type t
 

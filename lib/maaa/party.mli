@@ -14,9 +14,9 @@
     iteration it has finished are dropped, since that iteration's oBC has
     output and can make no further call. The adopted values and the
     first halt per origin (kept sorted) live in flat arrays, so the halt
-    rule is one array read. The reliable-broadcast layer keeps running after output so
-    other parties retain its echo/ready amplification, which the paper's
-    Conditional Liveness arguments rely on.
+    rule is one array read. The reliable-broadcast layer keeps running
+    after output so other parties retain its echo/ready amplification,
+    which the paper's Conditional Liveness arguments rely on.
 
     The party is driven entirely through a transport endpoint: attach it
     with {!attach_endpoint} (or {!attach} on a simulator engine) and call

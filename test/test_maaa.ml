@@ -290,10 +290,10 @@ let halt_cfg = Config.make_exn ~n:4 ~ts:1 ~ta:0 ~d:1 ~eps:0.01 ~delta:1
 
 type driven = { party : Party.t; clock : int ref }
 
-let driven_party () =
+let driven_party ?callbacks () =
   let clock = ref 0 in
   let party =
-    Party.attach_endpoint
+    Party.attach_endpoint ?callbacks
       ~opts:{ Party.default_opts with mode = Party.Fixed_t 100 }
       ~cfg:halt_cfg
       {
@@ -416,25 +416,9 @@ let test_halt_alloc_free () =
    [on_iteration] callback, i.e. after the oBC output and the update rule,
    to the end of the event. *)
 let test_transition_alloc () =
-  let clock = ref 0 and mark = ref nan in
+  let mark = ref nan in
   let on_iteration ~iter:_ _ = mark := Gc.minor_words () in
-  let party =
-    Party.attach_endpoint
-      ~callbacks:{ Party.no_callbacks with on_iteration }
-      ~opts:{ Party.default_opts with mode = Party.Fixed_t 100 }
-      ~cfg:halt_cfg
-      {
-        Transport.me = 0;
-        n = 4;
-        now = (fun () -> !clock);
-        send_all = ignore;
-        set_timer = (fun ~at:_ ~tag:_ -> ());
-        register_flush = ignore;
-        set_handler = ignore;
-      }
-  in
-  Party.start party (Vec.of_list [ 0.5 ]);
-  let d = { party; clock } in
+  let d = driven_party ~callbacks:{ Party.no_callbacks with on_iteration } () in
   (* the mark itself: a boxed float stored in [mark] *)
   let overhead =
     mark := Gc.minor_words ();
