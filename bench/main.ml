@@ -545,7 +545,7 @@ let b12_run ?protocol ~n () =
          ~cfg ~inputs:(b12_inputs ~d:2 n) ?protocol
          ~policy:(Network.lockstep ~delta:10) ())
   in
-  assert (r.Runner.live && r.Runner.valid && r.Runner.agreement);
+  assert (Runner.passed r);
   (r.Runner.stats.Engine.messages_sent, r.Runner.stats.Engine.bytes_sent)
 
 (* The unbatched path stops at n = 12 (Theta(n^3) packets make larger

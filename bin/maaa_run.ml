@@ -86,7 +86,7 @@ let run n ts ta dim eps delta network seed corrupt workload side verbose =
               (Runner.iteration_diameters r);
             Format.printf "@.bytes sent: %d@." r.Runner.stats.Engine.bytes_sent
           end;
-          if r.Runner.live && r.Runner.valid && r.Runner.agreement then 0 else 1)
+          if Runner.passed r then 0 else 1)
 
 let corrupt_conv =
   let parse s =

@@ -31,7 +31,7 @@ let run ?protocol name =
       (Scenario.make ~name ~cfg ~inputs ?protocol
          ~policy:(Network.lockstep ~delta:10) ())
   in
-  if not (r.Runner.live && r.Runner.valid && r.Runner.agreement) then (
+  if not (Runner.passed r) then (
     Printf.eprintf "msgs-check: %s run did not converge\n" name;
     exit 1);
   r

@@ -1,35 +1,58 @@
-(* Each experiment prints a report and returns whether all its checks
-   passed. Seeds are fixed: reports are reproducible bit for bit.
+(* Each experiment is a function [~domains -> failures -> unit]: it prints
+   its report body and records every claim that did not hold with
+   [expect]. The driver [run] frames the report — the [=== title ===]
+   header before it, the RESULT verdict after it — and returns whether
+   every claim held. Seeds are fixed: reports are reproducible bit for bit.
 
-   Independent scenario batches go through [Runner.run_batch ~domains],
-   which fans them out to [domains] worker domains; each experiment that
-   runs a batch takes the count as its [~domains] argument. Reports stay
-   byte-identical for any domain count because (a) scenarios are
+   Independent scenario batches go through [Runner.run_batch ~domains]
+   (mostly via [run_passing]), which fans them out to [domains] worker
+   domains; an experiment that runs no batch ignores the count. Reports
+   stay byte-identical for any domain count because (a) scenarios are
    constructed — and any shared input-generation Rng is consumed —
    before submission, (b) Runner.run owns all its mutable state and
    never prints, and (c) all formatting happens after the join, from the
    ordered result list. *)
 
-let check ok msg failures =
-  if not ok then failures := msg :: !failures;
-  ok
-
-let header title =
-  Printf.printf "\n=== %s ===\n\n" title
-
-let verdict failures =
-  match !failures with
-  | [] ->
-      print_endline "\nRESULT: PASS";
-      true
-  | fs ->
-      Printf.printf "\nRESULT: FAIL (%d checks)\n" (List.length fs);
-      List.iter (fun f -> Printf.printf "  - %s\n" f) (List.rev fs);
-      false
+let expect failures ok msg = if not ok then failures := msg :: !failures
 
 let f3 x = Printf.sprintf "%.3f" x
 let e3 x = Printf.sprintf "%.3e" x
 let yn b = if b then "yes" else "no"
+let max_of f l = List.fold_left (fun acc x -> max acc (f x)) 0 l
+let fmax_of f l = List.fold_left (fun acc x -> Float.max acc (f x)) 0. l
+
+(* the live / valid / agree / diam columns of a graded run *)
+let grade_cols (r : Runner.result) =
+  [ yn r.live; yn r.valid; yn r.agreement; e3 r.diameter ]
+
+(* (messages, rounds) summaries over a set of runs *)
+let cost_stats runs =
+  let summarize f = Stats.summarize (List.map f runs) in
+  ( summarize (fun r -> float_of_int r.Runner.stats.Engine.messages_sent),
+    summarize (fun r -> r.Runner.completion_rounds) )
+
+(* every end-to-end configuration runs at Δ = 10 ticks *)
+let mk n ts ta d eps = Config.make_exn ~n ~ts ~ta ~d ~eps ~delta:10
+
+(* Runs the [(key, scenario)] cases as one batch and expects each run to
+   pass (failure message [what key]); returns the [(key, result)] pairs
+   in case order. *)
+let run_passing ~domains failures what cases =
+  List.map2
+    (fun (key, _) r ->
+      expect failures (Runner.passed r) (what key);
+      (key, r))
+    cases
+    (Runner.run_batch ~domains (List.map snd cases))
+
+(* a scenario keyed by its name *)
+let case name cfg policy sync corruptions inputs seed =
+  ( name,
+    Scenario.make ~name ~seed ~cfg ~policy ~sync_network:sync ~corruptions
+      ~inputs () )
+
+let poison d scale =
+  Behavior.Honest_with_input (Vec.scale scale (Vec.make d 1.))
 
 (* ------------------------------------------------------------------ *)
 (* E1: Figure 1 / Theorem 3.1 — synchronous lower bound                *)
@@ -43,10 +66,11 @@ let forced_region corners d =
   |> List.map (fun i -> Polygon.of_points (List.filteri (fun j _ -> j <> i) corners))
   |> Polygon.inter_all
 
-let e1 ~domains =
-  header
-    "E1  Figure 1 / Theorem 3.1: no sync D-AA at n = (D+1)*ts (D=2, ts=1)";
-  let failures = ref [] in
+(* the forced region is the single point of the party's own corner *)
+let forced_to_own region corner =
+  Polygon.diameter region <= 1e-9 && Polygon.contains region corner
+
+let e1 ~domains failures =
   let eps = 1. in
   let corners = Inputs.simplex_corners ~d:2 ~scale:eps ~n:3 in
   Printf.printf "Inputs: %s\n\n"
@@ -61,14 +85,9 @@ let e1 ~domains =
         match region with
         | None -> [ Printf.sprintf "S%d" d; Vec.to_string ed; "EMPTY"; "-" ]
         | Some r ->
-            let diam = Polygon.diameter r in
-            let is_own =
-              diam <= 1e-9 && Polygon.contains r ed
-            in
-            ignore
-              (check is_own
-                 (Printf.sprintf "group %d not forced to its own input" d)
-                 failures);
+            let is_own = forced_to_own r ed in
+            expect failures is_own
+              (Printf.sprintf "group %d not forced to its own input" d);
             [
               Printf.sprintf "S%d" d;
               Vec.to_string ed;
@@ -86,10 +105,9 @@ let e1 ~domains =
     "\nForced output diameter = %.4f = eps*sqrt(2) > eps = %.1f  => no \
      eps-agreement possible.\n"
     diam eps;
-  ignore
-    (check
-       (Float.abs (diam -. (eps *. sqrt 2.)) <= 1e-9)
-       "forced diameter is not eps*sqrt(2)" failures);
+  expect failures
+    (Float.abs (diam -. (eps *. sqrt 2.)) <= 1e-9)
+    "forced diameter is not eps*sqrt(2)";
 
   (* Control: one more party (n = 4 > (D+1)*ts) and the same corner attack
      fails against our protocol. *)
@@ -97,60 +115,38 @@ let e1 ~domains =
   print_endline
     "Control at n = 4, ts = 1, ta = 0 (feasible): corrupt party replays a \
      corner input.";
-  let cfg = Config.make_exn ~n:4 ~ts:1 ~ta:0 ~d:2 ~eps:0.25 ~delta:10 in
+  let cfg = mk 4 1 0 2 0.25 in
   let inputs = corners @ [ Vec.of_list [ 0.3; 0.3 ] ] in
-  let corrupts = [ 0; 1; 2 ] in
-  let results =
-    Runner.run_batch ~domains
-      (List.map
-         (fun corrupt ->
+  run_passing ~domains failures
+    (Printf.sprintf "control run with corrupt %d failed")
+    (List.map
+       (fun corrupt ->
+         ( corrupt,
            Scenario.make ~name:"e1-control" ~cfg ~inputs
              ~corruptions:
                [ (corrupt, Behavior.Honest_with_input (List.nth corners corrupt)) ]
-             ())
-         corrupts)
-  in
-  let rows =
-    List.map2
-      (fun corrupt r ->
-        let ok = r.Runner.live && r.Runner.valid && r.Runner.agreement in
-        ignore
-          (check ok
-             (Printf.sprintf "control run with corrupt %d failed" corrupt)
-             failures);
-        [
-          string_of_int corrupt;
-          yn r.Runner.live;
-          yn r.Runner.valid;
-          yn r.Runner.agreement;
-          e3 r.Runner.diameter;
-        ])
-      corrupts results
-  in
-  Table.print ~header:[ "corrupt"; "live"; "valid"; "agree"; "diam" ] rows;
-  verdict failures
+             () ))
+       [ 0; 1; 2 ])
+  |> List.map (fun (corrupt, r) -> string_of_int corrupt :: grade_cols r)
+  |> Table.print ~header:[ "corrupt"; "live"; "valid"; "agree"; "diam" ]
 
 (* ------------------------------------------------------------------ *)
 (* E2: Theorem 3.2 — asynchronous lower bound                          *)
 (* ------------------------------------------------------------------ *)
 
-let e2 () =
-  header "E2  Theorem 3.2: no async D-AA at n = (D+2)*ta (D=2, ta=1)";
-  let failures = ref [] in
+let e2 ~domains:_ failures =
   let eps = 1. in
   let corners = Inputs.simplex_corners ~d:2 ~scale:eps ~n:3 in
   print_endline
     "Groups S0..S2 hold the corner inputs; S3 sends nothing. An honest\n\
      party cannot tell whether S3 is corrupt or merely slow with some other\n\
      group corrupt, so its output must lie in every candidate honest hull:";
-  let all_ok = ref true in
-  List.iteri
-    (fun d ed ->
-      match forced_region corners d with
-      | Some r when Polygon.diameter r <= 1e-9 && Polygon.contains r ed -> ()
-      | _ -> all_ok := false)
-    corners;
-  ignore (check !all_ok "async forcing failed" failures);
+  let own d ed =
+    Option.fold ~none:false
+      ~some:(fun r -> forced_to_own r ed)
+      (forced_region corners d)
+  in
+  expect failures (List.for_all Fun.id (List.mapi own corners)) "async forcing failed";
   Printf.printf
     "Each group is forced to its own corner; output diameter %.4f > eps.\n"
     (eps *. sqrt 2.);
@@ -159,8 +155,11 @@ let e2 () =
   print_endline
     "Control at n = 6, ts = ta = 1 (feasible): silent corrupt party plus \
      starvation of one honest party.";
-  let cfg = Config.make_exn ~n:6 ~ts:1 ~ta:1 ~d:2 ~eps:0.25 ~delta:10 in
-  let inputs = corners @ [ Vec.of_list [ 0.5; 0.2 ]; Vec.of_list [ 0.2; 0.5 ]; Vec.of_list [ 0.4; 0.4 ] ] in
+  let cfg = mk 6 1 1 2 0.25 in
+  let inputs =
+    corners
+    @ [ Vec.of_list [ 0.5; 0.2 ]; Vec.of_list [ 0.2; 0.5 ]; Vec.of_list [ 0.4; 0.4 ] ]
+  in
   let r =
     Runner.run
       (Scenario.make ~name:"e2-control" ~cfg ~inputs ~sync_network:false
@@ -171,19 +170,13 @@ let e2 () =
   in
   Printf.printf "live=%s valid=%s agree=%s diam=%s\n" (yn r.Runner.live)
     (yn r.Runner.valid) (yn r.Runner.agreement) (e3 r.Runner.diameter);
-  ignore
-    (check
-       (r.Runner.live && r.Runner.valid && r.Runner.agreement)
-       "feasible async control failed" failures);
-  verdict failures
+  expect failures (Runner.passed r) "feasible async control failed"
 
 (* ------------------------------------------------------------------ *)
 (* E3: Figure 2 — safe-area worked example                             *)
 (* ------------------------------------------------------------------ *)
 
-let e3_run () =
-  header "E3  Figure 2: safe area of four points, t = 1";
-  let failures = ref [] in
+let e3_run ~domains:_ failures =
   let pts =
     [
       Vec.of_list [ 0.; 0. ]; Vec.of_list [ 2.; 0. ];
@@ -209,29 +202,26 @@ let e3_run () =
         | Some r -> Format.asprintf "%a" Polygon.pp r))
     subsets;
   (match Safe_area.compute ~t:1 pts with
-  | Some (Safe_area.Planar p as area) ->
+  | Some (Safe_area.Planar p) ->
       let vcount = List.length (Polygon.vertices p) in
-      ignore (check (vcount = 1) "safe area is not a single point" failures);
+      expect failures (vcount = 1) "safe area is not a single point";
       let v = List.hd (Polygon.vertices p) in
       Printf.printf "\nFinal safe area: the single point v = %s\n"
         (Vec.to_string v);
-      ignore
-        (check
-           (Vec.dist v (Vec.of_list [ 1.; 1. ]) <= 1e-9)
-           "v is not the diagonal crossing" failures);
+      expect failures
+        (Vec.dist v (Vec.of_list [ 1.; 1. ]) <= 1e-9)
+        "v is not the diagonal crossing";
       (* v is inside the convex hull of any 3 of the 4 points *)
       List.iter
         (fun sub ->
-          ignore
-            (check
-               (Membership.in_hull ~eps:1e-9 sub v)
-               "v outside some 3-subset hull" failures))
+          expect failures
+            (Membership.in_hull ~eps:1e-9 sub v)
+            "v outside some 3-subset hull")
         subsets;
       print_endline
         "v lies in the convex hull of every 3 of the 4 points: whichever\n\
-         point is corrupt, v is inside the honest hull.";
-      ignore area
-  | _ -> ignore (check false "safe area not planar/non-empty" failures));
+         point is corrupt, v is inside the honest hull."
+  | _ -> expect failures false "safe area not planar/non-empty");
 
   (* The Section 5 example motivating max(k, ta): safe_1 of three honest
      values is empty; the paper's trim level uses k = 0 instead. *)
@@ -243,7 +233,7 @@ let e3_run () =
   Printf.printf
     "Section 5 example (n=4, ts=1, ta=0, one silent corruption):\n\
     \  safe_1({(0,0),(0,1),(1,0)}) empty: %s   (naive trim fails)\n" (yn empty);
-  ignore (check empty "paper's empty example is not empty" failures);
+  expect failures empty "paper's empty example is not empty";
   let fixed =
     match Safe_area.compute ~t:0 three with
     | Some a -> Safe_area.contains a (Vec.of_list [ 0.33; 0.33 ])
@@ -252,16 +242,13 @@ let e3_run () =
   Printf.printf
     "  safe_max(k,ta) = safe_0 = the full hull: %s   (the paper's fix)\n"
     (yn fixed);
-  ignore (check fixed "max(k,ta) fix does not recover the hull" failures);
-  verdict failures
+  expect failures fixed "max(k,ta) fix does not recover the hull"
 
 (* ------------------------------------------------------------------ *)
 (* E4: Theorem 4.2 — reliable broadcast round counts                   *)
 (* ------------------------------------------------------------------ *)
 
-let e4 () =
-  header "E4  Theorem 4.2: Bracha rBC with c_rBC = 3, c'_rBC = 2";
-  let failures = ref [] in
+let e4 ~domains:_ failures =
   let delta = 10 in
   let payload = Message.Pvec (Vec.of_list [ 1.; 2. ]) in
   let rows =
@@ -276,12 +263,10 @@ let e4 () =
         let times = List.map (fun (_, _, tm) -> tm) obs.rbc_deliveries in
         let maxt = List.fold_left max 0 times in
         let all = List.length times = n in
-        ignore (check all (Printf.sprintf "n=%d: not all delivered" n) failures);
-        ignore
-          (check
-             (maxt <= Params.c_rbc * delta)
-             (Printf.sprintf "n=%d: delivery after 3 delta" n)
-             failures);
+        expect failures all (Printf.sprintf "n=%d: not all delivered" n);
+        expect failures
+          (maxt <= Params.c_rbc * delta)
+          (Printf.sprintf "n=%d: delivery after 3 delta" n);
         (* conditional liveness gap under random synchronous delays *)
         let worst_gap = ref 0 in
         List.iter
@@ -298,11 +283,9 @@ let e4 () =
               worst_gap := max !worst_gap (hi - lo)
             end)
           [ 1L; 2L; 3L; 4L; 5L; 6L; 7L; 8L ];
-        ignore
-          (check
-             (!worst_gap <= Params.c_rbc' * delta)
-             (Printf.sprintf "n=%d: conditional-liveness gap > 2 delta" n)
-             failures);
+        expect failures
+          (!worst_gap <= Params.c_rbc' * delta)
+          (Printf.sprintf "n=%d: conditional-liveness gap > 2 delta" n);
         (* consistency under an equivocating corrupt sender *)
         let consistent = ref true in
         List.iter
@@ -324,10 +307,8 @@ let e4 () =
             in
             if List.length values > 1 then consistent := false)
           [ 1L; 2L; 3L; 4L; 5L; 6L; 7L; 8L ];
-        ignore
-          (check !consistent
-             (Printf.sprintf "n=%d: equivocation broke consistency" n)
-             failures);
+        expect failures !consistent
+          (Printf.sprintf "n=%d: equivocation broke consistency" n);
         [
           string_of_int n;
           string_of_int t;
@@ -341,15 +322,15 @@ let e4 () =
   Table.print
     ~header:
       [ "n"; "t"; "honest liveness (<= 3 delta)"; "cond. gap"; "equiv. consistent" ]
-    rows;
-  verdict failures
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* E5: Theorem 4.4 — overlap all-to-all broadcast                      *)
 (* ------------------------------------------------------------------ *)
 
-let min_pairwise_overlap outputs =
-  let sets = List.map (fun (_, m, _) -> m) outputs in
+(* the fewest pairs any two distinct sets share (E5's oBC outputs, E8's
+   common estimations) *)
+let min_pairwise_overlap sets =
   List.fold_left
     (fun acc m ->
       List.fold_left
@@ -359,9 +340,10 @@ let min_pairwise_overlap outputs =
         acc sets)
     max_int sets
 
-let e5 () =
-  header "E5  Theorem 4.4: Overlap All-to-All Broadcast (c_oBC = 5)";
-  let failures = ref [] in
+let obc_overlap (obs : Fixtures.obc_obs) =
+  min_pairwise_overlap (List.map (fun (_, m, _) -> m) obs.obc_outputs)
+
+let e5 ~domains:_ failures =
   let delta = 10 in
   let mk_inputs honest =
     List.map (fun i -> (i, Vec.of_list [ float_of_int i; 0. ])) honest
@@ -376,9 +358,7 @@ let e5 () =
           Fixtures.run_obc ~n ~ts ~delta ~policy:(Network.lockstep ~delta)
             ~inputs:(mk_inputs honest) ()
         in
-        let maxt =
-          List.fold_left (fun acc (_, _, tm) -> max acc tm) 0 obs.obc_outputs
-        in
+        let maxt = max_of (fun (_, _, tm) -> tm) obs.obc_outputs in
         let sync_overlap_ok =
           List.length obs.obc_outputs = n
           && List.for_all
@@ -386,15 +366,11 @@ let e5 () =
                  List.for_all (fun j -> Pairset.mem_party j m) honest)
                obs.obc_outputs
         in
-        ignore
-          (check sync_overlap_ok
-             (Printf.sprintf "n=%d: synchronized overlap failed" n)
-             failures);
-        ignore
-          (check
-             (maxt <= (Params.c_obc * delta) + 2)
-             (Printf.sprintf "n=%d: output after 5 delta" n)
-             failures);
+        expect failures sync_overlap_ok
+          (Printf.sprintf "n=%d: synchronized overlap failed" n);
+        expect failures
+          (maxt <= (Params.c_obc * delta) + 2)
+          (Printf.sprintf "n=%d: output after 5 delta" n);
         (* asynchronous: starve one party; min pairwise overlap >= n - ts *)
         let worst_overlap = ref max_int in
         List.iter
@@ -408,13 +384,11 @@ let e5 () =
                 ~inputs:(mk_inputs honest) ()
             in
             if List.length obs.obc_outputs = n then
-              worst_overlap := min !worst_overlap (min_pairwise_overlap obs.obc_outputs))
+              worst_overlap := min !worst_overlap (obc_overlap obs))
           [ 1L; 2L; 3L; 4L ];
-        ignore
-          (check
-             (!worst_overlap >= n - ts)
-             (Printf.sprintf "n=%d: async overlap < n - ts" n)
-             failures);
+        expect failures
+          (!worst_overlap >= n - ts)
+          (Printf.sprintf "n=%d: async overlap < n - ts" n);
         [
           string_of_int n;
           string_of_int ts;
@@ -450,7 +424,7 @@ let e5 () =
           ()
       in
       if List.length obs.obc_outputs >= 2 then
-        worst := min !worst (min_pairwise_overlap obs.obc_outputs)
+        worst := min !worst (obc_overlap obs)
     done;
     !worst
   in
@@ -459,15 +433,10 @@ let e5 () =
       (fun (n, ts) ->
         let with_w = laggard_overlap ~n ~ts ~witnessing:true in
         let without_w = laggard_overlap ~n ~ts ~witnessing:false in
-        ignore
-          (check (with_w >= n - ts)
-             (Printf.sprintf "n=%d: witnessed overlap below n - ts" n)
-             failures);
-        ignore
-          (check (without_w < n - ts)
-             (Printf.sprintf
-                "n=%d: ablation did not exhibit the overlap violation" n)
-             failures);
+        expect failures (with_w >= n - ts)
+          (Printf.sprintf "n=%d: witnessed overlap below n - ts" n);
+        expect failures (without_w < n - ts)
+          (Printf.sprintf "n=%d: ablation did not exhibit the overlap violation" n);
         [
           string_of_int n;
           string_of_int ts;
@@ -482,18 +451,17 @@ let e5 () =
   print_endline
     "\nThe witness phase is what buys the (ts, ta)-Overlap guarantee:\n\
      removing it lets two honest parties output with fewer than n - ts\n\
-     common pairs, which empties downstream safe-area intersections.";
-  verdict failures
+     common pairs, which empties downstream safe-area intersections."
 
 (* ------------------------------------------------------------------ *)
 (* E6: Lemmas 5.5-5.8 — safe-area invariants, randomized               *)
 (* ------------------------------------------------------------------ *)
 
-let e6 () =
-  header "E6  Lemmas 5.5-5.8: randomized safe-area invariants";
-  let failures = ref [] in
+let e6 ~domains:_ failures =
   let rng = Rng.create 2024L in
-  let random_vec d = Vec.of_list (List.init d (fun _ -> Rng.float_range rng (-10.) 10.)) in
+  let random_vec d =
+    Vec.of_list (List.init d (fun _ -> Rng.float_range rng (-10.) 10.))
+  in
   let rows =
     List.map
       (fun (d, n, ts, ta, trials) ->
@@ -534,19 +502,14 @@ let e6 () =
             | _ -> ()
           end
         done;
-        ignore
-          (check (!nonempty = trials)
-             (Printf.sprintf "D=%d: some safe area was empty" d)
-             failures);
-        ignore
-          (check (!inside = !nonempty)
-             (Printf.sprintf "D=%d: safe area left a subset hull" d)
-             failures);
+        expect failures (!nonempty = trials)
+          (Printf.sprintf "D=%d: some safe area was empty" d);
+        expect failures (!inside = !nonempty)
+          (Printf.sprintf "D=%d: safe area left a subset hull" d);
         if d = 2 then
-          ignore
-            (check
-               (!intersect = !inter_total)
-               "D=2: some honest safe areas did not intersect" failures);
+          expect failures
+            (!intersect = !inter_total)
+            "D=2: some honest safe areas did not intersect";
         [
           string_of_int d;
           Printf.sprintf "%d/%d/%d" n ts ta;
@@ -562,17 +525,13 @@ let e6 () =
         "D"; "n/ts/ta"; "non-empty (5.5)"; "inside subset hulls (5.7)";
         "pairwise intersect (5.8)";
       ]
-    rows;
-  verdict failures
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* E7: Lemma 5.15 — contraction factor sqrt(7/8)                       *)
 (* ------------------------------------------------------------------ *)
 
-let e7 ~domains =
-  header "E7  Lemma 5.15: per-iteration contraction <= sqrt(7/8) = 0.9354";
-  let failures = ref [] in
-
+let e7 ~domains failures =
   (* Part 1 — the lemma at its native level. Lemma 5.15 bounds the distance
      of two honest parties' new values given any ΠoBC outputs satisfying
      the overlap guarantees. We adversarially construct such outputs: a
@@ -591,7 +550,7 @@ let e7 ~domains =
      share a random common core of n - ts pairs ((ts,ta)-Overlap) plus
      random extras. In both cases the corrupt count never exceeds the trim
      level max(k, ta) — exactly the invariant ΠoBC guarantees. *)
-  let trial ?(rule = Safe_area.midpoint_value) ~style ~d ~n ~ts ~ta () =
+  let trial ~rule ~style ~d ~n ~ts ~ta =
     let rand_vec scale =
       Vec.of_list (List.init d (fun _ -> Rng.float_range rng (-.scale) scale))
     in
@@ -631,27 +590,30 @@ let e7 ~domains =
     let d_in = Vec.diameter (Array.to_list honest_vals) in
     if d_in > 1e-9 then Some (Vec.diameter new_vals /. d_in) else None
   in
+  (* the largest ratio over [trials] trials *)
+  let worst_ratio ?(rule = Safe_area.midpoint_value) ~style ~d ~n ~ts ~ta trials =
+    let worst = ref 0. in
+    for _ = 1 to trials do
+      Option.iter
+        (fun r -> worst := Float.max !worst r)
+        (trial ~rule ~style ~d ~n ~ts ~ta)
+    done;
+    !worst
+  in
   let unit_rows =
     List.concat_map
       (fun (d, n, ts, ta, trials) ->
         List.map
           (fun style ->
-            let worst = ref 0. in
-            for _ = 1 to trials do
-              match trial ~style ~d ~n ~ts ~ta () with
-              | Some r -> worst := Float.max !worst r
-              | None -> ()
-            done;
-            let ok = !worst <= Params.conv_factor +. 1e-6 in
-            ignore
-              (check ok
-                 (Printf.sprintf "D=%d unit-level contraction violated" d)
-                 failures);
+            let worst = worst_ratio ~style ~d ~n ~ts ~ta trials in
+            let ok = worst <= Params.conv_factor +. 1e-6 in
+            expect failures ok
+              (Printf.sprintf "D=%d unit-level contraction violated" d);
             [
               Printf.sprintf "D=%d n=%d ts=%d ta=%d" d n ts ta;
               (match style with `Sync -> "sync" | `Async -> "async");
               string_of_int trials;
-              f3 !worst;
+              f3 worst;
               f3 Params.conv_factor;
               yn ok;
             ])
@@ -667,40 +629,27 @@ let e7 ~domains =
      (validity), but only the midpoint rule carries the proven constant. *)
   print_newline ();
   print_endline "Update-rule ablation (D=2, n=8, ts=2, ta=1, async style):";
-  let measure rule trials =
-    let worst = ref 0. in
-    for _ = 1 to trials do
-      match trial ~rule ~style:`Async ~d:2 ~n:8 ~ts:2 ~ta:1 () with
-      | Some r -> worst := Float.max !worst r
-      | None -> ()
-    done;
-    !worst
-  in
-  let mid = measure Safe_area.midpoint_value 300 in
-  let cen = measure Safe_area.interior_point 300 in
+  let measure rule = worst_ratio ~rule ~style:`Async ~d:2 ~n:8 ~ts:2 ~ta:1 300 in
+  let mid = measure Safe_area.midpoint_value in
+  let cen = measure Safe_area.interior_point in
   Table.print
     ~header:[ "update rule"; "max ratio"; "proven bound" ]
     [
       [ "diameter-pair midpoint (paper)"; f3 mid; f3 Params.conv_factor ];
       [ "area centroid (ablation)"; f3 cen; "none proven" ];
     ];
-  ignore
-    (check (mid <= Params.conv_factor +. 1e-6)
-       "midpoint rule exceeded the proven bound" failures);
+  expect failures (mid <= Params.conv_factor +. 1e-6)
+    "midpoint rule exceeded the proven bound";
 
   print_newline ();
   print_endline
     "End to end: full protocol runs. The witness mechanism keeps honest\n\
      views so close that the measured contraction is far better than the\n\
      worst-case bound (typically full collapse in one iteration):";
-  let case name cfg policy sync corruptions inputs seed =
-    Scenario.make ~name ~seed ~cfg ~policy ~sync_network:sync ~corruptions
-      ~inputs ()
-  in
   let cases =
     List.concat
       [
-        (let cfg = Config.make_exn ~n:7 ~ts:2 ~ta:0 ~d:1 ~eps:1e-4 ~delta:10 in
+        (let cfg = mk 7 2 0 1 1e-4 in
          let inputs = List.init 7 (fun i -> Vec.of_list [ float_of_int (i * i) ]) in
          [
            case "D=1 poison+lagger" cfg
@@ -710,7 +659,7 @@ let e7 ~domains =
                (3, Behavior.Lagger 8) ]
              inputs 11L;
          ]);
-        (let cfg = Config.make_exn ~n:8 ~ts:2 ~ta:1 ~d:2 ~eps:1e-4 ~delta:10 in
+        (let cfg = mk 8 2 1 2 1e-4 in
          let rng = Rng.create 5L in
          let inputs = Inputs.two_clusters rng ~d:2 ~n:8 ~separation:20. in
          [
@@ -726,7 +675,7 @@ let e7 ~domains =
              [ (1, Behavior.Honest_with_input (Vec.of_list [ 500.; -500. ])) ]
              inputs 1L;
          ]);
-        (let cfg = Config.make_exn ~n:6 ~ts:1 ~ta:0 ~d:3 ~eps:1e-2 ~delta:10 in
+        (let cfg = mk 6 1 0 3 1e-2 in
          let rng = Rng.create 6L in
          let inputs = Inputs.uniform_cube rng ~d:3 ~n:6 ~side:10. in
          [
@@ -740,33 +689,23 @@ let e7 ~domains =
   in
   let rows =
     List.map
-      (fun r ->
-        let name = r.Runner.scenario_name in
+      (fun (name, r) ->
         let ratios = Runner.contraction_ratios r in
-        let worst =
-          List.fold_left (fun acc (_, x) -> Float.max acc x) 0. ratios
-        in
-        ignore
-          (check
-             (r.Runner.live && r.Runner.valid && r.Runner.agreement)
-             (name ^ ": correctness failed") failures);
-        ignore
-          (check
-             (ratios = [] || worst <= Params.conv_factor +. 1e-6)
-             (name ^ ": contraction bound violated") failures);
+        let worst = fmax_of snd ratios in
+        let ok = ratios = [] || worst <= Params.conv_factor +. 1e-6 in
+        expect failures ok (name ^ ": contraction bound violated");
         [
           name;
           string_of_int (List.length ratios);
           (if ratios = [] then "-" else f3 worst);
           f3 Params.conv_factor;
-          yn (ratios = [] || worst <= Params.conv_factor +. 1e-6);
+          yn ok;
         ])
-      (Runner.run_batch ~domains cases)
+      (run_passing ~domains failures (fun name -> name ^ ": correctness failed") cases)
   in
   Table.print
     ~header:[ "case"; "iterations"; "max ratio"; "bound"; "ok" ]
-    rows;
-  verdict failures
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* E8: Theorem 5.18 — the Πinit estimation round                       *)
@@ -776,14 +715,14 @@ let rounds_needed_for ~eps ~diam =
   if diam <= eps then 0
   else int_of_float (Float.ceil (log (eps /. diam) /. log Params.conv_factor))
 
-let e8 () =
-  header "E8  Theorem 5.18: Pi_init outputs (T, v0)";
-  let failures = ref [] in
+let e8 ~domains:_ failures =
   let n = 8 and ts = 2 and ta = 1 and delta = 10 and eps = 0.05 in
   let honest = [ 0; 1; 2; 3; 4; 6; 7 ] in
   (* party 5 silent *)
   let inputs =
-    List.map (fun i -> (i, Vec.of_list [ float_of_int (i mod 3); float_of_int (i mod 5) ])) honest
+    List.map
+      (fun i -> (i, Vec.of_list [ float_of_int (i mod 3); float_of_int (i mod 5) ]))
+      honest
   in
   let honest_vals = List.map snd inputs in
 
@@ -793,23 +732,22 @@ let e8 () =
       ~inputs ()
   in
   let all_out = List.length obs.init_results = List.length honest in
-  ignore (check all_out "sync: not every honest party output" failures);
-  let sync_time =
-    List.fold_left (fun acc (_, _, _, tm) -> max acc tm) 0 obs.init_results
-  in
+  expect failures all_out "sync: not every honest party output";
+  let sync_time = max_of (fun (_, _, _, tm) -> tm) obs.init_results in
   Printf.printf "Synchronous completion at tick %d (= %.1f rounds; c_init = %d)\n"
     sync_time
     (float_of_int sync_time /. float_of_int delta)
     Params.c_init;
-  ignore
-    (check (sync_time <= (Params.c_init * delta) + 2) "sync: completion after c_init" failures);
+  expect failures
+    (sync_time <= (Params.c_init * delta) + 2)
+    "sync: completion after c_init";
   let v0_ok =
     List.for_all
       (fun (_, _, v0, _) -> Membership.in_hull ~eps:1e-6 honest_vals v0)
       obs.init_results
   in
   Printf.printf "All v0 inside the honest inputs' hull: %s\n" (yn v0_ok);
-  ignore (check v0_ok "sync: some v0 outside the honest hull" failures);
+  expect failures v0_ok "sync: some v0 outside the honest hull";
   let v0s = List.map (fun (_, _, v0, _) -> v0) obs.init_results in
   let t_needed it0 = it0 >= rounds_needed_for ~eps ~diam:(Vec.diameter v0s) in
   let ts_list = List.map (fun (_, tt, _, _) -> tt) obs.init_results in
@@ -818,20 +756,12 @@ let e8 () =
     (String.concat "," (List.map string_of_int ts_list))
     (e3 (Vec.diameter v0s))
     (rounds_needed_for ~eps ~diam:(Vec.diameter v0s));
-  ignore (check (t_needed t_min) "sync: smallest T below requirement" failures);
+  expect failures (t_needed t_min) "sync: smallest T below requirement";
 
   (* asynchronous run: common estimations with and without double
      witnesses *)
-  let common_est obs =
-    let sets = List.map snd obs.Fixtures.init_estimations in
-    List.fold_left
-      (fun acc s ->
-        List.fold_left
-          (fun acc s' ->
-            if s == s' then acc
-            else min acc (Pairset.cardinal (Pairset.inter s s')))
-          acc sets)
-      max_int sets
+  let common_est (obs : Fixtures.init_obs) =
+    min_pairwise_overlap (List.map snd obs.init_estimations)
   in
   let async_policy =
     Network.async_starve ~victims:(fun i -> i = 7) ~release:500 ~fast:3
@@ -848,120 +778,77 @@ let e8 () =
     \  with double-witnesses:    %d (needs >= n - ts = %d)\n\
     \  without double-witnesses: %d (ablation)\n"
     (common_est with_dw) (n - ts) (common_est without_dw);
-  ignore
-    (check (common_est with_dw >= n - ts) "async: common estimations < n - ts" failures);
-  verdict failures
+  expect failures (common_est with_dw >= n - ts) "async: common estimations < n - ts"
 
 (* ------------------------------------------------------------------ *)
 (* E9 / E10: Theorem 5.19 end-to-end sweeps                            *)
 (* ------------------------------------------------------------------ *)
 
-let sweep_rows ~domains failures cases =
-  let results =
-    Runner.run_batch ~domains
-      (List.map
-         (fun (name, cfg, policy, sync, corruptions, inputs, seed) ->
-           Scenario.make ~name ~seed ~cfg ~policy ~sync_network:sync
-             ~corruptions ~inputs ())
-         cases)
-  in
-  List.map2
-    (fun (name, cfg, _, _, _, _, _) r ->
-      let ok = r.Runner.live && r.Runner.valid && r.Runner.agreement in
-      ignore (check ok (name ^ " failed") failures);
-      [
-        name;
-        Format.asprintf "%a" Config.pp cfg;
-        yn r.Runner.live;
-        yn r.Runner.valid;
-        yn r.Runner.agreement;
-        e3 r.Runner.diameter;
-        f3 r.Runner.completion_rounds;
-        string_of_int r.Runner.stats.Engine.messages_sent;
-      ])
-    cases results
+let sweep ~domains failures cases =
+  run_passing ~domains failures (fun name -> name ^ " failed") cases
+  |> List.map2
+       (fun (_, s) (name, r) ->
+         (name :: Format.asprintf "%a" Config.pp s.Scenario.cfg :: grade_cols r)
+         @ [
+             f3 r.Runner.completion_rounds;
+             string_of_int r.Runner.stats.Engine.messages_sent;
+           ])
+       cases
+  |> Table.print
+       ~header:[ "case"; "config"; "live"; "valid"; "agree"; "diam"; "rounds"; "msgs" ]
 
-let table_sweep rows =
-  Table.print
-    ~header:[ "case"; "config"; "live"; "valid"; "agree"; "diam"; "rounds"; "msgs" ]
-    rows
-
-let poison d scale =
-  Behavior.Honest_with_input (Vec.scale scale (Vec.make d 1.))
-
-let e9 ~domains =
-  header "E9  Theorem 5.19 (synchronous, ts corruptions)";
-  let failures = ref [] in
-  let mk n ts ta d eps = Config.make_exn ~n ~ts ~ta ~d ~eps ~delta:10 in
+let e9 ~domains failures =
   let rng = Rng.create 99L in
-  let cases =
+  sweep ~domains failures
     [
-      (let cfg = mk 8 2 1 2 0.05 in
-       ( "grid, 2 poison", cfg,
-         Network.sync_uniform ~delta:10, true,
-         [ (0, poison 2 100.); (4, poison 2 (-100.)) ],
-         Inputs.uniform_cube rng ~d:2 ~n:8 ~side:5., 1L ));
-      (let cfg = mk 8 2 1 2 0.05 in
-       ( "clusters, silent+rushing", cfg,
-         Network.rushing ~delta:10 ~corrupt:(fun i -> i = 3), true,
-         [ (3, Behavior.Silent); (6, Behavior.Crash_at 60) ],
-         Inputs.two_clusters rng ~d:2 ~n:8 ~separation:10., 2L ));
-      (let cfg = mk 12 3 1 2 0.02 in
-       ( "n=12 ts=3 mixed", cfg,
-         Network.sync_uniform ~delta:10, true,
-         [ (1, poison 2 1000.); (5, Behavior.Silent); (9, poison 2 (-1000.)) ],
-         Inputs.uniform_cube rng ~d:2 ~n:12 ~side:8., 3L ));
-      (let cfg = mk 7 2 0 1 0.01 in
-       ( "D=1 poison", cfg,
-         Network.sync_uniform ~delta:10, true,
-         [ (2, poison 1 1e5); (5, poison 1 (-1e5)) ],
-         Inputs.uniform_cube rng ~d:1 ~n:7 ~side:20., 4L ));
-      (let cfg = mk 6 1 0 3 0.1 in
-       ( "D=3 poison", cfg,
-         Network.sync_uniform ~delta:10, true,
-         [ (0, poison 3 50.) ],
-         Inputs.uniform_cube rng ~d:3 ~n:6 ~side:6., 5L ));
-      (let cfg = mk 11 2 2 2 0.05 in
-       ( "ta=ts=2 equivocate", cfg,
-         Network.sync_uniform ~delta:10, true,
-         [ (4, Behavior.Equivocate (Vec.of_list [ 60.; 0. ], Vec.of_list [ 0.; 60. ]));
-           (8, poison 2 (-60.)) ],
-         Inputs.uniform_cube rng ~d:2 ~n:11 ~side:5., 6L ));
+      case "grid, 2 poison" (mk 8 2 1 2 0.05)
+        (Network.sync_uniform ~delta:10) true
+        [ (0, poison 2 100.); (4, poison 2 (-100.)) ]
+        (Inputs.uniform_cube rng ~d:2 ~n:8 ~side:5.) 1L;
+      case "clusters, silent+rushing" (mk 8 2 1 2 0.05)
+        (Network.rushing ~delta:10 ~corrupt:(fun i -> i = 3)) true
+        [ (3, Behavior.Silent); (6, Behavior.Crash_at 60) ]
+        (Inputs.two_clusters rng ~d:2 ~n:8 ~separation:10.) 2L;
+      case "n=12 ts=3 mixed" (mk 12 3 1 2 0.02)
+        (Network.sync_uniform ~delta:10) true
+        [ (1, poison 2 1000.); (5, Behavior.Silent); (9, poison 2 (-1000.)) ]
+        (Inputs.uniform_cube rng ~d:2 ~n:12 ~side:8.) 3L;
+      case "D=1 poison" (mk 7 2 0 1 0.01)
+        (Network.sync_uniform ~delta:10) true
+        [ (2, poison 1 1e5); (5, poison 1 (-1e5)) ]
+        (Inputs.uniform_cube rng ~d:1 ~n:7 ~side:20.) 4L;
+      case "D=3 poison" (mk 6 1 0 3 0.1)
+        (Network.sync_uniform ~delta:10) true
+        [ (0, poison 3 50.) ]
+        (Inputs.uniform_cube rng ~d:3 ~n:6 ~side:6.) 5L;
+      case "ta=ts=2 equivocate" (mk 11 2 2 2 0.05)
+        (Network.sync_uniform ~delta:10) true
+        [ (4, Behavior.Equivocate (Vec.of_list [ 60.; 0. ], Vec.of_list [ 0.; 60. ]));
+          (8, poison 2 (-60.)) ]
+        (Inputs.uniform_cube rng ~d:2 ~n:11 ~side:5.) 6L;
     ]
-  in
-  table_sweep (sweep_rows ~domains failures cases);
-  verdict failures
 
-let e10 ~domains =
-  header "E10  Theorem 5.19 (asynchronous, ta corruptions)";
-  let failures = ref [] in
-  let mk n ts ta d eps = Config.make_exn ~n ~ts ~ta ~d ~eps ~delta:10 in
+let e10 ~domains failures =
   let rng = Rng.create 123L in
-  let cases =
+  sweep ~domains failures
     [
-      (let cfg = mk 8 2 1 2 0.05 in
-       ( "starve 2 honest, 1 silent", cfg,
-         Network.async_starve ~victims:(fun i -> i = 0 || i = 1) ~release:900 ~fast:4,
-         false,
-         [ (5, Behavior.Silent) ],
-         Inputs.uniform_cube rng ~d:2 ~n:8 ~side:5., 1L ));
-      (let cfg = mk 8 2 1 2 0.05 in
-       ( "heavy tail, 1 poison", cfg,
-         Network.async_heavy_tail ~base:12, false,
-         [ (2, poison 2 300.) ],
-         Inputs.two_clusters rng ~d:2 ~n:8 ~separation:10., 2L ));
-      (let cfg = mk 11 2 2 2 0.05 in
-       ( "ta=2: silent+poison", cfg,
-         Network.async_heavy_tail ~base:10, false,
-         [ (3, Behavior.Silent); (7, poison 2 (-400.)) ],
-         Inputs.uniform_cube rng ~d:2 ~n:11 ~side:6., 3L ));
-      (let cfg = mk 6 1 0 3 0.1 in
-       ( "D=3 ta=0 heavy tail", cfg,
-         Network.async_heavy_tail ~base:10, false, [],
-         Inputs.uniform_cube rng ~d:3 ~n:6 ~side:6., 4L ));
-    ]
-  in
-  table_sweep (sweep_rows ~domains failures cases);
+      case "starve 2 honest, 1 silent" (mk 8 2 1 2 0.05)
+        (Network.async_starve ~victims:(fun i -> i = 0 || i = 1) ~release:900 ~fast:4)
+        false
+        [ (5, Behavior.Silent) ]
+        (Inputs.uniform_cube rng ~d:2 ~n:8 ~side:5.) 1L;
+      case "heavy tail, 1 poison" (mk 8 2 1 2 0.05)
+        (Network.async_heavy_tail ~base:12) false
+        [ (2, poison 2 300.) ]
+        (Inputs.two_clusters rng ~d:2 ~n:8 ~separation:10.) 2L;
+      case "ta=2: silent+poison" (mk 11 2 2 2 0.05)
+        (Network.async_heavy_tail ~base:10) false
+        [ (3, Behavior.Silent); (7, poison 2 (-400.)) ]
+        (Inputs.uniform_cube rng ~d:2 ~n:11 ~side:6.) 3L;
+      case "D=3 ta=0 heavy tail" (mk 6 1 0 3 0.1)
+        (Network.async_heavy_tail ~base:10) false []
+        (Inputs.uniform_cube rng ~d:3 ~n:6 ~side:6.) 4L;
+    ];
 
   (* Statistical widening: one adversarial case replayed over six engine
      seeds (Scenario.replicate), so the claim rests on a distribution of
@@ -982,44 +869,26 @@ let e10 ~domains =
     Runner.run_batch ~domains
       (Scenario.replicate ~seeds:[ 1L; 2L; 3L; 4L; 5L; 6L ] rep_base)
   in
-  let all_ok =
-    List.for_all
-      (fun r -> r.Runner.live && r.Runner.valid && r.Runner.agreement)
-      reps
-  in
-  let worst_diam =
-    List.fold_left (fun acc r -> Float.max acc r.Runner.diameter) 0. reps
-  in
-  let msgs =
-    Stats.summarize
-      (List.map
-         (fun r -> float_of_int r.Runner.stats.Engine.messages_sent)
-         reps)
-  in
-  let rounds =
-    Stats.summarize (List.map (fun r -> r.Runner.completion_rounds) reps)
-  in
+  let all_ok = List.for_all Runner.passed reps in
+  let msgs, rounds = cost_stats reps in
   Table.print
     ~header:[ "seeds"; "all live/valid/agree"; "worst diam"; "msgs"; "rounds" ]
     [
       [
         string_of_int (List.length reps);
         yn all_ok;
-        e3 worst_diam;
+        e3 (fmax_of (fun r -> r.Runner.diameter) reps);
         Printf.sprintf "%.0f +- %.0f" msgs.Stats.mean msgs.Stats.stddev;
         Printf.sprintf "%.1f +- %.1f" rounds.Stats.mean rounds.Stats.stddev;
       ];
     ];
-  ignore (check all_ok "replicated heavy-tail sweep had a failing seed" failures);
-  verdict failures
+  expect failures all_ok "replicated heavy-tail sweep had a failing seed"
 
 (* ------------------------------------------------------------------ *)
 (* E11: the resilience trade-off boundary                              *)
 (* ------------------------------------------------------------------ *)
 
-let e11 () =
-  header "E11  Resilience boundary: (D+1)*ts + ta < n is tight";
-  let failures = ref [] in
+let e11 ~domains:_ failures =
   let rng = Rng.create 321L in
   let rows =
     List.concat_map
@@ -1029,14 +898,10 @@ let e11 () =
         (* feasibility at the boundary *)
         let below = Config.make ~n:(n_ok - 1) ~ts ~ta ~d ~eps:0.1 ~delta:10 in
         let at = Config.make ~n:n_ok ~ts ~ta ~d ~eps:0.1 ~delta:10 in
-        ignore
-          (check (Result.is_error below)
-             (Printf.sprintf "D=%d ts=%d ta=%d: n-1 accepted" d ts ta)
-             failures);
-        ignore
-          (check (Result.is_ok at)
-             (Printf.sprintf "D=%d ts=%d ta=%d: minimal n rejected" d ts ta)
-             failures);
+        expect failures (Result.is_error below)
+          (Printf.sprintf "D=%d ts=%d ta=%d: n-1 accepted" d ts ta);
+        expect failures (Result.is_ok at)
+          (Printf.sprintf "D=%d ts=%d ta=%d: minimal n rejected" d ts ta);
         match at with
         | Error _ -> []
         | Ok cfg ->
@@ -1055,11 +920,9 @@ let e11 () =
                    ~policy:(Network.sync_uniform ~delta:10)
                    ())
             in
-            let ok = r.Runner.live && r.Runner.valid && r.Runner.agreement in
-            ignore
-              (check ok
-                 (Printf.sprintf "D=%d ts=%d ta=%d: minimal-n run failed" d ts ta)
-                 failures);
+            let ok = Runner.passed r in
+            expect failures ok
+              (Printf.sprintf "D=%d ts=%d ta=%d: minimal-n run failed" d ts ta);
             [
               [
                 string_of_int d;
@@ -1070,7 +933,10 @@ let e11 () =
                 yn ok;
               ];
             ])
-      [ (1, 1, 0); (1, 1, 1); (2, 1, 0); (2, 1, 1); (2, 2, 1); (2, 2, 2); (3, 1, 1); (3, 2, 0) ]
+      [
+        (1, 1, 0); (1, 1, 1); (2, 1, 0); (2, 1, 1);
+        (2, 2, 1); (2, 2, 2); (3, 1, 1); (3, 2, 0);
+      ]
   in
   Table.print
     ~header:
@@ -1079,21 +945,18 @@ let e11 () =
   print_endline
     "\nBelow the bound the Theorem 3.1/3.2 scenarios force disagreement\n\
      (see E1/E2); at the minimal feasible n the protocol withstands a\n\
-     full-budget adversary.";
-  verdict failures
+     full-budget adversary."
 
 (* ------------------------------------------------------------------ *)
 (* E12: comparison with the pure-sync and pure-async baselines          *)
 (* ------------------------------------------------------------------ *)
 
-let e12 ~domains =
-  header "E12  Hybrid vs pure-synchronous vs pure-asynchronous";
-  let failures = ref [] in
-  let n = 8 and d = 2 and delta = 10 and eps = 0.05 in
+let e12 ~domains failures =
+  let n = 8 and d = 2 and eps = 0.05 in
   let ts = 2 and ta = 1 in
   (* ta = 1 = (n - 1) / (D + 2): the best a pure-async protocol can
      tolerate at n = 8, D = 2, so the async baseline trims at it *)
-  let cfg = Config.make_exn ~n ~ts ~ta ~d ~eps ~delta in
+  let cfg = mk n ts ta d eps in
   let rng = Rng.create 777L in
   let inputs = Inputs.uniform_cube rng ~d ~n ~side:10. in
   let far = Vec.of_list [ 500.; -500. ] in
@@ -1115,18 +978,10 @@ let e12 ~domains =
     | [ hybrid; sync; async ] -> (hybrid, sync, async)
     | _ -> assert false
   in
-  let ok (r : Runner.result) = r.live && r.valid && r.agreement in
   let table (hybrid, sync, async) =
     let row name (r : Runner.result) =
-      [
-        name;
-        yn r.live;
-        yn r.valid;
-        yn r.agreement;
-        e3 r.diameter;
-        f3 r.completion_rounds;
-        string_of_int r.stats.Engine.messages_sent;
-      ]
+      (name :: grade_cols r)
+      @ [ f3 r.completion_rounds; string_of_int r.stats.Engine.messages_sent ]
     in
     Table.print
       ~header:[ "protocol"; "live"; "valid"; "agree"; "diam"; "rounds"; "msgs" ]
@@ -1139,23 +994,21 @@ let e12 ~domains =
 
   (* Setting A: synchronous network, f = ts = 2 poison corruptions. *)
   let ((hybrid_a, sync_a, async_a) as a) =
-    setting ~policy:(Network.sync_uniform ~delta) ~sync_network:true
+    setting ~policy:(Network.sync_uniform ~delta:10) ~sync_network:true
       ~corruptions:
         [ (1, Behavior.Honest_with_input far); (5, Behavior.Honest_with_input far) ]
   in
-  print_endline
-    (Printf.sprintf
-       "Setting A: synchronous, %d poison corruptions (= ts; async baseline only tolerates t = %d)"
-       ts ta);
+  Printf.printf
+    "Setting A: synchronous, %d poison corruptions (= ts; async baseline only \
+     tolerates t = %d)\n"
+    ts ta;
   table a;
-  ignore (check (ok hybrid_a) "setting A: hybrid failed" failures);
-  ignore
-    (check (ok sync_a) "setting A: pure-sync should succeed in its home setting"
-       failures);
-  ignore
-    (check
-       (not (async_a.valid && async_a.agreement))
-       "setting A: pure-async unexpectedly survived ts > t corruptions" failures);
+  expect failures (Runner.passed hybrid_a) "setting A: hybrid failed";
+  expect failures (Runner.passed sync_a)
+    "setting A: pure-sync should succeed in its home setting";
+  expect failures
+    (not (async_a.valid && async_a.agreement))
+    "setting A: pure-async unexpectedly survived ts > t corruptions";
 
   (* Setting B: asynchronous network (starvation beyond Delta), f = ta = 1. *)
   print_newline ();
@@ -1175,28 +1028,23 @@ let e12 ~domains =
       0 sync_b.Runner.histories
   in
   Printf.printf "pure-sync starved rounds: %d\n" starved;
-  ignore (check (ok hybrid_b) "setting B: hybrid failed" failures);
-  ignore
-    (check
-       (starved > 0 && not sync_b.agreement)
-       "setting B: pure-sync should lose agreement off-synchrony" failures);
-  ignore
-    (check (ok async_b) "setting B: pure-async should succeed in its home setting"
-       failures);
+  expect failures (Runner.passed hybrid_b) "setting B: hybrid failed";
+  expect failures
+    (starved > 0 && not sync_b.agreement)
+    "setting B: pure-sync should lose agreement off-synchrony";
+  expect failures (Runner.passed async_b)
+    "setting B: pure-async should succeed in its home setting";
   print_endline
     "\nShape: only the hybrid protocol survives both settings. It sends about\n\
      as many messages as the pure-sync baseline and far fewer than the\n\
      pure-async one, which runs all of its fixed reliable-broadcast\n\
-     iterations; the pure-sync baseline collapses off-synchrony.";
-  verdict failures
+     iterations; the pure-sync baseline collapses off-synchrony."
 
 (* ------------------------------------------------------------------ *)
 (* E13: scaling of the iteration estimate T with eps                   *)
 (* ------------------------------------------------------------------ *)
 
-let e13 ~domains =
-  header "E13  Iteration estimate: T scales as log_{sqrt(7/8)}(eps / diam)";
-  let failures = ref [] in
+let e13 ~domains failures =
   (* One poisoned party keeps delta_max(I_e) large and fixed while eps
      sweeps over four decades; the estimate T (Theorem 5.18) must grow by
      ln 10 / ln sqrt(8/7) = 34.5 per decade of precision. *)
@@ -1211,62 +1059,51 @@ let e13 ~domains =
       (fun i v -> if i = 7 then Vec.of_list [ 300.; -300. ] else v)
       (Inputs.uniform_cube rng ~d:2 ~n:8 ~side:10.)
   in
-  let eps_points = [ 1e-1; 1e-2; 1e-3; 1e-4 ] in
   let results =
-    Runner.run_batch ~domains
+    run_passing ~domains failures (Printf.sprintf "eps=%g run failed")
       (List.map
          (fun eps ->
-           let cfg = Config.make_exn ~n:8 ~ts:2 ~ta:1 ~d:2 ~eps ~delta:10 in
-           Scenario.make ~name:"e13" ~seed:7L ~cfg ~inputs
-             ~policy:(Network.targeted_slow ~delta:10 ~victims:(fun i -> i >= 4))
-             ~corruptions:[ (7, Behavior.Lagger 5) ]
-             ())
-         eps_points)
+           ( eps,
+             Scenario.make ~name:"e13" ~seed:7L ~cfg:(mk 8 2 1 2 eps) ~inputs
+               ~policy:(Network.targeted_slow ~delta:10 ~victims:(fun i -> i >= 4))
+               ~corruptions:[ (7, Behavior.Lagger 5) ]
+               () ))
+         [ 1e-1; 1e-2; 1e-3; 1e-4 ])
   in
-  let prev_t = ref 0 in
-  let deltas = ref [] in
-  let rows =
-    List.map2
-      (fun eps r ->
-        let ok = r.Runner.live && r.Runner.valid && r.Runner.agreement in
-        ignore (check ok (Printf.sprintf "eps=%g run failed" eps) failures);
-        let t_max =
-          List.fold_left (fun acc (_, t) -> max acc t) 0 r.Runner.t_estimates
-        in
-        let it_out =
-          List.fold_left (fun acc (_, it) -> max acc it) 0 r.Runner.output_iters
-        in
-        if !prev_t > 0 then deltas := (t_max - !prev_t) :: !deltas;
-        prev_t := t_max;
-        [
-          Printf.sprintf "%g" eps;
-          string_of_int t_max;
-          string_of_int it_out;
-          f3 r.Runner.completion_rounds;
-          string_of_int r.Runner.stats.Engine.messages_sent;
-          yn ok;
-        ])
-      eps_points results
+  let t_maxes = List.map (fun (_, r) -> max_of snd r.Runner.t_estimates) results in
+  (* T's growth from each eps point to the next *)
+  let rec growth = function
+    | t0 :: (t1 :: _ as rest) when t0 > 0 -> (t1 - t0) :: growth rest
+    | _ :: rest -> growth rest
+    | [] -> []
   in
+  let deltas = growth t_maxes in
   Table.print
     ~header:[ "eps"; "max T"; "output iteration"; "rounds"; "msgs"; "ok" ]
-    rows;
-  let slope_ok = List.for_all (fun d -> d >= 33 && d <= 36) !deltas in
+    (List.map2
+       (fun (eps, r) t_max ->
+         [
+           Printf.sprintf "%g" eps;
+           string_of_int t_max;
+           string_of_int (max_of snd r.Runner.output_iters);
+           f3 r.Runner.completion_rounds;
+           string_of_int r.Runner.stats.Engine.messages_sent;
+           yn (Runner.passed r);
+         ])
+       results t_maxes);
+  let slope_ok = List.for_all (fun d -> d >= 33 && d <= 36) deltas in
   Printf.printf
     "
 T grows by %s per decade of eps; theory predicts ln 10 / ln sqrt(8/7)      = 34.5.
 "
-    (String.concat ", " (List.rev_map string_of_int !deltas));
-  ignore (check slope_ok "T growth per decade off the predicted 34.5" failures);
-  verdict failures
+    (String.concat ", " (List.map string_of_int deltas));
+  expect failures slope_ok "T growth per decade off the predicted 34.5"
 
 (* ------------------------------------------------------------------ *)
 (* E14: message-complexity breakdown per primitive                     *)
 (* ------------------------------------------------------------------ *)
 
-let e14 () =
-  header "E14  Message complexity: where the O(n^2)s go";
-  let failures = ref [] in
+let e14 ~domains:_ failures =
   (* All-honest lockstep reference run: every count is exactly predictable.
      One Bracha instance with an honest sender costs n (init) + n^2 (echo)
      + n^2 (ready) sends; Pi_init runs 2n instances (values + reports);
@@ -1274,7 +1111,7 @@ let e14 () =
      every party halts at T, adding n more instances; witness sets are one
      broadcast per party. *)
   let n = 8 and d = 2 in
-  let cfg = Config.make_exn ~n ~ts:2 ~ta:1 ~d ~eps:0.05 ~delta:10 in
+  let cfg = mk n 2 1 d 0.05 in
   let inputs =
     List.init n (fun i ->
         Vec.of_list (List.init d (fun c -> float_of_int ((i + c) mod 4))))
@@ -1284,14 +1121,10 @@ let e14 () =
       (Scenario.make ~name:"e14" ~cfg ~inputs
          ~policy:(Network.lockstep ~delta:10) ())
   in
-  ignore
-    (check (r.Runner.live && r.Runner.valid && r.Runner.agreement)
-       "reference run failed" failures);
+  expect failures (Runner.passed r) "reference run failed";
   let per_instance = n + (2 * n * n) in
-  let iterations =
-    (* every party executes iterations 1 .. it_h + 1 in this run *)
-    1 + List.fold_left (fun acc (_, it) -> max acc it) 0 r.Runner.output_iters
-  in
+  (* every party executes iterations 1 .. it_h + 1 in this run *)
+  let iterations = 1 + max_of snd r.Runner.output_iters in
   (* I = total Bracha instances this run: 2n (Pi_init values + reports),
      n per iteration, n halts. The step rows re-group the same I *
      (n + 2n^2) sends by Bracha phase: every instance broadcasts one init
@@ -1322,10 +1155,7 @@ let e14 () =
       (fun (name, msgs, bytes) ->
         let exp = List.assoc name expected in
         let ok = msgs = exp in
-        ignore
-          (check ok
-             (Printf.sprintf "%s: measured %d, predicted %d" name msgs exp)
-             failures);
+        expect failures ok (Printf.sprintf "%s: measured %d, predicted %d" name msgs exp);
         [
           name;
           string_of_int msgs;
@@ -1355,88 +1185,64 @@ let e14 () =
               then acc + m
               else acc)
             0 r.Runner.traffic)
-    /. float_of_int r.Runner.stats.Engine.messages_sent);
-  verdict failures
+    /. float_of_int r.Runner.stats.Engine.messages_sent)
 
 (* ------------------------------------------------------------------ *)
 (* E15: scalability sweep                                              *)
 (* ------------------------------------------------------------------ *)
 
-let e15 ~domains =
-  header "E15  Scalability: cost vs n and vs D";
-  let failures = ref [] in
+let e15 ~domains failures =
+  let msgs (r : Runner.result) = r.stats.Engine.messages_sent in
   (* Sweep n at D = 2 with a proportional adversary, random synchronous
      delays, several seeds per point; the E14 cost model says message
      count grows as Theta(n^3) (n Bracha instances of Theta(n^2) per
      phase). *)
   print_endline "Sweep over n (D = 2, ts = floor((n-1)/4), 4 seeds each):";
-  let msg_means = ref [] in
-  let rows_n =
+  let sweep_n =
     List.map
       (fun n ->
-        let ts = max 1 (min ((n - 1) / 4) ((n - 1) / 4)) in
-        let ta = max 0 (min ts (n - 1 - (3 * ts))) in
-        let ta = min ta 1 in
-        let cfg = Config.make_exn ~n ~ts ~ta ~d:2 ~eps:0.05 ~delta:10 in
-        let seeds = [ 1; 2; 3 ] in
+        let ts = max 1 ((n - 1) / 4) in
+        let ta = min 1 (max 0 (min ts (n - 1 - (3 * ts)))) in
+        let cfg = mk n ts ta 2 0.05 in
         let runs =
-          Runner.run_batch ~domains
+          run_passing ~domains failures
+            (fun seed -> Printf.sprintf "n=%d seed=%d failed" n seed)
             (List.map
                (fun seed ->
                  let rng = Rng.create (Int64.of_int (seed * 31)) in
                  let inputs = Inputs.uniform_cube rng ~d:2 ~n ~side:8. in
                  let corruptions =
-                   if ts >= 1 then
-                     [ (1, Behavior.Honest_with_input (Vec.of_list [ 1e3; -1e3 ])) ]
-                   else []
+                   [ (1, Behavior.Honest_with_input (Vec.of_list [ 1e3; -1e3 ])) ]
                  in
-                 Scenario.make ~name:"e15" ~seed:(Int64.of_int seed) ~cfg
-                   ~inputs ~corruptions
-                   ~policy:(Network.sync_uniform ~delta:10)
-                   ())
-               seeds)
+                 ( seed,
+                   Scenario.make ~name:"e15" ~seed:(Int64.of_int seed) ~cfg
+                     ~inputs ~corruptions
+                     ~policy:(Network.sync_uniform ~delta:10)
+                     () ))
+               [ 1; 2; 3 ])
         in
-        List.iter2
-          (fun seed r ->
-            ignore
-              (check
-                 (r.Runner.live && r.Runner.valid && r.Runner.agreement)
-                 (Printf.sprintf "n=%d seed=%d failed" n seed)
-                 failures))
-          seeds runs;
-        let msgs =
-          Stats.summarize
-            (List.map
-               (fun r -> float_of_int r.Runner.stats.Engine.messages_sent)
-               runs)
-        in
-        let rounds =
-          Stats.summarize (List.map (fun r -> r.Runner.completion_rounds) runs)
-        in
-        msg_means := (n, msgs.Stats.mean) :: !msg_means;
-        [
-          string_of_int n;
-          string_of_int ts;
-          Printf.sprintf "%.0f +- %.0f" msgs.Stats.mean msgs.Stats.stddev;
-          Printf.sprintf "%.1f" rounds.Stats.mean;
-          Printf.sprintf "%.2f"
-            (msgs.Stats.mean /. (float_of_int (n * n * n) *. 2.));
-        ])
+        let m, rounds = cost_stats (List.map snd runs) in
+        let norm = m.Stats.mean /. float_of_int (2 * n * n * n) in
+        ( norm,
+          [
+            string_of_int n;
+            string_of_int ts;
+            Printf.sprintf "%.0f +- %.0f" m.Stats.mean m.Stats.stddev;
+            Printf.sprintf "%.1f" rounds.Stats.mean;
+            Printf.sprintf "%.2f" norm;
+          ] ))
       [ 4; 6; 8; 10; 12 ]
   in
   Table.print
     ~header:[ "n"; "ts"; "messages"; "rounds"; "msgs / 2n^3" ]
-    rows_n;
+    (List.map snd sweep_n);
   (* the normalized column must be roughly flat: check the ratio between
      its extreme values stays within a factor of 4 (phases per run vary
      with the iteration count, not with n) *)
-  let norms =
-    List.map (fun (n, m) -> m /. float_of_int (2 * n * n * n)) !msg_means
-  in
+  let norms = List.map fst sweep_n in
   let lo = List.fold_left Float.min infinity norms
   and hi = List.fold_left Float.max 0. norms in
-  ignore
-    (check (hi /. lo < 4.) "message growth deviates from Theta(n^3)" failures);
+  expect failures (hi /. lo < 4.) "message growth deviates from Theta(n^3)";
   Printf.printf
     "\nmsgs / 2n^3 stays within [%.2f, %.2f]: message complexity tracks\n\
      Theta(n^3) per run, as the E14 per-instance model predicts.\n" lo hi;
@@ -1446,35 +1252,23 @@ let e15 ~domains =
      computation, benchmarked in B1. *)
   print_newline ();
   print_endline "Sweep over D (n = 10, ts = 2, ta = 1, lockstep, honest):";
-  let dims = [ 1; 2; 3 ] in
-  let results_d =
-    Runner.run_batch ~domains
-      (List.map
-         (fun d ->
-           let cfg = Config.make_exn ~n:10 ~ts:2 ~ta:1 ~d ~eps:0.05 ~delta:10 in
-           let rng = Rng.create 17L in
-           let inputs = Inputs.uniform_cube rng ~d ~n:10 ~side:5. in
-           Scenario.make ~name:"e15d" ~cfg ~inputs
-             ~policy:(Network.lockstep ~delta:10) ())
-         dims)
-  in
-  let rows_d =
-    List.map2
-      (fun d r ->
-        ignore
-          (check
-             (r.Runner.live && r.Runner.valid && r.Runner.agreement)
-             (Printf.sprintf "D=%d failed" d)
-             failures);
-        [
-          string_of_int d;
-          string_of_int r.Runner.stats.Engine.messages_sent;
-          string_of_int r.Runner.stats.Engine.bytes_sent;
-          f3 r.Runner.completion_rounds;
-        ])
-      dims results_d
-  in
-  Table.print ~header:[ "D"; "messages"; "bytes"; "rounds" ] rows_d;
+  run_passing ~domains failures (Printf.sprintf "D=%d failed")
+    (List.map
+       (fun d ->
+         let rng = Rng.create 17L in
+         let inputs = Inputs.uniform_cube rng ~d ~n:10 ~side:5. in
+         ( d,
+           Scenario.make ~name:"e15d" ~cfg:(mk 10 2 1 d 0.05) ~inputs
+             ~policy:(Network.lockstep ~delta:10) () ))
+       [ 1; 2; 3 ])
+  |> List.map (fun (d, r) ->
+         [
+           string_of_int d;
+           string_of_int (msgs r);
+           string_of_int r.Runner.stats.Engine.bytes_sent;
+           f3 r.Runner.completion_rounds;
+         ])
+  |> Table.print ~header:[ "D"; "messages"; "bytes"; "rounds" ];
 
   (* Batched message layer: same protocol, same votes, fewer packets.
      Under lockstep every rBC echo/ready wave a party emits in a tick
@@ -1486,51 +1280,41 @@ let e15 ~domains =
   print_endline "Batched layer vs unbatched (D = 2, ts = 2, ta = 1, lockstep):";
   let batched_ns = [ 8; 12 ] in
   let scen_layer layer n =
-    let cfg = Config.make_exn ~n ~ts:2 ~ta:1 ~d:2 ~eps:0.05 ~delta:10 in
     let rng = Rng.create (Int64.of_int (n * 977)) in
     let inputs = Inputs.uniform_cube rng ~d:2 ~n ~side:6. in
-    Scenario.make
-      ~name:(Printf.sprintf "e15b-%d" n)
-      ~cfg ~inputs
-      ~protocol:(Scenario.Maaa { Party.default_opts with layer })
-      ~policy:(Network.lockstep ~delta:10) ()
+    ( n,
+      Scenario.make
+        ~name:(Printf.sprintf "e15b-%d" n)
+        ~cfg:(mk n 2 1 2 0.05) ~inputs
+        ~protocol:(Scenario.Maaa { Party.default_opts with layer })
+        ~policy:(Network.lockstep ~delta:10) () )
   in
   let unb_runs =
-    Runner.run_batch ~domains (List.map (scen_layer Party.Interned) batched_ns)
+    Runner.run_batch ~domains
+      (List.map (fun n -> snd (scen_layer Party.Interned n)) batched_ns)
   in
   let bat_runs =
-    Runner.run_batch ~domains (List.map (scen_layer Party.Batched) batched_ns)
+    run_passing ~domains failures (Printf.sprintf "batched n=%d failed")
+      (List.map (scen_layer Party.Batched) batched_ns)
   in
-  let reductions = ref [] in
-  let rows_b =
-    List.map2
-      (fun n (r_unb, r_bat) ->
-        ignore
-          (check
-             (r_bat.Runner.live && r_bat.Runner.valid && r_bat.Runner.agreement)
-             (Printf.sprintf "batched n=%d failed" n)
-             failures);
-        let m_unb = r_unb.Runner.stats.Engine.messages_sent in
-        let m_bat = r_bat.Runner.stats.Engine.messages_sent in
-        let red = float_of_int m_unb /. float_of_int m_bat in
-        reductions := (n, red) :: !reductions;
-        [
-          string_of_int n;
-          string_of_int m_unb;
-          string_of_int m_bat;
-          Printf.sprintf "%.2fx" red;
-        ])
-      batched_ns
-      (List.combine unb_runs bat_runs)
+  let pkts =
+    List.map2 (fun r_unb (n, r_bat) -> (n, (msgs r_unb, msgs r_bat))) unb_runs bat_runs
   in
+  let reduction (m_unb, m_bat) = float_of_int m_unb /. float_of_int m_bat in
   Table.print
     ~header:[ "n"; "unbatched pkts"; "batched pkts"; "reduction" ]
-    rows_b;
-  let red12 = List.assoc 12 !reductions in
-  ignore
-    (check (red12 >= 3.)
-       (Printf.sprintf "batched reduction at n=12 is %.2fx < 3x" red12)
-       failures);
+    (List.map
+       (fun (n, ((m_unb, m_bat) as p)) ->
+         [
+           string_of_int n;
+           string_of_int m_unb;
+           string_of_int m_bat;
+           Printf.sprintf "%.2fx" (reduction p);
+         ])
+       pkts);
+  let red12 = reduction (List.assoc 12 pkts) in
+  expect failures (red12 >= 3.)
+    (Printf.sprintf "batched reduction at n=12 is %.2fx < 3x" red12);
   Printf.printf
     "\nPacket reduction grows with n (combined packets amortize one header\n\
      over ~n votes); at n = 12 batching already saves %.1fx.\n" red12;
@@ -1542,64 +1326,46 @@ let e15 ~domains =
      Theta(n^3). *)
   print_newline ();
   print_endline "EW quadratic protocol (D = 2, ta = 1, lockstep, honest):";
-  let ew_ns = [ 8; 16; 32 ] in
   let ew_runs =
-    Runner.run_batch ~domains
+    run_passing ~domains failures (Printf.sprintf "EW n=%d failed")
       (List.map
          (fun n ->
-           let cfg =
-             Config.make_exn ~n ~ts:2 ~ta:1 ~d:2 ~eps:0.05 ~delta:10
-           in
            let rng = Rng.create (Int64.of_int (n * 131)) in
            let inputs = Inputs.uniform_cube rng ~d:2 ~n ~side:6. in
-           Scenario.make
-             ~name:(Printf.sprintf "e15ew-%d" n)
-             ~cfg ~inputs ~protocol:Scenario.Ew
-             ~policy:(Network.lockstep ~delta:10) ())
-         ew_ns)
+           ( n,
+             Scenario.make
+               ~name:(Printf.sprintf "e15ew-%d" n)
+               ~cfg:(mk n 2 1 2 0.05) ~inputs ~protocol:Scenario.Ew
+               ~policy:(Network.lockstep ~delta:10) () ))
+         [ 8; 16; 32 ])
   in
-  let ew_msgs = ref [] in
-  let rows_ew =
-    List.map2
-      (fun n r ->
-        ignore
-          (check
-             (r.Runner.live && r.Runner.valid && r.Runner.agreement)
-             (Printf.sprintf "EW n=%d failed" n)
-             failures);
-        let m = r.Runner.stats.Engine.messages_sent in
-        ew_msgs := (n, float_of_int m) :: !ew_msgs;
-        [
-          string_of_int n;
-          string_of_int m;
-          Printf.sprintf "%.2f" (float_of_int m /. float_of_int (n * n));
-          f3 r.Runner.completion_rounds;
-        ])
-      ew_ns ew_runs
-  in
-  Table.print ~header:[ "n"; "messages"; "msgs / n^2"; "rounds" ] rows_ew;
-  let m8 = List.assoc 8 !ew_msgs and m32 = List.assoc 32 !ew_msgs in
-  let exponent = log (m32 /. m8) /. log 4. in
-  ignore
-    (check
-       (exponent > 1.6 && exponent < 2.4)
-       (Printf.sprintf "EW message exponent %.2f outside [1.6, 2.4]" exponent)
-       failures);
+  Table.print ~header:[ "n"; "messages"; "msgs / n^2"; "rounds" ]
+    (List.map
+       (fun (n, r) ->
+         [
+           string_of_int n;
+           string_of_int (msgs r);
+           Printf.sprintf "%.2f" (float_of_int (msgs r) /. float_of_int (n * n));
+           f3 r.Runner.completion_rounds;
+         ])
+       ew_runs);
+  let ew_msgs n = float_of_int (msgs (List.assoc n ew_runs)) in
+  let exponent = log (ew_msgs 32 /. ew_msgs 8) /. log 4. in
+  expect failures
+    (exponent > 1.6 && exponent < 2.4)
+    (Printf.sprintf "EW message exponent %.2f outside [1.6, 2.4]" exponent);
   Printf.printf
     "\nFitted message exponent n=8 -> n=32: %.2f — quadratic, as the\n\
      direct-broadcast structure (value, claim, delta and report waves:\n\
      4n^2 sends per iteration at ta = 1) dictates.\n"
-    exponent;
-  verdict failures
+    exponent
 
 (* ------------------------------------------------------------------ *)
 (* E16: what the Pi_init estimation round buys                         *)
 (* ------------------------------------------------------------------ *)
 
-let e16 ~domains =
-  header "E16  Ablation: Pi_init vs the known-input-bounds variant";
-  let failures = ref [] in
-  let cfg = Config.make_exn ~n:8 ~ts:2 ~ta:1 ~d:2 ~eps:0.05 ~delta:10 in
+let e16 ~domains failures =
+  let cfg = mk 8 2 1 2 0.05 in
   let rng = Rng.create 777L in
   let inputs = Inputs.two_clusters rng ~d:2 ~n:8 ~separation:10. in
   let t_true = Baseline_runner.rounds_for ~eps:cfg.Config.eps ~inputs in
@@ -1641,9 +1407,8 @@ let e16 ~domains =
         string_of_int r_fixed.Runner.stats.Engine.messages_sent;
       ];
     ];
-  ignore
-    (check r_paper.Runner.agreement "paper variant failed" failures);
-  ignore (check ok_fixed "fixed-T variant failed" failures);
+  expect failures r_paper.Runner.agreement "paper variant failed";
+  expect failures ok_fixed "fixed-T variant failed";
 
   (* Part 2 — safety: a mis-estimated bound (T = 1, i.e. the inputs were
      assumed nearly agreed already) breaks agreement under asynchrony,
@@ -1654,81 +1419,88 @@ let e16 ~domains =
      diameter):";
   let seeds = [ 2L; 3L; 4L ] in
   let worst_fixed1 =
-    List.fold_left
-      (fun acc r -> Float.max acc r.Runner.diameter)
-      0.
-      (Runner.run_batch ~domains
-         (List.map
-            (fun seed ->
-              fixed ~tt:1 ~policy:(Network.async_heavy_tail ~base:60) ~seed)
-            seeds))
+    Runner.run_batch ~domains
+      (List.map
+         (fun seed -> fixed ~tt:1 ~policy:(Network.async_heavy_tail ~base:60) ~seed)
+         seeds)
+    |> fmax_of (fun r -> r.Runner.diameter)
   in
-  let worst_paper = ref 0. in
-  List.iter
-    (fun rp ->
-      ignore
-        (check
-           (rp.Runner.live && rp.Runner.valid && rp.Runner.agreement)
-           "paper variant failed under heavy tail" failures);
-      worst_paper := Float.max !worst_paper rp.Runner.diameter)
-    (Runner.run_batch ~domains
-       (List.map
-          (fun seed ->
-            Scenario.make ~name:"e16a" ~seed ~cfg ~inputs ~sync_network:false
-              ~policy:(Network.async_heavy_tail ~base:60) ())
-          seeds));
+  let worst_paper =
+    run_passing ~domains failures
+      (fun _ -> "paper variant failed under heavy tail")
+      (List.map
+         (fun seed ->
+           ( seed,
+             Scenario.make ~name:"e16a" ~seed ~cfg ~inputs ~sync_network:false
+               ~policy:(Network.async_heavy_tail ~base:60) () ))
+         seeds)
+    |> fmax_of (fun (_, r) -> r.Runner.diameter)
+  in
   Table.print
     ~header:[ "variant"; "worst diameter"; "eps"; "agreement" ]
     [
-      [ "Pi_init estimation (paper)"; e3 !worst_paper; "0.05";
-        yn (!worst_paper <= cfg.Config.eps) ];
+      [ "Pi_init estimation (paper)"; e3 worst_paper; "0.05";
+        yn (worst_paper <= cfg.Config.eps) ];
       [ "Fixed T = 1 (wrong bound)"; e3 worst_fixed1; "0.05";
         yn (worst_fixed1 <= cfg.Config.eps) ];
     ];
-  ignore
-    (check
-       (worst_fixed1 > cfg.Config.eps)
-       "mis-configured fixed-T variant unexpectedly survived" failures);
+  expect failures
+    (worst_fixed1 > cfg.Config.eps)
+    "mis-configured fixed-T variant unexpectedly survived";
   print_endline
     "\nPi_init wins on both axes. Safety: it removes the a-priori-bounds\n\
      assumption entirely, while a wrong bound makes the fixed-T variant\n\
      halt too early and violate eps-agreement. Cost: its estimations adapt\n\
      to the actual spread after one information exchange, so runs finish in\n\
      a handful of iterations, whereas a fixed T must be provisioned for the\n\
-     worst case and then dutifully burns all of it.";
-  verdict failures
+     worst case and then dutifully burns all of it."
 
 (* ------------------------------------------------------------------ *)
 
-(* an experiment that runs no scenario batch ignores the domain count *)
-let seq f ~domains:_ = f ()
-
+(* id, report title, experiment *)
 let all =
   [
-    ("e1", "Figure 1 / Theorem 3.1 lower bound", e1);
-    ("e2", "Theorem 3.2 async lower bound", seq e2);
-    ("e3", "Figure 2 safe-area worked example", seq e3_run);
-    ("e4", "Theorem 4.2 reliable broadcast", seq e4);
-    ("e5", "Theorem 4.4 overlap broadcast", seq e5);
-    ("e6", "Lemmas 5.5-5.8 safe-area invariants", seq e6);
-    ("e7", "Lemma 5.15 contraction", e7);
-    ("e8", "Theorem 5.18 Pi_init", seq e8);
-    ("e9", "Theorem 5.19 sync end-to-end", e9);
-    ("e10", "Theorem 5.19 async end-to-end", e10);
-    ("e11", "Resilience boundary", seq e11);
-    ("e12", "Baseline comparison", e12);
-    ("e13", "Iteration-estimate scaling", e13);
-    ("e14", "Message-complexity breakdown", seq e14);
-    ("e15", "Scalability sweep", e15);
-    ("e16", "Pi_init ablation", e16);
+    ("e1", "E1  Figure 1 / Theorem 3.1: no sync D-AA at n = (D+1)*ts (D=2, ts=1)", e1);
+    ("e2", "E2  Theorem 3.2: no async D-AA at n = (D+2)*ta (D=2, ta=1)", e2);
+    ("e3", "E3  Figure 2: safe area of four points, t = 1", e3_run);
+    ("e4", "E4  Theorem 4.2: Bracha rBC with c_rBC = 3, c'_rBC = 2", e4);
+    ("e5", "E5  Theorem 4.4: Overlap All-to-All Broadcast (c_oBC = 5)", e5);
+    ("e6", "E6  Lemmas 5.5-5.8: randomized safe-area invariants", e6);
+    ("e7", "E7  Lemma 5.15: per-iteration contraction <= sqrt(7/8) = 0.9354", e7);
+    ("e8", "E8  Theorem 5.18: Pi_init outputs (T, v0)", e8);
+    ("e9", "E9  Theorem 5.19 (synchronous, ts corruptions)", e9);
+    ("e10", "E10  Theorem 5.19 (asynchronous, ta corruptions)", e10);
+    ("e11", "E11  Resilience boundary: (D+1)*ts + ta < n is tight", e11);
+    ("e12", "E12  Hybrid vs pure-synchronous vs pure-asynchronous", e12);
+    ("e13", "E13  Iteration estimate: T scales as log_{sqrt(7/8)}(eps / diam)", e13);
+    ("e14", "E14  Message complexity: where the O(n^2)s go", e14);
+    ("e15", "E15  Scalability: cost vs n and vs D", e15);
+    ("e16", "E16  Ablation: Pi_init vs the known-input-bounds variant", e16);
   ]
+
+(* Prints the report frame around one experiment and returns whether every
+   claim held. *)
+let run title experiment ~domains =
+  Printf.printf "\n=== %s ===\n\n" title;
+  let failures = ref [] in
+  experiment ~domains failures;
+  match List.rev !failures with
+  | [] ->
+      print_endline "\nRESULT: PASS";
+      true
+  | fs ->
+      Printf.printf "\nRESULT: FAIL (%d checks)\n" (List.length fs);
+      List.iter (Printf.printf "  - %s\n") fs;
+      false
 
 let find_opt id =
   List.find_opt (fun (i, _, _) -> i = id) all
-  |> Option.map (fun (_, _, f) -> f)
+  |> Option.map (fun (_, title, experiment) -> run title experiment)
 
 let run_all ~domains =
-  let results = List.map (fun (id, _, f) -> (id, f ~domains)) all in
+  let results =
+    List.map (fun (id, title, experiment) -> (id, run title experiment ~domains)) all
+  in
   print_newline ();
   print_endline "=== SUMMARY ===";
   List.iter

@@ -1,8 +1,13 @@
 (** The experiment suite: one entry per paper artefact (figures, theorems,
-    quantitative lemma claims), as indexed in DESIGN.md §3. Each experiment
-    prints a self-contained report (tables included) to stdout and returns
-    [true] when every checked property held. [EXPERIMENTS.md] records the
-    reference output. *)
+    quantitative lemma claims), as indexed in DESIGN.md §3. [EXPERIMENTS.md]
+    records the reference output.
+
+    The work is split between one driver and the experiments. An experiment
+    prints its report body (tables included) to stdout and states each
+    claim with the failure message to print if it does not hold. The
+    driver prints the [=== title ===] header before the body and the
+    [RESULT: PASS] or [RESULT: FAIL] verdict after it, listing every failed
+    claim, and returns [true] when all of them held. *)
 
 val find_opt : string -> (domains:int -> bool) option
 (** The runner for the experiment with the given id ([e1] … [e16]), or

@@ -363,6 +363,8 @@ let iteration_diameters r =
           else None)
         iters
 
+let passed r = r.live && r.valid && r.agreement
+
 let contraction_ratios r =
   let diams = iteration_diameters r in
   let rec go = function

@@ -151,6 +151,10 @@ val run_batch : ?domains:int -> ?monitor:bool -> Scenario.t list -> result list
     for any [domains] — property-tested in [test_pool.ml] and
     [test_chaos.ml]. *)
 
+val passed : result -> bool
+(** The run was live, valid and in ε-agreement: it kept all three of the
+    paper's properties. *)
+
 val contraction_ratios : result -> (int * float) list
 (** For each iteration [it ≥ 1] completed by {e all} honest parties, the
     ratio [δmax(I_it) / δmax(I_{it-1})] (skipping already-collapsed

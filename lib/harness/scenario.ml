@@ -125,9 +125,6 @@ let graded_honest t =
   let adaptive = chaos_corrupted t in
   List.filter (fun i -> not (List.mem i adaptive)) (honest t)
 
-let corrupt_count t =
-  List.length t.corruptions + List.length (chaos_corrupted t)
-
 let honest_inputs t =
   let inputs = Array.of_list t.inputs in
   List.map (fun i -> inputs.(i)) (graded_honest t)

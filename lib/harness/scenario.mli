@@ -110,9 +110,6 @@ val graded_honest : t -> int list
 (** The parties the run's properties are graded against: honest {e and}
     never adaptively corrupted. Equals {!honest} when [chaos] is absent. *)
 
-val corrupt_count : t -> int
-(** Static plus adaptive corruptions. *)
-
 val honest_inputs : t -> Vec.t list
 (** Inputs of the {!graded_honest} parties. *)
 

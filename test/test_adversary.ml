@@ -13,7 +13,7 @@ let run ?(seed = 21L) ?policy ?(sync_network = true) corruptions =
     (Scenario.make ~seed ?policy ~sync_network ~corruptions ~cfg ~inputs ())
 
 let assert_contained name r =
-  if not (r.Runner.live && r.Runner.valid && r.Runner.agreement) then
+  if not (Runner.passed r) then
     Alcotest.failf "%s: protocol properties violated (live=%b valid=%b agree=%b)"
       name r.Runner.live r.Runner.valid r.Runner.agreement
 

@@ -85,7 +85,6 @@ let test_scenario_accessors () =
     Scenario.make ~cfg ~inputs:inputs4 ~corruptions:[ (2, Behavior.Silent) ] ()
   in
   Alcotest.(check (list int)) "honest" [ 0; 1; 3 ] (Scenario.honest s);
-  Alcotest.(check int) "corrupt count" 1 (Scenario.corrupt_count s);
   Alcotest.(check int) "honest inputs" 3 (List.length (Scenario.honest_inputs s))
 
 (* --- Runner metrics --- *)
@@ -119,6 +118,38 @@ let test_runner_reports_dead_run () =
   Alcotest.(check bool) "completion_rounds nan-free" true
     (Float.is_finite r.Runner.completion_rounds
     && r.Runner.completion_rounds >= 0.)
+
+let test_runner_passed () =
+  let r = Runner.run (Scenario.make ~cfg ~inputs:inputs4 ()) in
+  Alcotest.(check bool) "honest run passes" true (Runner.passed r);
+  List.iter
+    (fun (what, r) -> Alcotest.(check bool) what false (Runner.passed r))
+    [
+      ("not live", { r with Runner.live = false });
+      ("not valid", { r with Runner.valid = false });
+      ("no agreement", { r with Runner.agreement = false });
+    ]
+
+(* --- Experiments --- *)
+
+let test_experiments_ids () =
+  let ids = List.init 16 (fun i -> Printf.sprintf "e%d" (i + 1)) in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " known") true
+        (Option.is_some (Experiments.find_opt id)))
+    ids;
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " unknown") true
+        (Option.is_none (Experiments.find_opt id)))
+    [ ""; "e0"; "e17"; "E1"; "e01"; "all" ]
+
+let test_experiment_e3_passes () =
+  (* E3 runs no scenario: its verdict is the safe-area claims alone *)
+  match Experiments.find_opt "e3" with
+  | Some run -> Alcotest.(check bool) "e3 passes" true (run ~domains:1)
+  | None -> Alcotest.fail "e3 unknown"
 
 (* --- Table --- *)
 
@@ -341,6 +372,12 @@ let () =
           Alcotest.test_case "metrics" `Quick test_runner_contraction_and_diameters;
           Alcotest.test_case "graceful on dead runs" `Quick
             test_runner_reports_dead_run;
+          Alcotest.test_case "passed" `Quick test_runner_passed;
+        ] );
+      ( "experiments",
+        [
+          Alcotest.test_case "ids e1..e16" `Quick test_experiments_ids;
+          Alcotest.test_case "e3 passes" `Quick test_experiment_e3_passes;
         ] );
       ("table", [ Alcotest.test_case "render" `Quick test_table_render ]);
       ( "fixtures",

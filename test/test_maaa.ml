@@ -618,7 +618,7 @@ let prop_random_scenarios =
           ~policy:(Network.sync_uniform ~delta:10)
           ~corruptions inputs
       in
-      r.Runner.live && r.Runner.valid && r.Runner.agreement)
+      Runner.passed r)
 
 let prop_random_async_scenarios =
   QCheck.Test.make ~name:"random async scenarios satisfy D-AA" ~count:10
@@ -639,7 +639,7 @@ let prop_random_async_scenarios =
           ~corruptions:[ (corrupt, Behavior.Silent) ]
           inputs
       in
-      r.Runner.live && r.Runner.valid && r.Runner.agreement)
+      Runner.passed r)
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
